@@ -12,6 +12,7 @@ import (
 	"dicer/internal/httpd"
 	"dicer/internal/machine"
 	"dicer/internal/metrics"
+	"dicer/internal/slo"
 )
 
 // fleetServeState is shared between the background cluster loop and the
@@ -48,10 +49,10 @@ func newFleetServeState(p fleetParams) *fleetServeState {
 	st.monitor = diag.NewFleetMonitor(diag.FleetMonitorConfig{
 		SLO:      p.slo,
 		LinkGbps: machine.Default().Link.CapacityGBps,
-		OnAlert: func(node int, ev diag.AlertEvent) {
+		OnAlert: func(node int, ev slo.AlertEvent) {
 			b, err := json.Marshal(struct {
 				Node int `json:"node"` // -1 = fleet aggregate
-				diag.AlertEvent
+				slo.AlertEvent
 			}{node, ev})
 			if err == nil {
 				st.events.Publish("alert", string(b))

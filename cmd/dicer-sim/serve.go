@@ -9,6 +9,7 @@ import (
 	"dicer"
 	"dicer/internal/diag"
 	"dicer/internal/httpd"
+	"dicer/internal/slo"
 )
 
 // serveParams is the scenario the -serve loop runs lap after lap.
@@ -51,7 +52,7 @@ func newServeState(p serveParams) *serveState {
 	}
 	st.monitor = diag.NewMonitor(diag.MonitorConfig{
 		SLO: p.slo,
-		OnAlert: func(ev diag.AlertEvent) {
+		OnAlert: func(ev slo.AlertEvent) {
 			if b, err := json.Marshal(ev); err == nil {
 				st.events.Publish("alert", string(b))
 			}
@@ -60,10 +61,10 @@ func newServeState(p serveParams) *serveState {
 	return st
 }
 
-// Emit and Start implement dicer.TraceSink: Start captures the header
-// and opens a fresh per-lap buffer (sized from the header's horizon, so
-// no period of the lap is ever evicted); Emit deep-copies each record
-// into it via the ring.
+// Emit and Start implement the trace sink interface: Start captures the
+// header and opens a fresh per-lap buffer (sized from the header's
+// horizon, so no period of the lap is ever evicted); Emit deep-copies
+// each record into it via the ring.
 func (st *serveState) Emit(r *dicer.TraceRecord) {
 	st.mu.Lock()
 	ring := st.cur

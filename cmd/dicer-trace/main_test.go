@@ -97,6 +97,50 @@ func TestReplayRejectsNonDICERTrace(t *testing.T) {
 	}
 }
 
+// TestReplayRejectsV2Trace: a dicer-trace/v2 trace (a grouped
+// controller's per-group records) is refused with a structural error
+// naming its schema, at one HP app and at three, instead of replaying it
+// on the two-CLOS controller and reporting a false divergence.
+func TestReplayRejectsV2Trace(t *testing.T) {
+	be, err := dicer.AppByName("gcc_base1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, names := range [][]string{{"omnetpp1"}, {"omnetpp1", "sphinx1", "milc1"}} {
+		var hps []dicer.HPApp
+		for _, name := range names {
+			p, err := dicer.AppByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hps = append(hps, dicer.HPApp{Profile: p})
+		}
+		var rec bytes.Buffer
+		jl := dicer.NewTraceJSONL(&rec)
+		ms := &dicer.MultiScenario{
+			HPs:            hps,
+			BEs:            []dicer.Profile{be, be, be},
+			HorizonPeriods: 10,
+			Trace:          jl,
+		}
+		if _, err := ms.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if err := jl.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "v2.jsonl")
+		if err := os.WriteFile(path, rec.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		err := runReplay([]string{path}, &out)
+		if err == nil || !strings.Contains(err.Error(), "dicer-trace/v2") || strings.Contains(err.Error(), "diverged") {
+			t.Errorf("M=%d: replay of a v2 trace returned %v, want a schema error naming dicer-trace/v2", len(names), err)
+		}
+	}
+}
+
 func TestRecordRequiresOutput(t *testing.T) {
 	var out bytes.Buffer
 	if err := runRecord([]string{"-hp", "milc1"}, &out); err == nil {

@@ -33,23 +33,16 @@ import (
 	"io"
 
 	"dicer/internal/app"
-	"dicer/internal/cache"
 	"dicer/internal/chaos"
-	"dicer/internal/cluster"
 	"dicer/internal/core"
 	"dicer/internal/diag"
-	"dicer/internal/experiments"
 	"dicer/internal/fleet"
-	"dicer/internal/hypo"
 	"dicer/internal/invariant"
 	"dicer/internal/machine"
-	"dicer/internal/membw"
 	"dicer/internal/metrics"
-	"dicer/internal/mrc"
 	"dicer/internal/obs"
 	"dicer/internal/policy"
 	"dicer/internal/resctrl"
-	"dicer/internal/sim"
 )
 
 // Aliases re-exporting the library's building blocks through the public
@@ -58,20 +51,10 @@ import (
 type (
 	// Machine describes the simulated platform (Table 1 of the paper).
 	Machine = machine.Machine
-	// Link is the memory-link model with saturation behaviour.
-	Link = membw.Link
 	// Profile is a phase-structured application model.
 	Profile = app.Profile
-	// Phase is one execution phase of a Profile.
-	Phase = app.Phase
-	// Curve is an analytic miss-ratio curve over cache capacity.
-	Curve = mrc.Curve
-	// Component is one working set of a Curve's mixture.
-	Component = mrc.Component
 	// Policy is a co-location policy (UM, CT, Static, DICER, extensions).
 	Policy = policy.Policy
-	// System is the RDT/resctrl-style monitoring+allocation interface.
-	System = resctrl.System
 	// Period is one monitoring period's counter readings.
 	Period = resctrl.Period
 	// Controller is the DICER control state machine.
@@ -80,25 +63,6 @@ type (
 	ControllerConfig = core.Config
 	// ControllerEvent is one traced controller decision.
 	ControllerEvent = core.Event
-	// Cache is the trace-driven way-partitioned LLC simulator.
-	Cache = cache.Cache
-	// CacheConfig is the LLC geometry for the trace-driven simulator.
-	CacheConfig = cache.Config
-	// Runner is the discrete-time co-location simulator.
-	Runner = sim.Runner
-	// Suite memoises experiment runs (figure drivers hang off it).
-	Suite = experiments.Suite
-	// ExperimentConfig configures the experiment harness. Its Workers
-	// field bounds parallelism across every execution path the suite
-	// owns — RunMany, the figure sweeps, FleetSuite, Soak, and hypothesis
-	// replication — through one sharded executor; 0 means GOMAXPROCS.
-	// Output is byte-identical for any Workers value: results land in
-	// index-addressed slots, so ordering never depends on scheduling.
-	ExperimentConfig = experiments.Config
-	// Workload names one HP + n×BE multiprogrammed workload.
-	Workload = experiments.Workload
-	// Result is one co-located run's outcome.
-	Result = experiments.Result
 	// SLOMonitor tracks rolling per-period SLO conformance with an alarm.
 	SLOMonitor = metrics.SLOMonitor
 	// ChaosConfig is a deterministic fault schedule for the chaos layer
@@ -107,20 +71,8 @@ type (
 	ChaosConfig = chaos.Config
 	// ChaosStats counts the faults a chaos system actually injected.
 	ChaosStats = chaos.Stats
-	// ChaosSystem wraps a System with seeded fault injection.
-	ChaosSystem = chaos.System
-	// InvariantError reports the controller safety properties a run broke.
-	InvariantError = invariant.Error
-	// InvariantChecker validates controller safety properties per period.
-	InvariantChecker = invariant.Checker
 	// InvariantGuard wraps a Policy with a per-period invariant check.
 	InvariantGuard = invariant.Guard
-	// SoakConfig drives the chaos soak matrix over a Suite.
-	SoakConfig = experiments.SoakConfig
-	// SoakResult aggregates one soak matrix.
-	SoakResult = experiments.SoakResult
-	// SoakRun is one (workload, schedule, seed) soak cell.
-	SoakRun = experiments.SoakRun
 	// TraceRecord is one monitoring period's structured audit entry:
 	// counters read, saturation verdict, controller state and decisions,
 	// masks installed, chaos faults active, guard interventions.
@@ -128,8 +80,6 @@ type (
 	// TraceHeader is a trace's first JSONL line: workload, machine and
 	// controller configuration — everything replay needs.
 	TraceHeader = obs.Header
-	// TraceSink consumes one TraceRecord per monitoring period.
-	TraceSink = obs.Sink
 	// TraceRing is the fixed-capacity in-memory sink (the /trace buffer).
 	TraceRing = obs.Ring
 	// TraceJSONL is the JSON-Lines file sink (replayable audit trace).
@@ -147,106 +97,36 @@ type (
 	// FleetCluster is N simulated DICER nodes behind admission control
 	// and a placement scheduler; Step it once per monitoring period.
 	FleetCluster = fleet.Cluster
-	// FleetResult summarises one finished cluster run (fleet EFU, SLO
-	// violation periods, reject rate, queue waits).
-	FleetResult = fleet.Result
 	// FleetArrivals seeds the open-loop best-effort job generator.
 	FleetArrivals = fleet.ArrivalConfig
 	// FleetScheduler places admitted BE jobs onto nodes.
 	FleetScheduler = fleet.Scheduler
-	// FleetNodeView is the per-node state a scheduler scores.
-	FleetNodeView = fleet.NodeView
-	// FleetHeartbeat is one node's per-period health record.
-	FleetHeartbeat = fleet.Heartbeat
 	// ClusterRecord is one cluster monitoring period: admission and
 	// placement counters, chaos events, fleet EFU, sorted heartbeats.
 	ClusterRecord = fleet.ClusterRecord
 	// ClusterTraceHeader is a fleet trace's first JSONL line.
 	ClusterTraceHeader = fleet.TraceHeader
-	// FleetMigrationConfig parameterises the SLO-burn migration loop:
-	// multi-window burn-rate alerts evicting BE jobs off burning nodes,
-	// with cooldown and quarantine hysteresis.
-	FleetMigrationConfig = fleet.MigrationConfig
-	// FleetAutoscaleConfig parameterises the repartition-first
-	// autoscaler: repack existing nodes before adding any, drain and
-	// retire idle ones.
-	FleetAutoscaleConfig = fleet.AutoscaleConfig
-	// FleetEvent is one control-loop action recorded in a cluster
-	// record (migration, repack, scale up/down).
-	FleetEvent = fleet.FleetEvent
 	// FleetExporter aggregates cluster records into Prometheus text.
 	FleetExporter = metrics.FleetExporter
-	// FleetForensicsConfig arms the fleet flight recorder: per-node
-	// black-box rings sealed into incident bundles on SLO-burn, chaos,
-	// or guard-veto triggers.
-	FleetForensicsConfig = fleet.ForensicsConfig
 	// FleetIncident is one sealed forensic bundle: manifest, the
 	// triggering node's flight window, the control events in scope.
 	FleetIncident = fleet.Incident
-	// FleetIncidentManifest is a bundle's first JSONL line.
-	FleetIncidentManifest = fleet.IncidentManifest
-	// FleetFlightEntry is one node-period of black-box evidence.
-	FleetFlightEntry = fleet.FlightEntry
 	// DiagExplainReport is the causal explain engine's output: ranked
 	// root-cause candidates for one incident.
 	DiagExplainReport = diag.ExplainReport
-	// DiagFinding is one ranked candidate root cause.
-	DiagFinding = diag.Finding
 	// NodeChaosSchedule is a deterministic node freeze/loss schedule.
 	NodeChaosSchedule = chaos.NodeSchedule
-	// DiagHistogram is a zero-alloc streaming percentile histogram.
-	DiagHistogram = diag.Histogram
-	// DiagAlerter evaluates multi-window SLO burn-rate rules.
-	DiagAlerter = diag.Alerter
-	// DiagAlertConfig parameterises the burn-rate alerter.
-	DiagAlertConfig = diag.AlertConfig
 	// DiagMonitor is the single-node live diagnostic pipeline (an
 	// obs.Sink: slowdown/link histograms + burn-rate alerter).
 	DiagMonitor = diag.Monitor
-	// DiagFleetMonitor is the cluster diagnostic pipeline.
-	DiagFleetMonitor = diag.FleetMonitor
 	// DiagReport is one run's diagnostic digest (percentiles, burn-rate
 	// timeline, decision causes, per-node outliers).
 	DiagReport = diag.Report
 	// DiagAnalyzeOptions tunes offline trace analysis.
 	DiagAnalyzeOptions = diag.AnalyzeOptions
-	// Hypothesis is a declared, falsifiable performance claim: named
-	// configurations, a seed set, and directional minimum-effect
-	// comparisons judged with paired Student-t confidence intervals.
-	Hypothesis = hypo.Hypothesis
-	// HypoComparison is one sub-claim of a hypothesis (metric, treatment
-	// vs control or baseline, direction, minimum effect).
-	HypoComparison = hypo.Comparison
-	// HypoRunner executes hypotheses through an experiment Suite with
-	// per-seed replication.
-	HypoRunner = hypo.Runner
-	// HypoResult is a fully executed and judged hypothesis; Markdown()
-	// and JSON() render the FINDINGS report byte-deterministically.
-	HypoResult = hypo.Result
-	// HypoVerdict is one comparison's judged outcome (CI, effect size,
-	// status, seed-widening trajectory).
-	HypoVerdict = hypo.Verdict
-	// MultiController is the multi-HP DICER controller: per-CLOS-group
-	// DICER state machines over an LFOC-style clustering plan, under a
-	// fixed CLOS budget (ROADMAP item 2).
-	MultiController = core.MultiController
-	// MultiControllerConfig holds the multi-HP controller's tunables:
-	// the per-group DICER config plus the clustering policy knobs.
-	MultiControllerConfig = core.MultiConfig
-	// GroupControllerEvent is one traced per-group controller decision.
-	GroupControllerEvent = core.GroupEvent
-	// ClusterConfig bounds an LFOC-style clustering run.
-	ClusterConfig = cluster.Config
-	// ClusterSpec describes one HP application to the clustering policy.
-	ClusterSpec = cluster.AppSpec
-	// ClusterPlan is a complete grouping decision.
-	ClusterPlan = cluster.Plan
-	// TraceGroupRecord is one CLOS group's slice of a dicer-trace/v2
-	// record.
-	TraceGroupRecord = obs.GroupRecord
 )
 
-// Grouping policies for MultiScenario and MultiControllerConfig.
+// Grouping policies for MultiScenario.
 const (
 	// GroupingClustered packs similar-sensitivity apps into shared CLOS
 	// groups (LFOC-style; the default).
@@ -258,8 +138,8 @@ const (
 	// per-app groups until the ids run out, overflow shares the last
 	// group, ways dealt evenly.
 	GroupingSpill = core.GroupingSpill
-	// GroupingSingle stretches the legacy single-HP topology over all
-	// apps: one shared HP group.
+	// GroupingSingle stretches the single-HP topology over all apps: one
+	// shared HP group.
 	GroupingSingle = core.GroupingSingle
 )
 
@@ -289,10 +169,6 @@ func ExplainIncident(inc *FleetIncident) *DiagExplainReport { return diag.Explai
 // sink next to a PromExporter.
 func NewDiagMonitor(cfg diag.MonitorConfig) *DiagMonitor { return diag.NewMonitor(cfg) }
 
-// DefaultDiagAlertConfig returns the stock burn-rate rule (10% budget,
-// 5-period fast window at 2x, 60-period slow window at 1x).
-func DefaultDiagAlertConfig() DiagAlertConfig { return diag.DefaultAlertConfig() }
-
 // DefaultMachine returns the paper's platform: 10 cores at 2.2 GHz, 25 MB
 // 20-way LLC, 68.3 Gbps memory link.
 func DefaultMachine() Machine { return machine.Default() }
@@ -306,30 +182,6 @@ func NewDICER() *Controller { return core.MustNew(core.DefaultConfig()) }
 
 // NewDICERWith builds a DICER controller with a custom configuration.
 func NewDICERWith(cfg ControllerConfig) (*Controller, error) { return core.New(cfg) }
-
-// NewMultiDICER builds a multi-HP DICER controller: one DICER state
-// machine per CLOS group over a clustering plan for specs. MultiScenario
-// wires one up end to end; use this directly to drive real hardware.
-func NewMultiDICER(cfg MultiControllerConfig, specs []ClusterSpec) (*MultiController, error) {
-	return core.NewMulti(cfg, specs)
-}
-
-// ClusterAssign computes the LFOC-style clustered plan: apps ordered by
-// cache sensitivity, split at the largest sensitivity gaps while splits
-// keep the predicted max penalty from growing, ways distributed by
-// demand.
-func ClusterAssign(cfg ClusterConfig, specs []ClusterSpec) (ClusterPlan, error) {
-	return cluster.Assign(cfg, specs)
-}
-
-// RegisteredHypotheses returns the repo's standing performance claims as
-// executable hypotheses (see cmd/dicer-hypo and DESIGN.md "Hypothesis
-// harness").
-func RegisteredHypotheses() []Hypothesis { return hypo.Registered() }
-
-// NewHypoRunner wraps a Suite for hypothesis execution: every (config,
-// seed) cell shares the suite's pooled runners and alone-run memo.
-func NewHypoRunner(s *Suite) *HypoRunner { return hypo.NewRunner(s) }
 
 // Unmanaged returns the UM baseline policy: no resource control at all.
 func Unmanaged() Policy { return policy.Unmanaged{} }
@@ -352,13 +204,6 @@ func AppByName(name string) (Profile, error) { return app.ByName(name) }
 // AppNames returns all catalog profile names, sorted.
 func AppNames() []string { return app.Names() }
 
-// NewSuite builds an experiment suite for regenerating the paper's
-// figures; use DefaultExperimentConfig for the paper's setup.
-func NewSuite(cfg ExperimentConfig) (*Suite, error) { return experiments.NewSuite(cfg) }
-
-// DefaultExperimentConfig returns the paper's evaluation configuration.
-func DefaultExperimentConfig() ExperimentConfig { return experiments.DefaultConfig() }
-
 // ChaosSchedules returns the canned fault schedules the soak harness runs
 // (dropout, freeze, jitter, write-reject, delayed-actuation, storm).
 func ChaosSchedules() []ChaosConfig { return chaos.Schedules() }
@@ -366,12 +211,6 @@ func ChaosSchedules() []ChaosConfig { return chaos.Schedules() }
 // ChaosScheduleByName looks up a canned fault schedule; "none" returns an
 // inactive schedule.
 func ChaosScheduleByName(name string) (ChaosConfig, error) { return chaos.ScheduleByName(name) }
-
-// NewChaosSystem wraps sys in the deterministic fault-injection layer.
-// The same wrapped system, schedule and seed replay bit-identically.
-func NewChaosSystem(sys System, cfg ChaosConfig, seed int64) *ChaosSystem {
-	return chaos.New(sys, cfg, seed)
-}
 
 // GuardPolicy wraps p in the runtime invariant guard: controller safety
 // properties are machine-checked after every period and a violation
@@ -393,12 +232,7 @@ func NewSLOMonitor(ipcAlone, slo float64, n int, alarmBelow float64) *SLOMonitor
 func NewFleet(cfg FleetConfig) (*FleetCluster, error) { return fleet.New(cfg) }
 
 // Fleet control-loop event causes, as recorded in ClusterRecord.Events.
-const (
-	FleetCauseMigration = fleet.CauseMigration
-	FleetCauseScaleUp   = fleet.CauseScaleUp
-	FleetCauseScaleDown = fleet.CauseScaleDown
-	FleetCauseRepack    = fleet.CauseRepack
-)
+const ()
 
 // FleetSchedulerByName builds a placement scheduler: "random",
 // "least-loaded", or "headroom" (predicted-pressure + bandwidth-headroom

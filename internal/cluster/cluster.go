@@ -48,6 +48,10 @@ type AppSpec struct {
 	APKI float64
 }
 
+// HintProgress is the fraction of its current phase an app must have
+// completed before the harnesses expose its next phase's curve as Hint.
+const HintProgress = 0.75
+
 // curve returns the curve scoring should use: the hint when present.
 func (a *AppSpec) curve() *mrc.Curve {
 	if a.Hint != nil {

@@ -75,3 +75,29 @@ func TestObserveAllocFree(t *testing.T) {
 		t.Errorf("reset/validate path: %v allocs/period, want 0", got)
 	}
 }
+
+// TestNewSetupAllocBudget pins the cost of building the single-HP
+// controller: the paper sweep builds one per cell (3,481 per figure), so
+// New plus Setup on the two-CLOS split must neither plan nor grow — at
+// most 448 bytes in at most two allocations.
+func TestNewSetupAllocBudget(t *testing.T) {
+	sys := &quietSystem{ways: 20}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ctl, err := New(DefaultConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := ctl.Setup(sys); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got > 448 {
+		t.Errorf("New+Setup allocates %d B/op, budget 448", got)
+	}
+	if got := res.AllocsPerOp(); got > 2 {
+		t.Errorf("New+Setup makes %d allocs/op, budget 2", got)
+	}
+}

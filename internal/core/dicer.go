@@ -18,16 +18,19 @@
 //     over one monitoring period, rolling back or re-sampling as Listing 3
 //     prescribes.
 //
-// The controller is written against the resctrl.System interface and holds
-// no simulator state: it sees only per-period IPC and bandwidth readings,
-// the same observables a production deployment reads from RDT counters.
+// The same state machine scales to M HP applications: controller.go runs
+// one copy per CLOS group of an LFOC-style clustering plan, and the
+// paper's single-HP controller is the one-group case on the two-CLOS
+// split (New). The controller is written against the resctrl.System
+// interface and holds no simulator state: it sees only per-period IPC and
+// bandwidth readings, the same observables a production deployment reads
+// from RDT counters.
 package core
 
 import (
 	"fmt"
 
 	"dicer/internal/policy"
-	"dicer/internal/resctrl"
 )
 
 // Config holds DICER's tunables. Defaults (DefaultConfig) are the paper's
@@ -108,8 +111,8 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// state is the controller's per-period mode.
-type state int
+// state is a group's per-period mode.
+type state uint8
 
 const (
 	stOptimise state = iota // Listing 2: allocation_optimisation
@@ -178,8 +181,11 @@ func (k EventKind) Cause() string {
 }
 
 // Event records one controller decision; examples and tests subscribe via
-// Config-free Trace to watch DICER think.
+// Controller.Trace to watch DICER think. Group is the CLOS group the
+// decision concerns (always 0 on the two-CLOS split); HPWays and HPIPC
+// carry that group's allocation and mean member IPC.
 type Event struct {
+	Group   int
 	Period  int
 	State   string
 	Kind    EventKind
@@ -187,106 +193,6 @@ type Event struct {
 	HPWays  int
 	HPIPC   float64
 	TotalBW float64
-}
-
-// Controller is the single-HP DICER state machine. It implements
-// policy.Policy by running exactly one groupState (group.go) over the
-// whole HP/BE split — the same state machine MultiController runs once
-// per cluster group.
-type Controller struct {
-	cfg Config
-
-	// Trace, when non-nil, receives one Event per decision.
-	Trace func(Event)
-
-	period int
-	g      groupState
-
-	// sys is the system being actuated, valid for the duration of a
-	// Setup/Observe call (the groupHost callbacks need it).
-	sys resctrl.System
-}
-
-// New creates a DICER controller with the given configuration.
-func New(cfg Config) (*Controller, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &Controller{cfg: cfg}, nil
-}
-
-// MustNew is New with a panic on bad configuration, for tests/examples.
-func MustNew(cfg Config) *Controller {
-	c, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// Name implements policy.Policy.
-func (c *Controller) Name() string { return "DICER" }
-
-// Config returns the controller configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
-// HPWays returns the HP way count currently enforced.
-func (c *Controller) HPWays() int { return c.g.cur }
-
-// Period returns the number of monitoring periods observed since Setup.
-// It increments by exactly one per Observe call — the invariant checker
-// (internal/invariant) relies on this to verify monotone bookkeeping.
-func (c *Controller) Period() int { return c.period }
-
-// CTFavoured reports whether the controller still assumes the workload is
-// CT-Favoured (no bandwidth saturation observed so far).
-func (c *Controller) CTFavoured() bool { return c.g.ctFavoured }
-
-// State returns the controller state name, for reporting.
-func (c *Controller) State() string { return c.g.st.String() }
-
-// Setup implements policy.Policy: DICER begins exactly like CT, assuming a
-// CT-Favoured workload (Listing 1's initialisation).
-func (c *Controller) Setup(sys resctrl.System) error {
-	total := sys.NumWays()
-	if total < c.cfg.MinHPWays+c.cfg.MinBEWays {
-		return fmt.Errorf("dicer: %d ways cannot satisfy minimums %d+%d",
-			total, c.cfg.MinHPWays, c.cfg.MinBEWays)
-	}
-	c.period = 0
-	c.g.init(&c.cfg, 0, c.cfg.MinHPWays, total-c.cfg.MinBEWays)
-	c.sys = sys
-	return c.applyGroup(&c.g)
-}
-
-// Observe implements policy.Policy: one invocation per monitoring period,
-// with the period's counter readings. This is Listing 1's dicer_driver
-// loop body.
-func (c *Controller) Observe(sys resctrl.System, p resctrl.Period) error {
-	c.period++
-	c.sys = sys
-	hpIPC := p.ClosMeanIPC(policy.HPClos)
-	hpBW := p.GroupBW(policy.HPClos)
-	saturated := p.TotalGbps > c.cfg.BWThresholdGbps && !c.cfg.DisableSaturationHandling
-	return c.g.observe(c, hpIPC, hpBW, p.TotalGbps, saturated)
-}
-
-// ChainTrace subscribes fn to the controller's decision stream without
-// displacing an existing subscriber: both run, existing first. The
-// observability recorder uses this so audit traces compose with the
-// CLI's -trace printer and test hooks.
-func (c *Controller) ChainTrace(fn func(Event)) {
-	if fn == nil {
-		return
-	}
-	if prev := c.Trace; prev != nil {
-		c.Trace = func(e Event) {
-			prev(e)
-			fn(e)
-		}
-		return
-	}
-	c.Trace = fn
 }
 
 // ControllerOf extracts the DICER controller from a policy that is one or
@@ -301,28 +207,3 @@ func ControllerOf(p policy.Policy) *Controller {
 	}
 	return nil
 }
-
-// emitGroup implements groupHost: legacy events carry the controller's
-// global period and the group's current allocation as HPWays.
-func (c *Controller) emitGroup(g *groupState, kind EventKind, ipc, totalBW float64) {
-	if c.Trace == nil {
-		return
-	}
-	c.Trace(Event{
-		Period:  c.period,
-		State:   g.st.String(),
-		Kind:    kind,
-		Cause:   kind.Cause(),
-		HPWays:  g.cur,
-		HPIPC:   ipc,
-		TotalBW: totalBW,
-	})
-}
-
-// applyGroup implements groupHost: the single group IS the HP partition,
-// so installing it is the classic two-CLOS split.
-func (c *Controller) applyGroup(g *groupState) error {
-	return policy.SplitWays(c.sys, g.cur)
-}
-
-var _ policy.Policy = (*Controller)(nil)

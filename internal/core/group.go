@@ -4,24 +4,23 @@ import "math"
 
 // groupState is the DICER state machine for ONE CLOS group of HP
 // applications: Listings 1–3 scoped to a [minWays, maxWays] window of
-// the LLC instead of the global HP/BE split. The legacy single-HP
-// Controller runs exactly one groupState over [MinHPWays,
-// NumWays-MinBEWays]; MultiController runs one per cluster group, each
-// bounded by its cluster-plan ways budget. The struct is plain data —
-// actuation and event emission go through the groupHost interface so a
-// group never allocates or touches resctrl directly (the hot-path alloc
-// guards cover both hosts).
+// the LLC. On the two-CLOS split the single group spans [MinHPWays,
+// NumWays-MinBEWays]; under a clustering plan each group is bounded by
+// its ways budget. The struct is plain, pointer-free data: decisions are
+// published and mask changes requested through the owning Controller,
+// which installs every group's change in one stacked relayout per
+// period, so a group never allocates or touches resctrl directly.
 type groupState struct {
-	cfg *Config
-	idx int // group index within the owning controller (0 for legacy)
+	idx int // group index, which is also its CLOS id
 
 	st         state
 	ctFavoured bool
-	cur        int // ways currently enforced for this group
+	havePrev   bool // prevIPC holds a reading
 
-	// Partition window: cur moves in [minWays, maxWays]. For the legacy
-	// controller maxWays = NumWays - MinBEWays (CT's allocation); for a
-	// cluster group it is the group's ways budget.
+	cur int // ways currently enforced for this group
+
+	// Partition window: cur moves in [minWays, maxWays]; maxWays is CT's
+	// allocation on the two-CLOS split and the plan budget otherwise.
 	minWays int
 	maxWays int
 
@@ -31,8 +30,7 @@ type groupState struct {
 	ipcOpt  float64
 
 	// IPC of the previous monitoring period (Eq. 3's IPC_{t-1}).
-	prevIPC  float64
-	havePrev bool
+	prevIPC float64
 
 	// Group bandwidth history for phase detection (Eq. 2). A fixed ring
 	// buffer keeps observe allocation-free on the hot path.
@@ -50,72 +48,58 @@ type groupState struct {
 	resetTriggerIPC float64
 }
 
-// groupHost actuates and traces on behalf of a groupState. applyGroup
-// installs g.cur (SplitWays for the legacy controller; a full stacked
-// relayout for the multi controller); emitGroup publishes one decision.
-type groupHost interface {
-	emitGroup(g *groupState, kind EventKind, ipc, totalBW float64)
-	applyGroup(g *groupState) error
-}
-
 // init resets the group to CT's starting point: all of its window, CT-
 // Favoured assumed (Listing 1's initialisation).
-func (g *groupState) init(cfg *Config, idx, minWays, maxWays int) {
-	g.cfg = cfg
-	g.idx = idx
-	g.st = stOptimise
-	g.ctFavoured = true
-	g.minWays = minWays
-	g.maxWays = maxWays
-	g.cur = maxWays
-	g.optimal = g.cur
-	g.ipcOpt = 0
-	g.prevIPC = 0
-	g.havePrev = false
-	g.clearBW()
-	g.sample = 0
-	g.best = 0
-	g.bestIPC = 0
-	g.rollback = 0
-	g.resetTriggerIPC = 0
+func (g *groupState) init(idx, minWays, maxWays int) {
+	*g = groupState{
+		idx:        idx,
+		st:         stOptimise,
+		ctFavoured: true,
+		cur:        maxWays,
+		minWays:    minWays,
+		maxWays:    maxWays,
+		optimal:    maxWays,
+	}
 }
 
 // observe is one monitoring period for this group: Listing 1's
 // dicer_driver loop body with the group's own IPC and bandwidth reading.
-func (g *groupState) observe(h groupHost, ipc, bw, totalBW float64, saturated bool) error {
+func (g *groupState) observe(c *Controller, ipc, bw, totalBW float64, saturated bool) {
 	switch g.st {
 	case stSampling:
-		return g.observeSampling(h, ipc, totalBW)
+		g.observeSampling(c, ipc, totalBW)
 	case stValidate:
-		return g.observeValidate(h, ipc, totalBW, saturated)
+		g.observeValidate(c, ipc, totalBW, saturated)
 	default:
-		return g.observeOptimise(h, ipc, bw, totalBW, saturated)
+		g.observeOptimise(c, ipc, bw, totalBW, saturated)
 	}
 }
 
 // observeOptimise is Listing 2 plus Listing 1's saturation check.
-func (g *groupState) observeOptimise(h groupHost, ipc, bw, totalBW float64, saturated bool) error {
+func (g *groupState) observeOptimise(c *Controller, ipc, bw, totalBW float64, saturated bool) {
 	if saturated {
-		h.emitGroup(g, EventSaturated, ipc, totalBW)
-		return g.startSampling(h, ipc, totalBW)
+		c.emit(g, EventSaturated, ipc, totalBW)
+		g.startSampling(c, ipc, totalBW)
+		return
 	}
 
-	phase := g.phaseChange(bw) && !g.cfg.DisablePhaseDetection
+	phase := g.phaseChange(bw, c.cfg.Group.PhaseThreshold) && !c.cfg.Group.DisablePhaseDetection
 	g.pushBW(bw)
 	if phase {
-		h.emitGroup(g, EventPhaseChange, ipc, totalBW)
-		return g.reset(h, ipc, totalBW)
+		c.emit(g, EventPhaseChange, ipc, totalBW)
+		g.reset(c, ipc)
+		return
 	}
 
 	if !g.havePrev {
 		g.prevIPC = ipc
 		g.havePrev = true
-		h.emitGroup(g, EventHold, ipc, totalBW)
-		return nil
+		c.emit(g, EventHold, ipc, totalBW)
+		return
 	}
 
-	lo := (1 - g.cfg.StabilityAlpha) * g.prevIPC
-	hi := (1 + g.cfg.StabilityAlpha) * g.prevIPC
+	lo := (1 - c.cfg.Group.StabilityAlpha) * g.prevIPC
+	hi := (1 + c.cfg.Group.StabilityAlpha) * g.prevIPC
 	switch {
 	case ipc >= lo && ipc <= hi:
 		// Stable (Eq. 3): the allocation exceeds the group's needs; shift
@@ -123,31 +107,30 @@ func (g *groupState) observeOptimise(h groupHost, ipc, bw, totalBW float64, satu
 		g.prevIPC = ipc
 		if g.cur > g.minWays {
 			g.cur--
-			h.emitGroup(g, EventShrink, ipc, totalBW)
-			return h.applyGroup(g)
+			c.emit(g, EventShrink, ipc, totalBW)
+			c.masksDirty = true
+			return
 		}
-		h.emitGroup(g, EventHold, ipc, totalBW)
-		return nil
+		c.emit(g, EventHold, ipc, totalBW)
 	case ipc > hi:
 		// Better: a faster phase with the same cache needs; hold.
 		g.prevIPC = ipc
-		h.emitGroup(g, EventHold, ipc, totalBW)
-		return nil
+		c.emit(g, EventHold, ipc, totalBW)
 	default:
 		// Worse: either the shrinking went too far or a slower phase
 		// began; Listing 2 resets in both cases.
-		h.emitGroup(g, EventReset, ipc, totalBW)
-		return g.reset(h, ipc, totalBW)
+		c.emit(g, EventReset, ipc, totalBW)
+		g.reset(c, ipc)
 	}
 }
 
 // phaseChange evaluates Eq. 2 against the previous three periods.
-func (g *groupState) phaseChange(bw float64) bool {
+func (g *groupState) phaseChange(bw, threshold float64) bool {
 	if g.bwLen < 3 {
 		return false
 	}
 	gm := math.Cbrt(g.bwHist[0] * g.bwHist[1] * g.bwHist[2])
-	return bw > (1+g.cfg.PhaseThreshold)*gm
+	return bw > (1+threshold)*gm
 }
 
 func (g *groupState) pushBW(bw float64) {
@@ -167,33 +150,34 @@ func (g *groupState) clearBW() {
 
 // startSampling begins Listing 1's allocation_sampling. The current
 // period's reading becomes the first sample (it measured cur ways).
-func (g *groupState) startSampling(h groupHost, ipc, totalBW float64) error {
+func (g *groupState) startSampling(c *Controller, ipc, totalBW float64) {
 	g.ctFavoured = false
 	g.st = stSampling
 	g.best = g.cur
 	g.bestIPC = ipc
 	g.sample = g.cur
-	return g.applyNextSample(h, ipc, totalBW)
+	g.applyNextSample(c, ipc, totalBW)
 }
 
 // observeSampling records the sample measured over the elapsed period
 // and applies the next one, or enforces the optimum when done.
-func (g *groupState) observeSampling(h groupHost, ipc, totalBW float64) error {
+func (g *groupState) observeSampling(c *Controller, ipc, totalBW float64) {
 	if ipc > g.bestIPC {
 		g.bestIPC = ipc
 		g.best = g.sample
 	}
-	return g.applyNextSample(h, ipc, totalBW)
+	g.applyNextSample(c, ipc, totalBW)
 }
 
 // applyNextSample steps the sampled allocation down, or finishes sampling.
-func (g *groupState) applyNextSample(h groupHost, ipc, totalBW float64) error {
-	next := g.sample - g.cfg.SampleStep
+func (g *groupState) applyNextSample(c *Controller, ipc, totalBW float64) {
+	c.masksDirty = true // either branch moves the allocation
+	next := g.sample - c.cfg.Group.SampleStep
 	if next >= g.minWays {
 		g.sample = next
 		g.cur = next
-		h.emitGroup(g, EventSample, ipc, totalBW)
-		return h.applyGroup(g)
+		c.emit(g, EventSample, ipc, totalBW)
+		return
 	}
 	// Sampling complete: enforce optimal_allocation and restart the
 	// optimisation from there (Listing 1: allocation_sampling).
@@ -204,13 +188,12 @@ func (g *groupState) applyNextSample(h groupHost, ipc, totalBW float64) error {
 	g.prevIPC = g.ipcOpt
 	g.havePrev = true
 	g.clearBW()
-	h.emitGroup(g, EventSampleDone, ipc, totalBW)
-	return h.applyGroup(g)
+	c.emit(g, EventSampleDone, ipc, totalBW)
 }
 
 // reset applies Listing 3's allocation_reset: re-enforce the best-known
 // allocation and validate it over the next period.
-func (g *groupState) reset(h groupHost, ipc, totalBW float64) error {
+func (g *groupState) reset(c *Controller, ipc float64) {
 	g.rollback = g.cur
 	g.resetTriggerIPC = ipc
 	if g.ctFavoured {
@@ -219,37 +202,39 @@ func (g *groupState) reset(h groupHost, ipc, totalBW float64) error {
 		g.cur = g.optimal
 	}
 	g.st = stValidate
-	return h.applyGroup(g)
+	c.masksDirty = true
 }
 
 // observeValidate is the monitoring period embedded in Listing 3.
-func (g *groupState) observeValidate(h groupHost, ipc, totalBW float64, saturated bool) error {
+func (g *groupState) observeValidate(c *Controller, ipc, totalBW float64, saturated bool) {
 	if saturated {
-		h.emitGroup(g, EventSaturated, ipc, totalBW)
-		return g.startSampling(h, ipc, totalBW)
+		c.emit(g, EventSaturated, ipc, totalBW)
+		g.startSampling(c, ipc, totalBW)
+		return
 	}
 	if g.ctFavoured {
 		if ipc > g.resetTriggerIPC {
 			// The reset helped: the degradation was allocation-induced.
 			g.resumeOptimise(ipc)
-			h.emitGroup(g, EventValidated, ipc, totalBW)
-			return nil
+			c.emit(g, EventValidated, ipc, totalBW)
+			return
 		}
 		// The degradation was a slower phase, not the allocation: revert.
 		g.cur = g.rollback
 		g.resumeOptimise(ipc)
-		h.emitGroup(g, EventRollback, ipc, totalBW)
-		return h.applyGroup(g)
+		c.emit(g, EventRollback, ipc, totalBW)
+		c.masksDirty = true
+		return
 	}
 	// CT-Thwarted: the reverted allocation must reproduce IPC_opt.
-	if ipc >= (1-g.cfg.NearOptTolerance)*g.ipcOpt {
+	if ipc >= (1-c.cfg.Group.NearOptTolerance)*g.ipcOpt {
 		g.resumeOptimise(ipc)
-		h.emitGroup(g, EventValidated, ipc, totalBW)
-		return nil
+		c.emit(g, EventValidated, ipc, totalBW)
+		return
 	}
 	// The optimum has moved: sample again.
-	h.emitGroup(g, EventReset, ipc, totalBW)
-	return g.startSampling(h, ipc, totalBW)
+	c.emit(g, EventReset, ipc, totalBW)
+	g.startSampling(c, ipc, totalBW)
 }
 
 // resumeOptimise returns to the optimisation state with a fresh IPC

@@ -88,15 +88,16 @@ func m1Script() []resctrl.Period {
 	return script
 }
 
-// TestMultiM1Equivalence pins the tentpole refactor: a MultiController
-// with one group reproduces the legacy single-HP controller decision for
-// decision — same event kinds, same way counts, same periods, same
-// installed masks — across every regime of the state machine.
+// TestMultiM1Equivalence pins the M=1 case: a grouped controller with one
+// app (planned by cluster.Single, its core moved to CLOS 0) reproduces the
+// two-CLOS controller New builds decision for decision — same event kinds,
+// groups, way counts and periods, same installed masks — across every
+// regime of the state machine.
 func TestMultiM1Equivalence(t *testing.T) {
-	legacy := MustNew(DefaultConfig())
-	legacySys := newFake(20)
-	var legacyEvents []Event
-	legacy.Trace = func(e Event) { legacyEvents = append(legacyEvents, e) }
+	split := MustNew(DefaultConfig())
+	splitSys := newFake(20)
+	var splitEvents []Event
+	split.Trace = func(e Event) { splitEvents = append(splitEvents, e) }
 
 	multi := MustNewMulti(MultiConfig{
 		Group:      DefaultConfig(),
@@ -105,10 +106,10 @@ func TestMultiM1Equivalence(t *testing.T) {
 		Grouping:   GroupingSingle,
 	}, singleSpec())
 	multiSys := newMultiFake(20, 2)
-	var multiEvents []GroupEvent
-	multi.Trace = func(e GroupEvent) { multiEvents = append(multiEvents, e) }
+	var multiEvents []Event
+	multi.Trace = func(e Event) { multiEvents = append(multiEvents, e) }
 
-	if err := legacy.Setup(legacySys); err != nil {
+	if err := split.Setup(splitSys); err != nil {
 		t.Fatal(err)
 	}
 	if err := multi.Setup(multiSys); err != nil {
@@ -117,34 +118,31 @@ func TestMultiM1Equivalence(t *testing.T) {
 
 	script := m1Script()
 	for i, p := range script {
-		if err := legacy.Observe(legacySys, p); err != nil {
-			t.Fatalf("period %d: legacy: %v", i, err)
+		if err := split.Observe(splitSys, p); err != nil {
+			t.Fatalf("period %d: split: %v", i, err)
 		}
 		if err := multi.Observe(multiSys, p); err != nil {
 			t.Fatalf("period %d: multi: %v", i, err)
 		}
-		if legacySys.masks[0] != multiSys.masks[0] || legacySys.masks[1] != multiSys.masks[1] {
-			t.Fatalf("period %d: masks diverged: legacy hp=%x be=%x, multi g0=%x be=%x",
-				i, legacySys.masks[0], legacySys.masks[1], multiSys.masks[0], multiSys.masks[1])
+		if splitSys.masks[0] != multiSys.masks[0] || splitSys.masks[1] != multiSys.masks[1] {
+			t.Fatalf("period %d: masks diverged: split hp=%x be=%x, multi g0=%x be=%x",
+				i, splitSys.masks[0], splitSys.masks[1], multiSys.masks[0], multiSys.masks[1])
 		}
-		if legacy.HPWays() != multi.GroupWays(0) {
-			t.Fatalf("period %d: ways diverged: legacy %d, multi %d", i, legacy.HPWays(), multi.GroupWays(0))
+		if split.HPWays() != multi.GroupWays(0) {
+			t.Fatalf("period %d: ways diverged: split %d, multi %d", i, split.HPWays(), multi.GroupWays(0))
 		}
-		if legacy.State() != multi.GroupState(0) {
-			t.Fatalf("period %d: state diverged: legacy %s, multi %s", i, legacy.State(), multi.GroupState(0))
+		if split.State() != multi.GroupState(0) {
+			t.Fatalf("period %d: state diverged: split %s, multi %s", i, split.State(), multi.GroupState(0))
 		}
 	}
 
-	if len(legacyEvents) != len(multiEvents) {
-		t.Fatalf("decision count diverged: legacy %d, multi %d", len(legacyEvents), len(multiEvents))
+	if len(splitEvents) != len(multiEvents) {
+		t.Fatalf("decision count diverged: split %d, multi %d", len(splitEvents), len(multiEvents))
 	}
-	for i := range legacyEvents {
-		le, me := legacyEvents[i], multiEvents[i].Event
-		if multiEvents[i].Group != 0 {
-			t.Fatalf("event %d: group %d, want 0", i, multiEvents[i].Group)
-		}
-		if le != me {
-			t.Fatalf("event %d diverged:\nlegacy %+v\nmulti  %+v", i, le, me)
+	for i := range splitEvents {
+		se, me := splitEvents[i], multiEvents[i]
+		if se != me {
+			t.Fatalf("event %d diverged:\nsplit %+v\nmulti %+v", i, se, me)
 		}
 	}
 }
@@ -158,11 +156,12 @@ func TestMultiStackedMasks(t *testing.T) {
 		{Name: "c", Core: 2, SLO: 0.9, Curve: testCurve(1)},
 		{Name: "d", Core: 3, SLO: 0.9, Curve: mrc.MustCurve(0.6)},
 	}
+	group := DefaultConfig()
+	group.MinBEWays = 2
 	mc := MustNewMulti(MultiConfig{
-		Group:      DefaultConfig(),
+		Group:      group,
 		WayBytes:   1.25 * (1 << 20),
 		CLOSBudget: 4,
-		MinBEWays:  2,
 	}, specs)
 	sys := newMultiFake(20, 4)
 	if err := mc.Setup(sys); err != nil {
@@ -255,7 +254,7 @@ func (q *quietMultiSystem) MoveCore(core, clos int) error {
 	return nil
 }
 
-func quietMulti(t testing.TB) (*MultiController, *quietMultiSystem) {
+func quietMulti(t testing.TB) (*Controller, *quietMultiSystem) {
 	specs := []cluster.AppSpec{
 		{Name: "a", Core: 0, SLO: 0.9, Curve: testCurve(16)},
 		{Name: "b", Core: 1, SLO: 0.9, Curve: testCurve(14)},

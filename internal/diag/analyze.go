@@ -10,6 +10,7 @@ import (
 
 	"dicer/internal/fleet"
 	"dicer/internal/obs"
+	"dicer/internal/slo"
 )
 
 // Counters are the substrate-level period tallies of a single-node run.
@@ -21,14 +22,14 @@ type Counters struct {
 
 // AlertReport summarises a run through the burn-rate alerter.
 type AlertReport struct {
-	Config        AlertConfig  `json:"config"`
-	Violations    int          `json:"violations"`
-	ViolationRate float64      `json:"violation_rate"`
-	FiringPeriods int          `json:"firing_periods"`
-	Fires         int          `json:"fires"`
-	FinalFiring   bool         `json:"final_firing"`
-	Events        []AlertEvent `json:"events"`
-	Timeline      []BurnPoint  `json:"timeline,omitempty"`
+	Config        slo.AlertConfig  `json:"config"`
+	Violations    int              `json:"violations"`
+	ViolationRate float64          `json:"violation_rate"`
+	FiringPeriods int              `json:"firing_periods"`
+	Fires         int              `json:"fires"`
+	FinalFiring   bool             `json:"final_firing"`
+	Events        []slo.AlertEvent `json:"events"`
+	Timeline      []BurnPoint      `json:"timeline,omitempty"`
 }
 
 // Report is the analytics engine's output: one run's diagnostic digest,
@@ -80,7 +81,7 @@ type AnalyzeOptions struct {
 	// traces only).
 	AloneIPC float64
 	// Alert overrides the burn-rate rules; zero = DefaultAlertConfig.
-	Alert AlertConfig
+	Alert slo.AlertConfig
 }
 
 // Analyze streams a recorded JSONL trace — single-node (dicer-trace/v1)
@@ -372,7 +373,7 @@ func firingWord(f bool) string {
 // strip: one character per period ('#' while the alert fires, '*' when
 // the short window alone is past threshold, '.' when any budget burns,
 // '_' when clean), chunked into rows of 60.
-func renderTimeline(w io.Writer, tl []BurnPoint, cfg AlertConfig) {
+func renderTimeline(w io.Writer, tl []BurnPoint, cfg slo.AlertConfig) {
 	if len(tl) == 0 {
 		return
 	}

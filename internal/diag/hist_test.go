@@ -152,30 +152,10 @@ func TestHistogramAllocFree(t *testing.T) {
 	}
 }
 
-func TestAlerterStepAllocFree(t *testing.T) {
-	a := NewAlerter(DefaultAlertConfig())
-	i := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		i++
-		a.Step(float64(i%2))
-	})
-	if allocs != 0 {
-		t.Fatalf("Step allocates %.1f per call, want 0", allocs)
-	}
-}
-
 func BenchmarkHistogramObserve(b *testing.B) {
 	h := newSlowdownHist()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(1 + float64(i%100)/25)
-	}
-}
-
-func BenchmarkAlerterStep(b *testing.B) {
-	a := NewAlerter(DefaultAlertConfig())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		a.Step(float64(i & 1))
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"dicer/internal/fleet"
 	"dicer/internal/metrics"
 	"dicer/internal/obs"
+	"dicer/internal/slo"
 )
 
 // writeGauge forwards to the shared Prometheus text writer.
@@ -65,16 +66,16 @@ type MonitorConfig struct {
 	// adopt from header; without one link diagnostics are skipped.
 	LinkGbps float64
 	// Alert configures the burn-rate alerter; zero = DefaultAlertConfig.
-	Alert AlertConfig
+	Alert slo.AlertConfig
 	// OnAlert, when set, observes every alert transition (the /events
 	// SSE stream publishes from here). Called with the monitor lock
 	// held; keep it fast and do not call back into the monitor.
-	OnAlert func(AlertEvent)
+	OnAlert func(slo.AlertEvent)
 }
 
-func (c MonitorConfig) alertConfig() AlertConfig {
+func (c MonitorConfig) alertConfig() slo.AlertConfig {
 	if len(c.Alert.Windows) == 0 {
-		return DefaultAlertConfig()
+		return slo.DefaultAlertConfig()
 	}
 	return c.Alert
 }
@@ -101,7 +102,7 @@ type Monitor struct {
 	linkUtil *Histogram
 	interval *Histogram
 	causes   map[string]int
-	alerter  *Alerter
+	alerter  *slo.Alerter
 
 	periods       int
 	violations    int
@@ -113,7 +114,7 @@ type Monitor struct {
 	lastWays   int
 	lastChange int
 
-	events   []AlertEvent
+	events   []slo.AlertEvent
 	timeline []BurnPoint
 }
 
@@ -128,7 +129,7 @@ func NewMonitor(cfg MonitorConfig) *Monitor {
 		linkUtil: newUtilHist(),
 		interval: newIntervalHist(),
 		causes:   map[string]int{},
-		alerter:  NewAlerter(cfg.alertConfig()),
+		alerter:  slo.NewAlerter(cfg.alertConfig()),
 		lastWays: -1,
 	}
 }
@@ -250,25 +251,25 @@ func (m *Monitor) Degraded() (bool, string) {
 
 // AlertsSnapshot is the /alerts payload of a single-node monitor.
 type AlertsSnapshot struct {
-	SLO            float64      `json:"slo"`
-	SlowdownTarget float64      `json:"slowdown_target,omitempty"`
-	AloneIPC       float64      `json:"alone_ipc,omitempty"`
-	Config         AlertConfig  `json:"config"`
-	Aggregate      AlertState   `json:"aggregate"`
-	Nodes          []NodeAlert  `json:"nodes,omitempty"`
+	SLO            float64         `json:"slo"`
+	SlowdownTarget float64         `json:"slowdown_target,omitempty"`
+	AloneIPC       float64         `json:"alone_ipc,omitempty"`
+	Config         slo.AlertConfig `json:"config"`
+	Aggregate      slo.AlertState  `json:"aggregate"`
+	Nodes          []NodeAlert     `json:"nodes,omitempty"`
 	// Events are the aggregate alerter's transitions; NodeEvents (fleet
 	// only) carry every transition with node attribution (-1 =
 	// aggregate).
-	Events     []AlertEvent      `json:"events"`
+	Events     []slo.AlertEvent  `json:"events"`
 	NodeEvents []FleetAlertEvent `json:"node_events,omitempty"`
 	Degraded   bool              `json:"degraded"`
 }
 
 // NodeAlert is one node's alert state inside a fleet snapshot.
 type NodeAlert struct {
-	Node  int        `json:"node"`
-	Lost  bool       `json:"lost,omitempty"`
-	State AlertState `json:"state"`
+	Node  int            `json:"node"`
+	Lost  bool           `json:"lost,omitempty"`
+	State slo.AlertState `json:"state"`
 }
 
 // Snapshot captures the current alert state for serving.
@@ -280,7 +281,7 @@ func (m *Monitor) Snapshot() AlertsSnapshot {
 		AloneIPC:  m.alone,
 		Config:    m.alerter.Config(),
 		Aggregate: m.alerter.State(),
-		Events:    append([]AlertEvent(nil), m.events...),
+		Events:    append([]slo.AlertEvent(nil), m.events...),
 		Degraded:  m.alerter.Firing(),
 	}
 	if m.slo > 0 {
@@ -337,7 +338,7 @@ func (m *Monitor) alertReport() AlertReport {
 		FiringPeriods: m.firingPeriods,
 		Fires:         m.alerter.State().Fires,
 		FinalFiring:   m.alerter.Firing(),
-		Events:        append([]AlertEvent(nil), m.events...),
+		Events:        append([]slo.AlertEvent(nil), m.events...),
 		Timeline:      append([]BurnPoint(nil), m.timeline...),
 	}
 	if m.periods > 0 {
@@ -369,7 +370,7 @@ var (
 
 // nodeState is the per-node diagnostic state of a FleetMonitor.
 type nodeState struct {
-	alerter    *Alerter
+	alerter    *slo.Alerter
 	slowdown   *Histogram
 	periods    int
 	violations int
@@ -387,15 +388,15 @@ type FleetMonitorConfig struct {
 	LinkGbps float64
 	// Alert configures every alerter (per node and aggregate); zero =
 	// DefaultAlertConfig.
-	Alert AlertConfig
+	Alert slo.AlertConfig
 	// OnAlert observes alert transitions; node is the node ID, or -1
 	// for the fleet aggregate. Called with the monitor lock held.
-	OnAlert func(node int, ev AlertEvent)
+	OnAlert func(node int, ev slo.AlertEvent)
 }
 
-func (c FleetMonitorConfig) alertConfig() AlertConfig {
+func (c FleetMonitorConfig) alertConfig() slo.AlertConfig {
 	if len(c.Alert.Windows) == 0 {
-		return DefaultAlertConfig()
+		return slo.DefaultAlertConfig()
 	}
 	return c.Alert
 }
@@ -420,7 +421,7 @@ type FleetMonitor struct {
 	slowdown *Histogram
 	efu      *Histogram
 	linkUtil *Histogram
-	agg      *Alerter
+	agg      *slo.Alerter
 
 	nodes map[int]*nodeState
 
@@ -432,7 +433,7 @@ type FleetMonitor struct {
 	// aggEvents holds the fleet-aggregate alerter's transitions (the
 	// report's alert timeline); events holds every transition with node
 	// attribution (-1 = aggregate) for the /alerts snapshot.
-	aggEvents []AlertEvent
+	aggEvents []slo.AlertEvent
 	events    []FleetAlertEvent
 	timeline  []BurnPoint
 }
@@ -441,23 +442,23 @@ type FleetMonitor struct {
 // node ID, or -1 for the fleet aggregate.
 type FleetAlertEvent struct {
 	Node int `json:"node"`
-	AlertEvent
+	slo.AlertEvent
 }
 
 // NewFleetMonitor builds a fleet monitor.
 func NewFleetMonitor(cfg FleetMonitorConfig) *FleetMonitor {
-	slo := cfg.SLO
-	if slo == 0 {
-		slo = 0.9
+	target := cfg.SLO
+	if target == 0 {
+		target = 0.9
 	}
 	return &FleetMonitor{
 		cfg:      cfg,
-		slo:      slo,
+		slo:      target,
 		linkGbps: cfg.LinkGbps,
 		slowdown: newSlowdownHist(),
 		efu:      NewHistogram(0.005, 1.5, 50),
 		linkUtil: newUtilHist(),
-		agg:      NewAlerter(cfg.alertConfig()),
+		agg:      slo.NewAlerter(cfg.alertConfig()),
 		nodes:    map[int]*nodeState{},
 	}
 }
@@ -478,7 +479,7 @@ func (m *FleetMonitor) node(id int) *nodeState {
 	n := m.nodes[id]
 	if n == nil {
 		n = &nodeState{
-			alerter:  NewAlerter(m.cfg.alertConfig()),
+			alerter:  slo.NewAlerter(m.cfg.alertConfig()),
 			slowdown: newSlowdownHist(),
 		}
 		m.nodes[id] = n
@@ -623,7 +624,7 @@ func (m *FleetMonitor) Snapshot() AlertsSnapshot {
 		SLO:        m.slo,
 		Config:     m.agg.Config(),
 		Aggregate:  m.agg.State(),
-		Events:     append([]AlertEvent(nil), m.aggEvents...),
+		Events:     append([]slo.AlertEvent(nil), m.aggEvents...),
 		NodeEvents: append([]FleetAlertEvent(nil), m.events...),
 	}
 	if m.slo > 0 {
@@ -688,7 +689,7 @@ func (m *FleetMonitor) Report() *Report {
 			FiringPeriods: m.firingPeriods,
 			Fires:         m.agg.State().Fires,
 			FinalFiring:   m.agg.Firing(),
-			Events:        append([]AlertEvent(nil), m.aggEvents...),
+			Events:        append([]slo.AlertEvent(nil), m.aggEvents...),
 			Timeline:      append([]BurnPoint(nil), m.timeline...),
 		},
 	}
@@ -728,7 +729,7 @@ func (m *FleetMonitor) Report() *Report {
 
 // writeAlertProm renders an alerter's gauges under a dicer_<prefix>
 // namespace.
-func writeAlertProm(w io.Writer, prefix string, a *Alerter, firingPeriods int) {
+func writeAlertProm(w io.Writer, prefix string, a *slo.Alerter, firingPeriods int) {
 	st := a.State()
 	firing := 0.0
 	if st.Firing {

@@ -47,16 +47,16 @@ type NodeConfig struct {
 	ID      int
 	Machine machine.Machine
 	// HPs are the node's high-priority applications, attached to cores
-	// 0..len(HPs)-1. One HP runs the legacy single-HP policy path
-	// byte-identically; more than one runs the multi-HP DICER controller
-	// with an LFOC-style clustered plan.
+	// 0..len(HPs)-1. One HP runs the node policy on the two-CLOS HP/BE
+	// split; more than one runs the DICER controller grouped by an
+	// LFOC-style clustered plan.
 	HPs []app.Profile
 	// HPAloneIPCs are the HPs' full-LLC alone-run IPCs (the SLO and
 	// normalisation references), index-matched to HPs.
 	HPAloneIPCs []float64
 	// CLOSBudget is the CLOS-id budget for multi-HP nodes (HP groups plus
 	// the BE partition). Ignored with a single HP, which always uses the
-	// legacy two-CLOS split.
+	// two-CLOS split.
 	CLOSBudget int
 	// Policy is the node-local policy: "UM", "CT" or "DICER". Multi-HP
 	// nodes require DICER (the grouped controller).
@@ -86,7 +86,7 @@ type Heartbeat struct {
 
 	// HPIPC / HPNorm describe the node's worst-normalised HP (the only
 	// one, on single-HP nodes). HPGroups is the number of HP CLOS groups
-	// the multi-HP controller runs (omitted on legacy single-HP nodes).
+	// the controller runs (omitted on single-HP nodes).
 	HPIPC     float64 `json:"hp_ipc,omitempty"`
 	HPNorm    float64 `json:"hp_norm,omitempty"`
 	HPGroups  int     `json:"hp_groups,omitempty"`
@@ -111,10 +111,9 @@ type Node struct {
 	pol    policy.Policy
 	meter  *resctrl.Meter
 
-	// hpCount HPs occupy cores 0..hpCount-1; multi is the grouped
-	// controller when hpCount > 1 (nil on the legacy single-HP path).
+	// hpCount HPs occupy cores 0..hpCount-1; BE jobs share beClos, the
+	// last CLOS id of the node's simulator.
 	hpCount int
-	multi   *core.MultiController
 	beClos  int
 
 	// jobs indexes running jobs by core (nil = free); cores
@@ -147,21 +146,11 @@ type Node struct {
 	flightReclus bool
 }
 
-// buildNodePolicy constructs the node-local policy instance.
-func buildNodePolicy(name string, dcfg core.Config) (policy.Policy, error) {
-	if p, ok := policy.ByName(name); ok {
-		return p, nil
-	}
-	if name == "DICER" || name == "dicer" {
-		return core.New(dcfg)
-	}
-	return nil, fmt.Errorf("fleet: unknown node policy %q (have UM, CT, DICER)", name)
-}
-
 // NewNode builds a node, attaches its HPs on cores 0..len(HPs)-1 and
-// runs the policy's Setup. A single HP takes the legacy two-CLOS path;
-// several HPs run the multi-HP DICER controller under the node's CLOS
-// budget.
+// runs the policy's Setup. A single HP runs any of UM/CT/DICER on the
+// two-CLOS HP/BE split; several HPs run a grouped DICER controller under
+// the node's CLOS budget: HPs attach to CLOS 0, the clustered plan moves
+// their cores into CLOS groups, and BE jobs share the last CLOS id.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.SLO <= 0 || cfg.SLO > 1 {
 		return nil, fmt.Errorf("fleet: node %d SLO %g outside (0,1]", cfg.ID, cfg.SLO)
@@ -181,23 +170,52 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Machine.Cores <= k {
 		return nil, fmt.Errorf("fleet: node %d has %d cores for %d HPs + BEs", cfg.ID, cfg.Machine.Cores, k)
 	}
-	if k == 1 {
-		return newSingleHPNode(cfg)
+	dicerPolicy := cfg.Policy == "DICER" || cfg.Policy == "dicer"
+	nclos := 2
+	if k > 1 {
+		if !dicerPolicy {
+			return nil, fmt.Errorf("fleet: node %d runs %d HPs, which requires the DICER policy (got %q)", cfg.ID, k, cfg.Policy)
+		}
+		if nclos = cfg.CLOSBudget; nclos == 0 {
+			nclos = 16
+		}
+		if nclos < 2 {
+			return nil, fmt.Errorf("fleet: node %d CLOS budget %d < 2", cfg.ID, nclos)
+		}
 	}
-	return newMultiHPNode(cfg)
-}
-
-// newSingleHPNode is the legacy path: one HP on core 0, the two-CLOS
-// HP/BE split, any of the UM/CT/DICER policies.
-func newSingleHPNode(cfg NodeConfig) (*Node, error) {
-	r, err := sim.New(cfg.Machine, 2)
+	r, err := sim.New(cfg.Machine, nclos)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.Attach(0, policy.HPClos, cfg.HPs[0]); err != nil {
-		return nil, err
+	for i, hp := range cfg.HPs {
+		if err := r.Attach(i, policy.HPClos, hp); err != nil {
+			return nil, err
+		}
 	}
-	pol, err := buildNodePolicy(cfg.Policy, cfg.DICER)
+	var pol policy.Policy
+	switch {
+	case k > 1:
+		specs := make([]cluster.AppSpec, k)
+		for i, hp := range cfg.HPs {
+			ph := r.Proc(i).PhaseRef()
+			specs[i] = cluster.AppSpec{
+				Name: hp.Name, Core: i, SLO: cfg.SLO,
+				Curve: ph.Curve, APKI: ph.APKI,
+			}
+		}
+		pol, err = core.NewMulti(core.MultiConfig{
+			Group:      cfg.DICER,
+			WayBytes:   cfg.Machine.WaysBytes(1),
+			CLOSBudget: nclos,
+		}, specs)
+	case dicerPolicy:
+		pol, err = core.New(cfg.DICER)
+	default:
+		var ok bool
+		if pol, ok = policy.ByName(cfg.Policy); !ok {
+			err = fmt.Errorf("fleet: unknown node policy %q (have UM, CT, DICER)", cfg.Policy)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -205,71 +223,29 @@ func newSingleHPNode(cfg NodeConfig) (*Node, error) {
 	if err := pol.Setup(sys); err != nil {
 		return nil, err
 	}
-	return &Node{
+	n := &Node{
 		cfg:     cfg,
 		runner:  r,
 		sys:     sys,
 		pol:     pol,
 		meter:   resctrl.NewMeter(sys),
-		hpCount: 1,
-		beClos:  policy.BEClos,
+		hpCount: k,
+		beClos:  nclos - 1,
 		jobs:    make([]*Job, cfg.Machine.Cores),
-	}, nil
+	}
+	if k > 1 {
+		n.viewFP = make([]float64, k)
+	}
+	return n, nil
 }
 
-// newMultiHPNode hosts several HPs under the grouped DICER controller:
-// HPs attach to CLOS 0, the clustered plan moves their cores into CLOS
-// groups, and BE jobs share the partition at CLOS budget-1.
-func newMultiHPNode(cfg NodeConfig) (*Node, error) {
-	if cfg.Policy != "DICER" && cfg.Policy != "dicer" {
-		return nil, fmt.Errorf("fleet: node %d runs %d HPs, which requires the DICER policy (got %q)", cfg.ID, len(cfg.HPs), cfg.Policy)
+// grouped returns the controller of a multi-HP node, nil on a single-HP
+// node, whose heartbeat and placement view keep the two-CLOS readings.
+func (n *Node) grouped() *core.Controller {
+	if n.hpCount == 1 {
+		return nil
 	}
-	budget := cfg.CLOSBudget
-	if budget == 0 {
-		budget = 16
-	}
-	if budget < 2 {
-		return nil, fmt.Errorf("fleet: node %d CLOS budget %d < 2", cfg.ID, budget)
-	}
-	r, err := sim.New(cfg.Machine, budget)
-	if err != nil {
-		return nil, err
-	}
-	specs := make([]cluster.AppSpec, len(cfg.HPs))
-	for i, hp := range cfg.HPs {
-		if err := r.Attach(i, 0, hp); err != nil {
-			return nil, err
-		}
-		ph := r.Proc(i).PhaseRef()
-		specs[i] = cluster.AppSpec{
-			Name: hp.Name, Core: i, SLO: cfg.SLO,
-			Curve: ph.Curve, APKI: ph.APKI,
-		}
-	}
-	mc, err := core.NewMulti(core.MultiConfig{
-		Group:      cfg.DICER,
-		WayBytes:   cfg.Machine.WaysBytes(1),
-		CLOSBudget: budget,
-	}, specs)
-	if err != nil {
-		return nil, err
-	}
-	sys := resctrl.NewEmu(r, false)
-	if err := mc.Setup(sys); err != nil {
-		return nil, err
-	}
-	return &Node{
-		cfg:     cfg,
-		runner:  r,
-		sys:     sys,
-		pol:     mc,
-		meter:   resctrl.NewMeter(sys),
-		hpCount: len(cfg.HPs),
-		multi:   mc,
-		beClos:  mc.BEClos(),
-		jobs:    make([]*Job, cfg.Machine.Cores),
-		viewFP:  make([]float64, len(cfg.HPs)),
-	}, nil
+	return core.ControllerOf(n.pol)
 }
 
 // ID returns the node index.
@@ -365,7 +341,7 @@ func (n *Node) StepPeriod(period int) (Heartbeat, int, error) {
 
 	hb := Heartbeat{Node: n.cfg.ID, BECount: n.beCount}
 	// The headline HP fields report the worst-normalised HP (on a
-	// single-HP node, the only one — exactly the legacy readings).
+	// single-HP node, the only one).
 	worst := 0
 	for i := 0; i < n.hpCount; i++ {
 		ipc := p.CoreIPC(i)
@@ -379,10 +355,10 @@ func (n *Node) StepPeriod(period int) (Heartbeat, int, error) {
 		}
 	}
 	hb.HPIPC = p.CoreIPC(worst)
-	if n.multi != nil {
-		hb.HPGroups = n.multi.NumGroups()
-		for gi := 0; gi < n.multi.NumGroups(); gi++ {
-			hb.HPWays += n.multi.GroupWays(gi)
+	if ctl := n.grouped(); ctl != nil {
+		hb.HPGroups = ctl.NumGroups()
+		for gi := 0; gi < ctl.NumGroups(); gi++ {
+			hb.HPWays += ctl.GroupWays(gi)
 			hb.HPBWGbps += p.GroupBW(gi)
 		}
 	} else {
@@ -436,12 +412,13 @@ func (n *Node) beWays() int { return bits.OnesCount64(n.sys.CBM(n.beClos)) }
 
 // Repack re-clusters a multi-HP node's cache plan on demand (the
 // autoscaler's repartition-first action), reporting whether the plan
-// changed. Single-HP nodes have nothing to repack.
+// changed. Single-HP nodes have nothing to repack: Replan is a no-op on
+// the two-CLOS split.
 func (n *Node) Repack() (bool, error) {
-	if n.multi == nil {
-		return false, nil
+	if ctl := core.ControllerOf(n.pol); ctl != nil {
+		return ctl.Replan()
 	}
-	return n.multi.Replan()
+	return false, nil
 }
 
 // armFlightTap chains the flight recorder's provenance tap onto the
@@ -450,22 +427,14 @@ func (n *Node) Repack() (bool, error) {
 // arm time; the per-event cost is two string-header stores). Policies
 // without a controller (UM, CT) record no provenance.
 func (n *Node) armFlightTap() {
-	if n.multi != nil {
-		n.multi.ChainTrace(func(e core.GroupEvent) {
+	if ctl := core.ControllerOf(n.pol); ctl != nil {
+		ctl.ChainTrace(func(e core.Event) {
 			n.flightState = e.State
 			n.flightCause = e.Cause
 			n.flightCount++
 			if e.Kind == core.EventRecluster {
 				n.flightReclus = true
 			}
-		})
-		return
-	}
-	if ctl := core.ControllerOf(n.pol); ctl != nil {
-		ctl.ChainTrace(func(e core.Event) {
-			n.flightState = e.State
-			n.flightCause = e.Cause
-			n.flightCount++
 		})
 	}
 }
@@ -509,19 +478,19 @@ func (n *Node) view(lastTotalGbps float64) NodeView {
 	// Multi-HP nodes expose their worst HP group's LLC overcommit: the
 	// clustered plan may pool incompatible HPs, and a node whose HP
 	// groups are already thrashing is a poor host for more cache
-	// pressure. Single-HP nodes report zero — the legacy controller
-	// regulates its one HP directly, and the legacy score must not move.
-	if n.multi != nil {
-		k := n.multi.NumGroups()
+	// pressure. Single-HP nodes report zero — their controller regulates
+	// the one HP directly.
+	if ctl := n.grouped(); ctl != nil {
+		k := ctl.NumGroups()
 		fp := n.viewFP[:k]
 		for i := range fp {
 			fp[i] = 0
 		}
 		for i, hp := range n.cfg.HPs {
-			fp[n.multi.GroupOf(i)] += hp.MaxFootprint()
+			fp[ctl.GroupOf(i)] += hp.MaxFootprint()
 		}
 		for gi := 0; gi < k; gi++ {
-			bytes := m.WaysBytes(n.multi.GroupWays(gi))
+			bytes := m.WaysBytes(ctl.GroupWays(gi))
 			if bytes <= 0 {
 				continue
 			}

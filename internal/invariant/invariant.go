@@ -11,20 +11,25 @@
 //     deployment halts instead of installing an unsafe allocation;
 //   - from the CLI: dicer-sim -guard.
 //
-// Checked invariants:
+// Checked invariants, for a controller with any number of HP groups (on
+// the two-CLOS split, the one group is the HP partition):
 //
-//   - MaskLegal: every installed CBM is non-zero, contiguous and within
-//     the machine's way count (the CAT hardware rules).
-//   - HPBounds: the controller's enforced HP way count stays within
-//     [MinHPWays, Ways-MinBEWays].
-//   - StateValid: the sampling state machine is in a known state.
+//   - MaskLegal: every installed HP-group and BE CBM is non-zero,
+//     contiguous and within the machine's way count (the CAT hardware
+//     rules).
+//   - HPBounds: each group's enforced way count stays within
+//     [MinHPWays, budget]: Ways-MinBEWays for a single group, the plan's
+//     ways budget for each of several.
+//   - StateValid: every group's sampling state machine is in a known
+//     state.
 //   - PeriodMonotone: the controller's period counter advances by
 //     exactly one per observation (monotone bookkeeping).
-//   - Consistency (quiescent only): the installed HP/BE masks equal the
-//     controller's intended split — disjoint and covering the cache.
-//     Under actuation faults (rejected or delayed writes) the installed
-//     masks lag the intent, so this is asserted only when the caller
-//     reports no writes in flight.
+//   - Consistency (quiescent only): the installed masks equal the
+//     controller's intent — group masks stacked from the top of the LLC
+//     in group order, the BE mask the low-order remainder — so they are
+//     disjoint and cover the cache. Under actuation faults (rejected or
+//     delayed writes) the installed masks lag the intent, so this is
+//     asserted only when the caller reports no writes in flight.
 package invariant
 
 import (
@@ -95,17 +100,34 @@ var validStates = map[string]bool{
 
 // Check validates all invariants after one monitoring period. ctl may be
 // nil when guarding a non-DICER policy, in which case only the
-// system-level mask invariants are checked. quiescent reports that no
-// actuation writes are in flight (always true without a chaos layer);
-// the intent/installed consistency invariant is skipped when false.
-// It returns nil or an *Error listing every violation found.
+// system-level mask invariants of the two-CLOS split are checked.
+// quiescent reports that no actuation writes are in flight (always true
+// without a chaos layer); the intent/installed consistency invariant is
+// skipped when false. It returns nil or an *Error listing every
+// violation found.
 func (k *Checker) Check(sys resctrl.System, ctl *core.Controller, quiescent bool) error {
 	k.checks++
 	var vs []Violation
 	ways := sys.NumWays()
+	groups, beClos := 1, policy.BEClos
+	if ctl != nil {
+		groups, beClos = ctl.NumGroups(), ctl.BEClos()
+	}
+	// at prefixes a group's violation text when there are several, so a
+	// single group reads exactly as the two-CLOS HP partition.
+	at := func(gi int) string {
+		if groups == 1 {
+			return ""
+		}
+		return fmt.Sprintf("group %d ", gi)
+	}
 
 	// MaskLegal: the masks actually installed on the hardware.
-	for _, clos := range []int{policy.HPClos, policy.BEClos} {
+	for i := 0; i <= groups; i++ {
+		clos := i
+		if i == groups {
+			clos = beClos
+		}
 		mask := sys.CBM(clos)
 		if mask == 0 {
 			vs = append(vs, Violation{"MaskLegal",
@@ -122,18 +144,23 @@ func (k *Checker) Check(sys resctrl.System, ctl *core.Controller, quiescent bool
 	if ctl != nil {
 		period = ctl.Period()
 
-		// HPBounds: the allocation the controller believes it enforces.
-		hp := ctl.HPWays()
-		lo, hi := k.cfg.MinHPWays, ways-k.cfg.MinBEWays
-		if hp < lo || hp > hi {
-			vs = append(vs, Violation{"HPBounds",
-				fmt.Sprintf("HP ways %d outside [%d,%d]", hp, lo, hi)})
-		}
-
-		// StateValid.
-		if !validStates[ctl.State()] {
-			vs = append(vs, Violation{"StateValid",
-				fmt.Sprintf("unknown controller state %q", ctl.State())})
+		// HPBounds (the allocation the controller believes it enforces)
+		// and StateValid, per group.
+		inBounds := true
+		for gi := 0; gi < groups; gi++ {
+			w, lo, hi := ctl.GroupWays(gi), k.cfg.MinHPWays, ctl.GroupBudget(gi)
+			if groups == 1 {
+				hi = ways - k.cfg.MinBEWays
+			}
+			if w < lo || w > hi {
+				inBounds = false
+				vs = append(vs, Violation{"HPBounds",
+					fmt.Sprintf("%sHP ways %d outside [%d,%d]", at(gi), w, lo, hi)})
+			}
+			if st := ctl.GroupState(gi); !validStates[st] {
+				vs = append(vs, Violation{"StateValid",
+					fmt.Sprintf("%sunknown controller state %q", at(gi), st)})
+			}
 		}
 
 		// PeriodMonotone: exactly one observation per period.
@@ -145,18 +172,21 @@ func (k *Checker) Check(sys resctrl.System, ctl *core.Controller, quiescent bool
 		k.havePeriod = true
 
 		// Consistency: installed masks match intent when no writes are
-		// in flight. The intended split is disjoint and covers the
+		// in flight. The intended layout is disjoint and covers the
 		// cache by construction, so matching it implies both.
-		if quiescent && hp >= lo && hp <= hi {
-			wantHP := policy.HPMask(ways, hp)
-			wantBE := policy.BEMask(ways, hp)
-			if got := sys.CBM(policy.HPClos); got != wantHP {
-				vs = append(vs, Violation{"Consistency",
-					fmt.Sprintf("HP mask %#x, intent %#x (hp ways %d)", got, wantHP, hp)})
+		if quiescent && inBounds {
+			top := ways
+			for gi := 0; gi < groups; gi++ {
+				w := ctl.GroupWays(gi)
+				if got, want := sys.CBM(gi), cache.ContiguousMask(top-w, w); got != want {
+					vs = append(vs, Violation{"Consistency",
+						fmt.Sprintf("%sHP mask %#x, intent %#x (hp ways %d)", at(gi), got, want, w)})
+				}
+				top -= w
 			}
-			if got := sys.CBM(policy.BEClos); got != wantBE {
+			if got, want := sys.CBM(beClos), cache.ContiguousMask(0, top); got != want {
 				vs = append(vs, Violation{"Consistency",
-					fmt.Sprintf("BE mask %#x, intent %#x (hp ways %d)", got, wantBE, hp)})
+					fmt.Sprintf("BE mask %#x, intent %#x (hp ways %d)", got, want, ways-top)})
 			}
 		}
 	}

@@ -36,6 +36,7 @@ func (q *fakeSystem) CBM(clos int) uint64          { return q.masks[clos] }
 func (q *fakeSystem) SetMBACap(int, float64) error { return errors.New("no MBA") }
 func (q *fakeSystem) LinkCapacityGbps() float64    { return 68.3 }
 func (q *fakeSystem) Counters() resctrl.Counters   { return resctrl.Counters{} }
+func (q *fakeSystem) MoveCore(int, int) error      { return nil }
 
 var _ resctrl.System = (*fakeSystem)(nil)
 

@@ -14,9 +14,10 @@
 //     reset, sample, ...), its state machine position, the intended HP way
 //     count and the masks actually installed, plus guard interventions and
 //     chaos faults active in the period.
-//   - Can I replay it? Replay re-drives a fresh controller from the
-//     recorded inputs and verifies decision-for-decision equivalence, so
-//     every captured trace doubles as a regression test.
+//   - Can I replay it? Replay re-drives a fresh controller from a v1
+//     trace's recorded inputs and verifies decision-for-decision
+//     equivalence, so every captured single-HP trace doubles as a
+//     regression test.
 //
 // The hot path stays clean: records are assembled in a preallocated
 // scratch buffer and sinks receive a pointer, so tracing through the no-op

@@ -12,10 +12,17 @@ import (
 )
 
 // Recorder assembles one Record per monitoring period and hands it to a
-// Sink. It owns a single scratch Record (and the fixed decision buffer
-// behind it), so a period costs zero heap allocations regardless of the
-// sink — the harnesses wire it unconditionally and pay nothing when the
-// sink is NopSink.
+// Sink. It owns all its scratch — the Record, its fixed decision buffer
+// and, for grouped controllers, one GroupRecord and decision buffer per
+// possible HP group — so a period costs zero heap allocations regardless
+// of the sink: the harnesses wire it unconditionally and pay nothing when
+// the sink is NopSink.
+//
+// The record layout is decided once, when the controller attaches: a
+// controller with a grouping policy (core.NewMulti) gets dicer-trace/v2
+// records, with per-group decisions and HP totals spanning every group;
+// the two-CLOS controller (core.New), and runs without a controller,
+// get dicer-trace/v1 records.
 //
 // Wiring order: NewRecorder, then AttachController / AttachChaos as the
 // run's substrate dictates, optionally Start with the trace header, then
@@ -31,6 +38,10 @@ type Recorder struct {
 
 	rec Record
 	dec [maxDecisions]string
+
+	// v2 scratch, one slot per possible HP group; nil for v1 records.
+	groups []GroupRecord
+	gdec   [][maxDecisions]string
 }
 
 // NewRecorder creates a Recorder emitting to sink (NopSink if nil).
@@ -42,16 +53,22 @@ func NewRecorder(sink Sink) *Recorder {
 }
 
 // AttachController subscribes the recorder to a DICER controller's
-// decision stream (chained after any existing subscriber) and adopts its
-// saturation threshold for the per-period verdict.
+// decision stream (chained after any existing subscriber), adopts its
+// saturation threshold for the per-period verdict, and picks the record
+// layout: v2 when the controller has a grouping policy, v1 otherwise.
 func (r *Recorder) AttachController(ctl *core.Controller) {
 	if ctl == nil {
 		return
 	}
 	r.ctl = ctl
-	r.threshold = ctl.Config().BWThresholdGbps
-	if ctl.Config().DisableSaturationHandling {
+	cfg := ctl.Config()
+	r.threshold = cfg.BWThresholdGbps
+	if cfg.DisableSaturationHandling {
 		r.threshold = 0
+	}
+	if ctl.Grouping() != "" {
+		r.groups = make([]GroupRecord, ctl.BEClos())
+		r.gdec = make([][maxDecisions]string, len(r.groups))
 	}
 	ctl.ChainTrace(r.onEvent)
 }
@@ -74,15 +91,31 @@ func (r *Recorder) Start(h Header) error {
 	return nil
 }
 
-// onEvent folds one controller decision into the period's record. The
-// last decision's cause tag becomes the period's provenance (classify
-// may override it with guard-veto / chaos-masked).
+// onEvent folds one controller decision into the period's record. In v1
+// the last decision's cause tag becomes the period's provenance (classify
+// may override it with guard-veto / chaos-masked); in v2 each group keeps
+// its own decisions and cause.
 func (r *Recorder) onEvent(e core.Event) {
-	if n := len(r.rec.Decisions); n < maxDecisions {
-		r.dec[n] = string(e.Kind)
-		r.rec.Decisions = r.dec[:n+1]
+	if r.groups == nil {
+		if n := len(r.rec.Decisions); n < maxDecisions {
+			r.dec[n] = string(e.Kind)
+			r.rec.Decisions = r.dec[:n+1]
+		}
+		r.rec.Cause = e.Cause
+		return
 	}
-	r.rec.Cause = e.Cause
+	if e.Group < 0 || e.Group >= len(r.groups) {
+		return
+	}
+	if e.Kind == core.EventRecluster {
+		r.rec.Reclustered = true
+	}
+	g := &r.groups[e.Group]
+	if n := len(g.Decisions); n < maxDecisions {
+		r.gdec[e.Group][n] = string(e.Kind)
+		g.Decisions = r.gdec[e.Group][:n+1]
+	}
+	g.Cause = e.Cause
 }
 
 // EndPeriod assembles and emits the record for one monitoring period.
@@ -96,29 +129,61 @@ func (r *Recorder) EndPeriod(period int, p resctrl.Period, sys resctrl.System, o
 	r.timeSec += p.Seconds
 	rec.TimeSec = r.timeSec
 
-	// Inputs.
-	rec.HPIPC = p.ClosMeanIPC(policy.HPClos)
-	rec.BEMeanIPC = p.ClosMeanIPC(policy.BEClos)
-	rec.HPBWGbps = p.GroupBW(policy.HPClos)
-	rec.TotalGbps = p.TotalGbps
-	rec.HPOccBytes = 0
-	for _, g := range p.Groups {
-		if g.Clos == policy.HPClos {
-			rec.HPOccBytes = g.OccupancyBytes
-			break
+	// Inputs: HP totals span the HP groups on CLOS 0..k-1.
+	k, beClos := 1, policy.BEClos
+	if r.ctl != nil {
+		k, beClos = r.ctl.NumGroups(), r.ctl.BEClos()
+	}
+	var hpSum float64
+	hpN := 0
+	for _, c := range p.Cores {
+		if c.Clos < k {
+			hpSum += c.IPC
+			hpN++
 		}
 	}
+	rec.HPIPC = 0
+	if hpN > 0 {
+		rec.HPIPC = hpSum / float64(hpN)
+	}
+	rec.BEMeanIPC = p.ClosMeanIPC(beClos)
+	rec.HPBWGbps = 0
+	var hpMask uint64
+	for gi := 0; gi < k; gi++ {
+		rec.HPBWGbps += p.GroupBW(gi)
+		hpMask |= sys.CBM(gi)
+	}
+	rec.HPOccBytes = 0
+	for _, g := range p.Groups {
+		if g.Clos < k {
+			rec.HPOccBytes += g.OccupancyBytes
+		}
+	}
+	rec.TotalGbps = p.TotalGbps
 	rec.Saturated = r.threshold > 0 && p.TotalGbps > r.threshold
 
-	// Outputs. Decisions were folded in by onEvent during Observe.
-	rec.HPMask = sys.CBM(policy.HPClos)
-	rec.BEMask = sys.CBM(policy.BEClos)
-	if r.ctl != nil {
+	// Outputs. Decisions were folded in by onEvent during Observe. A v1
+	// record carries the controller's state and intended HP ways (under
+	// actuation faults the installed mask can lag them); a v2 record
+	// carries both per group instead.
+	rec.HPMask = hpMask
+	rec.BEMask = sys.CBM(beClos)
+	rec.State = ""
+	rec.HPWays = bits.OnesCount64(hpMask)
+	if r.groups != nil {
+		rec.Groups = r.groups[:k]
+		for gi := range rec.Groups {
+			g := &rec.Groups[gi]
+			g.Group = gi
+			g.IPC = p.ClosMeanIPC(gi)
+			g.BWGbps = p.GroupBW(gi)
+			g.Ways = r.ctl.GroupWays(gi)
+			g.Mask = sys.CBM(gi)
+			g.State = r.ctl.GroupState(gi)
+		}
+	} else if r.ctl != nil {
 		rec.State = r.ctl.State()
 		rec.HPWays = r.ctl.HPWays()
-	} else {
-		rec.State = ""
-		rec.HPWays = bits.OnesCount64(rec.HPMask)
 	}
 
 	// Substrate annotations.
@@ -139,6 +204,12 @@ func (r *Recorder) EndPeriod(period int, p resctrl.Period, sys resctrl.System, o
 	r.sink.Emit(rec)
 	rec.Decisions = r.dec[:0]
 	rec.Cause = ""
+	for gi := range r.groups {
+		r.groups[gi].Decisions = nil
+		r.groups[gi].Cause = ""
+	}
+	rec.Groups = nil
+	rec.Reclustered = false
 }
 
 // classify sorts an Observe error into the record's annotation fields

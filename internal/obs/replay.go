@@ -9,7 +9,7 @@ import (
 	"dicer/internal/resctrl"
 )
 
-// Replay re-drives a fresh DICER controller from a recorded trace and
+// Replay re-drives a fresh DICER controller from a recorded v1 trace and
 // verifies decision-for-decision equivalence: for every period, the
 // replayed controller — fed exactly the counter readings the trace
 // recorded — must reproduce the recorded decision events, state machine
@@ -79,9 +79,15 @@ var _ resctrl.System = (*replaySystem)(nil)
 
 // Replay verifies h and recs as described above. It returns the summary
 // and the first divergence as a *ReplayError (or a plain error for
-// structural problems: no controller config, bad way count, ...).
+// structural problems: a schema other than v1, no controller config, bad
+// way count, ...).
 func Replay(h Header, recs []Record) (ReplayResult, error) {
 	var res ReplayResult
+	if h.Schema != Schema {
+		// A v2 trace records per-group decisions but not the plan's
+		// membership, so its controller cannot be rebuilt.
+		return res, fmt.Errorf("obs: replay supports %s traces only, this trace is %s", Schema, h.Schema)
+	}
 	if h.Controller == nil {
 		return res, fmt.Errorf("obs: trace has no controller config (policy %q); only DICER traces replay", h.Policy)
 	}

@@ -1,8 +1,8 @@
 // Package par implements the repo's parallel executor: a sharded
 // work-stealing pool over an index space. It is a leaf package — no
 // internal dependencies — so every layer can use it: the experiment
-// engine fans cells out through it (experiments.Execute is a thin
-// wrapper), internal/hypo replicates seeds across it, and the fleet
+// engine fans cells out through it, internal/hypo replicates seeds
+// across it, and the fleet
 // layer batches node stepping through it. Parallelism stays bounded in
 // exactly one place per caller and output ordering is deterministic by
 // construction: workers write results into caller-owned,

@@ -1,4 +1,4 @@
-package diag
+package slo
 
 import "testing"
 
@@ -167,5 +167,25 @@ func TestAlertConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d passed validation", i)
 		}
+	}
+}
+
+func TestAlerterStepAllocFree(t *testing.T) {
+	a := NewAlerter(DefaultAlertConfig())
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		i++
+		a.Step(float64(i % 2))
+	})
+	if allocs != 0 {
+		t.Fatalf("Step allocates %.1f per call, want 0", allocs)
+	}
+}
+
+func BenchmarkAlerterStep(b *testing.B) {
+	a := NewAlerter(DefaultAlertConfig())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		a.Step(float64(i & 1))
 	}
 }

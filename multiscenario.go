@@ -46,13 +46,9 @@ type MultiScenario struct {
 	// Grouping selects the plan: GroupingClustered (default),
 	// GroupingPerApp, or GroupingSingle.
 	Grouping string
-	// MinGroupWays / MinBEWays bound the moving partitions (default 1).
-	MinGroupWays int
-	MinBEWays    int
-	// KneeEps is the clustering demand-knee cutoff (0 = cluster default).
-	KneeEps float64
 
-	// Controller carries the per-group DICER tunables; zero value means
+	// Controller carries the per-group DICER tunables, including the way
+	// floors (MinHPWays per HP group, MinBEWays for BE); zero value means
 	// DefaultConfig with this scenario's period.
 	Controller ControllerConfig
 
@@ -60,17 +56,14 @@ type MultiScenario struct {
 	// fixed at setup).
 	ReclusterEvery int
 	// UsePhaseHints exposes each app's upcoming-phase miss curve to the
-	// re-clustering policy once the app is HintProgress through its
+	// re-clustering policy once the app is three quarters through its
 	// current phase (Com-CAS-style guidance; reactive-only when false).
 	UsePhaseHints bool
-	// HintProgress is the phase-progress fraction at which the next
-	// phase's curve becomes visible as a hint (default 0.75).
-	HintProgress float64
 
 	// OnPeriod, when non-nil, receives every monitoring-period reading.
 	OnPeriod func(period int, p Period)
 	// Trace, when non-nil, receives one dicer-trace/v2 record per
-	// period, with per-group decisions; see obs.MultiRecorder.
+	// period, with per-group decisions.
 	Trace obs.Sink
 }
 
@@ -162,18 +155,9 @@ func (s *MultiScenario) defaults() {
 	if s.Grouping == "" {
 		s.Grouping = core.GroupingClustered
 	}
-	if s.MinGroupWays == 0 {
-		s.MinGroupWays = 1
-	}
-	if s.MinBEWays == 0 {
-		s.MinBEWays = 1
-	}
 	if s.Controller.PeriodSec == 0 {
 		s.Controller = DefaultControllerConfig()
 		s.Controller.PeriodSec = s.PeriodSec
-	}
-	if s.HintProgress == 0 {
-		s.HintProgress = 0.75
 	}
 	for i := range s.HPs {
 		if s.HPs[i].SLO == 0 {
@@ -189,9 +173,6 @@ func (s *MultiScenario) multiConfig() core.MultiConfig {
 		WayBytes:       s.Machine.WaysBytes(1),
 		CLOSBudget:     s.CLOSBudget,
 		Grouping:       s.Grouping,
-		MinGroupWays:   s.MinGroupWays,
-		MinBEWays:      s.MinBEWays,
-		KneeEps:        s.KneeEps,
 		ReclusterEvery: s.ReclusterEvery,
 		UsePhaseHints:  s.UsePhaseHints,
 	}
@@ -209,7 +190,7 @@ func (s *MultiScenario) specsInto(specs []cluster.AppSpec, procs []*app.Proc) {
 		specs[i].Curve = ph.Curve
 		specs[i].APKI = ph.APKI
 		specs[i].Hint = nil
-		if s.UsePhaseHints && len(pr.Profile.Phases) > 1 && pr.PhaseProgress() >= s.HintProgress {
+		if s.UsePhaseHints && len(pr.Profile.Phases) > 1 && pr.PhaseProgress() >= cluster.HintProgress {
 			next := (pr.PhaseIndex() + 1) % len(pr.Profile.Phases)
 			specs[i].Hint = &pr.Profile.Phases[next].Curve
 		}
@@ -256,15 +237,16 @@ func (s *MultiScenario) Run() (MultiResult, error) {
 		return MultiResult{}, err
 	}
 	reclusters := 0
-	mc.ChainTrace(func(e core.GroupEvent) {
+	mc.ChainTrace(func(e core.Event) {
 		if e.Kind == core.EventRecluster && e.Group == 0 {
 			reclusters++
 		}
 	})
 
-	var rec *obs.MultiRecorder
+	var rec *obs.Recorder
 	if s.Trace != nil {
-		rec = obs.NewMultiRecorder(s.Trace, mc)
+		rec = obs.NewRecorder(s.Trace)
+		rec.AttachController(mc)
 		if err := rec.Start(s.traceHeader(mc)); err != nil {
 			return MultiResult{}, err
 		}
@@ -341,8 +323,8 @@ func (s *MultiScenario) Run() (MultiResult, error) {
 }
 
 // traceHeader describes the run for v2 trace sinks.
-func (s *MultiScenario) traceHeader(mc *core.MultiController) obs.Header {
-	cfg := mc.Config().Group
+func (s *MultiScenario) traceHeader(mc *core.Controller) obs.Header {
+	cfg := mc.Config()
 	h := obs.Header{
 		Schema:         obs.SchemaV2,
 		Policy:         mc.Name(),
