@@ -66,3 +66,37 @@ func TestResultSlotWriteZeroAlloc(t *testing.T) {
 		t.Errorf("warm result-slot writes allocate %v/op, want 0", got)
 	}
 }
+
+// TestSuiteRunAllocBudget pins the cost of one uncached co-located run
+// on a warm pool: the paper sweeps make thousands of them, so the run
+// loop, the pooled scenario and the alone lookups must stay within a
+// fixed per-run budget (omnetpp1 + 9 gcc_base1 over 80 periods).
+func TestSuiteRunAllocBudget(t *testing.T) {
+	s := suite(t)
+	w := Workload{HP: "omnetpp1", BE: "gcc_base1", BECount: 9}
+	for _, c := range []struct {
+		pol           PolicyName
+		bytes, allocs int64
+	}{
+		{UM, 1720, 21},
+		{DICER, 2146, 22},
+	} {
+		if _, err := s.runUncached(w, c.pol, 80); err != nil {
+			t.Fatal(err)
+		}
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.runUncached(w, c.pol, 80); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if got := res.AllocedBytesPerOp(); got > c.bytes {
+			t.Errorf("%s run allocates %d B/op, budget %d", c.pol, got, c.bytes)
+		}
+		if got := res.AllocsPerOp(); got > c.allocs {
+			t.Errorf("%s run makes %d allocs/op, budget %d", c.pol, got, c.allocs)
+		}
+	}
+}

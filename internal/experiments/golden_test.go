@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"dicer/internal/chaos"
@@ -178,4 +181,26 @@ func TestGoldenSoakTable(t *testing.T) {
 		}},
 	}
 	checkGolden(t, "soak", r.Table().String())
+}
+
+// TestGoldenExtensions pins the §6 extension comparison value for value:
+// every variant's HP norm and EFU on every bandwidth-heavy workload, at
+// full precision.
+func TestGoldenExtensions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration sweep")
+	}
+	r, err := suite(t).Extensions(9, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for vi, name := range r.Names {
+		for wi, w := range r.Workloads {
+			fmt.Fprintf(&b, "%s %s hp_norm=%s efu=%s\n", name, w,
+				strconv.FormatFloat(r.HPNorm[vi][wi], 'g', -1, 64),
+				strconv.FormatFloat(r.EFU[vi][wi], 'g', -1, 64))
+		}
+	}
+	checkGolden(t, "extensions", b.String())
 }

@@ -124,3 +124,58 @@ func TestGoldenTracesReplay(t *testing.T) {
 		})
 	}
 }
+
+// goldenV2Periods is the v2 golden's horizon: long enough for the
+// re-cluster schedule to regroup the apps at least once.
+const goldenV2Periods = 30
+
+// recordGoldenTraceV2 records the multi-HP re-clustering configuration
+// (four HP apps plus one BE under an 8-CLOS budget, re-planned every 5
+// periods against upcoming-phase hints) as a dicer-trace/v2 trace.
+func recordGoldenTraceV2(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	jl := NewTraceJSONL(&buf)
+	ms := &MultiScenario{
+		HPs:            multiHPs(t, "astar1", "bzip21", "milc1", "namd1"),
+		BEs:            []Profile{mustApp(t, "lbm1")},
+		HorizonPeriods: goldenV2Periods,
+		CLOSBudget:     8,
+		ReclusterEvery: 5,
+		UsePhaseHints:  true,
+		Trace:          jl,
+	}
+	res, err := ms.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reclusters == 0 {
+		t.Fatal("golden v2 run never re-clustered")
+	}
+	if err := jl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestGoldenTraceV2 pins the multi-HP trace byte for byte: per-group
+// decisions, masks, states and re-cluster markers.
+func TestGoldenTraceV2(t *testing.T) {
+	got := recordGoldenTraceV2(t)
+	path := filepath.Join("testdata", "recluster_v2.jsonl.golden")
+	if *updateTraces {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden trace (run with -update-traces to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("recorded v2 trace drifted from golden (%d vs %d bytes); "+
+			"controller decisions or trace schema changed — re-run with -update-traces if intended",
+			len(got), len(want))
+	}
+}
