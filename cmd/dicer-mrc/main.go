@@ -72,25 +72,17 @@ func detail(m machine.Machine, name string) {
 	fmt.Printf("\nIPC vs ways: %s\n", report.Sparkline(series))
 }
 
-// aloneIPC simulates prof alone confined to the given ways.
+// aloneIPC simulates prof alone confined to the given ways for 60 s.
 func aloneIPC(m machine.Machine, prof app.Profile, ways int) float64 {
 	r, err := sim.New(m, 1)
 	if err != nil {
 		fatal(err)
 	}
-	if err := r.Attach(0, 0, prof); err != nil {
+	ipc, err := r.AloneIPC(prof, ways, 240, 0.25)
+	if err != nil {
 		fatal(err)
 	}
-	if ways < m.LLCWays {
-		mask := (uint64(1)<<uint(ways) - 1)
-		if err := r.SetMask(0, mask); err != nil {
-			fatal(err)
-		}
-	}
-	for i := 0; i < 240; i++ {
-		r.Step(0.25)
-	}
-	return r.Proc(0).IPC()
+	return ipc
 }
 
 func experimentsSummary(m machine.Machine) string {

@@ -85,7 +85,7 @@ func main() {
 	}
 	sc.WithMBA = withMBA
 	if *slo > 0 {
-		sc.SLO = *slo
+		sc.HPs[0].SLO = *slo
 	}
 	var traceFile *os.File
 	var traceSink *dicer.TraceJSONL
@@ -120,7 +120,7 @@ func main() {
 
 	fmt.Printf("\nresults (%s):\n", res.PolicyName)
 	fmt.Printf("  HP IPC            %.3f (alone %.3f, normalised %.3f, slowdown %.3fx)\n",
-		res.HPIPC, res.HPAloneIPC, res.HPNorm(), res.HPSlowdown())
+		res.Apps[0].IPC, res.Apps[0].AloneIPC, res.HPNorm(), res.HPSlowdown())
 	be0 := res.BEIPCs[0]
 	fmt.Printf("  BE IPC            %.3f (alone %.3f, normalised %.3f)\n",
 		be0, res.BEAloneIPCs[0], res.BENorms()[0])

@@ -117,7 +117,7 @@ func (st *serveState) runOnce(p serveParams) error {
 	}
 	sc.WithMBA = withMBA
 	if p.slo > 0 {
-		sc.SLO = p.slo
+		sc.HPs[0].SLO = p.slo
 	}
 	sc.Trace = dicer.TraceMulti{st.exporter, st, st.monitor}
 	if _, err := sc.Run(timed); err != nil {

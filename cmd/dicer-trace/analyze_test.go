@@ -130,13 +130,13 @@ func TestAnalyzeMultiHPTrace(t *testing.T) {
 
 	var rec bytes.Buffer
 	jl := dicer.NewTraceJSONL(&rec)
-	ms := &dicer.MultiScenario{
+	ms := &dicer.Scenario{
 		HPs:            hps,
 		BEs:            []dicer.Profile{be, be, be},
 		HorizonPeriods: 30,
 		Trace:          jl,
 	}
-	if _, err := ms.Run(); err != nil {
+	if _, err := ms.Run(nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := jl.Flush(); err != nil {
@@ -231,7 +231,7 @@ func TestLiveOfflineEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := dicer.NewScenario(tc.hp, "gcc_base1", 9)
 			sc.HorizonPeriods = 30
-			sc.SLO = tc.slo
+			sc.HPs[0].SLO = tc.slo
 
 			live := dicer.NewDiagMonitor(diag.MonitorConfig{})
 			var rec bytes.Buffer

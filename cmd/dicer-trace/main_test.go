@@ -117,13 +117,14 @@ func TestReplayRejectsV2Trace(t *testing.T) {
 		}
 		var rec bytes.Buffer
 		jl := dicer.NewTraceJSONL(&rec)
-		ms := &dicer.MultiScenario{
+		ms := &dicer.Scenario{
 			HPs:            hps,
 			BEs:            []dicer.Profile{be, be, be},
 			HorizonPeriods: 10,
+			Grouping:       dicer.GroupingClustered,
 			Trace:          jl,
 		}
-		if _, err := ms.Run(); err != nil {
+		if _, err := ms.Run(nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := jl.Flush(); err != nil {

@@ -36,6 +36,7 @@ import (
 	"dicer/internal/chaos"
 	"dicer/internal/core"
 	"dicer/internal/diag"
+	"dicer/internal/experiments"
 	"dicer/internal/fleet"
 	"dicer/internal/invariant"
 	"dicer/internal/machine"
@@ -51,6 +52,21 @@ import (
 type (
 	// Machine describes the simulated platform (Table 1 of the paper).
 	Machine = machine.Machine
+	// Scenario is one co-location experiment: HP apps and BEs sharing a
+	// box under a policy for a fixed horizon, normalised to alone runs.
+	// One HP app runs on the paper's two-CLOS split; several run the
+	// grouped DICER under a CLOS budget.
+	Scenario = experiments.Scenario
+	// HPApp is one high-priority application of a Scenario with its SLO.
+	HPApp = experiments.HPApp
+	// ScenarioResult summarises a Scenario run.
+	ScenarioResult = experiments.ScenarioResult
+	// HPAppResult is one HP app's outcome within a ScenarioResult.
+	HPAppResult = experiments.HPAppResult
+	// Timeline records per-period scenario state (AttachTimeline).
+	Timeline = experiments.Timeline
+	// TimelineEntry is one monitoring period of a Timeline.
+	TimelineEntry = experiments.TimelineEntry
 	// Profile is a phase-structured application model.
 	Profile = app.Profile
 	// Policy is a co-location policy (UM, CT, Static, DICER, extensions).
@@ -126,7 +142,7 @@ type (
 	DiagAnalyzeOptions = diag.AnalyzeOptions
 )
 
-// Grouping policies for MultiScenario.
+// Grouping policies for a Scenario with several HP apps.
 const (
 	// GroupingClustered packs similar-sensitivity apps into shared CLOS
 	// groups (LFOC-style; the default).
@@ -168,6 +184,19 @@ func ExplainIncident(inc *FleetIncident) *DiagExplainReport { return diag.Explai
 // NewDiagMonitor builds a live diagnostic monitor; wire it as a trace
 // sink next to a PromExporter.
 func NewDiagMonitor(cfg diag.MonitorConfig) *DiagMonitor { return diag.NewMonitor(cfg) }
+
+// NewScenario builds a Scenario from catalog names: one HP and beCount
+// copies of one BE. It panics on unknown names (use the Scenario struct
+// directly for full control and error handling).
+func NewScenario(hp, be string, beCount int) *Scenario {
+	return experiments.NewScenario(hp, be, beCount)
+}
+
+// AloneIPC runs prof alone on machine m with the full LLC for the default
+// horizon and returns its cumulative IPC — the normalisation reference the
+// paper's metrics (and application-assisted controllers like
+// ext.Heracles) need. Pass a zero Machine for the paper's platform.
+func AloneIPC(m Machine, prof Profile) (float64, error) { return experiments.AloneIPC(m, prof) }
 
 // DefaultMachine returns the paper's platform: 10 cores at 2.2 GHz, 25 MB
 // 20-way LLC, 68.3 Gbps memory link.
@@ -230,9 +259,6 @@ func NewSLOMonitor(ipcAlone, slo float64, n int, alarmBelow float64) *SLOMonitor
 // FleetResult. Identical configurations produce byte-identical cluster
 // traces. See cmd/dicer-fleet for the CLI.
 func NewFleet(cfg FleetConfig) (*FleetCluster, error) { return fleet.New(cfg) }
-
-// Fleet control-loop event causes, as recorded in ClusterRecord.Events.
-const ()
 
 // FleetSchedulerByName builds a placement scheduler: "random",
 // "least-loaded", or "headroom" (predicted-pressure + bandwidth-headroom

@@ -58,7 +58,7 @@ func TestMetricFacades(t *testing.T) {
 }
 
 func TestScenarioValidation(t *testing.T) {
-	sc := &Scenario{HP: mustApp(t, "milc1")}
+	sc := &Scenario{HPs: []HPApp{{Profile: mustApp(t, "milc1")}}}
 	if _, err := sc.Run(Unmanaged()); err == nil {
 		t.Fatal("expected error for no BEs")
 	}
@@ -66,7 +66,7 @@ func TestScenarioValidation(t *testing.T) {
 	for i := range bes {
 		bes[i] = mustApp(t, "gcc_base1")
 	}
-	sc = &Scenario{HP: mustApp(t, "milc1"), BEs: bes}
+	sc = &Scenario{HPs: []HPApp{{Profile: mustApp(t, "milc1")}}, BEs: bes}
 	if _, err := sc.Run(Unmanaged()); err == nil {
 		t.Fatal("expected error for too many applications")
 	}
@@ -192,7 +192,7 @@ func TestScenarioDeterministic(t *testing.T) {
 		return res
 	}
 	a, b := run(), run()
-	if a.HPIPC != b.HPIPC || a.FinalHPWays != b.FinalHPWays {
+	if a.Apps[0].IPC != b.Apps[0].IPC || a.FinalHPWays != b.FinalHPWays {
 		t.Fatalf("non-deterministic scenario: %+v vs %+v", a, b)
 	}
 }
@@ -232,8 +232,8 @@ func TestAloneIPCFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diff := res.HPAloneIPC - ipc; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("facade alone IPC %.6f != scenario reference %.6f", ipc, res.HPAloneIPC)
+	if diff := res.Apps[0].AloneIPC - ipc; diff > 1e-9 || diff < -1e-9 {
+		t.Fatalf("facade alone IPC %.6f != scenario reference %.6f", ipc, res.Apps[0].AloneIPC)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 	"dicer"
 )
 
-func run(grouping string, periods int) (dicer.MultiResult, error) {
+func run(grouping string, periods int) (dicer.ScenarioResult, error) {
 	// A bigger socket than the paper's: 22 cores, memory link scaled to
 	// keep per-core bandwidth constant, so the LLC stays the contended
 	// resource the grouping is judged on.
@@ -28,18 +28,18 @@ func run(grouping string, periods int) (dicer.MultiResult, error) {
 
 	gcc, err := dicer.AppByName("gcc_base1")
 	if err != nil {
-		return dicer.MultiResult{}, err
+		return dicer.ScenarioResult{}, err
 	}
-	ms := dicer.MultiScenario{
+	sc := dicer.Scenario{
 		Machine:        m,
 		BEs:            []dicer.Profile{gcc, gcc},
 		Grouping:       grouping,
 		HorizonPeriods: periods,
 	}
 	for _, p := range dicer.Catalog()[:20] {
-		ms.HPs = append(ms.HPs, dicer.HPApp{Profile: p, SLO: 0.9})
+		sc.HPs = append(sc.HPs, dicer.HPApp{Profile: p, SLO: 0.9})
 	}
-	return ms.Run()
+	return sc.Run(nil) // nil: the scenario's own grouped DICER
 }
 
 func main() {
@@ -51,6 +51,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-14s groups %2d  worst slowdown %.3f  SLO conf %3.0f%%  EFU %.3f\n",
-			grouping, res.NumGroups, res.MaxSlowdown(), 100*res.SLOConformance(), res.EFU())
+			grouping, res.NumGroups(), res.MaxSlowdown(), 100*res.SLOConformance(), res.EFU())
 	}
 }

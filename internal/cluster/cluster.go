@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"sort"
 
+	"dicer/internal/app"
 	"dicer/internal/cache"
 	"dicer/internal/mrc"
 )
@@ -49,8 +50,24 @@ type AppSpec struct {
 }
 
 // HintProgress is the fraction of its current phase an app must have
-// completed before the harnesses expose its next phase's curve as Hint.
+// completed before Refresh exposes its next phase's curve as Hint.
 const HintProgress = 0.75
+
+// Refresh rewrites each spec from its live process, app i running on
+// core i of procs: the name, the core, the current phase's miss curve
+// and APKI and, when hints is set, the upcoming phase's curve once the
+// app has completed HintProgress of a multi-phase profile. Each spec's
+// SLO is kept.
+func Refresh(specs []AppSpec, procs interface{ Proc(core int) *app.Proc }, hints bool) {
+	for i := range specs {
+		pr := procs.Proc(i)
+		ph := pr.PhaseRef()
+		specs[i] = AppSpec{Name: pr.Profile.Name, Core: i, SLO: specs[i].SLO, Curve: ph.Curve, APKI: ph.APKI}
+		if n := len(pr.Profile.Phases); hints && n > 1 && pr.PhaseProgress() >= HintProgress {
+			specs[i].Hint = &pr.Profile.Phases[(pr.PhaseIndex()+1)%n].Curve
+		}
+	}
+}
 
 // curve returns the curve scoring should use: the hint when present.
 func (a *AppSpec) curve() *mrc.Curve {

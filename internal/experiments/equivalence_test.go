@@ -71,6 +71,32 @@ func TestParallelSerialEquivalenceRunMany(t *testing.T) {
 	}
 }
 
+// TestParallelSerialEquivalenceSensitivity covers the controller-variant
+// fan-out behind the sensitivity sweeps and the ablations.
+func TestParallelSerialEquivalenceSensitivity(t *testing.T) {
+	drivers := map[string]func(*Suite) (any, error){
+		"bw":    func(s *Suite) (any, error) { return s.SensitivityBWThreshold(9) },
+		"alpha": func(s *Suite) (any, error) { return s.SensitivityAlpha(9) },
+		"phase": func(s *Suite) (any, error) { return s.SensitivityPhaseThreshold(9) },
+		"step":  func(s *Suite) (any, error) { return s.SensitivitySampleStep(9) },
+		"abl":   func(s *Suite) (any, error) { return s.Ablations(9) },
+	}
+	serial, par := eqSuite(t, 1), eqSuite(t, 4)
+	for name, run := range drivers {
+		want, err := run(serial)
+		if err != nil {
+			t.Fatalf("%s serial: %v", name, err)
+		}
+		got, err := run(par)
+		if err != nil {
+			t.Fatalf("%s workers=4: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: workers=4 result differs from serial:\n%+v\nvs\n%+v", name, got, want)
+		}
+	}
+}
+
 func TestParallelSerialEquivalenceFigure3Table(t *testing.T) {
 	want, err := eqSuite(t, 1).Figure3("milc1", "gcc_base1", 9)
 	if err != nil {

@@ -72,6 +72,9 @@ func TestResultSlotWriteZeroAlloc(t *testing.T) {
 // loop, the pooled scenario and the alone lookups must stay within a
 // fixed per-run budget (omnetpp1 + 9 gcc_base1 over 80 periods).
 func TestSuiteRunAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector defeats the pool the budget relies on")
+	}
 	s := suite(t)
 	w := Workload{HP: "omnetpp1", BE: "gcc_base1", BECount: 9}
 	for _, c := range []struct {

@@ -273,45 +273,82 @@ func NewSuite(cfg Config) (*Suite, error) {
 	}, nil
 }
 
-// runCtx is the pooled per-run simulation state: a Runner, the resctrl
-// emulation wrapping it, and a Meter over the emulation. Pooling the
-// three together (rather than the Runner alone) carries every grown
-// scratch buffer — snapshot slices, counter readings, period backing —
-// from run to run, so steady-state runs allocate nothing for sampling.
-// A worker holds at most one runCtx at a time; the pool's steady-state
-// population equals the executor's worker count.
+// runCtx is the pooled per-run state: a Runner, the resctrl emulation
+// wrapping it and a Meter over the emulation, plus the scenario and
+// result a Suite run fills. Pooling them together (rather than the
+// Runner alone) carries every grown scratch buffer — snapshot slices,
+// counter readings, period backing, the scenario's app lists and the
+// result's IPC slices — from run to run, so steady-state runs allocate
+// nothing for them. A worker holds at most one runCtx at a time; the
+// pool's steady-state population equals the executor's worker count.
 type runCtx struct {
 	r     *sim.Runner
 	emu   *resctrl.Emu
 	meter *resctrl.Meter
+	sc    Scenario
+	res   ScenarioResult
 }
 
-// getCtx returns a pooled runCtx whose Runner is reset to closCount CLOS
-// (or a fresh one when the pool is empty). The Meter's baseline is stale
-// at return; callers that sample rebaseline after attaching processes.
-// Return the ctx with putCtx when the run's counters have been read.
-func (s *Suite) getCtx(closCount int) (*runCtx, error) {
-	if v := s.ctxs.Get(); v != nil {
-		c := v.(*runCtx)
-		if err := c.r.Reset(closCount); err != nil {
-			return nil, err
-		}
-		c.r.UseReferenceSolver(s.cfg.ReferenceSolver)
-		return c, nil
-	}
-	r, err := sim.New(s.cfg.Machine, closCount)
+// newCtx builds a box on machine m. Its Meter's baseline is stale until
+// a run rebaselines it after attaching processes.
+func newCtx(m machine.Machine) (*runCtx, error) {
+	r, err := sim.New(m, 1)
 	if err != nil {
 		return nil, err
 	}
-	r.UseReferenceSolver(s.cfg.ReferenceSolver)
 	emu := resctrl.NewEmu(r, false)
 	return &runCtx{r: r, emu: emu, meter: resctrl.NewMeter(emu)}, nil
+}
+
+// getCtx returns a pooled runCtx on the suite's machine (or a fresh one
+// when the pool is empty). Return it with putCtx once the run's counters
+// have been read.
+func (s *Suite) getCtx() (*runCtx, error) {
+	c, _ := s.ctxs.Get().(*runCtx)
+	if c == nil {
+		var err error
+		if c, err = newCtx(s.cfg.Machine); err != nil {
+			return nil, err
+		}
+	}
+	c.r.UseReferenceSolver(s.cfg.ReferenceSolver)
+	return c, nil
 }
 
 func (s *Suite) putCtx(c *runCtx) {
 	if c != nil {
 		s.ctxs.Put(c)
 	}
+}
+
+// scenario fills c's pooled scenario with workload w on the suite's
+// platform and timing, reusing its app lists.
+func (s *Suite) scenario(c *runCtx, w Workload, horizon int) (*Scenario, error) {
+	if w.BECount < 1 || w.BECount > s.cfg.Machine.Cores-1 {
+		return nil, fmt.Errorf("experiments: BE count %d outside [1,%d]", w.BECount, s.cfg.Machine.Cores-1)
+	}
+	hp, err := app.ByName(w.HP)
+	if err != nil {
+		return nil, err
+	}
+	be, err := app.ByName(w.BE)
+	if err != nil {
+		return nil, err
+	}
+	sc := &c.sc
+	hps, bes := sc.HPs[:0], sc.BEs[:0]
+	*sc = Scenario{
+		Machine:        s.cfg.Machine,
+		HPs:            append(hps, HPApp{Profile: hp, SLO: defaultSLO}),
+		PeriodSec:      s.cfg.PeriodSec,
+		StepsPerPeriod: s.cfg.StepsPerPeriod,
+		HorizonPeriods: horizon,
+	}
+	for i := 0; i < w.BECount; i++ {
+		bes = append(bes, be)
+	}
+	sc.BEs = bes
+	return sc, nil
 }
 
 // Config returns the suite configuration.
@@ -353,30 +390,17 @@ func (s *Suite) aloneUncached(name string, ways int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	m := s.cfg.Machine
-	c, err := s.getCtx(1)
+	c, err := s.getCtx()
 	if err != nil {
 		return 0, err
 	}
 	defer s.putCtx(c)
-	r := c.r
-	if err := r.Attach(0, 0, prof); err != nil {
-		return 0, err
-	}
-	if ways < m.LLCWays {
-		// Confine the app to the low `ways` ways; the rest of the LLC is
-		// unreachable (no other CLOS exists).
-		if err := r.SetMask(0, policy.BEMask(m.LLCWays, m.LLCWays-ways)); err != nil {
-			return 0, err
-		}
-	}
-	dt := s.cfg.PeriodSec / float64(s.cfg.StepsPerPeriod)
-	steps := s.cfg.HorizonPeriods * s.cfg.StepsPerPeriod
-	for i := 0; i < steps; i++ {
-		r.Step(dt)
-	}
-	return r.Proc(0).IPC(), nil
+	return c.r.AloneIPC(prof, ways, s.cfg.HorizonPeriods*s.cfg.StepsPerPeriod,
+		s.cfg.PeriodSec/float64(s.cfg.StepsPerPeriod))
 }
+
+// aloneIPC resolves a run's alone references through the memo.
+func (s *Suite) aloneIPC(prof app.Profile) (float64, error) { return s.AloneIPC(prof.Name) }
 
 // Run executes (memoised) one co-located workload under one policy for the
 // given horizon in periods.
@@ -408,99 +432,32 @@ func (s *Suite) runUncached(w Workload, pol PolicyName, horizon int) (Result, er
 	return s.run(w, p, pol, horizon)
 }
 
-// run simulates one co-located scenario: HP on core 0 / CLOS 0, BE
-// instances on cores 1..BECount / CLOS 1, the policy observing once per
-// monitoring period.
+// run simulates one co-located workload on a pooled box: HP on core 0 /
+// CLOS 0, BE instances on cores 1..BECount / CLOS 1, the policy
+// observing once per monitoring period.
 func (s *Suite) run(w Workload, p policy.Policy, polName PolicyName, horizon int) (Result, error) {
-	m := s.cfg.Machine
-	if w.BECount < 1 || w.BECount > m.Cores-1 {
-		return Result{}, fmt.Errorf("experiments: BE count %d outside [1,%d]", w.BECount, m.Cores-1)
-	}
-	hpProf, err := app.ByName(w.HP)
-	if err != nil {
-		return Result{}, err
-	}
-	beProf, err := app.ByName(w.BE)
-	if err != nil {
-		return Result{}, err
-	}
-
-	c, err := s.getCtx(2)
+	c, err := s.getCtx()
 	if err != nil {
 		return Result{}, err
 	}
 	defer s.putCtx(c)
-	r := c.r
-	if err := r.Attach(0, policy.HPClos, hpProf); err != nil {
+	sc, err := s.scenario(c, w, horizon)
+	if err != nil {
 		return Result{}, err
 	}
-	for i := 1; i <= w.BECount; i++ {
-		if err := r.Attach(i, policy.BEClos, beProf); err != nil {
-			return Result{}, err
-		}
-	}
-
-	emu := c.emu
-	var rec *obs.Recorder
 	if s.cfg.Trace != nil {
-		if sink := s.cfg.Trace(w, polName); sink != nil {
-			rec = obs.NewRecorder(sink)
-			ctl := core.ControllerOf(p)
-			rec.AttachController(ctl)
-			h := obs.Header{
-				Schema:         obs.Schema,
-				Policy:         p.Name(),
-				HP:             w.HP,
-				BEs:            []string{w.BE},
-				NumWays:        m.LLCWays,
-				PeriodSec:      s.cfg.PeriodSec,
-				HorizonPeriods: horizon,
-			}
-			if ctl != nil {
-				cfg := ctl.Config()
-				h.Controller = &cfg
-			}
-			if err := rec.Start(h); err != nil {
-				return Result{}, err
-			}
-		}
+		sc.Trace = s.cfg.Trace(w, polName)
 	}
-	if err := p.Setup(emu); err != nil {
+	if err := sc.run(c, p, s.cfg.DICER, s.aloneIPC, &c.res); err != nil {
 		return Result{}, err
 	}
-	// Rebaseline at exactly the point a fresh NewMeter would read its
-	// baseline: after attach and policy setup, before the first step.
-	meter := c.meter
-	meter.Rebaseline()
-	dt := s.cfg.PeriodSec / float64(s.cfg.StepsPerPeriod)
-	for period := 0; period < horizon; period++ {
-		for step := 0; step < s.cfg.StepsPerPeriod; step++ {
-			r.Step(dt)
-		}
-		pp := meter.Sample()
-		obsErr := p.Observe(emu, pp)
-		if rec != nil {
-			rec.EndPeriod(period, pp, emu, obsErr)
-		}
-		if obsErr != nil {
-			return Result{}, obsErr
-		}
-	}
-
-	res := Result{Workload: w, Policy: polName}
-	res.HPIPC = r.Proc(0).IPC()
+	hp := c.res.Apps[0]
+	res := Result{Workload: w, Policy: polName, HPIPC: hp.IPC, HPAlone: hp.AloneIPC, BEAlone: c.res.BEAloneIPCs[0]}
 	var beSum float64
-	for i := 1; i <= w.BECount; i++ {
-		beSum += r.Proc(i).IPC()
+	for _, ipc := range c.res.BEIPCs {
+		beSum += ipc
 	}
 	res.BEIPC = beSum / float64(w.BECount)
-
-	if res.HPAlone, err = s.AloneIPC(w.HP); err != nil {
-		return Result{}, err
-	}
-	if res.BEAlone, err = s.AloneIPC(w.BE); err != nil {
-		return Result{}, err
-	}
 	return res, nil
 }
 

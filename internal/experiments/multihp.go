@@ -5,12 +5,8 @@ import (
 	"math/rand"
 
 	"dicer/internal/app"
-	"dicer/internal/cluster"
 	"dicer/internal/core"
-	"dicer/internal/metrics"
 	"dicer/internal/report"
-	"dicer/internal/resctrl"
-	"dicer/internal/sim"
 )
 
 // This file is the multi-HP consolidation harness (ROADMAP item 2): M
@@ -79,7 +75,8 @@ func multiHPWorkload(spec MultiHPSpec) (hps, bes []string) {
 	return hps, bes
 }
 
-// RunMultiHP executes one multi-HP consolidation run. The machine is the
+// RunMultiHP executes one multi-HP consolidation run: a grouped
+// scenario under the suite's DICER configuration. The machine is the
 // suite's platform with the core count raised to host M+BECount
 // applications; alone references resolve through the suite's memo (a
 // solo run does not depend on the core count).
@@ -92,135 +89,59 @@ func (s *Suite) RunMultiHP(spec MultiHPSpec) (MultiHPOutcome, error) {
 	}
 	slo := spec.SLO
 	if slo == 0 {
-		slo = 0.9
+		slo = defaultSLO
 	}
-	horizon := spec.HorizonPeriods
-	if horizon == 0 {
-		horizon = s.cfg.SweepHorizonPeriods
-	}
-	// The platform grows with the consolidation: more cores AND a
-	// proportionally wider memory link (a bigger socket, constant
-	// per-core bandwidth), so the LLC stays the contended resource the
-	// plan is judged on.
-	m := s.cfg.Machine
-	if need := spec.M + spec.BECount; m.Cores < need {
-		m.Link.CapacityGBps *= float64(need) / float64(m.Cores)
-		m.Cores = need
-	}
-
-	hpNames, beNames := multiHPWorkload(spec)
-	r, err := sim.New(m, spec.CLOSBudget)
-	if err != nil {
-		return MultiHPOutcome{}, err
-	}
-	beClos := spec.CLOSBudget - 1
-	procs := make([]*app.Proc, spec.M)
-	specs := make([]cluster.AppSpec, spec.M)
-	for i, name := range hpNames {
-		prof, err := app.ByName(name)
-		if err != nil {
-			return MultiHPOutcome{}, err
-		}
-		if err := r.Attach(i, 0, prof); err != nil {
-			return MultiHPOutcome{}, err
-		}
-		procs[i] = r.Proc(i)
-	}
-	for i, name := range beNames {
-		prof, err := app.ByName(name)
-		if err != nil {
-			return MultiHPOutcome{}, err
-		}
-		if err := r.Attach(spec.M+i, beClos, prof); err != nil {
-			return MultiHPOutcome{}, err
-		}
-	}
-
-	refresh := func() {
-		for i, pr := range procs {
-			ph := pr.PhaseRef()
-			specs[i] = cluster.AppSpec{
-				Name: hpNames[i], Core: i, SLO: slo,
-				Curve: ph.Curve, APKI: ph.APKI,
-			}
-			if spec.UsePhaseHints && len(pr.Profile.Phases) > 1 && pr.PhaseProgress() >= cluster.HintProgress {
-				next := (pr.PhaseIndex() + 1) % len(pr.Profile.Phases)
-				specs[i].Hint = &pr.Profile.Phases[next].Curve
-			}
-		}
-	}
-	refresh()
-
-	mcfg := core.MultiConfig{
-		Group:          s.cfg.DICER,
-		WayBytes:       m.WaysBytes(1),
+	sc := &Scenario{
+		Machine:        s.cfg.Machine,
+		PeriodSec:      s.cfg.PeriodSec,
+		StepsPerPeriod: s.cfg.StepsPerPeriod,
+		HorizonPeriods: spec.HorizonPeriods,
 		CLOSBudget:     spec.CLOSBudget,
 		Grouping:       spec.Grouping,
 		ReclusterEvery: spec.ReclusterEvery,
 		UsePhaseHints:  spec.UsePhaseHints,
 	}
-	mc, err := core.NewMulti(mcfg, specs)
-	if err != nil {
-		return MultiHPOutcome{}, err
+	if sc.HorizonPeriods == 0 {
+		sc.HorizonPeriods = s.cfg.SweepHorizonPeriods
 	}
-	reclusters := 0
-	mc.ChainTrace(func(e core.Event) {
-		if e.Kind == core.EventRecluster && e.Group == 0 {
-			reclusters++
-		}
-	})
-
-	sys := resctrl.NewEmu(r, false)
-	if err := mc.Setup(sys); err != nil {
-		return MultiHPOutcome{}, err
+	if sc.Grouping == "" {
+		sc.Grouping = core.GroupingClustered
 	}
-	meter := resctrl.NewMeter(sys)
-	dt := s.cfg.PeriodSec / float64(s.cfg.StepsPerPeriod)
-	for period := 0; period < horizon; period++ {
-		for step := 0; step < s.cfg.StepsPerPeriod; step++ {
-			r.Step(dt)
-		}
-		p := meter.Sample()
-		refresh()
-		if err := mc.UpdateSpecs(specs); err != nil {
-			return MultiHPOutcome{}, err
-		}
-		if err := mc.Observe(sys, p); err != nil {
-			return MultiHPOutcome{}, err
-		}
+	// The platform grows with the consolidation: more cores AND a
+	// proportionally wider memory link (a bigger socket, constant
+	// per-core bandwidth), so the LLC stays the contended resource the
+	// plan is judged on.
+	if need := spec.M + spec.BECount; sc.Machine.Cores < need {
+		sc.Machine.Link.CapacityGBps *= float64(need) / float64(sc.Machine.Cores)
+		sc.Machine.Cores = need
 	}
-
-	out := MultiHPOutcome{
-		Policy:     mc.Name(),
-		NumGroups:  mc.NumGroups(),
-		Reclusters: reclusters,
-	}
-	norms := make([]float64, 0, spec.M+spec.BECount)
-	met := 0
-	for i := range hpNames {
-		ref, err := s.AloneIPC(hpNames[i])
+	hpNames, beNames := multiHPWorkload(spec)
+	for _, name := range hpNames {
+		prof, err := app.ByName(name)
 		if err != nil {
 			return MultiHPOutcome{}, err
 		}
-		ipc := procs[i].IPC()
-		if sd := metrics.Slowdown(ref, ipc); sd > out.MaxSlowdown {
-			out.MaxSlowdown = sd
-		}
-		if metrics.SLOAchieved(ipc, ref, slo) {
-			met++
-		}
-		norms = append(norms, metrics.NormIPC(ipc, ref))
+		sc.HPs = append(sc.HPs, HPApp{Profile: prof, SLO: slo})
 	}
-	out.Conformance = float64(met) / float64(spec.M)
-	for i := range beNames {
-		ref, err := s.AloneIPC(beNames[i])
+	for _, name := range beNames {
+		prof, err := app.ByName(name)
 		if err != nil {
 			return MultiHPOutcome{}, err
 		}
-		norms = append(norms, metrics.NormIPC(r.Proc(spec.M+i).IPC(), ref))
+		sc.BEs = append(sc.BEs, prof)
 	}
-	out.EFU = metrics.EFU(norms)
-	return out, nil
+	var res ScenarioResult
+	if err := sc.run(nil, nil, s.cfg.DICER, s.aloneIPC, &res); err != nil {
+		return MultiHPOutcome{}, err
+	}
+	return MultiHPOutcome{
+		Policy:      res.PolicyName,
+		NumGroups:   res.NumGroups(),
+		MaxSlowdown: res.MaxSlowdown(),
+		Conformance: res.SLOConformance(),
+		EFU:         res.EFU(),
+		Reclusters:  res.Reclusters,
+	}, nil
 }
 
 // MultiHPCell is one grid cell: a labelled spec and its outcome, or the

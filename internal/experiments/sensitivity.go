@@ -3,14 +3,12 @@ package experiments
 import (
 	"fmt"
 
+	"dicer/internal/app"
 	"dicer/internal/core"
 	"dicer/internal/ext"
 	"dicer/internal/metrics"
 	"dicer/internal/policy"
 	"dicer/internal/report"
-	"dicer/internal/resctrl"
-
-	"dicer/internal/app"
 )
 
 // The paper (§4.1) states that all DICER parameter values were "selected
@@ -70,52 +68,33 @@ func (s *Suite) sensitivitySample(beCount int) ([]SampledWorkload, error) {
 // aggregates the outcome. Results are NOT cached in the suite (the config
 // is not part of the memoisation key), so each call simulates afresh.
 func (s *Suite) runDICERVariant(sample []SampledWorkload, cfg core.Config) (SensitivityPoint, error) {
-	type res struct {
-		norm float64
-		efu  float64
-		err  error
-	}
-	results := make([]res, len(sample))
-	sem := make(chan struct{}, s.workers())
-	done := make(chan struct{})
-	for i, sw := range sample {
-		go func(i int, w Workload) {
-			sem <- struct{}{}
-			defer func() { <-sem; done <- struct{}{} }()
-			ctl, err := core.New(cfg)
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			r, err := s.run(w, ctl, DICER, s.cfg.HorizonPeriods)
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			results[i].norm = r.HPNorm()
-			results[i].efu = r.EFU()
-		}(i, sw.Workload)
-	}
-	for range sample {
-		<-done
-	}
-	var pt SensitivityPoint
-	var efus, norms []float64
-	met := 0
-	for _, r := range results {
-		if r.err != nil {
-			return SensitivityPoint{}, r.err
+	norms := make([]float64, len(sample))
+	efus := make([]float64, len(sample))
+	if err := s.execute(len(sample), func(i int) error {
+		ctl, err := core.New(cfg)
+		if err != nil {
+			return err
 		}
-		efus = append(efus, r.efu)
-		norms = append(norms, r.norm)
-		if r.norm >= 0.90 {
+		r, err := s.run(sample[i].Workload, ctl, DICER, s.cfg.HorizonPeriods)
+		if err != nil {
+			return err
+		}
+		norms[i], efus[i] = r.HPNorm(), r.EFU()
+		return nil
+	}); err != nil {
+		return SensitivityPoint{}, err
+	}
+	met := 0
+	for _, n := range norms {
+		if n >= 0.90 {
 			met++
 		}
 	}
-	pt.SLO90Pct = 100 * float64(met) / float64(len(results))
-	pt.GeoMeanEFU = metrics.GeoMean(efus)
-	pt.MeanHPNorm = metrics.Mean(norms)
-	return pt, nil
+	return SensitivityPoint{
+		SLO90Pct:   100 * float64(met) / float64(len(norms)),
+		GeoMeanEFU: metrics.GeoMean(efus),
+		MeanHPNorm: metrics.Mean(norms),
+	}, nil
 }
 
 // sweep runs the variant for every value, applying set(value) to the base
@@ -289,34 +268,8 @@ func (s *Suite) Extensions(beCount, maxWorkloads int) (ExtensionResult, error) {
 }
 
 // runExtensionVariant runs one workload under variant index vi (0 plain,
-// 1 MBA, 2 BE manager). It mirrors Suite.run but needs MBA-capable
-// emulation, so it builds the platform itself.
+// 1 MBA, 2 BE manager) on the MBA-capable platform the variants need.
 func (s *Suite) runExtensionVariant(w Workload, vi int) (hpNorm, efu float64, err error) {
-	hpProf, err := app.ByName(w.HP)
-	if err != nil {
-		return 0, 0, err
-	}
-	beProf, err := app.ByName(w.BE)
-	if err != nil {
-		return 0, 0, err
-	}
-	c, err := s.getCtx(2)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer s.putCtx(c)
-	r := c.r
-	if err := r.Attach(0, policy.HPClos, hpProf); err != nil {
-		return 0, 0, err
-	}
-	for i := 1; i <= w.BECount; i++ {
-		if err := r.Attach(i, policy.BEClos, beProf); err != nil {
-			return 0, 0, err
-		}
-	}
-	// The pooled emulation is built without MBA; variants need it.
-	emu := resctrl.NewEmu(r, true)
-
 	var pol policy.Policy
 	switch vi {
 	case 0:
@@ -334,32 +287,18 @@ func (s *Suite) runExtensionVariant(w Workload, vi int) (hpNorm, efu float64, er
 	if err != nil {
 		return 0, 0, err
 	}
-
-	if err := pol.Setup(emu); err != nil {
-		return 0, 0, err
-	}
-	meter := resctrl.NewMeter(emu)
-	dt := s.cfg.PeriodSec / float64(s.cfg.StepsPerPeriod)
-	for p := 0; p < s.cfg.HorizonPeriods; p++ {
-		for st := 0; st < s.cfg.StepsPerPeriod; st++ {
-			r.Step(dt)
-		}
-		if err := pol.Observe(emu, meter.Sample()); err != nil {
-			return 0, 0, err
-		}
-	}
-	hpAlone, err := s.AloneIPC(w.HP)
+	c, err := s.getCtx()
 	if err != nil {
 		return 0, 0, err
 	}
-	beAlone, err := s.AloneIPC(w.BE)
+	defer s.putCtx(c)
+	sc, err := s.scenario(c, w, s.cfg.HorizonPeriods)
 	if err != nil {
 		return 0, 0, err
 	}
-	hpNorm = metrics.NormIPC(r.Proc(0).IPC(), hpAlone)
-	norms := []float64{hpNorm}
-	for i := 1; i <= w.BECount; i++ {
-		norms = append(norms, metrics.NormIPC(r.Proc(i).IPC(), beAlone))
+	sc.WithMBA = true
+	if err := sc.run(c, pol, s.cfg.DICER, s.aloneIPC, &c.res); err != nil {
+		return 0, 0, err
 	}
-	return hpNorm, metrics.EFU(norms), nil
+	return c.res.HPNorm(), c.res.EFU(), nil
 }

@@ -1,18 +1,15 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
+	"hash"
 	"hash/fnv"
 
-	"dicer/internal/app"
 	"dicer/internal/chaos"
 	"dicer/internal/core"
 	"dicer/internal/invariant"
 	"dicer/internal/obs"
-	"dicer/internal/policy"
 	"dicer/internal/report"
-	"dicer/internal/resctrl"
 )
 
 // SoakConfig drives the chaos soak harness: the full DICER control loop
@@ -32,12 +29,6 @@ type SoakConfig struct {
 	// run: chaos HP IPC must stay >= (1-MaxHPDegradation) × fault-free.
 	// 0 means 0.35.
 	MaxHPDegradation float64
-	// Trace, when non-nil, is called once per soak cell (including the
-	// fault-free baselines, schedule "none", seed 0) to obtain that
-	// cell's trace sink; nil return disables tracing for the cell. Soak
-	// records carry the chaos fault deltas and any invariant-guard
-	// verdicts alongside the controller's decisions.
-	Trace func(w Workload, schedule string, seed int64) obs.Sink
 }
 
 func (c *SoakConfig) defaults() {
@@ -81,10 +72,10 @@ type SoakRun struct {
 	Degradation    float64 // max(0, 1 - HPIPC/FaultFreeHPIPC)
 
 	Stats           chaos.Stats // faults actually injected
-	ToleratedFaults int         // Observe errors tolerated (injected writes)
-	InvariantChecks int         // per-period checks performed
-	FinalHPWays     int
-	Fingerprint     uint64 // FNV-1a over the per-period trajectory
+	ToleratedFaults int         // Setup/Observe errors tolerated (injected writes)
+	InvariantChecks int         // after Setup, every period, and post-drain
+	FinalHPWays     int         // the controller's intended HP ways
+	Fingerprint     uint64      // FNV-1a over the per-period trajectory
 }
 
 // SoakResult aggregates a soak matrix.
@@ -116,19 +107,12 @@ func (r *SoakResult) Table() *report.Table {
 func (s *Suite) Soak(cfg SoakConfig) (*SoakResult, error) {
 	cfg.defaults()
 	res := &SoakResult{MaxHPDegradation: cfg.MaxHPDegradation}
-	sinkFor := func(w Workload, schedule string, seed int64) obs.Sink {
-		if cfg.Trace == nil {
-			return nil
-		}
-		return cfg.Trace(w, schedule, seed)
-	}
 
 	// Fault-free baselines, one per workload, in parallel.
 	baselines := make([]SoakRun, len(cfg.Workloads))
 	if err := s.execute(len(cfg.Workloads), func(i int) error {
 		w := cfg.Workloads[i]
-		b, err := s.soakRun(w, chaos.Config{Name: "none"}, 0, cfg.HorizonPeriods,
-			sinkFor(w, "none", 0))
+		b, err := s.soakRun(w, chaos.Config{Name: "none"}, 0, cfg.HorizonPeriods)
 		if err != nil {
 			return fmt.Errorf("soak %s fault-free: %w", w, err)
 		}
@@ -157,8 +141,7 @@ func (s *Suite) Soak(cfg SoakConfig) (*SoakResult, error) {
 	runs := make([]SoakRun, len(cells))
 	if err := s.execute(len(cells), func(i int) error {
 		c := cells[i]
-		run, err := s.soakRun(c.w, c.sched, c.seed, cfg.HorizonPeriods,
-			sinkFor(c.w, c.sched.Name, c.seed))
+		run, err := s.soakRun(c.w, c.sched, c.seed, cfg.HorizonPeriods)
 		if err != nil {
 			return fmt.Errorf("soak %s schedule %q seed %d: %w",
 				c.w, c.sched.Name, c.seed, err)
@@ -195,116 +178,44 @@ func (s *Suite) Soak(cfg SoakConfig) (*SoakResult, error) {
 }
 
 // soakRun executes one cell: the DICER controller on the suite's machine
-// under one fault schedule, invariants checked after every period. A
-// non-nil trace sink receives one record per period.
-func (s *Suite) soakRun(w Workload, sched chaos.Config, seed int64, horizon int, trace obs.Sink) (SoakRun, error) {
-	hpProf, err := app.ByName(w.HP)
-	if err != nil {
-		return SoakRun{}, err
-	}
-	beProf, err := app.ByName(w.BE)
-	if err != nil {
-		return SoakRun{}, err
-	}
-	c, err := s.getCtx(2)
-	if err != nil {
-		return SoakRun{}, err
-	}
-	defer s.putCtx(c)
-	r := c.r
-	if err := r.Attach(0, policy.HPClos, hpProf); err != nil {
-		return SoakRun{}, err
-	}
-	for i := 1; i <= w.BECount; i++ {
-		if err := r.Attach(i, policy.BEClos, beProf); err != nil {
-			return SoakRun{}, err
-		}
-	}
-
-	sys := chaos.New(c.emu, sched, seed)
+// under one fault schedule, behind the invariant guard — invariants are
+// checked after Setup, after every period and, once the chaos layer has
+// drained its delayed writes, for full intent/installed consistency.
+func (s *Suite) soakRun(w Workload, sched chaos.Config, seed int64, horizon int) (SoakRun, error) {
+	run := SoakRun{Workload: w, Schedule: sched.Name, Seed: seed}
 	ctl, err := core.New(s.cfg.DICER)
 	if err != nil {
-		return SoakRun{}, err
+		return run, err
 	}
-	run := SoakRun{Workload: w, Schedule: sched.Name, Seed: seed}
-	var rec *obs.Recorder
-	if trace != nil {
-		rec = obs.NewRecorder(trace)
-		rec.AttachController(ctl)
-		rec.AttachChaos(sys)
-		ctlCfg := ctl.Config()
-		h := obs.Header{
-			Schema:         obs.Schema,
-			Policy:         ctl.Name(),
-			HP:             w.HP,
-			NumWays:        s.cfg.Machine.LLCWays,
-			PeriodSec:      s.cfg.PeriodSec,
-			HorizonPeriods: horizon,
-			Controller:     &ctlCfg,
-		}
-		for i := 0; i < w.BECount; i++ {
-			h.BEs = append(h.BEs, w.BE)
-		}
-		if sched.Active() {
-			h.Chaos = sched.Name
-			h.ChaosSeed = seed
-		}
-		if err := rec.Start(h); err != nil {
-			return run, err
-		}
+	guard := invariant.Wrap(ctl)
+	c, err := s.getCtx()
+	if err != nil {
+		return run, err
 	}
-	if err := ctl.Setup(sys); err != nil {
-		// Setup writes the initial split, so it is exposed to injected
-		// schemata rejections like any other actuation.
-		if !errors.Is(err, chaos.ErrInjected) {
-			return run, err
-		}
-		run.ToleratedFaults++
+	defer s.putCtx(c)
+	sc, err := s.scenario(c, w, horizon)
+	if err != nil {
+		return run, err
 	}
-	checker := invariant.NewChecker(ctl.Config())
-	meter := resctrl.NewMeter(sys)
-
-	h := fnv.New64a()
-	dt := s.cfg.PeriodSec / float64(s.cfg.StepsPerPeriod)
-	for period := 0; period < horizon; period++ {
-		for step := 0; step < s.cfg.StepsPerPeriod; step++ {
-			r.Step(dt)
-		}
-		p := meter.Sample()
-		obsErr := ctl.Observe(sys, p)
-		checkErr := checker.Check(sys, ctl, sys.ActuationClean())
-		if rec != nil {
-			rec.EndPeriod(period, p, sys, errors.Join(obsErr, checkErr))
-		}
-		if obsErr != nil {
-			if !errors.Is(obsErr, chaos.ErrInjected) {
-				return run, obsErr
-			}
-			// An injected schemata-write rejection: a production
-			// controller logs it and retries next period; the soak
-			// loop does the same.
-			run.ToleratedFaults++
-		}
-		if checkErr != nil {
-			return run, checkErr
-		}
-		fmt.Fprintf(h, "%d:%d:%s:%x:%x|", period, ctl.HPWays(), ctl.State(),
-			sys.CBM(policy.HPClos), sys.CBM(policy.BEClos))
+	fp := fingerprint{fnv.New64a()}
+	sc.Chaos, sc.ChaosSeed, sc.Trace = &sched, seed, fp
+	if err := sc.run(c, guard, s.cfg.DICER, s.aloneIPC, &c.res); err != nil {
+		return run, err
 	}
-
-	// Drain in-flight actuation and run a final full-consistency check:
-	// once every write has landed, installed masks must equal intent. A
-	// fresh checker skips the period-monotonicity invariant, which does
-	// not apply to a re-check of an already-validated period.
-	sys.Drain()
-	if err := invariant.NewChecker(ctl.Config()).Check(sys, ctl, sys.ActuationClean()); err != nil {
-		return run, fmt.Errorf("post-drain: %w", err)
-	}
-
-	run.HPIPC = r.Proc(0).IPC()
-	run.Stats = sys.Stats()
-	run.InvariantChecks = checker.Checks() + 1
+	run.HPIPC = c.res.Apps[0].IPC
+	run.Stats = c.res.ChaosStats
+	run.ToleratedFaults = c.res.ToleratedFaults
+	run.InvariantChecks = guard.Checker().Checks()
 	run.FinalHPWays = ctl.HPWays()
-	run.Fingerprint = h.Sum64()
+	run.Fingerprint = fp.Sum64()
 	return run, nil
+}
+
+// fingerprint folds every period's controller state and installed masks
+// into an FNV-1a hash: a soak cell's trajectory identity.
+type fingerprint struct{ hash.Hash64 }
+
+// Emit implements obs.Sink.
+func (f fingerprint) Emit(r *obs.Record) {
+	fmt.Fprintf(f, "%d:%d:%s:%x:%x|", r.Period, r.HPWays, r.State, r.HPMask, r.BEMask)
 }

@@ -44,10 +44,11 @@ func TestSoakMatrix(t *testing.T) {
 
 	faultsBySchedule := map[string]int{}
 	for _, run := range res.Runs {
-		if run.InvariantChecks != cfg.HorizonPeriods+1 {
+		// One check after Setup, one per period, one post-drain.
+		if run.InvariantChecks != cfg.HorizonPeriods+2 {
 			t.Errorf("%s/%s/%d: %d invariant checks, want %d",
 				run.Workload, run.Schedule, run.Seed,
-				run.InvariantChecks, cfg.HorizonPeriods+1)
+				run.InvariantChecks, cfg.HorizonPeriods+2)
 		}
 		if run.Degradation > cfg.MaxHPDegradation {
 			t.Errorf("%s/%s/%d: degradation %.1f%% exceeds bound",
@@ -79,18 +80,18 @@ func TestSoakReplayDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a, err := s.soakRun(w, sched, 7, 40, nil)
+	a, err := s.soakRun(w, sched, 7, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.soakRun(w, sched, 7, 40, nil)
+	b, err := s.soakRun(w, sched, 7, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Fingerprint != b.Fingerprint || a.Stats != b.Stats {
 		t.Fatalf("replay diverged:\n%+v\n%+v", a, b)
 	}
-	c, err := s.soakRun(w, sched, 8, 40, nil)
+	c, err := s.soakRun(w, sched, 8, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestSoakReplayDeterministic(t *testing.T) {
 func TestSoakFaultFreeMatchesPlainRun(t *testing.T) {
 	s := soakSuite(t)
 	w := Workload{HP: "omnetpp1", BE: "gcc_base1", BECount: 9}
-	run, err := s.soakRun(w, chaos.Config{Name: "none"}, 0, 40, nil)
+	run, err := s.soakRun(w, chaos.Config{Name: "none"}, 0, 40)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,11 +94,11 @@ func TestSolverEquivalenceChaos(t *testing.T) {
 	}
 	for _, w := range equivWorkloads() {
 		for _, cell := range cells {
-			ro, err := opt.soakRun(w, cell.sched, cell.seed, horizon, nil)
+			ro, err := opt.soakRun(w, cell.sched, cell.seed, horizon)
 			if err != nil {
 				t.Fatalf("%s %s seed %d optimized: %v", w, cell.sched.Name, cell.seed, err)
 			}
-			rr, err := ref.soakRun(w, cell.sched, cell.seed, horizon, nil)
+			rr, err := ref.soakRun(w, cell.sched, cell.seed, horizon)
 			if err != nil {
 				t.Fatalf("%s %s seed %d reference: %v", w, cell.sched.Name, cell.seed, err)
 			}

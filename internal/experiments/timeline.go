@@ -1,4 +1,4 @@
-package dicer
+package experiments
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 	"math/bits"
 
 	"dicer/internal/policy"
+	"dicer/internal/resctrl"
 )
 
 // TimelineEntry is one monitoring period's view of a running scenario.
@@ -22,13 +23,13 @@ type TimelineEntry struct {
 // Timeline records per-period scenario state for post-hoc analysis. Attach
 // it to a Scenario before Run:
 //
-//	tl := &dicer.Timeline{}
+//	tl := &Timeline{}
 //	sc.AttachTimeline(tl)
 //
 // (AttachTimeline installs an OnPeriod hook, so it replaces any hook set
 // earlier.) For a structured, replayable audit trail — including the
 // controller's decisions, not just the counters — use Scenario.Trace with
-// a TraceRing or TraceJSONL sink instead; the timeline is the lightweight
+// an obs.Ring or obs.JSONL sink instead; the timeline is the lightweight
 // CSV-oriented view.
 type Timeline struct {
 	Entries []TimelineEntry
@@ -36,12 +37,19 @@ type Timeline struct {
 
 // AttachTimeline subscribes tl to the scenario's monitoring periods.
 // It must be called before Run; it replaces any previous OnPeriod hook.
-func (s *Scenario) AttachTimeline(tl *Timeline) {
-	s.OnPeriod = func(period int, p Period) {
+// The HP columns read CLOS 0 (the HP partition, or the first HP group of
+// a grouped run) and the BE columns the period's last CLOS group, where
+// the BEs run in every topology.
+func (sc *Scenario) AttachTimeline(tl *Timeline) {
+	sc.OnPeriod = func(period int, p resctrl.Period) {
+		be := policy.BEClos
+		if n := len(p.Groups); n > 0 {
+			be = p.Groups[n-1].Clos
+		}
 		e := TimelineEntry{
 			Period:    period,
 			HPIPC:     p.ClosMeanIPC(policy.HPClos),
-			BEMeanIPC: p.ClosMeanIPC(policy.BEClos),
+			BEMeanIPC: p.ClosMeanIPC(be),
 			HPBWGbps:  p.GroupBW(policy.HPClos),
 			TotalGbps: p.TotalGbps,
 		}
@@ -49,7 +57,7 @@ func (s *Scenario) AttachTimeline(tl *Timeline) {
 			switch g.Clos {
 			case policy.HPClos:
 				e.HPWays = bits.OnesCount64(g.CBM)
-			case policy.BEClos:
+			case be:
 				e.BEWays = bits.OnesCount64(g.CBM)
 			}
 		}

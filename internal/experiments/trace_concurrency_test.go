@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"dicer/internal/diag"
 	"dicer/internal/metrics"
 	"dicer/internal/obs"
 )
@@ -98,5 +99,41 @@ func TestRunManyWithLiveTracing(t *testing.T) {
 	}
 	if got := exp.Records(); got != horizon*len(jobs) {
 		t.Fatalf("cached re-run re-emitted records: %d", got)
+	}
+}
+
+// TestSuiteTraceDescribesWorkload: a trace recorded through Config.Trace
+// carries the whole workload in its header — every BE, the SLO, the link
+// capacity and the HP's alone reference — so offline analysis names the
+// workload and measures slowdown against the suite's own alone run
+// rather than the trace's peak HP IPC.
+func TestSuiteTraceDescribesWorkload(t *testing.T) {
+	var buf bytes.Buffer
+	jl := obs.NewJSONL(&buf)
+	cfg := DefaultConfig()
+	cfg.Trace = func(Workload, PolicyName) obs.Sink { return jl }
+	s, err := NewSuite(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(Workload{HP: "omnetpp1", BE: "gcc_base1", BECount: 9}, DICER, 20); err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := diag.Analyze(&buf, diag.AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.AloneIPC("omnetpp1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Workload != "omnetpp1 + 9 BEs" {
+		t.Errorf("workload %q, want %q", rep.Workload, "omnetpp1 + 9 BEs")
+	}
+	if rep.AloneIPC != want || rep.RefSource != "header" {
+		t.Errorf("alone reference %v from %q, want %v from the header", rep.AloneIPC, rep.RefSource, want)
 	}
 }

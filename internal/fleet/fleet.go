@@ -541,14 +541,11 @@ func (c *Cluster) aloneIPC(name string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := r.Attach(0, 0, prof); err != nil {
+	v, err := r.AloneIPC(prof, c.cfg.Machine.LLCWays, c.cfg.AloneHorizonPeriods*c.cfg.StepsPerPeriod,
+		c.cfg.PeriodSec/float64(c.cfg.StepsPerPeriod))
+	if err != nil {
 		return 0, err
 	}
-	dt := c.cfg.PeriodSec / float64(c.cfg.StepsPerPeriod)
-	for i := 0; i < c.cfg.AloneHorizonPeriods*c.cfg.StepsPerPeriod; i++ {
-		r.Step(dt)
-	}
-	v := r.Proc(0).IPC()
 	c.alone[name] = v
 	return v, nil
 }

@@ -196,13 +196,10 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	switch {
 	case k > 1:
 		specs := make([]cluster.AppSpec, k)
-		for i, hp := range cfg.HPs {
-			ph := r.Proc(i).PhaseRef()
-			specs[i] = cluster.AppSpec{
-				Name: hp.Name, Core: i, SLO: cfg.SLO,
-				Curve: ph.Curve, APKI: ph.APKI,
-			}
+		for i := range specs {
+			specs[i].SLO = cfg.SLO
 		}
+		cluster.Refresh(specs, r, false)
 		pol, err = core.NewMulti(core.MultiConfig{
 			Group:      cfg.DICER,
 			WayBytes:   cfg.Machine.WaysBytes(1),

@@ -4,8 +4,8 @@
 // probe pointwise, promoted to a checker that runs after every monitoring
 // period. It is used three ways:
 //
-//   - as a test helper: the chaos soak harness calls Check each period
-//     and fails the run on the first violation;
+//   - as a test helper: the chaos soak harness runs every cell behind
+//     the Guard and fails the run on the first violation;
 //   - as a runtime guard behind a config flag: Guard wraps any policy
 //     and turns a violation into an error from Observe, so a production
 //     deployment halts instead of installing an unsafe allocation;
@@ -254,6 +254,15 @@ func (g *Guard) Setup(sys resctrl.System) error {
 // installed masks deserve scrutiny.
 func (g *Guard) Observe(sys resctrl.System, p resctrl.Period) error {
 	return errors.Join(g.inner.Observe(sys, p), g.check(sys))
+}
+
+// Recheck validates the settled state once more, outside the period
+// sequence: after a fault-injecting substrate drained its delayed
+// writes, the installed masks must equal the controller's intent. The
+// period-monotone invariant does not apply to a re-check and is skipped.
+func (g *Guard) Recheck(sys resctrl.System) error {
+	g.checker.havePeriod = false
+	return g.check(sys)
 }
 
 func (g *Guard) check(sys resctrl.System) error {

@@ -51,7 +51,8 @@ const maxDecisions = 4
 // Header is the first line of a JSONL trace: everything needed to
 // interpret — and replay — the records that follow.
 type Header struct {
-	// Schema is always the package-level Schema constant.
+	// Schema is Schema or SchemaV2, stamped by Recorder.Start from the
+	// layout of the attached controller.
 	Schema string `json:"schema"`
 	// Policy is the co-location policy name (e.g. "DICER", "UM").
 	Policy string `json:"policy"`

@@ -25,8 +25,9 @@ import (
 // get dicer-trace/v1 records.
 //
 // Wiring order: NewRecorder, then AttachController / AttachChaos as the
-// run's substrate dictates, optionally Start with the trace header, then
-// EndPeriod once per monitoring period after the policy observed it.
+// run's substrate dictates, optionally Start with the workload half of
+// the trace header, then EndPeriod once per monitoring period after the
+// policy observed it.
 type Recorder struct {
 	sink      Sink
 	ctl       *core.Controller
@@ -83,8 +84,22 @@ func (r *Recorder) AttachChaos(cs *chaos.System) {
 	r.prevFaults = cs.Stats()
 }
 
-// Start forwards the trace header to the sink when it wants one.
+// Start forwards the trace header to the sink when it wants one. The
+// layout half of the header comes from the attached controller, as the
+// records' layout does: Start stamps the schema, the controller's
+// configuration and, for a grouped controller, its CLOS budget and
+// grouping policy.
 func (r *Recorder) Start(h Header) error {
+	h.Schema = Schema
+	if r.ctl != nil {
+		cfg := r.ctl.Config()
+		h.Controller = &cfg
+		if r.groups != nil {
+			h.Schema = SchemaV2
+			h.CLOSBudget = r.ctl.BEClos() + 1
+			h.Grouping = r.ctl.Grouping()
+		}
+	}
 	if hs, ok := r.sink.(HeaderSink); ok {
 		return hs.Start(h)
 	}

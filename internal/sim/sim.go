@@ -340,6 +340,28 @@ func (r *Runner) Proc(core int) *app.Proc {
 	return nil
 }
 
+// AloneIPC runs prof by itself on r — reset to a single CLOS and
+// confined to the low `ways` ways of the LLC (all of it when ways covers
+// the LLC) — for steps steps of dt seconds, and returns its cumulative
+// IPC: the alone-run reference the paper normalises co-located IPCs to.
+func (r *Runner) AloneIPC(prof app.Profile, ways, steps int, dt float64) (float64, error) {
+	if err := r.Reset(1); err != nil {
+		return 0, err
+	}
+	if err := r.Attach(0, 0, prof); err != nil {
+		return 0, err
+	}
+	if ways < r.m.LLCWays {
+		if err := r.SetMask(0, cache.ContiguousMask(0, ways)); err != nil {
+			return 0, err
+		}
+	}
+	for i := 0; i < steps; i++ {
+		r.Step(dt)
+	}
+	return r.Proc(0).IPC(), nil
+}
+
 // UseReferenceSolver routes all subsequent Steps (and share solves)
 // through the retained pre-optimisation solver in reference.go instead of
 // the cached allocation-free one. Solver-equivalence tests run the same

@@ -42,7 +42,7 @@ func TestScenarioUnderChaos(t *testing.T) {
 	if st.Dropouts+st.FrozenReads+st.JitteredReads+st.WritesRejected+st.WritesDelayed == 0 {
 		t.Fatalf("storm injected nothing: %v", st)
 	}
-	if res.HPIPC <= 0 || res.FinalHPWays <= 0 {
+	if res.Apps[0].IPC <= 0 || res.FinalHPWays <= 0 {
 		t.Fatalf("degenerate result %+v", res)
 	}
 
@@ -55,7 +55,7 @@ func TestScenarioUnderChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.HPIPC != res.HPIPC || res2.ChaosStats != res.ChaosStats ||
+	if res2.Apps[0].IPC != res.Apps[0].IPC || res2.ChaosStats != res.ChaosStats ||
 		res2.ToleratedFaults != res.ToleratedFaults {
 		t.Fatalf("chaos replay diverged:\n%+v\n%+v", res, res2)
 	}

@@ -18,8 +18,8 @@ func multiHPs(t *testing.T, names ...string) []HPApp {
 }
 
 // TestMultiScenarioM1MatchesLegacy is the scenario-level half of the
-// compatibility pin: a MultiScenario with one HP app, a two-CLOS budget
-// and the single grouping reproduces the legacy Scenario+DICER run
+// compatibility pin: one HP app under the grouped DICER with the single
+// grouping and a two-CLOS budget reproduces the two-CLOS DICER run
 // exactly — same IPCs, same final partition, same EFU.
 func TestMultiScenarioM1MatchesLegacy(t *testing.T) {
 	const horizon = 40
@@ -30,47 +30,44 @@ func TestMultiScenarioM1MatchesLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ms := &MultiScenario{
+	mres := runMulti(t, &Scenario{
 		HPs:            multiHPs(t, "omnetpp1"),
 		BEs:            legacy.BEs,
 		HorizonPeriods: horizon,
 		CLOSBudget:     2,
 		Grouping:       GroupingSingle,
-	}
-	mres, err := ms.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 
-	if mres.NumGroups != 1 {
-		t.Fatalf("M=1 run built %d groups", mres.NumGroups)
+	if mres.NumGroups() != 1 {
+		t.Fatalf("M=1 run built %d groups", mres.NumGroups())
 	}
-	if got, want := mres.Apps[0].IPC, lres.HPIPC; got != want {
-		t.Fatalf("HP IPC diverged: multi %v, legacy %v", got, want)
+	if got, want := mres.Apps[0].IPC, lres.Apps[0].IPC; got != want {
+		t.Fatalf("HP IPC diverged: grouped %v, two-CLOS %v", got, want)
 	}
-	if got, want := mres.Apps[0].AloneIPC, lres.HPAloneIPC; got != want {
-		t.Fatalf("HP alone IPC diverged: multi %v, legacy %v", got, want)
+	if got, want := mres.Apps[0].AloneIPC, lres.Apps[0].AloneIPC; got != want {
+		t.Fatalf("HP alone IPC diverged: grouped %v, two-CLOS %v", got, want)
 	}
 	if got, want := mres.GroupWays[0], lres.FinalHPWays; got != want {
-		t.Fatalf("final partition diverged: multi %d ways, legacy %d", got, want)
+		t.Fatalf("final partition diverged: grouped %d ways, two-CLOS %d", got, want)
 	}
 	if len(mres.BEIPCs) != len(lres.BEIPCs) {
 		t.Fatalf("BE count diverged: %d vs %d", len(mres.BEIPCs), len(lres.BEIPCs))
 	}
 	for i := range mres.BEIPCs {
 		if mres.BEIPCs[i] != lres.BEIPCs[i] {
-			t.Fatalf("BE %d IPC diverged: multi %v, legacy %v", i, mres.BEIPCs[i], lres.BEIPCs[i])
+			t.Fatalf("BE %d IPC diverged: grouped %v, two-CLOS %v", i, mres.BEIPCs[i], lres.BEIPCs[i])
 		}
 	}
 	if got, want := mres.EFU(), lres.EFU(); got != want {
-		t.Fatalf("EFU diverged: multi %v, legacy %v", got, want)
+		t.Fatalf("EFU diverged: grouped %v, two-CLOS %v", got, want)
 	}
 }
 
-// runMulti runs a scenario and fails the test on error.
-func runMulti(t *testing.T, ms *MultiScenario) MultiResult {
+// runMulti runs a scenario under its own DICER and fails the test on
+// error.
+func runMulti(t *testing.T, sc *Scenario) ScenarioResult {
 	t.Helper()
-	res, err := ms.Run()
+	res, err := sc.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +76,7 @@ func runMulti(t *testing.T, ms *MultiScenario) MultiResult {
 
 // sortedSlowdowns returns the per-app slowdown vector in ascending order
 // — the label-free view the metamorphic fairness tests compare.
-func sortedSlowdowns(res MultiResult) []float64 {
+func sortedSlowdowns(res ScenarioResult) []float64 {
 	out := make([]float64, len(res.Apps))
 	for i, a := range res.Apps {
 		out[i] = a.Slowdown()
@@ -100,12 +97,12 @@ func TestMultiScenarioPermutationFairness(t *testing.T) {
 		permuted[i] = names[p]
 	}
 
-	base := runMulti(t, &MultiScenario{
+	base := runMulti(t, &Scenario{
 		HPs: multiHPs(t, names...), BEs: []Profile{mustApp(t, "lbm1")},
 		Machine:        func() Machine { m := DefaultMachine(); m.Cores = 8; return m }(),
 		HorizonPeriods: 40, CLOSBudget: 6,
 	})
-	shuffled := runMulti(t, &MultiScenario{
+	shuffled := runMulti(t, &Scenario{
 		HPs: multiHPs(t, permuted...), BEs: []Profile{mustApp(t, "lbm1")},
 		Machine:        func() Machine { m := DefaultMachine(); m.Cores = 8; return m }(),
 		HorizonPeriods: 40, CLOSBudget: 6,
@@ -143,16 +140,16 @@ func TestMultiScenarioPermutationFairness(t *testing.T) {
 // every outcome unchanged.
 func TestMultiScenarioCLOSRelabelFairness(t *testing.T) {
 	names := []string{"milc1", "omnetpp1", "namd1", "povray1"}
-	run := func(budget int) MultiResult {
-		return runMulti(t, &MultiScenario{
+	run := func(budget int) ScenarioResult {
+		return runMulti(t, &Scenario{
 			HPs: multiHPs(t, names...), BEs: []Profile{mustApp(t, "lbm1")},
 			HorizonPeriods: 40, CLOSBudget: budget,
 		})
 	}
 	narrow, wide := run(8), run(16)
 
-	if narrow.NumGroups != wide.NumGroups {
-		t.Fatalf("group count changed with budget: %d vs %d", narrow.NumGroups, wide.NumGroups)
+	if narrow.NumGroups() != wide.NumGroups() {
+		t.Fatalf("group count changed with budget: %d vs %d", narrow.NumGroups(), wide.NumGroups())
 	}
 	for i := range narrow.Apps {
 		if narrow.Apps[i].IPC != wide.Apps[i].IPC {
@@ -184,7 +181,7 @@ func TestMultiScenarioOverBudget(t *testing.T) {
 	}
 	m := DefaultMachine()
 	m.Cores = 24
-	ms := &MultiScenario{
+	ms := &Scenario{
 		Machine:        m,
 		HPs:            multiHPs(t, names[:20]...),
 		BEs:            []Profile{mustApp(t, "lbm1"), mustApp(t, "gcc_base1")},
@@ -193,8 +190,8 @@ func TestMultiScenarioOverBudget(t *testing.T) {
 	}
 	res := runMulti(t, ms)
 
-	if res.NumGroups < 1 || res.NumGroups > 15 {
-		t.Fatalf("plan uses %d groups under a 16-CLOS budget", res.NumGroups)
+	if res.NumGroups() < 1 || res.NumGroups() > 15 {
+		t.Fatalf("plan uses %d groups under a 16-CLOS budget", res.NumGroups())
 	}
 	if len(res.Apps) != 20 {
 		t.Fatalf("result covers %d apps, want 20", len(res.Apps))
@@ -210,8 +207,8 @@ func TestMultiScenarioOverBudget(t *testing.T) {
 		t.Fatalf("groups hold %d ways of %d (BE floor violated)", waysSum, m.LLCWays)
 	}
 	for i, a := range res.Apps {
-		if a.Group < 0 || a.Group >= res.NumGroups {
-			t.Fatalf("app %d (%s) in group %d of %d", i, a.Name, a.Group, res.NumGroups)
+		if a.Group < 0 || a.Group >= res.NumGroups() {
+			t.Fatalf("app %d (%s) in group %d of %d", i, a.Name, a.Group, res.NumGroups())
 		}
 		if a.IPC <= 0 || a.AloneIPC <= 0 {
 			t.Fatalf("app %s has degenerate IPCs %v/%v", a.Name, a.IPC, a.AloneIPC)
@@ -223,7 +220,7 @@ func TestMultiScenarioOverBudget(t *testing.T) {
 	// Per-app grouping is infeasible at this scale and must refuse.
 	perApp := *ms
 	perApp.Grouping = GroupingPerApp
-	if _, err := perApp.Run(); err == nil {
+	if _, err := perApp.Run(nil); err == nil {
 		t.Fatal("per-app grouping accepted 20 apps under a 16-CLOS budget")
 	}
 }
@@ -232,8 +229,8 @@ func TestMultiScenarioOverBudget(t *testing.T) {
 // periodic re-planning against upcoming-phase hints runs clean and is
 // deterministic.
 func TestMultiScenarioRecluster(t *testing.T) {
-	build := func() *MultiScenario {
-		return &MultiScenario{
+	build := func() *Scenario {
+		return &Scenario{
 			HPs:            multiHPs(t, "astar1", "bzip21", "milc1", "namd1"),
 			BEs:            []Profile{mustApp(t, "lbm1")},
 			HorizonPeriods: 60,
@@ -260,7 +257,7 @@ func TestMultiScenarioRecluster(t *testing.T) {
 func TestMultiScenarioTraceV2(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewTraceJSONL(&buf)
-	ms := &MultiScenario{
+	ms := &Scenario{
 		HPs:            multiHPs(t, "milc1", "namd1"),
 		BEs:            []Profile{mustApp(t, "lbm1")},
 		HorizonPeriods: 10,
@@ -285,8 +282,8 @@ func TestMultiScenarioTraceV2(t *testing.T) {
 		t.Fatalf("trace holds %d records, want 10", len(recs))
 	}
 	for i, rec := range recs {
-		if len(rec.Groups) != res.NumGroups {
-			t.Fatalf("record %d has %d group records, want %d", i, len(rec.Groups), res.NumGroups)
+		if len(rec.Groups) != res.NumGroups() {
+			t.Fatalf("record %d has %d group records, want %d", i, len(rec.Groups), res.NumGroups())
 		}
 		for gi, g := range rec.Groups {
 			if g.Group != gi {
@@ -301,17 +298,17 @@ func TestMultiScenarioTraceV2(t *testing.T) {
 
 // TestMultiScenarioValidation pins the scenario error surface.
 func TestMultiScenarioValidation(t *testing.T) {
-	if _, err := (&MultiScenario{}).Run(); err == nil {
+	if _, err := (&Scenario{}).Run(nil); err == nil {
 		t.Fatal("scenario with no HP apps accepted")
 	}
-	over := &MultiScenario{
+	over := &Scenario{
 		HPs: multiHPs(t, "milc1"),
 		BEs: make([]Profile, 12),
 	}
 	for i := range over.BEs {
 		over.BEs[i] = mustApp(t, "lbm1")
 	}
-	if _, err := over.Run(); err == nil {
+	if _, err := over.Run(nil); err == nil {
 		t.Fatal("scenario exceeding core count accepted")
 	}
 }

@@ -45,7 +45,7 @@ func TestPropertyBEPermutationInvariance(t *testing.T) {
 	}
 	for _, names := range mixes {
 		build := func(order []string) *Scenario {
-			sc := &Scenario{HP: app.MustByName("milc1"), HorizonPeriods: 40}
+			sc := &Scenario{HPs: []HPApp{{Profile: app.MustByName("milc1")}}, HorizonPeriods: 40}
 			for _, n := range order {
 				sc.BEs = append(sc.BEs, app.MustByName(n))
 			}

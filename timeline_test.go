@@ -40,6 +40,36 @@ func TestTimelineRecordsEveryPeriod(t *testing.T) {
 	}
 }
 
+// TestTimelineGroupedReadsBEPartition: on a grouped run CLOS 1 is an HP
+// group, so the BE columns must come from the last CLOS id, where the
+// BEs run.
+func TestTimelineGroupedReadsBEPartition(t *testing.T) {
+	const budget = 4
+	sc := &Scenario{
+		HPs:            multiHPs(t, "milc1", "namd1", "omnetpp1"),
+		BEs:            []Profile{mustApp(t, "lbm1")},
+		HorizonPeriods: 10,
+		CLOSBudget:     budget,
+	}
+	tl := &Timeline{}
+	sc.AttachTimeline(tl)
+	var beIPC []float64
+	hook := sc.OnPeriod
+	sc.OnPeriod = func(period int, p Period) {
+		hook(period, p)
+		beIPC = append(beIPC, p.ClosMeanIPC(budget-1))
+	}
+	res := runMulti(t, sc)
+	if res.NumGroups() < 2 {
+		t.Fatalf("plan built %d groups; the test needs CLOS 1 to be an HP group", res.NumGroups())
+	}
+	for i, e := range tl.Entries {
+		if e.BEMeanIPC != beIPC[i] || e.BEWays < 1 || e.HPWays+e.BEWays > 20 {
+			t.Fatalf("entry %d does not read the BE partition: %+v (BE IPC %v)", i, e, beIPC[i])
+		}
+	}
+}
+
 func TestTimelineCSV(t *testing.T) {
 	tl := &Timeline{Entries: []TimelineEntry{
 		{Period: 0, HPIPC: 0.5, BEMeanIPC: 0.4, HPWays: 19, BEWays: 1, HPBWGbps: 5, TotalGbps: 50},

@@ -136,7 +136,7 @@ func recordGoldenTraceV2(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	jl := NewTraceJSONL(&buf)
-	ms := &MultiScenario{
+	ms := &Scenario{
 		HPs:            multiHPs(t, "astar1", "bzip21", "milc1", "namd1"),
 		BEs:            []Profile{mustApp(t, "lbm1")},
 		HorizonPeriods: goldenV2Periods,
@@ -145,7 +145,7 @@ func recordGoldenTraceV2(t *testing.T) []byte {
 		UsePhaseHints:  true,
 		Trace:          jl,
 	}
-	res, err := ms.Run()
+	res, err := ms.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
