@@ -23,16 +23,16 @@ func multiHPs(t *testing.T, names ...string) []HPApp {
 // exactly — same IPCs, same final partition, same EFU.
 func TestMultiScenarioM1MatchesLegacy(t *testing.T) {
 	const horizon = 40
-	legacy := NewScenario("omnetpp1", "gcc_base1", 3)
-	legacy.HorizonPeriods = horizon
-	lres, err := legacy.Run(NewDICER())
+	split := NewScenario("omnetpp1", "gcc_base1", 3)
+	split.HorizonPeriods = horizon
+	lres, err := split.Run(NewDICER())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	mres := runMulti(t, &Scenario{
 		HPs:            multiHPs(t, "omnetpp1"),
-		BEs:            legacy.BEs,
+		BEs:            split.BEs,
 		HorizonPeriods: horizon,
 		CLOSBudget:     2,
 		Grouping:       GroupingSingle,
@@ -310,5 +310,9 @@ func TestMultiScenarioValidation(t *testing.T) {
 	}
 	if _, err := over.Run(nil); err == nil {
 		t.Fatal("scenario exceeding core count accepted")
+	}
+	grouped := &Scenario{HPs: multiHPs(t, "milc1", "namd1"), BEs: []Profile{mustApp(t, "lbm1")}}
+	if _, err := grouped.Run(NewDICER()); err == nil {
+		t.Fatal("grouped scenario accepted an outside policy")
 	}
 }
