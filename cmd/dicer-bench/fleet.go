@@ -200,9 +200,10 @@ func writeFleetGrid(cfg experiments.Config, w io.Writer) error {
 // checkFleetRegression compares the freshly written record at freshPath
 // against the committed record at againstPath and fails when
 // ns_per_node_period regresses by more than pct percent, or when the
-// simulator falls behind real time. Quality figures are not gated here
-// (they are pinned by the golden and hypothesis suites); this gate
-// enforces the stepping-throughput trajectory only.
+// simulator falls behind real time. Records measured at different
+// worker counts are refused rather than compared. Quality figures are
+// not gated here (they are pinned by the golden and hypothesis suites);
+// this gate enforces the stepping-throughput trajectory only.
 func checkFleetRegression(freshPath, againstPath string, pct float64) error {
 	read := func(path string) (fleetRecord, error) {
 		var r fleetRecord
@@ -219,6 +220,10 @@ func checkFleetRegression(freshPath, againstPath string, pct float64) error {
 	committed, err := read(againstPath)
 	if err != nil {
 		return err
+	}
+	if fresh.Workers != committed.Workers {
+		return fmt.Errorf("fleet bench: %s ran %d workers but %s was recorded at %d; rerun with -workers %d",
+			freshPath, fresh.Workers, againstPath, committed.Workers, committed.Workers)
 	}
 	limit := 1 + pct/100
 	fail := false

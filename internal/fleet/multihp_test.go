@@ -122,7 +122,7 @@ func TestHeadroomGroupPressurePenalty(t *testing.T) {
 	pressured.ID = 0
 	pressured.HPGroupPressure = 0.8
 
-	idx, ok := (HeadroomScheduler{}).Pick(job, []NodeView{pressured, calm})
+	idx, ok := (&HeadroomScheduler{}).Pick(job, []NodeView{pressured, calm})
 	if !ok {
 		t.Fatal("no node picked")
 	}
@@ -132,7 +132,7 @@ func TestHeadroomGroupPressurePenalty(t *testing.T) {
 	// Zero pressure ties break to the lower ID, proving the penalty (not
 	// ordering) decided above.
 	pressured.HPGroupPressure = 0
-	idx, _ = (HeadroomScheduler{}).Pick(job, []NodeView{pressured, calm})
+	idx, _ = (&HeadroomScheduler{}).Pick(job, []NodeView{pressured, calm})
 	if idx != 0 {
 		t.Fatalf("tie-break sanity: picked %d, want 0", idx)
 	}
