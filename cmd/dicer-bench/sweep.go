@@ -115,9 +115,11 @@ func writeSweepJSON(cfg experiments.Config, path string) error {
 
 // checkSweepRegression compares the freshly written record at freshPath
 // against the committed record at againstPath and fails when ns_per_step
-// or allocs_per_step regresses by more than pct percent. Improvements
-// and the CDF shape are not gated here (the CDF is pinned exactly by the
-// golden tests); this gate enforces the perf trajectory only.
+// or allocs_per_step regresses by more than pct percent. Records
+// measured at different worker counts are refused rather than compared.
+// Improvements and the CDF shape are not gated here (the CDF is pinned
+// exactly by the golden tests); this gate enforces the perf trajectory
+// only.
 func checkSweepRegression(freshPath, againstPath string, pct float64) error {
 	read := func(path string) (sweepRecord, error) {
 		var r sweepRecord
@@ -134,6 +136,10 @@ func checkSweepRegression(freshPath, againstPath string, pct float64) error {
 	committed, err := read(againstPath)
 	if err != nil {
 		return err
+	}
+	if fresh.Workers != committed.Workers {
+		return fmt.Errorf("sweep bench: %s ran %d workers but %s was recorded at %d; rerun with -workers %d",
+			freshPath, fresh.Workers, againstPath, committed.Workers, committed.Workers)
 	}
 	limit := 1 + pct/100
 	fail := false

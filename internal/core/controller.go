@@ -90,8 +90,8 @@ type Controller struct {
 	// Trace, when non-nil, receives one Event per decision.
 	Trace func(Event)
 
-	// specs is the caller-owned planning view, refreshed via UpdateSpecs;
-	// nil on the two-CLOS split, which has no plan.
+	// specs is the planning view, refreshed in place through Specs; nil
+	// on the two-CLOS split, which has no plan.
 	specs []cluster.AppSpec
 	plan  cluster.Plan
 
@@ -128,7 +128,7 @@ func MustNew(cfg Config) *Controller {
 }
 
 // NewMulti creates a grouped controller over the given app specs. The
-// spec slice is copied; refresh per-phase curves with UpdateSpecs.
+// spec slice is copied; refresh per-phase curves through Specs.
 func NewMulti(cfg MultiConfig, specs []cluster.AppSpec) (*Controller, error) {
 	if cfg.Grouping == "" {
 		cfg.Grouping = GroupingClustered
@@ -217,18 +217,12 @@ func (c *Controller) State() string { return c.groups[0].st.String() }
 // workload (no bandwidth saturation observed so far).
 func (c *Controller) CTFavoured() bool { return c.groups[0].ctFavoured }
 
-// UpdateSpecs refreshes the per-app planning view (current-phase curves
-// and optional upcoming-phase hints). Call it before Observe on periods
-// where phases may have moved; it copies in place and does not replan —
-// the re-cluster schedule decides when plans change. The slice length
-// must match the construction-time app count.
-func (c *Controller) UpdateSpecs(specs []cluster.AppSpec) error {
-	if len(specs) != len(c.specs) {
-		return fmt.Errorf("dicer: spec count changed %d -> %d", len(c.specs), len(specs))
-	}
-	copy(c.specs, specs)
-	return nil
-}
+// Specs returns the per-app planning view (current-phase curves and
+// optional upcoming-phase hints), nil on the two-CLOS split. It is live:
+// refresh it in place before Observe on periods where phases may have
+// moved. Refreshing does not replan — the re-cluster schedule and Replan
+// decide when plans change.
+func (c *Controller) Specs() []cluster.AppSpec { return c.specs }
 
 // Setup implements policy.Policy: install CT's starting point in every
 // group (Listing 1's initialisation). A grouped controller first plans

@@ -16,13 +16,12 @@ import (
 	"sync/atomic"
 
 	"dicer/internal/app"
+	"dicer/internal/box"
 	"dicer/internal/core"
 	"dicer/internal/machine"
 	"dicer/internal/metrics"
 	"dicer/internal/obs"
 	"dicer/internal/policy"
-	"dicer/internal/resctrl"
-	"dicer/internal/sim"
 )
 
 // Config controls how scenarios are simulated.
@@ -273,31 +272,18 @@ func NewSuite(cfg Config) (*Suite, error) {
 	}, nil
 }
 
-// runCtx is the pooled per-run state: a Runner, the resctrl emulation
-// wrapping it and a Meter over the emulation, plus the scenario and
-// result a Suite run fills. Pooling them together (rather than the
-// Runner alone) carries every grown scratch buffer — snapshot slices,
-// counter readings, period backing, the scenario's app lists and the
-// result's IPC slices — from run to run, so steady-state runs allocate
-// nothing for them. A worker holds at most one runCtx at a time; the
-// pool's steady-state population equals the executor's worker count.
+// runCtx is the pooled per-run state: a box (Runner, resctrl emulation
+// and its Meter), plus the scenario and result a Suite run fills.
+// Pooling them together (rather than the Runner alone) carries every
+// grown scratch buffer — snapshot slices, counter readings, period
+// backing, the scenario's app lists and the result's IPC slices — from
+// run to run, so steady-state runs allocate nothing for them. A worker
+// holds at most one runCtx at a time; the pool's steady-state population
+// equals the executor's worker count.
 type runCtx struct {
-	r     *sim.Runner
-	emu   *resctrl.Emu
-	meter *resctrl.Meter
-	sc    Scenario
-	res   ScenarioResult
-}
-
-// newCtx builds a box on machine m. Its Meter's baseline is stale until
-// a run rebaselines it after attaching processes.
-func newCtx(m machine.Machine) (*runCtx, error) {
-	r, err := sim.New(m, 1)
-	if err != nil {
-		return nil, err
-	}
-	emu := resctrl.NewEmu(r, false)
-	return &runCtx{r: r, emu: emu, meter: resctrl.NewMeter(emu)}, nil
+	box *box.Box
+	sc  Scenario
+	res ScenarioResult
 }
 
 // getCtx returns a pooled runCtx on the suite's machine (or a fresh one
@@ -306,12 +292,13 @@ func newCtx(m machine.Machine) (*runCtx, error) {
 func (s *Suite) getCtx() (*runCtx, error) {
 	c, _ := s.ctxs.Get().(*runCtx)
 	if c == nil {
-		var err error
-		if c, err = newCtx(s.cfg.Machine); err != nil {
+		b, err := box.New(s.cfg.Machine)
+		if err != nil {
 			return nil, err
 		}
+		c = &runCtx{box: b}
 	}
-	c.r.UseReferenceSolver(s.cfg.ReferenceSolver)
+	c.box.Runner.UseReferenceSolver(s.cfg.ReferenceSolver)
 	return c, nil
 }
 
@@ -395,7 +382,7 @@ func (s *Suite) aloneUncached(name string, ways int) (float64, error) {
 		return 0, err
 	}
 	defer s.putCtx(c)
-	return c.r.AloneIPC(prof, ways, s.cfg.HorizonPeriods*s.cfg.StepsPerPeriod,
+	return c.box.Runner.AloneIPC(prof, ways, s.cfg.HorizonPeriods*s.cfg.StepsPerPeriod,
 		s.cfg.PeriodSec/float64(s.cfg.StepsPerPeriod))
 }
 
@@ -448,7 +435,7 @@ func (s *Suite) run(w Workload, p policy.Policy, polName PolicyName, horizon int
 	if s.cfg.Trace != nil {
 		sc.Trace = s.cfg.Trace(w, polName)
 	}
-	if err := sc.run(c, p, s.cfg.DICER, s.aloneIPC, &c.res); err != nil {
+	if err := sc.run(c.box, p, s.cfg.DICER, s.aloneIPC, &c.res); err != nil {
 		return Result{}, err
 	}
 	hp := c.res.Apps[0]

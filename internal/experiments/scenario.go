@@ -6,8 +6,8 @@ import (
 	"math/bits"
 
 	"dicer/internal/app"
+	"dicer/internal/box"
 	"dicer/internal/chaos"
-	"dicer/internal/cluster"
 	"dicer/internal/core"
 	"dicer/internal/invariant"
 	"dicer/internal/machine"
@@ -31,7 +31,8 @@ const defaultSLO = 0.9
 // Grouping, run the scenario's own grouped DICER: an LFOC-style plan
 // maps the HP apps to at most CLOSBudget-1 CLOS groups and the BEs share
 // the last CLOS id. The Suite drives every single-box run of the
-// evaluation through the same loop.
+// evaluation through the same loop, on the same box (internal/box) every
+// fleet node runs.
 type Scenario struct {
 	// Machine is the simulated platform; zero value means machine.Default.
 	Machine machine.Machine
@@ -89,10 +90,7 @@ type Scenario struct {
 
 // HPApp is one high-priority application: the profile plus its SLO
 // (target fraction of alone performance, default 0.9).
-type HPApp struct {
-	Profile app.Profile
-	SLO     float64
-}
+type HPApp = box.HP
 
 // NewScenario builds a single-HP Scenario from catalog names: one HP and
 // beCount copies of one BE. It panics on unknown names (use the struct
@@ -285,15 +283,25 @@ func AloneIPC(m machine.Machine, prof app.Profile) (float64, error) {
 }
 
 // run is the one co-location run behind Scenario.Run and every Suite
-// path. c is the box to run on (nil builds a fresh one on the scenario's
+// path. b is the box to run on (nil builds a fresh one on the scenario's
 // machine); dcfg configures the scenario's own DICER when pol is nil;
 // alone resolves the alone-run references; res receives the outcome,
 // reusing its slices. Fields are taken as set: defaults are the
 // caller's business.
-func (sc *Scenario) run(c *runCtx, pol policy.Policy, dcfg core.Config,
+func (sc *Scenario) run(b *box.Box, pol policy.Policy, dcfg core.Config,
 	alone func(app.Profile) (float64, error), res *ScenarioResult) error {
-	m := len(sc.HPs)
-	grouped := sc.Grouping != "" || m > 1
+	cfg := box.Config{
+		HPs:            sc.HPs,
+		BEs:            sc.BEs,
+		PeriodSec:      sc.PeriodSec,
+		StepsPerPeriod: sc.StepsPerPeriod,
+		CLOSBudget:     sc.CLOSBudget,
+		Grouping:       sc.Grouping,
+		ReclusterEvery: sc.ReclusterEvery,
+		UsePhaseHints:  sc.UsePhaseHints,
+		DICER:          dcfg,
+	}
+	m, grouped := len(sc.HPs), cfg.Grouped()
 	switch {
 	case m == 0:
 		return errors.New("experiments: scenario needs at least one HP app")
@@ -307,82 +315,39 @@ func (sc *Scenario) run(c *runCtx, pol policy.Policy, dcfg core.Config,
 	*res = ScenarioResult{Apps: res.Apps[:0], BEIPCs: res.BEIPCs[:0],
 		BEAloneIPCs: res.BEAloneIPCs[:0], GroupWays: res.GroupWays[:0]}
 
-	// Build the box: HP apps start in CLOS 0 (a grouped DICER's Setup
-	// moves them into their groups), BEs share the last CLOS id.
 	var err error
-	if c == nil {
-		if c, err = newCtx(sc.Machine); err != nil {
+	if b == nil {
+		if b, err = box.New(sc.Machine); err != nil {
 			return err
 		}
 	}
-	r, nclos := c.r, 2
-	if grouped {
-		nclos = sc.CLOSBudget
-	}
-	if err := r.Reset(nclos); err != nil {
+	if err := b.Build(cfg, pol); err != nil {
 		return err
 	}
-	for i, hp := range sc.HPs {
-		if err := r.Attach(i, policy.HPClos, hp.Profile); err != nil {
-			return err
-		}
-	}
-	for i, be := range sc.BEs {
-		if err := r.Attach(m+i, nclos-1, be); err != nil {
-			return err
-		}
-	}
-
-	// The scenario's own DICER: one group on the two-CLOS split, or the
-	// grouped controller planning over the HP apps' live specs.
-	var specs []cluster.AppSpec
-	var grp *core.Controller
-	switch {
-	case grouped:
-		specs = make([]cluster.AppSpec, m)
-		for i, hp := range sc.HPs {
-			specs[i].SLO = hp.SLO
-		}
-		cluster.Refresh(specs, r, sc.UsePhaseHints)
-		if grp, err = core.NewMulti(core.MultiConfig{
-			Group:          dcfg,
-			WayBytes:       sc.Machine.WaysBytes(1),
-			CLOSBudget:     sc.CLOSBudget,
-			Grouping:       sc.Grouping,
-			ReclusterEvery: sc.ReclusterEvery,
-			UsePhaseHints:  sc.UsePhaseHints,
-		}, specs); err != nil {
-			return err
-		}
-		grp.ChainTrace(func(e core.Event) {
+	pol = b.Policy
+	if b.Grouped != nil {
+		b.Grouped.ChainTrace(func(e core.Event) {
 			if e.Kind == core.EventRecluster && e.Group == 0 {
 				res.Reclusters++
 			}
 		})
-		pol = grp
-	case pol == nil:
-		if pol, err = core.New(dcfg); err != nil {
-			return err
-		}
 	}
 
-	// Wrap it: MBA-capable emulation, the fault layer, the guard. A
-	// wrapped substrate gets its own meter.
-	sys, meter := resctrl.System(c.emu), c.meter
+	// Wrap it: MBA-capable emulation, the fault layer, the guard. Start
+	// gives a wrapped substrate its own meter.
 	if sc.WithMBA {
-		sys, meter = resctrl.NewEmu(r, true), nil
+		b.Sys = resctrl.NewEmu(b.Runner, true)
 	}
 	var csys *chaos.System
 	if sc.Chaos != nil && sc.Chaos.Active() {
 		if err := sc.Chaos.Validate(); err != nil {
 			return err
 		}
-		csys = chaos.New(sys, *sc.Chaos, sc.ChaosSeed)
-		sys, meter = csys, nil
+		csys = chaos.New(b.Sys, *sc.Chaos, sc.ChaosSeed)
+		b.Sys = csys
 	}
-	runPol := pol
 	if sc.CheckInvariants {
-		runPol = invariant.Wrap(pol)
+		b.Policy = invariant.Wrap(pol)
 	}
 	// tolerate absorbs injected actuation faults (the policy retries on
 	// the next period, like a production controller would); invariant
@@ -399,50 +364,26 @@ func (sc *Scenario) run(c *runCtx, pol policy.Policy, dcfg core.Config,
 		return nil
 	}
 
-	var rec *obs.Recorder
 	if sc.Trace != nil {
-		rec = obs.NewRecorder(sc.Trace)
-		rec.AttachController(core.ControllerOf(runPol))
-		rec.AttachChaos(csys)
+		b.Rec = obs.NewRecorder(sc.Trace)
+		b.Rec.AttachController(core.ControllerOf(b.Policy))
+		b.Rec.AttachChaos(csys)
 		h, err := sc.header(pol.Name(), grouped, alone)
 		if err == nil {
-			err = rec.Start(h)
+			err = b.Rec.Start(h)
 		}
 		if err != nil {
 			return err
 		}
 	}
+	b.OnPeriod = sc.OnPeriod
 
-	if err := tolerate(runPol.Setup(sys)); err != nil {
+	if err := tolerate(b.Start()); err != nil {
 		return err
 	}
-	// (Re)baseline at exactly the point a fresh meter would: after
-	// attach and policy setup, before the first step.
-	if meter == nil {
-		meter = resctrl.NewMeter(sys)
-	} else {
-		meter.Rebaseline()
-	}
-	dt := sc.PeriodSec / float64(sc.StepsPerPeriod)
 	for period := 0; period < sc.HorizonPeriods; period++ {
-		for step := 0; step < sc.StepsPerPeriod; step++ {
-			r.Step(dt)
-		}
-		p := meter.Sample()
-		if sc.OnPeriod != nil {
-			sc.OnPeriod(period, p)
-		}
-		if grp != nil {
-			cluster.Refresh(specs, r, sc.UsePhaseHints)
-			if err := grp.UpdateSpecs(specs); err != nil {
-				return err
-			}
-		}
-		obsErr := runPol.Observe(sys, p)
-		if rec != nil {
-			rec.EndPeriod(period, p, sys, obsErr)
-		}
-		if err := tolerate(obsErr); err != nil {
+		_, err := b.Period(period)
+		if err := tolerate(err); err != nil {
 			return err
 		}
 	}
@@ -452,8 +393,8 @@ func (sc *Scenario) run(c *runCtx, pol policy.Policy, dcfg core.Config,
 		// one the controller last asked for; a guarded run then checks
 		// that the installed masks equal its intent.
 		csys.Drain()
-		if g, ok := runPol.(*invariant.Guard); ok {
-			if err := g.Recheck(sys); err != nil {
+		if g, ok := b.Policy.(*invariant.Guard); ok {
+			if err := g.Recheck(b.Sys); err != nil {
 				return fmt.Errorf("post-drain: %w", err)
 			}
 		}
@@ -462,7 +403,7 @@ func (sc *Scenario) run(c *runCtx, pol policy.Policy, dcfg core.Config,
 
 	res.PolicyName = pol.Name()
 	groups := 1
-	if ctl := core.ControllerOf(runPol); ctl != nil {
+	if ctl := core.ControllerOf(b.Policy); ctl != nil {
 		groups = ctl.NumGroups()
 		for gi := 0; gi < groups; gi++ {
 			res.GroupWays = append(res.GroupWays, ctl.GroupWays(gi))
@@ -470,7 +411,7 @@ func (sc *Scenario) run(c *runCtx, pol policy.Policy, dcfg core.Config,
 	}
 	var hpMask uint64
 	for gi := 0; gi < groups; gi++ {
-		hpMask |= sys.CBM(gi)
+		hpMask |= b.Sys.CBM(gi)
 	}
 	res.FinalHPWays = bits.OnesCount64(hpMask)
 	for i, hp := range sc.HPs {
@@ -478,9 +419,9 @@ func (sc *Scenario) run(c *runCtx, pol policy.Policy, dcfg core.Config,
 		if err != nil {
 			return err
 		}
-		a := HPAppResult{Name: hp.Profile.Name, SLO: hp.SLO, IPC: r.Proc(i).IPC(), AloneIPC: ref}
-		if grp != nil {
-			a.Group = grp.GroupOf(i)
+		a := HPAppResult{Name: hp.Profile.Name, SLO: hp.SLO, IPC: b.Runner.Proc(i).IPC(), AloneIPC: ref}
+		if b.Grouped != nil {
+			a.Group = b.Grouped.GroupOf(i)
 		}
 		res.Apps = append(res.Apps, a)
 	}
@@ -492,7 +433,7 @@ func (sc *Scenario) run(c *runCtx, pol policy.Policy, dcfg core.Config,
 				return err
 			}
 		}
-		res.BEIPCs = append(res.BEIPCs, r.Proc(m+i).IPC())
+		res.BEIPCs = append(res.BEIPCs, b.Runner.Proc(m+i).IPC())
 		res.BEAloneIPCs = append(res.BEAloneIPCs, ref)
 	}
 	return nil

@@ -298,15 +298,14 @@ type Cluster struct {
 	// stepping slots, the per-worker accumulators, the placement views
 	// with their node-index owners, and the survivor queue. Steady-state
 	// stepping allocates nothing.
-	rec     ClusterRecord
-	haveRec bool
-	outs    []stepOut
-	accs    []stepAcc
-	views   []NodeView
-	owner   []int
-	kept    []*Job
-	stepP   int
-	stepFn  func(w, i int) error
+	rec    ClusterRecord
+	outs   []stepOut
+	accs   []stepAcc
+	views  []NodeView
+	owner  []int
+	kept   []*Job
+	stepP  int
+	stepFn func(w, i int) error
 
 	stepMu    sync.Mutex
 	finished  bool
@@ -550,13 +549,6 @@ func (c *Cluster) aloneIPC(name string) (float64, error) {
 	return v, nil
 }
 
-// Period returns the number of completed periods.
-func (c *Cluster) Period() int {
-	c.stepMu.Lock()
-	defer c.stepMu.Unlock()
-	return c.period
-}
-
 // Done reports whether the horizon has been reached.
 func (c *Cluster) Done() bool {
 	c.stepMu.Lock()
@@ -576,16 +568,6 @@ func (r *ClusterRecord) clone() ClusterRecord {
 	return out
 }
 
-// LastRecord returns a copy of the most recent period record, if any.
-func (c *Cluster) LastRecord() (ClusterRecord, bool) {
-	c.stepMu.Lock()
-	defer c.stepMu.Unlock()
-	if !c.haveRec {
-		return ClusterRecord{}, false
-	}
-	return c.rec.clone(), true
-}
-
 // QueueEntry is one waiting job, as exposed on /queue.
 type QueueEntry struct {
 	Job           int    `json:"job"`
@@ -595,13 +577,7 @@ type QueueEntry struct {
 	NotBefore     int    `json:"not_before,omitempty"`
 }
 
-// QueueSnapshot returns the current admission queue in order.
-func (c *Cluster) QueueSnapshot() []QueueEntry {
-	c.stepMu.Lock()
-	defer c.stepMu.Unlock()
-	return c.queueSnapshotLocked()
-}
-
+// queueSnapshotLocked returns the current admission queue in order.
 func (c *Cluster) queueSnapshotLocked() []QueueEntry {
 	out := make([]QueueEntry, 0, len(c.queue))
 	for _, j := range c.queue {
@@ -945,7 +921,6 @@ func (c *Cluster) stepLocked() (*ClusterRecord, error) {
 			return nil, err
 		}
 	}
-	c.haveRec = true
 	c.period++
 	return rec, nil
 }

@@ -5,13 +5,11 @@ import (
 	"math/bits"
 
 	"dicer/internal/app"
-	"dicer/internal/cluster"
+	"dicer/internal/box"
 	"dicer/internal/core"
 	"dicer/internal/machine"
 	"dicer/internal/metrics"
 	"dicer/internal/policy"
-	"dicer/internal/resctrl"
-	"dicer/internal/sim"
 )
 
 // Job is one admitted best-effort job: a catalog application that
@@ -103,13 +101,11 @@ type Heartbeat struct {
 	NormSum float64 `json:"norm_sum,omitempty"`
 }
 
-// Node is one simulated server of the cluster.
+// Node is one simulated server of the cluster: a box plus the BE jobs
+// placed on it.
 type Node struct {
-	cfg    NodeConfig
-	runner *sim.Runner
-	sys    *resctrl.Emu
-	pol    policy.Policy
-	meter  *resctrl.Meter
+	cfg NodeConfig
+	box *box.Box
 
 	// hpCount HPs occupy cores 0..hpCount-1; BE jobs share beClos, the
 	// last CLOS id of the node's simulator.
@@ -148,7 +144,7 @@ type Node struct {
 
 // NewNode builds a node, attaches its HPs on cores 0..len(HPs)-1 and
 // runs the policy's Setup. A single HP runs any of UM/CT/DICER on the
-// two-CLOS HP/BE split; several HPs run a grouped DICER controller under
+// two-CLOS HP/BE split; several HPs run the box's grouped DICER under
 // the node's CLOS budget: HPs attach to CLOS 0, the clustered plan moves
 // their cores into CLOS groups, and BE jobs share the last CLOS id.
 func NewNode(cfg NodeConfig) (*Node, error) {
@@ -183,49 +179,36 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			return nil, fmt.Errorf("fleet: node %d CLOS budget %d < 2", cfg.ID, nclos)
 		}
 	}
-	r, err := sim.New(cfg.Machine, nclos)
-	if err != nil {
-		return nil, err
-	}
-	for i, hp := range cfg.HPs {
-		if err := r.Attach(i, policy.HPClos, hp); err != nil {
-			return nil, err
-		}
-	}
-	var pol policy.Policy
-	switch {
-	case k > 1:
-		specs := make([]cluster.AppSpec, k)
-		for i := range specs {
-			specs[i].SLO = cfg.SLO
-		}
-		cluster.Refresh(specs, r, false)
-		pol, err = core.NewMulti(core.MultiConfig{
-			Group:      cfg.DICER,
-			WayBytes:   cfg.Machine.WaysBytes(1),
-			CLOSBudget: nclos,
-		}, specs)
-	case dicerPolicy:
-		pol, err = core.New(cfg.DICER)
-	default:
+	var pol policy.Policy // nil: the box's own DICER
+	if !dicerPolicy {
 		var ok bool
 		if pol, ok = policy.ByName(cfg.Policy); !ok {
-			err = fmt.Errorf("fleet: unknown node policy %q (have UM, CT, DICER)", cfg.Policy)
+			return nil, fmt.Errorf("fleet: unknown node policy %q (have UM, CT, DICER)", cfg.Policy)
 		}
 	}
+	hps := make([]box.HP, k)
+	for i, hp := range cfg.HPs {
+		hps[i] = box.HP{Profile: hp, SLO: cfg.SLO}
+	}
+	b, err := box.New(cfg.Machine)
 	if err != nil {
 		return nil, err
 	}
-	sys := resctrl.NewEmu(r, false)
-	if err := pol.Setup(sys); err != nil {
+	if err := b.Build(box.Config{
+		HPs:            hps,
+		PeriodSec:      cfg.PeriodSec,
+		StepsPerPeriod: cfg.StepsPerPeriod,
+		CLOSBudget:     nclos,
+		DICER:          cfg.DICER,
+	}, pol); err != nil {
+		return nil, err
+	}
+	if err := b.Start(); err != nil {
 		return nil, err
 	}
 	n := &Node{
 		cfg:     cfg,
-		runner:  r,
-		sys:     sys,
-		pol:     pol,
-		meter:   resctrl.NewMeter(sys),
+		box:     b,
 		hpCount: k,
 		beClos:  nclos - 1,
 		jobs:    make([]*Job, cfg.Machine.Cores),
@@ -236,15 +219,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	return n, nil
 }
 
-// grouped returns the controller of a multi-HP node, nil on a single-HP
-// node, whose heartbeat and placement view keep the two-CLOS readings.
-func (n *Node) grouped() *core.Controller {
-	if n.hpCount == 1 {
-		return nil
-	}
-	return core.ControllerOf(n.pol)
-}
-
 // ID returns the node index.
 func (n *Node) ID() int { return n.cfg.ID }
 
@@ -253,15 +227,6 @@ func (n *Node) FreeCores() int { return n.cfg.Machine.Cores - n.hpCount - n.beCo
 
 // BECount returns the number of running BE jobs.
 func (n *Node) BECount() int { return n.beCount }
-
-// Lost reports whether the node has been lost to chaos.
-func (n *Node) Lost() bool { return n.lost }
-
-// Draining reports whether the autoscaler is emptying the node.
-func (n *Node) Draining() bool { return n.draining }
-
-// Retired reports whether the autoscaler has removed the node.
-func (n *Node) Retired() bool { return n.retired }
 
 // Frozen reports whether the node is frozen at the given period.
 func (n *Node) Frozen(period int) bool { return !n.lost && period < n.frozenUntil }
@@ -283,7 +248,7 @@ func (n *Node) Lose() []*Job {
 		if j == nil {
 			continue
 		}
-		_ = n.runner.Detach(c)
+		_ = n.box.Runner.Detach(c)
 		j.Core = -1
 		n.jobs[c] = nil
 		orphans = append(orphans, j)
@@ -304,7 +269,7 @@ func (n *Node) Place(j *Job, period int) error {
 	}
 	for c := n.hpCount; c < len(n.jobs); c++ {
 		if n.jobs[c] == nil {
-			if err := n.runner.Attach(c, n.beClos, j.Profile); err != nil {
+			if err := n.box.Runner.Attach(c, n.beClos, j.Profile); err != nil {
 				return err
 			}
 			n.jobs[c] = j
@@ -313,27 +278,24 @@ func (n *Node) Place(j *Job, period int) error {
 			if j.PlacedPeriod < 0 {
 				j.PlacedPeriod = period
 			}
-			n.meter.Rebaseline()
+			n.box.Meter.Rebaseline()
 			return nil
 		}
 	}
 	return fmt.Errorf("fleet: node %d has no free core for job %d", n.cfg.ID, j.ID)
 }
 
-// StepPeriod advances the node by one monitoring period: step the
-// simulator, sample the meter, let the policy observe, then account job
+// StepPeriod advances the node by one monitoring period — the box's
+// period: step the simulator, sample the meter, refresh a grouped
+// controller's specs and let the policy observe — then accounts job
 // progress. Completed jobs are detached in place; the count comes back
 // with the heartbeat (the cluster only aggregates counts, so the old
 // completed-jobs slice was a per-period allocation for nothing). Not
 // called for frozen, lost or retired nodes.
 func (n *Node) StepPeriod(period int) (Heartbeat, int, error) {
-	dt := n.cfg.PeriodSec / float64(n.cfg.StepsPerPeriod)
-	for s := 0; s < n.cfg.StepsPerPeriod; s++ {
-		n.runner.Step(dt)
-	}
-	p := n.meter.Sample()
-	if err := n.pol.Observe(n.sys, p); err != nil {
-		return Heartbeat{Node: n.cfg.ID}, 0, fmt.Errorf("fleet: node %d policy %s: %w", n.cfg.ID, n.pol.Name(), err)
+	p, err := n.box.Period(period)
+	if err != nil {
+		return Heartbeat{Node: n.cfg.ID}, 0, fmt.Errorf("fleet: node %d policy %s: %w", n.cfg.ID, n.box.Policy.Name(), err)
 	}
 
 	hb := Heartbeat{Node: n.cfg.ID, BECount: n.beCount}
@@ -352,14 +314,14 @@ func (n *Node) StepPeriod(period int) (Heartbeat, int, error) {
 		}
 	}
 	hb.HPIPC = p.CoreIPC(worst)
-	if ctl := n.grouped(); ctl != nil {
+	if ctl := n.box.Grouped; ctl != nil {
 		hb.HPGroups = ctl.NumGroups()
 		for gi := 0; gi < ctl.NumGroups(); gi++ {
 			hb.HPWays += ctl.GroupWays(gi)
 			hb.HPBWGbps += p.GroupBW(gi)
 		}
 	} else {
-		hb.HPWays = bits.OnesCount64(n.sys.CBM(policy.HPClos))
+		hb.HPWays = bits.OnesCount64(n.box.Emu.CBM(policy.HPClos))
 		hb.HPBWGbps = p.GroupBW(policy.HPClos)
 	}
 	hb.TotalGbps = p.TotalGbps
@@ -378,7 +340,7 @@ func (n *Node) StepPeriod(period int) (Heartbeat, int, error) {
 		hb.NormSum += metrics.NormIPC(p.CoreIPC(c), j.AloneIPC)
 		j.RemainingPeriods--
 		if j.RemainingPeriods <= 0 {
-			_ = n.runner.Detach(c)
+			_ = n.box.Runner.Detach(c)
 			n.jobs[c] = nil
 			j.Core = -1
 			n.beCount--
@@ -386,7 +348,7 @@ func (n *Node) StepPeriod(period int) (Heartbeat, int, error) {
 		}
 	}
 	if done > 0 {
-		n.meter.Rebaseline()
+		n.box.Meter.Rebaseline()
 	}
 	return hb, done, nil
 }
@@ -396,23 +358,23 @@ func (n *Node) StepPeriod(period int) (Heartbeat, int, error) {
 // the next period's readings start from the reduced population.
 func (n *Node) evict(core int) *Job {
 	j := n.jobs[core]
-	_ = n.runner.Detach(core)
+	_ = n.box.Runner.Detach(core)
 	n.jobs[core] = nil
 	j.Core = -1
 	n.beCount--
-	n.meter.Rebaseline()
+	n.box.Meter.Rebaseline()
 	return j
 }
 
 // beWays returns the BE partition's current width in ways.
-func (n *Node) beWays() int { return bits.OnesCount64(n.sys.CBM(n.beClos)) }
+func (n *Node) beWays() int { return bits.OnesCount64(n.box.Emu.CBM(n.beClos)) }
 
 // Repack re-clusters a multi-HP node's cache plan on demand (the
-// autoscaler's repartition-first action), reporting whether the plan
-// changed. Single-HP nodes have nothing to repack: Replan is a no-op on
-// the two-CLOS split.
+// autoscaler's repartition-first action) against the HP apps' current
+// specs, which the box refreshes every period, reporting whether the
+// plan changed. Single-HP nodes have nothing to repack.
 func (n *Node) Repack() (bool, error) {
-	if ctl := core.ControllerOf(n.pol); ctl != nil {
+	if ctl := n.box.Grouped; ctl != nil {
 		return ctl.Replan()
 	}
 	return false, nil
@@ -424,7 +386,7 @@ func (n *Node) Repack() (bool, error) {
 // arm time; the per-event cost is two string-header stores). Policies
 // without a controller (UM, CT) record no provenance.
 func (n *Node) armFlightTap() {
-	if ctl := core.ControllerOf(n.pol); ctl != nil {
+	if ctl := core.ControllerOf(n.box.Policy); ctl != nil {
 		ctl.ChainTrace(func(e core.Event) {
 			n.flightState = e.State
 			n.flightCause = e.Cause
@@ -477,7 +439,7 @@ func (n *Node) view(lastTotalGbps float64) NodeView {
 	// groups are already thrashing is a poor host for more cache
 	// pressure. Single-HP nodes report zero — their controller regulates
 	// the one HP directly.
-	if ctl := n.grouped(); ctl != nil {
+	if ctl := n.box.Grouped; ctl != nil {
 		k := ctl.NumGroups()
 		fp := n.viewFP[:k]
 		for i := range fp {

@@ -7,22 +7,13 @@ package obs
 // snapshots it into an incident bundle only when something goes wrong
 // (an SLO-burn alert fires, a guard vetoes, a node freezes or is lost).
 //
-// Two shapes live here:
-//
-//   - FlightRing[T] is the generic ring: unsynchronized, single-writer,
-//     value-copy on push. The fleet keeps one FlightRing[FlightEntry]
-//     per node; entries are plain structs (string fields copy their
-//     headers, not their bytes), so Push is a slot assignment — a few
-//     nanoseconds over doing nothing, and 0 allocs/op warm.
-//   - Flight is the Record-typed sink for single-node runs: the
-//     unsynchronized analogue of Ring that deep-copies Decisions and
-//     Groups into per-slot buffers grown on first contact, so steady
-//     state stays allocation-free while multi-HP records survive slot
-//     reuse intact.
-//
-// Neither is safe for concurrent use; the fleet writes each node's ring
-// from exactly one executor worker per period and snapshots only after
-// the stepping barrier, under the cluster lock.
+// FlightRing[T] is that ring: unsynchronized, single-writer, value-copy
+// on push. The fleet keeps one FlightRing[FlightEntry] per node; entries
+// are plain structs (string fields copy their headers, not their bytes),
+// so Push is a slot assignment — a few nanoseconds over doing nothing,
+// and 0 allocs/op warm. It is not safe for concurrent use; the fleet
+// writes each node's ring from exactly one executor worker per period
+// and snapshots only after the stepping barrier, under the cluster lock.
 
 // FlightRing is a fixed-capacity, single-writer ring buffer. Push never
 // allocates; Snapshot appends oldest-first into a caller-supplied slice.
@@ -83,86 +74,3 @@ func (g *FlightRing[T]) Reset() {
 	}
 	g.pos, g.n, g.total = 0, 0, 0
 }
-
-// Flight is the Record-typed flight recorder for single-node runs: a
-// fixed-capacity ring sink retaining the last W periods at full
-// resolution. Unlike Ring it takes no lock — it belongs to exactly one
-// recording loop — and unlike Ring it also preserves per-group (v2)
-// decisions across slot reuse. Per-slot buffers grow to the workload's
-// group count on first contact and are reused from then on, so a warm
-// Flight emits at 0 allocs/op (TestFlightRecorderAllocFree pins this).
-type Flight struct {
-	slots []flightSlot
-	pos   int
-	n     int
-	total int
-}
-
-// flightSlot owns the backing buffers the retained record's slices point
-// into, so retention never aliases the Recorder's scratch.
-type flightSlot struct {
-	rec    Record
-	dec    [maxDecisions]string
-	groups []GroupRecord
-	gdec   [][maxDecisions]string
-}
-
-// NewFlight creates a flight recorder holding the most recent capacity
-// records.
-func NewFlight(capacity int) *Flight {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Flight{slots: make([]flightSlot, capacity)}
-}
-
-// Emit implements Sink.
-func (f *Flight) Emit(r *Record) {
-	s := &f.slots[f.pos]
-	s.rec = *r
-	nd := copy(s.dec[:], r.Decisions)
-	s.rec.Decisions = s.dec[:nd]
-	if ng := len(r.Groups); ng > 0 {
-		if cap(s.groups) < ng {
-			s.groups = make([]GroupRecord, ng)
-			s.gdec = make([][maxDecisions]string, ng)
-		}
-		s.groups = s.groups[:ng]
-		s.gdec = s.gdec[:ng]
-		copy(s.groups, r.Groups)
-		for i := range s.groups {
-			n := copy(s.gdec[i][:], r.Groups[i].Decisions)
-			s.groups[i].Decisions = s.gdec[i][:n]
-		}
-		s.rec.Groups = s.groups
-	} else {
-		s.rec.Groups = nil
-	}
-	f.pos = (f.pos + 1) % len(f.slots)
-	if f.n < len(f.slots) {
-		f.n++
-	}
-	f.total++
-}
-
-// Len returns the number of records currently held.
-func (f *Flight) Len() int { return f.n }
-
-// Total returns the number of records ever emitted (held or evicted).
-func (f *Flight) Total() int { return f.total }
-
-// Snapshot returns the held records oldest-first as independent deep
-// copies, safe to serialise while the ring keeps recording.
-func (f *Flight) Snapshot() []Record {
-	out := make([]Record, 0, f.n)
-	start := f.pos - f.n
-	if start < 0 {
-		start += len(f.slots)
-	}
-	for i := 0; i < f.n; i++ {
-		out = append(out, f.slots[(start+i)%len(f.slots)].rec.clone())
-	}
-	return out
-}
-
-var _ Sink = (*Flight)(nil)

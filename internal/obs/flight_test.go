@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bytes"
-	"fmt"
 	"testing"
 
 	"dicer/internal/core"
@@ -63,233 +61,36 @@ func TestFlightRingPushAllocFree(t *testing.T) {
 	}
 }
 
-// TestFlightWraparound drives the Record-typed flight recorder past its
-// capacity and checks the retained window is exactly the last W periods,
-// oldest-first, with decisions surviving slot reuse.
-func TestFlightWraparound(t *testing.T) {
-	f := NewFlight(4)
-	rec := Record{Decisions: make([]string, 0, 2)}
-	for i := 0; i < 10; i++ {
-		rec.Period = i
-		rec.Decisions = append(rec.Decisions[:0], fmt.Sprintf("decision-%d", i))
-		f.Emit(&rec)
-	}
-	if f.Len() != 4 || f.Total() != 10 {
-		t.Fatalf("len=%d total=%d, want 4, 10", f.Len(), f.Total())
-	}
-	snap := f.Snapshot()
-	for i, r := range snap {
-		want := 6 + i
-		if r.Period != want {
-			t.Fatalf("snapshot[%d].Period = %d, want %d", i, r.Period, want)
-		}
-		if len(r.Decisions) != 1 || r.Decisions[0] != fmt.Sprintf("decision-%d", want) {
-			t.Fatalf("snapshot[%d].Decisions = %v (scratch aliased?)", i, r.Decisions)
-		}
-	}
-}
-
-// TestFlightGroupsSurviveReuse checks the v2 path: per-group decisions
-// are deep-copied into slot-owned buffers, so a snapshot taken after the
-// emitter's scratch has been rewritten still shows each period's own
-// group decisions.
-func TestFlightGroupsSurviveReuse(t *testing.T) {
-	f := NewFlight(3)
-	groups := make([]GroupRecord, 2)
-	gdec := [2][]string{make([]string, 0, 2), make([]string, 0, 2)}
-	rec := Record{}
-	for i := 0; i < 6; i++ {
-		for g := range groups {
-			groups[g] = GroupRecord{
-				Group:     g,
-				Ways:      10 + i,
-				Decisions: append(gdec[g][:0], fmt.Sprintf("p%d-g%d", i, g)),
-			}
-		}
-		rec.Period = i
-		rec.Groups = groups
-		f.Emit(&rec)
-	}
-	snap := f.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("len(snapshot) = %d, want 3", len(snap))
-	}
-	for i, r := range snap {
-		p := 3 + i
-		if len(r.Groups) != 2 {
-			t.Fatalf("snapshot[%d]: %d groups, want 2", i, len(r.Groups))
-		}
-		for g, gr := range r.Groups {
-			if gr.Ways != 10+p {
-				t.Fatalf("snapshot[%d].Groups[%d].Ways = %d, want %d", i, g, gr.Ways, 10+p)
-			}
-			if want := fmt.Sprintf("p%d-g%d", p, g); len(gr.Decisions) != 1 || gr.Decisions[0] != want {
-				t.Fatalf("snapshot[%d].Groups[%d].Decisions = %v, want [%s]", i, g, gr.Decisions, want)
-			}
-		}
-	}
-}
-
-// TestFlightSnapshotByteDeterminism serialises two snapshots of
-// identically driven flight recorders and requires byte equality — the
-// property the incident bundle's byte-stability rests on.
-func TestFlightSnapshotByteDeterminism(t *testing.T) {
-	drive := func() []byte {
+// BenchmarkFlightRecord measures the flight recorder's per-period cost
+// at 0 allocs/op: "nop" is the baseline a ring adds to — Observe plus
+// record assembly into NopSink — and "push-only" is the ring push the
+// fleet pays per node per period with the recorder armed. CI's
+// bench-smoke runs it with -benchmem.
+func BenchmarkFlightRecord(b *testing.B) {
+	b.Run("nop", func(b *testing.B) {
 		ctl := core.MustNew(core.DefaultConfig())
 		sys := &fakeSystem{ways: 20}
-		f := NewFlight(16)
-		rec := NewRecorder(f)
+		rec := NewRecorder(NopSink{})
 		rec.AttachController(ctl)
 		if err := ctl.Setup(sys); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 40; i++ {
-			p := period(1.0, 0.8, 5, 20)
-			if i%7 == 3 {
-				p = period(0.6, 0.8, 5, 32) // saturate: force decisions
-			}
-			if err := ctl.Observe(sys, p); err != nil {
-				t.Fatal(err)
-			}
-			rec.EndPeriod(i, p, sys, nil)
-		}
-		var buf bytes.Buffer
-		lw := NewLineWriter(&buf)
-		for _, r := range f.Snapshot() {
-			r := r
-			lw.WriteLine(&r)
-		}
-		if err := lw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	a, b := drive(), drive()
-	if !bytes.Equal(a, b) {
-		t.Fatalf("flight snapshots differ between identical runs:\n%s\nvs\n%s", a, b)
-	}
-	if len(a) == 0 {
-		t.Fatal("empty snapshot serialisation")
-	}
-}
-
-// TestFlightRecorderAllocFree is the acceptance guard for the flight
-// recorder: a warm Flight sink records steady and decision-emitting
-// periods at 0 allocs/op, v1 and v2 alike.
-func TestFlightRecorderAllocFree(t *testing.T) {
-	t.Run("v1", func(t *testing.T) {
-		ctl := core.MustNew(core.DefaultConfig())
-		sys := &fakeSystem{ways: 20}
-		f := NewFlight(64)
-		rec := NewRecorder(f)
-		rec.AttachController(ctl)
-		if err := ctl.Setup(sys); err != nil {
-			t.Fatal(err)
+			b.Fatal(err)
 		}
 		steady := period(1.0, 0.8, 5, 20)
 		for i := 0; i < 30; i++ {
 			if err := ctl.Observe(sys, steady); err != nil {
-				t.Fatal(err)
+				b.Fatal(err)
 			}
 			rec.EndPeriod(i, steady, sys, nil)
 		}
-		n := 30
-		if got := testing.AllocsPerRun(200, func() {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			if err := ctl.Observe(sys, steady); err != nil {
-				t.Fatal(err)
-			}
-			rec.EndPeriod(n, steady, sys, nil)
-			n++
-		}); got != 0 {
-			t.Errorf("steady flight period: %v allocs, want 0", got)
-		}
-		flip := false
-		if got := testing.AllocsPerRun(200, func() {
-			flip = !flip
-			p := period(0.6, 0.8, 5, 20)
-			if flip {
-				p = period(1.4, 0.8, 5, 20)
-			}
-			if err := ctl.Observe(sys, p); err != nil {
-				t.Fatal(err)
-			}
-			rec.EndPeriod(n, p, sys, nil)
-			n++
-		}); got != 0 {
-			t.Errorf("decision-emitting flight period: %v allocs, want 0", got)
-		}
-	})
-
-	t.Run("v2-groups", func(t *testing.T) {
-		f := NewFlight(64)
-		groups := make([]GroupRecord, 3)
-		gdec := make([][]string, 3)
-		for g := range gdec {
-			gdec[g] = make([]string, 0, 2)
-		}
-		rec := Record{}
-		emit := func(p int) {
-			for g := range groups {
-				groups[g] = GroupRecord{Group: g, Ways: 4 + g, Cause: "steady",
-					Decisions: append(gdec[g][:0], "hold")}
-			}
-			rec.Period = p
-			rec.Groups = groups
-			f.Emit(&rec)
-		}
-		for i := 0; i < 70; i++ { // past capacity: every slot's buffers warm
-			emit(i)
-		}
-		n := 70
-		if got := testing.AllocsPerRun(200, func() {
-			emit(n)
-			n++
-		}); got != 0 {
-			t.Errorf("warm v2 flight emit: %v allocs, want 0", got)
-		}
-	})
-}
-
-// BenchmarkFlightRecord measures the flight recorder against the NopSink
-// baseline: the ring record must cost at most a few nanoseconds over
-// discarding the record outright, at 0 allocs/op. CI's bench-smoke runs
-// it with -benchmem.
-func BenchmarkFlightRecord(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		sink Sink
-	}{
-		{"nop", NopSink{}},
-		{"flight", NewFlight(64)},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			ctl := core.MustNew(core.DefaultConfig())
-			sys := &fakeSystem{ways: 20}
-			rec := NewRecorder(tc.sink)
-			rec.AttachController(ctl)
-			if err := ctl.Setup(sys); err != nil {
 				b.Fatal(err)
 			}
-			steady := period(1.0, 0.8, 5, 20)
-			for i := 0; i < 30; i++ {
-				if err := ctl.Observe(sys, steady); err != nil {
-					b.Fatal(err)
-				}
-				rec.EndPeriod(i, steady, sys, nil)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := ctl.Observe(sys, steady); err != nil {
-					b.Fatal(err)
-				}
-				rec.EndPeriod(i, steady, sys, nil)
-			}
-		})
-	}
-	// The ring push itself, isolated from Observe+assembly: this is the
-	// per-entry cost the fleet pays per node per period with the recorder
-	// armed.
+			rec.EndPeriod(i, steady, sys, nil)
+		}
+	})
 	b.Run("push-only", func(b *testing.B) {
 		r := NewFlightRing[Record](64)
 		rec := Record{Period: 1, HPIPC: 1.2, Cause: "steady", State: "optimise"}
