@@ -48,9 +48,10 @@ type Config struct {
 func (c Config) Grouped() bool { return c.Grouping != "" || len(c.HPs) > 1 }
 
 // Box is one server: a simulator, its resctrl emulation and the policy
-// that manages it. Build it for a workload, optionally wrap Sys and
-// Policy, Start it, then call Period once per monitoring period. A Box
-// is rebuilt in place, so it can be pooled between runs.
+// that manages it. Init it on a machine, Build it for a workload,
+// optionally wrap Sys and Policy, Start it, then call Period once per
+// monitoring period. A Box is rebuilt in place, so it can be pooled
+// between runs.
 type Box struct {
 	Runner *sim.Runner
 	// Emu is the plain emulation over Runner.
@@ -72,20 +73,21 @@ type Box struct {
 	// observes it.
 	OnPeriod func(period int, p resctrl.Period)
 
-	emuMeter *resctrl.Meter // Emu's meter, kept across builds
+	emuMeter *resctrl.Meter // Emu's meter, made by the first Start and kept
 	hints    bool
 	steps    int
 	dt       float64
 }
 
-// New creates an empty box on machine m.
-func New(m machine.Machine) (*Box, error) {
+// Init makes b an empty box on machine m. A Box is initialised in place
+// so its owner (a fleet node, a pooled Suite run) can hold it by value.
+func (b *Box) Init(m machine.Machine) error {
 	r, err := sim.New(m, 1)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	emu := resctrl.NewEmu(r, false)
-	return &Box{Runner: r, Emu: emu, emuMeter: resctrl.NewMeter(emu)}, nil
+	*b = Box{Runner: r, Emu: resctrl.NewEmu(r, false)}
+	return nil
 }
 
 // Build resets the box for cfg under pol. HP apps start in CLOS 0 (a
@@ -151,12 +153,16 @@ func (b *Box) Build(cfg Config, pol policy.Policy) error {
 // that tolerates the error can go on.
 func (b *Box) Start() error {
 	err := b.Policy.Setup(b.Sys)
-	if b.Sys == resctrl.System(b.Emu) {
-		b.emuMeter.Rebaseline()
-		b.Meter = b.emuMeter
-	} else {
+	switch {
+	case b.Sys != resctrl.System(b.Emu):
 		b.Meter = resctrl.NewMeter(b.Sys)
+		return err
+	case b.emuMeter == nil:
+		b.emuMeter = resctrl.NewMeter(b.Emu)
+	default:
+		b.emuMeter.Rebaseline()
 	}
+	b.Meter = b.emuMeter
 	return err
 }
 

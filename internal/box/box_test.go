@@ -43,8 +43,8 @@ func TestWrappedRunKeepsEmuMeter(t *testing.T) {
 		return ipcs
 	}
 	newBox := func() *Box {
-		b, err := New(machine.Default())
-		if err != nil {
+		b := new(Box)
+		if err := b.Init(machine.Default()); err != nil {
 			t.Fatal(err)
 		}
 		return b

@@ -281,7 +281,7 @@ func NewSuite(cfg Config) (*Suite, error) {
 // holds at most one runCtx at a time; the pool's steady-state population
 // equals the executor's worker count.
 type runCtx struct {
-	box *box.Box
+	box box.Box
 	sc  Scenario
 	res ScenarioResult
 }
@@ -292,11 +292,10 @@ type runCtx struct {
 func (s *Suite) getCtx() (*runCtx, error) {
 	c, _ := s.ctxs.Get().(*runCtx)
 	if c == nil {
-		b, err := box.New(s.cfg.Machine)
-		if err != nil {
+		c = new(runCtx)
+		if err := c.box.Init(s.cfg.Machine); err != nil {
 			return nil, err
 		}
-		c = &runCtx{box: b}
 	}
 	c.box.Runner.UseReferenceSolver(s.cfg.ReferenceSolver)
 	return c, nil
@@ -435,7 +434,7 @@ func (s *Suite) run(w Workload, p policy.Policy, polName PolicyName, horizon int
 	if s.cfg.Trace != nil {
 		sc.Trace = s.cfg.Trace(w, polName)
 	}
-	if err := sc.run(c.box, p, s.cfg.DICER, s.aloneIPC, &c.res); err != nil {
+	if err := sc.run(&c.box, p, s.cfg.DICER, s.aloneIPC, &c.res); err != nil {
 		return Result{}, err
 	}
 	hp := c.res.Apps[0]

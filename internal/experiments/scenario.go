@@ -315,9 +315,9 @@ func (sc *Scenario) run(b *box.Box, pol policy.Policy, dcfg core.Config,
 	*res = ScenarioResult{Apps: res.Apps[:0], BEIPCs: res.BEIPCs[:0],
 		BEAloneIPCs: res.BEAloneIPCs[:0], GroupWays: res.GroupWays[:0]}
 
-	var err error
 	if b == nil {
-		if b, err = box.New(sc.Machine); err != nil {
+		b = new(box.Box)
+		if err := b.Init(sc.Machine); err != nil {
 			return err
 		}
 	}
@@ -426,6 +426,7 @@ func (sc *Scenario) run(b *box.Box, pol policy.Policy, dcfg core.Config,
 		res.Apps = append(res.Apps, a)
 	}
 	var ref float64
+	var err error
 	for i, be := range sc.BEs {
 		// Consecutive copies of one BE share its reference.
 		if i == 0 || be.Name != sc.BEs[i-1].Name {

@@ -297,7 +297,7 @@ func (s *Suite) runExtensionVariant(w Workload, vi int) (hpNorm, efu float64, er
 		return 0, 0, err
 	}
 	sc.WithMBA = true
-	if err := sc.run(c.box, pol, s.cfg.DICER, s.aloneIPC, &c.res); err != nil {
+	if err := sc.run(&c.box, pol, s.cfg.DICER, s.aloneIPC, &c.res); err != nil {
 		return 0, 0, err
 	}
 	return c.res.HPNorm(), c.res.EFU(), nil

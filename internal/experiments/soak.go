@@ -199,7 +199,7 @@ func (s *Suite) soakRun(w Workload, sched chaos.Config, seed int64, horizon int)
 	}
 	fp := fingerprint{fnv.New64a()}
 	sc.Chaos, sc.ChaosSeed, sc.Trace = &sched, seed, fp
-	if err := sc.run(c.box, guard, s.cfg.DICER, s.aloneIPC, &c.res); err != nil {
+	if err := sc.run(&c.box, guard, s.cfg.DICER, s.aloneIPC, &c.res); err != nil {
 		return run, err
 	}
 	run.HPIPC = c.res.Apps[0].IPC

@@ -105,7 +105,7 @@ type Heartbeat struct {
 // placed on it.
 type Node struct {
 	cfg NodeConfig
-	box *box.Box
+	box box.Box
 
 	// hpCount HPs occupy cores 0..hpCount-1; BE jobs share beClos, the
 	// last CLOS id of the node's simulator.
@@ -190,8 +190,14 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	for i, hp := range cfg.HPs {
 		hps[i] = box.HP{Profile: hp, SLO: cfg.SLO}
 	}
-	b, err := box.New(cfg.Machine)
-	if err != nil {
+	n := &Node{
+		cfg:     cfg,
+		hpCount: k,
+		beClos:  nclos - 1,
+		jobs:    make([]*Job, cfg.Machine.Cores),
+	}
+	b := &n.box
+	if err := b.Init(cfg.Machine); err != nil {
 		return nil, err
 	}
 	if err := b.Build(box.Config{
@@ -205,13 +211,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	if err := b.Start(); err != nil {
 		return nil, err
-	}
-	n := &Node{
-		cfg:     cfg,
-		box:     b,
-		hpCount: k,
-		beClos:  nclos - 1,
-		jobs:    make([]*Job, cfg.Machine.Cores),
 	}
 	if k > 1 {
 		n.viewFP = make([]float64, k)
