@@ -287,10 +287,9 @@ func (n *Node) Place(j *Job, period int) error {
 // StepPeriod advances the node by one monitoring period — the box's
 // period: step the simulator, sample the meter, refresh a grouped
 // controller's specs and let the policy observe — then accounts job
-// progress. Completed jobs are detached in place; the count comes back
-// with the heartbeat (the cluster only aggregates counts, so the old
-// completed-jobs slice was a per-period allocation for nothing). Not
-// called for frozen, lost or retired nodes.
+// progress. Completed jobs are detached in place and only their count
+// comes back with the heartbeat, since the cluster only aggregates
+// counts. Not called for frozen, lost or retired nodes.
 func (n *Node) StepPeriod(period int) (Heartbeat, int, error) {
 	p, err := n.box.Period(period)
 	if err != nil {
