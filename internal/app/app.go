@@ -219,17 +219,12 @@ func (pr *Proc) Advance(m machine.Machine, cacheBytes, inflation, baseFactor, dt
 	return pr.advance(&m, cacheBytes, -1, inflation, baseFactor, dt)
 }
 
-// AdvanceMiss is Advance with a precomputed miss ratio for the process's
-// current phase at cacheBytes (callers that already solved the cache
-// sharing hold it). Later phases entered during the interval evaluate
-// their own curves as usual.
-func (pr *Proc) AdvanceMiss(m machine.Machine, cacheBytes, miss, inflation, baseFactor, dt float64) float64 {
-	return pr.advance(&m, cacheBytes, miss, inflation, baseFactor, dt)
-}
-
-// AdvanceMissRef is AdvanceMiss with the machine taken by pointer, for
-// per-step callers (the simulator advances every process every Step and
-// the struct copy would dominate). The machine is read, never written.
+// AdvanceMissRef is Advance with a precomputed miss ratio for the
+// process's current phase at cacheBytes (callers that already solved the
+// cache sharing hold it) and the machine taken by pointer, for per-step
+// callers (the simulator advances every process every Step and the struct
+// copy would dominate). The machine is read, never written. Later phases
+// entered during the interval evaluate their own curves as usual.
 func (pr *Proc) AdvanceMissRef(m *machine.Machine, cacheBytes, miss, inflation, baseFactor, dt float64) float64 {
 	return pr.advance(m, cacheBytes, miss, inflation, baseFactor, dt)
 }

@@ -49,7 +49,7 @@ type Period struct {
 // NewMeter creates a Meter and takes the initial baseline reading.
 func NewMeter(sys System) *Meter {
 	m := &Meter{sys: sys}
-	m.readInto(&m.prev)
+	m.Rebaseline()
 	return m
 }
 
@@ -69,7 +69,17 @@ func (m *Meter) readInto(c *Counters) {
 // population between periods (the fleet layer attaches and detaches BE
 // jobs at period boundaries) rebaseline so the next Sample never
 // subtracts an old process's cumulative counters from a fresh one's.
+//
+// Sample reads only a baseline's ids, instructions, cycles and traffic,
+// never its occupancy. Over an Emu the baseline is therefore read
+// without the occupancy estimate, whose share solve the next Step would
+// redo anyway; any other System, such as the chaos layer whose reads
+// advance its fault clock, is read as every Sample reads it.
 func (m *Meter) Rebaseline() {
+	if e, ok := m.sys.(*Emu); ok {
+		e.baselineInto(&m.prev)
+		return
+	}
 	m.readInto(&m.prev)
 }
 

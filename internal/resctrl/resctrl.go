@@ -168,6 +168,18 @@ func (e *Emu) Counters() Counters {
 // shares nothing with it.
 func (e *Emu) CountersInto(out *Counters) {
 	e.r.SnapshotInto(&e.snap)
+	e.convert(out)
+}
+
+// baselineInto is CountersInto without the occupancy estimate: every
+// OccupancyBytes is zero and no share solve runs.
+func (e *Emu) baselineInto(out *Counters) {
+	e.r.CountersInto(&e.snap)
+	e.convert(out)
+}
+
+// convert copies the scratch snapshot into out.
+func (e *Emu) convert(out *Counters) {
 	out.Time = e.snap.Time
 	out.Cores = out.Cores[:0]
 	out.Groups = out.Groups[:0]

@@ -32,19 +32,62 @@ func tenCoreRunner(tb testing.TB) *Runner {
 	return r
 }
 
+// setPair installs a mask vector on the two-CLOS runner.
+func setPair(tb testing.TB, r *Runner, p maskPair) {
+	if err := r.SetMask(0, p.hp); err != nil {
+		tb.Fatal(err)
+	}
+	if err := r.SetMask(1, p.be); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// warmMemo walks the mask vectors in a cycle until the memo has been
+// full once, so its storage has reached the capacity it keeps. It
+// returns the number of steps taken: a walk that goes on from there
+// never finds its masks memoised.
+func warmMemo(tb testing.TB, r *Runner, pairs []maskPair) int {
+	i := 0
+	for ; r.memo.n < memoCap; i++ {
+		if i == 10*len(pairs) {
+			tb.Fatalf("memo never filled in %d steps", i)
+		}
+		setPair(tb, r, pairs[i%len(pairs)])
+		r.Step(0.25)
+	}
+	return i
+}
+
 // BenchmarkStepUncached forces a full share + bandwidth re-solve every
-// step by alternating the HP mask (each SetMask bumps the change epoch),
-// the worst case a policy can inflict once per period.
+// step, the worst case a policy can inflict once per period. It cycles
+// through more mask vectors than the memo holds, so no step finds its
+// masks memoised.
 func BenchmarkStepUncached(b *testing.B) {
 	r := tenCoreRunner(b)
+	pairs := memoPairs()
+	next := warmMemo(b, r, pairs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i%2 == 0 {
-			_ = r.SetMask(0, cache.ContiguousMask(1, 19))
-		} else {
-			_ = r.SetMask(0, cache.ContiguousMask(2, 18))
-		}
+		setPair(b, r, pairs[(next+i)%len(pairs)])
+		r.Step(0.25)
+	}
+}
+
+// BenchmarkStepMemoHit measures a mask change to a vector solved earlier
+// in the same phase stretch: DICER's Reset and Sampling revisits. Both
+// solves come from the memo.
+func BenchmarkStepMemoHit(b *testing.B) {
+	r := tenCoreRunner(b)
+	pairs := memoPairs()[:2]
+	for _, p := range pairs {
+		setPair(b, r, p)
+		r.Step(0.25)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		setPair(b, r, pairs[i%2])
 		r.Step(0.25)
 	}
 }
@@ -77,23 +120,52 @@ func TestStepZeroAllocsSteadyState(t *testing.T) {
 }
 
 // TestStepZeroAllocsAfterMask extends the guard to the uncached path: a
-// mask flip forces the full share + bandwidth re-solve, which must also
-// run out of scratch buffers.
+// mask change to a vector the memo has not seen forces the full share +
+// bandwidth re-solve, which must also run out of scratch buffers once the
+// memo's storage is warm.
 func TestStepZeroAllocsAfterMask(t *testing.T) {
 	r := tenCoreRunner(t)
-	r.Step(0.25)
-	flip := 0
+	pairs := memoPairs()
+	i, hits := warmMemo(t, r, pairs), 0
 	allocs := testing.AllocsPerRun(100, func() {
-		if flip%2 == 0 {
-			_ = r.SetMask(0, cache.ContiguousMask(1, 19))
-		} else {
-			_ = r.SetMask(0, cache.ContiguousMask(2, 18))
-		}
-		flip++
+		setPair(t, r, pairs[i%len(pairs)])
+		i++
 		r.Step(0.25)
+		if r.memo.hit >= 0 {
+			hits++
+		}
 	})
+	if hits != 0 {
+		t.Fatalf("%d of the walk's steps hit the memo; the guard must re-solve every step", hits)
+	}
 	if allocs != 0 {
 		t.Fatalf("uncached Step allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestStepZeroAllocsMemoHit extends the guard to the memo's hit path: a
+// mask change back to a vector solved earlier in the phase stretch.
+func TestStepZeroAllocsMemoHit(t *testing.T) {
+	r := tenCoreRunner(t)
+	pairs := memoPairs()[:2]
+	for _, p := range pairs {
+		setPair(t, r, p)
+		r.Step(0.25)
+	}
+	i, hits := 0, 0
+	allocs := testing.AllocsPerRun(100, func() {
+		setPair(t, r, pairs[i%2])
+		i++
+		r.Step(0.25)
+		if r.memo.hit >= 0 {
+			hits++
+		}
+	})
+	if hits < 90 {
+		t.Fatalf("only %d of 101 steps hit the memo", hits)
+	}
+	if allocs != 0 {
+		t.Fatalf("memo-hit Step allocates %.1f allocs/op, want 0", allocs)
 	}
 }
 
@@ -150,16 +222,24 @@ func TestStepEquivalenceReference(t *testing.T) {
 }
 
 // TestRunnerReset verifies a pooled Runner behaves like a fresh one after
-// Reset: same trajectory from the same inputs.
+// Reset: same trajectory from the same inputs. The runner memoises
+// operating points before the Reset and revisits masks after it, and no
+// memoised point may survive into the next run.
 func TestRunnerReset(t *testing.T) {
-	fresh := tenCoreRunner(t)
-	for i := 0; i < 10; i++ {
-		fresh.Step(0.25)
+	pairs := memoPairs()[:3]
+	walk := func(r *Runner, steps int) {
+		for i := 0; i < steps; i++ {
+			setPair(t, r, pairs[i%len(pairs)])
+			r.Step(0.25)
+		}
 	}
+	fresh := tenCoreRunner(t)
+	walk(fresh, 10)
 
 	reused := tenCoreRunner(t)
-	for i := 0; i < 5; i++ {
-		reused.Step(0.25)
+	walk(reused, 5)
+	if reused.memo.n == 0 {
+		t.Fatal("the walk memoised nothing before the Reset")
 	}
 	if err := reused.Reset(2); err != nil {
 		t.Fatal(err)
@@ -173,6 +253,9 @@ func TestRunnerReset(t *testing.T) {
 	if reused.Mask(0) != testMachine().FullMask() || reused.Mask(1) != testMachine().FullMask() {
 		t.Fatal("Reset did not restore full masks")
 	}
+	if reused.memo.n != 0 || len(reused.memo.clos) != 0 || reused.memo.hit != -1 {
+		t.Fatalf("Reset kept %d memoised operating points", reused.memo.n)
+	}
 	// Rebuild the same scenario on the reused Runner.
 	if err := reused.Attach(0, 0, app.MustByName("omnetpp1")); err != nil {
 		t.Fatal(err)
@@ -182,11 +265,7 @@ func TestRunnerReset(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_ = reused.SetMask(0, cache.ContiguousMask(1, 19))
-	_ = reused.SetMask(1, cache.ContiguousMask(0, 1))
-	for i := 0; i < 10; i++ {
-		reused.Step(0.25)
-	}
+	walk(reused, 10)
 	for core := 0; core < 10; core++ {
 		pf, pr := fresh.Proc(core), reused.Proc(core)
 		if pf.Instructions != pr.Instructions || pf.Cycles != pr.Cycles || pf.MemBytes != pr.MemBytes {

@@ -29,14 +29,17 @@
 // Both solves are deterministic functions of inputs that change only at
 // period boundaries and phase transitions — CLOS masks, bandwidth caps,
 // the parked set, and each process's current phase — not every Step. The
-// Runner therefore caches the solved operating point behind a
-// change-detection epoch: SetMask/SetBWCap/SetCoreParked/Attach bump the
-// epoch, and a per-process phase fingerprint is compared at each Step.
-// When nothing changed, Step is just the Advance loop; when something did,
-// the solves rerun into scratch buffers owned by the Runner, so the hot
-// path performs no allocation in either case. The pre-optimisation solver
-// is retained verbatim in reference.go and equivalence tests hold the two
-// to identical trajectories.
+// Runner therefore caches the solved operating point: every actuator
+// write that changes something invalidates it, and a per-process phase
+// fingerprint is compared at each Step. When nothing changed, Step is just
+// the Advance loop. Controllers also return to masks they tried a few
+// periods earlier, so the Runner memoises the operating points solved
+// since the last change other than a mask (opMemo); a revisited mask
+// vector takes its shares and link point from there. Otherwise the solves
+// rerun into scratch buffers owned by the Runner, so the hot path performs
+// no allocation once warm. The pre-optimisation solver is retained
+// verbatim in reference.go and equivalence tests hold the two to
+// identical trajectories.
 //
 // The simulator exposes exactly the observables Intel RDT exposes —
 // per-core instructions/cycles, per-CLOS LLC occupancy (CMT) and memory
@@ -46,6 +49,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"dicer/internal/app"
 	"dicer/internal/cache"
@@ -57,6 +61,14 @@ import (
 // geometrically under damping; 12 iterations put the residual well below
 // the model's own fidelity.
 const shareIters = 12
+
+// memoCap bounds the operating-point memo. DICER visits at most 19
+// distinct mask vectors between two phase or population changes on the
+// paper sweep and 8 on the fleet; a full memo starts over.
+const memoCap = 32
+
+// memoFirst is the number of entries the memo's first allocation holds.
+const memoFirst = 4
 
 // Runner simulates one server. It is not safe for concurrent use; run one
 // Runner per goroutine (experiments do exactly that — Suite keeps a pool).
@@ -70,15 +82,18 @@ type Runner struct {
 
 	time float64
 
-	// Change detection. epoch is bumped by every mutation that can move
-	// the solved operating point (masks, caps, parked set, attach/reset);
-	// lastPhases records each process's phase index at the last solve.
-	// The cached solve is valid only while both match.
-	epoch       uint64
-	solvedEpoch uint64
+	// Change detection. Every mutation that can move the solved
+	// operating point (masks, caps, parked set, CLOS assignment,
+	// attach/detach/reset) clears sharesValid; lastPhases records each
+	// process's phase index at the last solve. The cached solve is valid
+	// only while sharesValid holds and the phases match.
 	sharesValid bool
 	bwValid     bool
 	lastPhases  []int
+
+	// memo holds the operating points solved since the last structural
+	// change or phase transition.
+	memo opMemo
 
 	// Solved operating point (valid per the flags above).
 	shares    []float64 // per-proc cache capacity in bytes
@@ -115,6 +130,33 @@ type Runner struct {
 	// useReference routes Step through the retained pre-optimisation
 	// solver (reference.go); equivalence tests flip it.
 	useReference bool
+}
+
+// opMemo maps the mask vectors solved since the last change other than a
+// mask to the operating points they solved to. While the population, the
+// CLOS assignment, the parked set, the caps and every process's phase
+// hold still, both solves are pure functions of the masks of the CLOS ids
+// that hold a process, so those masks are the key and a revisited key
+// needs neither solve; MBA throttles are recomputed from the memoised
+// inflation exactly as after a solve. An operating point enters the memo
+// when a mask write leaves it, so a run whose masks hold still stores
+// nothing. Storage is flat and Runner-owned, so it keeps its capacity
+// across drops and Reset: with k = len(clos) and n processes, entry e's
+// key is keys[e*k:(e+1)*k] and vals[e*(n+2):(e+1)*(n+2)] holds every
+// process's share, then the link utilisation and inflation.
+type opMemo struct {
+	clos []int     // key columns: the CLOS ids that hold a process
+	keys []uint64  // per entry, the masks of clos in order
+	vals []float64 // per entry, the shares, utilisation and inflation
+	n    int       // entries in use
+	hit  int       // entry the current operating point came from, or -1
+}
+
+// drop empties the memo, keeping its storage.
+func (o *opMemo) drop() {
+	o.clos, o.keys, o.vals = o.clos[:0], o.keys[:0], o.vals[:0]
+	o.n = 0
+	o.hit = -1
 }
 
 // slot binds a process to a core and CLOS.
@@ -180,11 +222,19 @@ func (r *Runner) resetState(closCount int) {
 	r.invalidate()
 }
 
-// invalidate discards the cached operating point.
-func (r *Runner) invalidate() {
-	r.epoch++
+// invalidateMasks discards the cached operating point after a mask
+// write. The memo stays: it is keyed by the masks.
+func (r *Runner) invalidateMasks() {
 	r.sharesValid = false
 	r.bwValid = false
+}
+
+// invalidate discards the cached operating point and the memo after a
+// change to the population, the CLOS assignment, the parked set or the
+// caps.
+func (r *Runner) invalidate() {
+	r.invalidateMasks()
+	r.memo.drop()
 }
 
 // Machine returns the simulated platform.
@@ -256,7 +306,11 @@ func (r *Runner) SetClos(core, clos int) error {
 	if clos < 0 || clos >= len(r.masks) {
 		return fmt.Errorf("sim: clos %d out of range [0,%d)", clos, len(r.masks))
 	}
-	r.procs[r.coreIndex[core]].clos = clos
+	s := r.procs[r.coreIndex[core]]
+	if s.clos == clos {
+		return nil
+	}
+	s.clos = clos
 	r.invalidate()
 	return nil
 }
@@ -270,8 +324,12 @@ func (r *Runner) SetMask(clos int, mask uint64) error {
 	if err := cache.CheckMask(mask, r.m.LLCWays); err != nil {
 		return err
 	}
+	if r.masks[clos] == mask {
+		return nil
+	}
+	r.memoStore()
 	r.masks[clos] = mask
-	r.invalidate()
+	r.invalidateMasks()
 	return nil
 }
 
@@ -289,6 +347,9 @@ func (r *Runner) SetBWCap(clos int, gbps float64) error {
 	}
 	if gbps < 0 {
 		return fmt.Errorf("sim: negative bandwidth cap %g", gbps)
+	}
+	if r.caps[clos] == gbps {
+		return nil
 	}
 	r.caps[clos] = gbps
 	r.anyCaps = false
@@ -309,8 +370,10 @@ func (r *Runner) SetBWCap(clos int, gbps float64) error {
 func (r *Runner) SetCoreParked(core int, parked bool) error {
 	if core >= 0 && core < len(r.coreIndex) {
 		if idx := r.coreIndex[core]; idx >= 0 {
-			r.procs[idx].parked = parked
-			r.invalidate()
+			if r.procs[idx].parked != parked {
+				r.procs[idx].parked = parked
+				r.invalidate()
+			}
 			return nil
 		}
 	}
@@ -394,16 +457,29 @@ func (r *Runner) phasesUnchanged() bool {
 	return true
 }
 
-// ensureShares re-solves the cache sharing iff a mask/cap/parked mutation
-// (epoch) or a phase transition invalidated the cached result.
+// ensureShares brings the cache sharing up to date iff an actuator write
+// or a phase transition invalidated the cached result: from the memo when
+// the masks were solved since the last structural change and phase
+// transition, by a full solve otherwise.
 func (r *Runner) ensureShares() {
 	if len(r.procs) == 0 {
 		return
 	}
-	if r.sharesValid && r.solvedEpoch == r.epoch && r.phasesUnchanged() {
+	phasesSame := r.phasesUnchanged()
+	if r.sharesValid && phasesSame {
 		return
 	}
-	r.solveSharesFull()
+	if !phasesSame {
+		r.memo.drop()
+	}
+	n := len(r.procs)
+	if e := r.memoLookup(); e >= 0 {
+		copy(r.shares[:n], r.memo.vals[e*(n+2):])
+		r.memo.hit = e
+	} else {
+		r.solveSharesFull()
+		r.memo.hit = -1
+	}
 	for i, s := range r.procs {
 		r.lastPhases[i] = s.proc.PhaseIndex()
 		if s.parked {
@@ -413,29 +489,83 @@ func (r *Runner) ensureShares() {
 		r.opMiss[i] = s.proc.Phase().Curve.MissRatio(r.shares[i])
 	}
 	r.sharesValid = true
-	r.solvedEpoch = r.epoch
 	r.bwValid = false
 }
 
 // ensureOperatingPoint extends ensureShares with the bandwidth fixed
-// point: equilibrium latency inflation and per-CLOS MBA throttles.
+// point: equilibrium latency inflation and per-CLOS MBA throttles. The
+// link point is published here, never on the snapshot path, so Inflation
+// and Utilisation stay those of the last Step.
 func (r *Runner) ensureOperatingPoint() {
 	r.ensureShares()
 	if r.bwValid {
 		return
 	}
-	util, inflation := r.m.Link.Solve(r.demandFn)
-	r.lastUtil = util
-	r.lastInflation = inflation
+	if e := r.memo.hit; e >= 0 {
+		v := r.memo.vals[(e+1)*(len(r.procs)+2)-2:]
+		r.lastUtil, r.lastInflation = v[0], v[1]
+	} else {
+		r.lastUtil, r.lastInflation = r.m.Link.Solve(r.demandFn)
+	}
 	for c := range r.throttles {
 		r.throttles[c] = 1
 	}
 	if r.anyCaps {
 		for c := range r.throttles {
-			r.throttles[c] = r.throttleAt(c, inflation)
+			r.throttles[c] = r.throttleAt(c, r.lastInflation)
 		}
 	}
 	r.bwValid = true
+}
+
+// memoLookup returns the memo entry solved at the current masks, or -1.
+func (r *Runner) memoLookup() int {
+	o := &r.memo
+	k := len(o.clos)
+entries:
+	for e := 0; e < o.n; e++ {
+		for j, c := range o.clos {
+			if o.keys[e*k+j] != r.masks[c] {
+				continue entries
+			}
+		}
+		return e
+	}
+	return -1
+}
+
+// memoStore keeps the operating point a mask write is about to leave,
+// unless it is not fully solved or already came from the memo. The key
+// columns are fixed when the first entry lands: the CLOS assignment
+// cannot change without dropping the memo.
+func (r *Runner) memoStore() {
+	o := &r.memo
+	if !r.bwValid || o.hit >= 0 {
+		return
+	}
+	if o.n == memoCap {
+		o.drop()
+	}
+	if o.n == 0 {
+		for _, s := range r.procs {
+			if !slices.Contains(o.clos, s.clos) {
+				o.clos = append(o.clos, s.clos)
+			}
+		}
+	}
+	if cap(o.vals) == 0 {
+		// Size the first allocation for memoFirst entries: most stretches
+		// hold a few, and growing from one entry would take three
+		// allocations to reach four.
+		o.keys = make([]uint64, 0, memoFirst*len(o.clos))
+		o.vals = make([]float64, 0, memoFirst*(len(r.procs)+2))
+	}
+	for _, c := range o.clos {
+		o.keys = append(o.keys, r.masks[c])
+	}
+	o.vals = append(o.vals, r.shares[:len(r.procs)]...)
+	o.vals = append(o.vals, r.lastUtil, r.lastInflation)
+	o.n++
 }
 
 // solveSharesFull computes the cache capacity available to each process
@@ -793,10 +923,23 @@ func (r *Runner) Snapshot() Snapshot {
 // model's other outputs do not enter the snapshot, so no Perf evaluation
 // is needed.
 func (r *Runner) SnapshotInto(snap *Snapshot) {
-	snap.Time = r.time
 	if len(r.procs) > 0 {
 		r.solveShares()
 	}
+	r.fillSnapshot(snap, true)
+}
+
+// CountersInto fills snap like SnapshotInto but leaves every
+// OccupancyBytes zero, so it runs no share solve. It serves readers of
+// the cumulative counters alone, such as a meter's baseline.
+func (r *Runner) CountersInto(snap *Snapshot) {
+	r.fillSnapshot(snap, false)
+}
+
+// fillSnapshot fills snap from the current counters, with the occupancy
+// estimate when occupancy is set (the shares must then be current).
+func (r *Runner) fillSnapshot(snap *Snapshot, occupancy bool) {
+	snap.Time = r.time
 	occ := growF64(r.occBuf, len(r.masks))
 	r.occBuf = occ
 	for c := range occ {
@@ -805,7 +948,7 @@ func (r *Runner) SnapshotInto(snap *Snapshot) {
 	snap.Cores = snap.Cores[:0]
 	snap.Clos = snap.Clos[:0]
 	for i, s := range r.procs {
-		if !s.parked {
+		if occupancy && !s.parked {
 			o := s.proc.PhaseRef().Curve.OccupancyDemand(r.shares[i])
 			if o > r.shares[i] {
 				o = r.shares[i]

@@ -345,6 +345,30 @@ func TestSnapshotConsistency(t *testing.T) {
 	if occ > float64(testMachine().LLCBytes)+1 {
 		t.Fatalf("total occupancy %g exceeds LLC", occ)
 	}
+
+	// The counters-only fill reports the same counters with zero
+	// occupancy, and after a mask write it runs no share solve.
+	var cnt Snapshot
+	r.CountersInto(&cnt)
+	for i, c := range cnt.Cores {
+		if c != snap.Cores[i] {
+			t.Fatalf("CountersInto core %+v, Snapshot %+v", c, snap.Cores[i])
+		}
+	}
+	for i, g := range cnt.Clos {
+		want := snap.Clos[i]
+		want.OccupancyBytes = 0
+		if g != want {
+			t.Fatalf("CountersInto clos %+v, want %+v", g, want)
+		}
+	}
+	if err := r.SetMask(0, cache.ContiguousMask(0, 10)); err != nil {
+		t.Fatal(err)
+	}
+	r.CountersInto(&cnt)
+	if r.sharesValid {
+		t.Fatal("CountersInto ran a share solve")
+	}
 }
 
 func TestDeterminism(t *testing.T) {
