@@ -87,3 +87,31 @@ func TestSweepRegressionRefusesWorkerMismatch(t *testing.T) {
 		t.Fatal("a 20% regression at equal workers passed the 15% gate")
 	}
 }
+
+// TestSweepRegressionGatesDICER pins the DICER-sweep half of the sweep
+// gate: at equal workers, a DICER figure 20% worse than the committed one
+// fails the 15% gate, whether time or allocations, and 10% worse passes.
+func TestSweepRegressionGatesDICER(t *testing.T) {
+	dir := t.TempDir()
+	base := sweepRecord{Workers: 1, NsPerStep: 400, AllocsPerStep: 0.065, DicerNsPerStep: 700, DicerAllocsPerStep: 0.1}
+	committed := writeRecord(t, dir, "committed.json", base)
+
+	for _, c := range []struct {
+		name     string
+		ns, allc float64
+		fail     bool
+	}{
+		{"ns 10% worse", 1.1, 1, false},
+		{"allocs 10% worse", 1, 1.1, false},
+		{"ns 20% worse", 1.2, 1, true},
+		{"allocs 20% worse", 1, 1.2, true},
+	} {
+		r := base
+		r.DicerNsPerStep *= c.ns
+		r.DicerAllocsPerStep *= c.allc
+		fresh := writeRecord(t, dir, "fresh.json", r)
+		if err := checkSweepRegression(fresh, committed, 15); (err != nil) != c.fail {
+			t.Errorf("%s: gate error %v, want failure %v", c.name, err, c.fail)
+		}
+	}
+}

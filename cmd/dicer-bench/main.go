@@ -36,14 +36,14 @@ func main() {
 		workers    = flag.Int("workers", 0, "parallel simulation workers (0 = all cores)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		sweepJSON  = flag.String("sweepjson", "", "measure the uncached 59x59 sweep and write {wall, ns/step, allocs/step, parallel efficiency} JSON to this file, then exit")
+		sweepJSON  = flag.String("sweepjson", "", "measure the uncached 59x59 sweep and the DICER sweep over the same pairs and write {wall, ns/step, allocs/step, parallel efficiency} JSON to this file, then exit")
 		fleetJSON  = flag.String("fleetjson", "", "measure the fleet benchmarks (1000-node scale run + scheduler comparison) and write {wall, ns/node-period, real_time_factor, EFU} JSON to this file, then exit")
 		fleetGrid  = flag.Bool("fleetgrid", false, "run the fleet control grid (static/migrate/autoscale/both x node chaos) and render the table, then exit")
 		forensics  = flag.Bool("forensics", false, "with -fleetjson: arm the flight recorder during the timed 1000-node run (recorder overhead must fit inside the -against gate)")
 		hypoJSON   = flag.String("hypojson", "", "run the hypothesis registry with a reduced seed set and write {wall, s/cell, statuses} JSON to this file, then exit")
 		hypoSeeds  = flag.Int("hyposeeds", 2, "seeds per hypothesis for -hypojson")
 		against    = flag.String("against", "", "with -sweepjson or -fleetjson: compare the fresh record against this committed record and exit non-zero on regression")
-		regressPct = flag.Float64("regress-pct", 15, "with -against: tolerated regression in percent (ns_per_step / allocs_per_step, or ns_per_node_period)")
+		regressPct = flag.Float64("regress-pct", 15, "with -against: tolerated regression in percent (ns_per_step / allocs_per_step and their dicer_ counterparts, or ns_per_node_period)")
 	)
 	flag.Parse()
 

@@ -16,6 +16,9 @@ import (
 // The headline wall/ns/allocs figures come from the parallel run (the
 // engine's production configuration); the serial re-run exists to expose
 // the executor's speedup and parallel efficiency (speedup ÷ workers).
+// The dicer_* figures time the same pairs under DICER, whose mask
+// decisions drive the simulator's re-solve and memo paths, which the
+// static UM/CT masks never reach.
 type sweepRecord struct {
 	Benchmark     string  `json:"benchmark"`
 	Workloads     int     `json:"workloads"`
@@ -30,27 +33,56 @@ type sweepRecord struct {
 	SerialWallSeconds  float64 `json:"serial_wall_seconds"`
 	SpeedupVsSerial    float64 `json:"speedup_vs_serial"`
 	ParallelEfficiency float64 `json:"parallel_efficiency"`
+
+	DicerSteps         int64   `json:"dicer_steps"`
+	DicerWallSeconds   float64 `json:"dicer_wall_seconds"`
+	DicerNsPerStep     float64 `json:"dicer_ns_per_step"`
+	DicerAllocsPerStep float64 `json:"dicer_allocs_per_step"`
 }
 
-// runSweep executes the full 59×59 baseline sweep (Figure 1) on a fresh
-// suite — nothing memoised, every cell simulated — and returns the
-// figure, wall time, and the allocation count over the run.
-func runSweep(cfg experiments.Config) (experiments.Figure1Result, time.Duration, uint64, error) {
+// onFreshSuite runs f on a fresh suite — nothing memoised, every cell
+// simulated — and returns its wall time and allocation count.
+func onFreshSuite(cfg experiments.Config, f func(*experiments.Suite) error) (time.Duration, uint64, error) {
 	suite, err := experiments.NewSuite(cfg)
 	if err != nil {
-		return experiments.Figure1Result{}, 0, 0, err
+		return 0, 0, err
 	}
 	var msBefore, msAfter runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&msBefore)
 	start := time.Now()
-	f, err := suite.Figure1(cfg.Machine.Cores - 1)
-	if err != nil {
-		return experiments.Figure1Result{}, 0, 0, err
+	if err := f(suite); err != nil {
+		return 0, 0, err
 	}
 	wall := time.Since(start)
 	runtime.ReadMemStats(&msAfter)
-	return f, wall, msAfter.Mallocs - msBefore.Mallocs, nil
+	return wall, msAfter.Mallocs - msBefore.Mallocs, nil
+}
+
+// runSweep executes the full 59×59 baseline sweep (Figure 1) on a fresh
+// suite and returns the figure, wall time, and the allocation count over
+// the run.
+func runSweep(cfg experiments.Config) (experiments.Figure1Result, time.Duration, uint64, error) {
+	var f experiments.Figure1Result
+	wall, mallocs, err := onFreshSuite(cfg, func(s *experiments.Suite) error {
+		var err error
+		f, err = s.Figure1(cfg.Machine.Cores - 1)
+		return err
+	})
+	return f, wall, mallocs, err
+}
+
+// runDicerSweep runs DICER on every pair of the sweep at its horizon on a
+// fresh suite and returns the wall time and allocation count.
+func runDicerSweep(cfg experiments.Config) (time.Duration, uint64, error) {
+	var jobs []experiments.Job
+	for _, w := range experiments.Pairs(cfg.Machine.Cores - 1) {
+		jobs = append(jobs, experiments.Job{W: w, Policy: experiments.DICER, Horizon: cfg.SweepHorizonPeriods})
+	}
+	return onFreshSuite(cfg, func(s *experiments.Suite) error {
+		_, err := s.RunMany(jobs)
+		return err
+	})
 }
 
 // writeSweepJSON measures the uncached sweep twice — Workers=1, then the
@@ -76,14 +108,20 @@ func writeSweepJSON(cfg experiments.Config, path string) error {
 	if err != nil {
 		return err
 	}
+	dicerWall, dicerMallocs, err := runDicerSweep(parCfg)
+	if err != nil {
+		return err
+	}
 
 	apps := len(app.Names())
 	const policies = 2 // UM and CT
 
 	// Steps actually driven: each (HP, BE) pair under each policy for the
 	// sweep horizon, plus one full-horizon alone run per catalog app.
-	steps := int64(apps*apps*policies)*int64(cfg.SweepHorizonPeriods*cfg.StepsPerPeriod) +
-		int64(apps)*int64(cfg.HorizonPeriods*cfg.StepsPerPeriod)
+	pairSteps := int64(apps*apps) * int64(cfg.SweepHorizonPeriods*cfg.StepsPerPeriod)
+	aloneSteps := int64(apps) * int64(cfg.HorizonPeriods*cfg.StepsPerPeriod)
+	steps := policies*pairSteps + aloneSteps
+	dicerSteps := pairSteps + aloneSteps
 
 	speedup := serialWall.Seconds() / wall.Seconds()
 	rec := sweepRecord{
@@ -99,6 +137,10 @@ func writeSweepJSON(cfg experiments.Config, path string) error {
 		SerialWallSeconds:  serialWall.Seconds(),
 		SpeedupVsSerial:    speedup,
 		ParallelEfficiency: speedup / float64(workers),
+		DicerSteps:         dicerSteps,
+		DicerWallSeconds:   dicerWall.Seconds(),
+		DicerNsPerStep:     float64(dicerWall.Nanoseconds()) / float64(dicerSteps),
+		DicerAllocsPerStep: float64(dicerMallocs) / float64(dicerSteps),
 	}
 	body, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
@@ -107,19 +149,21 @@ func writeSweepJSON(cfg experiments.Config, path string) error {
 	if err := os.WriteFile(path, append(body, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("sweep: %d workloads, %d steps, %.2f s wall (serial %.2f s, %d workers, efficiency %.2f), %.0f ns/step, %.2f allocs/step\nwrote %s\n",
+	fmt.Printf("sweep: %d workloads, %d steps, %.2f s wall (serial %.2f s, %d workers, efficiency %.2f), %.0f ns/step, %.2f allocs/step\n",
 		rec.Workloads, rec.Steps, rec.WallSeconds, rec.SerialWallSeconds, rec.Workers,
-		rec.ParallelEfficiency, rec.NsPerStep, rec.AllocsPerStep, path)
+		rec.ParallelEfficiency, rec.NsPerStep, rec.AllocsPerStep)
+	fmt.Printf("dicer sweep: %d steps, %.2f s wall, %.0f ns/step, %.2f allocs/step\nwrote %s\n",
+		rec.DicerSteps, rec.DicerWallSeconds, rec.DicerNsPerStep, rec.DicerAllocsPerStep, path)
 	return nil
 }
 
 // checkSweepRegression compares the freshly written record at freshPath
-// against the committed record at againstPath and fails when ns_per_step
-// or allocs_per_step regresses by more than pct percent. Records
-// measured at different worker counts are refused rather than compared.
-// Improvements and the CDF shape are not gated here (the CDF is pinned
-// exactly by the golden tests); this gate enforces the perf trajectory
-// only.
+// against the committed record at againstPath and fails when ns_per_step,
+// allocs_per_step or their DICER-sweep counterparts regress by more than
+// pct percent. Records measured at different worker counts are refused
+// rather than compared. Improvements and the CDF shape are not gated here
+// (the CDF is pinned exactly by the golden tests); this gate enforces the
+// perf trajectory only.
 func checkSweepRegression(freshPath, againstPath string, pct float64) error {
 	read := func(path string) (sweepRecord, error) {
 		var r sweepRecord
@@ -149,11 +193,13 @@ func checkSweepRegression(freshPath, againstPath string, pct float64) error {
 			status = "REGRESSION"
 			fail = true
 		}
-		fmt.Printf("regress-check %-16s fresh %10.4f  committed %10.4f  (%+6.1f%%)  %s\n",
+		fmt.Printf("regress-check %-22s fresh %10.4f  committed %10.4f  (%+6.1f%%)  %s\n",
 			name, fresh, committed, 100*(fresh/committed-1), status)
 	}
 	report("ns_per_step", fresh.NsPerStep, committed.NsPerStep)
 	report("allocs_per_step", fresh.AllocsPerStep, committed.AllocsPerStep)
+	report("dicer_ns_per_step", fresh.DicerNsPerStep, committed.DicerNsPerStep)
+	report("dicer_allocs_per_step", fresh.DicerAllocsPerStep, committed.DicerAllocsPerStep)
 	if fail {
 		return fmt.Errorf("sweep regressed more than %.0f%% vs %s", pct, againstPath)
 	}
