@@ -36,7 +36,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "parallel simulation workers (0 = all cores)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		sweepJSON  = flag.String("sweepjson", "", "measure the uncached 59x59 sweep and the DICER sweep over the same pairs and write {wall, ns/step, allocs/step, parallel efficiency} JSON to this file, then exit")
+		sweepJSON  = flag.String("sweepjson", "", "measure the uncached 59x59 sweep and the DICER sweep over the same pairs and write {wall, ns/step, allocs/step, and above one worker parallel efficiency} JSON to this file, then exit")
 		fleetJSON  = flag.String("fleetjson", "", "measure the fleet benchmarks (1000-node scale run + scheduler comparison) and write {wall, ns/node-period, real_time_factor, EFU} JSON to this file, then exit")
 		fleetGrid  = flag.Bool("fleetgrid", false, "run the fleet control grid (static/migrate/autoscale/both x node chaos) and render the table, then exit")
 		forensics  = flag.Bool("forensics", false, "with -fleetjson: arm the flight recorder during the timed 1000-node run (recorder overhead must fit inside the -against gate)")

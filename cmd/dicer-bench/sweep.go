@@ -13,9 +13,10 @@ import (
 
 // sweepRecord is the perf-trajectory record BENCH_sweep.json carries: one
 // uncached full-catalog sweep, so future PRs can compare like for like.
-// The headline wall/ns/allocs figures come from the parallel run (the
-// engine's production configuration); the serial re-run exists to expose
-// the executor's speedup and parallel efficiency (speedup ÷ workers).
+// The headline wall/ns/allocs figures come from the run at the configured
+// worker count; above one worker a serial re-run exposes the executor's
+// speedup and parallel efficiency (speedup ÷ workers), and at one worker
+// those fields are left out.
 // The dicer_* figures time the same pairs under DICER, whose mask
 // decisions drive the simulator's re-solve and memo paths, which the
 // static UM/CT masks never reach.
@@ -30,9 +31,9 @@ type sweepRecord struct {
 	CTCDF11Pct    float64 `json:"ct_cdf_1_1x_pct"`
 
 	Workers            int     `json:"workers"`
-	SerialWallSeconds  float64 `json:"serial_wall_seconds"`
-	SpeedupVsSerial    float64 `json:"speedup_vs_serial"`
-	ParallelEfficiency float64 `json:"parallel_efficiency"`
+	SerialWallSeconds  float64 `json:"serial_wall_seconds,omitempty"`
+	SpeedupVsSerial    float64 `json:"speedup_vs_serial,omitempty"`
+	ParallelEfficiency float64 `json:"parallel_efficiency,omitempty"`
 
 	DicerSteps         int64   `json:"dicer_steps"`
 	DicerWallSeconds   float64 `json:"dicer_wall_seconds"`
@@ -85,21 +86,29 @@ func runDicerSweep(cfg experiments.Config) (time.Duration, uint64, error) {
 	})
 }
 
-// writeSweepJSON measures the uncached sweep twice — Workers=1, then the
-// configured parallel worker count — and records the trajectory figures.
-// The equivalence suite guarantees both runs produce identical tables, so
-// the serial pass is purely a speedup baseline.
+// writeSweepJSON measures the uncached sweep at the configured worker
+// count and records the trajectory figures. Above one worker it first
+// runs a Workers=1 pass as the speedup baseline; the equivalence suite
+// guarantees both runs produce identical tables. At one worker that pass
+// would repeat the same configuration, so it is skipped.
 func writeSweepJSON(cfg experiments.Config, path string) error {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	serialCfg := cfg
-	serialCfg.Workers = 1
-	_, serialWall, _, err := runSweep(serialCfg)
-	if err != nil {
-		return err
+	// Build the catalog before timing, so the record counts the sweep
+	// alone: at one worker no serial pass runs first to absorb it.
+	app.Catalog()
+
+	var serialWall time.Duration
+	if workers > 1 {
+		serialCfg := cfg
+		serialCfg.Workers = 1
+		var err error
+		if _, serialWall, _, err = runSweep(serialCfg); err != nil {
+			return err
+		}
 	}
 
 	parCfg := cfg
@@ -123,7 +132,6 @@ func writeSweepJSON(cfg experiments.Config, path string) error {
 	steps := policies*pairSteps + aloneSteps
 	dicerSteps := pairSteps + aloneSteps
 
-	speedup := serialWall.Seconds() / wall.Seconds()
 	rec := sweepRecord{
 		Benchmark:          "sweep59x59",
 		Workloads:          apps * apps,
@@ -134,13 +142,15 @@ func writeSweepJSON(cfg experiments.Config, path string) error {
 		UMCDF11Pct:         f.UMCDF[1],
 		CTCDF11Pct:         f.CTCDF[1],
 		Workers:            workers,
-		SerialWallSeconds:  serialWall.Seconds(),
-		SpeedupVsSerial:    speedup,
-		ParallelEfficiency: speedup / float64(workers),
 		DicerSteps:         dicerSteps,
 		DicerWallSeconds:   dicerWall.Seconds(),
 		DicerNsPerStep:     float64(dicerWall.Nanoseconds()) / float64(dicerSteps),
 		DicerAllocsPerStep: float64(dicerMallocs) / float64(dicerSteps),
+	}
+	if serialWall > 0 {
+		rec.SerialWallSeconds = serialWall.Seconds()
+		rec.SpeedupVsSerial = serialWall.Seconds() / wall.Seconds()
+		rec.ParallelEfficiency = rec.SpeedupVsSerial / float64(workers)
 	}
 	body, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
@@ -149,9 +159,12 @@ func writeSweepJSON(cfg experiments.Config, path string) error {
 	if err := os.WriteFile(path, append(body, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("sweep: %d workloads, %d steps, %.2f s wall (serial %.2f s, %d workers, efficiency %.2f), %.0f ns/step, %.2f allocs/step\n",
-		rec.Workloads, rec.Steps, rec.WallSeconds, rec.SerialWallSeconds, rec.Workers,
-		rec.ParallelEfficiency, rec.NsPerStep, rec.AllocsPerStep)
+	fmt.Printf("sweep: %d workloads, %d steps, %.2f s wall at %d workers, %.0f ns/step, %.2f allocs/step\n",
+		rec.Workloads, rec.Steps, rec.WallSeconds, rec.Workers, rec.NsPerStep, rec.AllocsPerStep)
+	if serialWall > 0 {
+		fmt.Printf("serial pass: %.2f s wall, speedup %.2f, efficiency %.2f\n",
+			rec.SerialWallSeconds, rec.SpeedupVsSerial, rec.ParallelEfficiency)
+	}
 	fmt.Printf("dicer sweep: %d steps, %.2f s wall, %.0f ns/step, %.2f allocs/step\nwrote %s\n",
 		rec.DicerSteps, rec.DicerWallSeconds, rec.DicerNsPerStep, rec.DicerAllocsPerStep, path)
 	return nil

@@ -268,6 +268,25 @@ func (pr *Proc) advance(m *machine.Machine, cacheBytes, miss, inflation, baseFac
 	return retired
 }
 
+// InLockstep reports whether pr and o run the same phase table (one
+// backing array) from the same phase position with the same cumulative
+// counters. Two such processes advanced at one operating point stay in
+// lockstep, so a simulator may advance one and copy it to the other.
+func (pr *Proc) InLockstep(o *Proc) bool {
+	a, b := pr.Profile.Phases, o.Profile.Phases
+	return len(a) == len(b) && &a[0] == &b[0] &&
+		pr.phase == o.phase && pr.phaseInstr == o.phaseInstr &&
+		pr.Instructions == o.Instructions && pr.Cycles == o.Cycles &&
+		pr.MemBytes == o.MemBytes && pr.Completions == o.Completions
+}
+
+// CopyProgress sets pr's phase position and cumulative counters to o's:
+// the advance a process in lockstep with pr has just made.
+func (pr *Proc) CopyProgress(o *Proc) {
+	pr.phase, pr.phaseInstr = o.phase, o.phaseInstr
+	pr.Instructions, pr.Cycles, pr.MemBytes, pr.Completions = o.Instructions, o.Cycles, o.MemBytes, o.Completions
+}
+
 // Reset rewinds the process to the start of its profile and zeroes all
 // counters.
 func (pr *Proc) Reset() {

@@ -105,9 +105,6 @@ func (h *Histogram) Observe(v float64) {
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count }
 
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 { return h.sum }
-
 // Mean returns the arithmetic mean (0 when empty).
 func (h *Histogram) Mean() float64 {
 	if h.count == 0 {

@@ -92,26 +92,36 @@ func TestMemoMatchesReference(t *testing.T) {
 			phaseChanges++
 			lastPhase = ph
 		}
-		if opt.Inflation() != ref.Inflation() || opt.Utilisation() != ref.Utilisation() {
-			t.Fatalf("step %d: operating point diverged: inflation %v vs %v, util %v vs %v",
-				step, opt.Inflation(), ref.Inflation(), opt.Utilisation(), ref.Utilisation())
-		}
-		for core := 0; core < 10; core++ {
-			po, pr := opt.Proc(core), ref.Proc(core)
-			if (po == nil) != (pr == nil) {
-				t.Fatalf("step %d core %d: population diverged", step, core)
-			}
-			if po != nil && (po.Instructions != pr.Instructions || po.Cycles != pr.Cycles || po.MemBytes != pr.MemBytes) {
-				t.Fatalf("step %d core %d: counters diverged: instr %v vs %v, cycles %v vs %v, bytes %v vs %v",
-					step, core, po.Instructions, pr.Instructions, po.Cycles, pr.Cycles, po.MemBytes, pr.MemBytes)
-			}
-		}
-		compareSnapshots(t, step, opt, ref)
+		compareRunners(t, step, opt, ref)
 	}
 	// The script must exercise what it is named for.
 	if hits < 100 || !full || phaseChanges < 2 {
 		t.Fatalf("script lost its coverage: %d memo hits, memo full %v, %d BE phase changes", hits, full, phaseChanges)
 	}
+}
+
+// compareRunners fails unless both runners report the same link point,
+// the same population, identical per-core counters and phase positions,
+// and identical snapshots.
+func compareRunners(t *testing.T, step int, opt, ref *Runner) {
+	t.Helper()
+	if opt.Inflation() != ref.Inflation() || opt.Utilisation() != ref.Utilisation() {
+		t.Fatalf("step %d: operating point diverged: inflation %v vs %v, util %v vs %v",
+			step, opt.Inflation(), ref.Inflation(), opt.Utilisation(), ref.Utilisation())
+	}
+	for core := 0; core < opt.Machine().Cores; core++ {
+		po, pr := opt.Proc(core), ref.Proc(core)
+		if (po == nil) != (pr == nil) {
+			t.Fatalf("step %d core %d: population diverged", step, core)
+		}
+		if po != nil && (po.Instructions != pr.Instructions || po.Cycles != pr.Cycles || po.MemBytes != pr.MemBytes ||
+			po.Completions != pr.Completions || po.PhaseIndex() != pr.PhaseIndex() || po.PhaseProgress() != pr.PhaseProgress()) {
+			t.Fatalf("step %d core %d: counters diverged: instr %v vs %v, cycles %v vs %v, bytes %v vs %v, phase %d+%v vs %d+%v",
+				step, core, po.Instructions, pr.Instructions, po.Cycles, pr.Cycles, po.MemBytes, pr.MemBytes,
+				po.PhaseIndex(), po.PhaseProgress(), pr.PhaseIndex(), pr.PhaseProgress())
+		}
+	}
+	compareSnapshots(t, step, opt, ref)
 }
 
 // compareSnapshots fails unless both runners report identical per-CLOS

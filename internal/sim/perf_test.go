@@ -32,6 +32,31 @@ func tenCoreRunner(tb testing.TB) *Runner {
 	return r
 }
 
+// distinctRunner builds the CT-style split of tenCoreRunner with ten
+// different catalog profiles, a fleet node's shape: no two processes
+// are in lockstep, so every one is solved and advanced on its own.
+func distinctRunner(tb testing.TB) *Runner {
+	tb.Helper()
+	r, err := New(testMachine(), 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	bes := []string{"gcc_base1", "milc1", "lbm1", "mcf1", "sphinx1", "Xalan1", "soplex1", "bzip21", "namd1"}
+	if err := r.Attach(0, 0, app.MustByName("omnetpp1")); err != nil {
+		tb.Fatal(err)
+	}
+	for i, name := range bes {
+		if err := r.Attach(i+1, 1, app.MustByName(name)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	setPair(tb, r, maskPair{cache.ContiguousMask(1, 19), cache.ContiguousMask(0, 1)})
+	if n := followers(r); n != 0 {
+		tb.Fatalf("%d of the ten distinct profiles are in lockstep", n)
+	}
+	return r
+}
+
 // setPair installs a mask vector on the two-CLOS runner.
 func setPair(tb testing.TB, r *Runner, p maskPair) {
 	if err := r.SetMask(0, p.hp); err != nil {
@@ -104,6 +129,18 @@ func BenchmarkStepSteadyState(b *testing.B) {
 	}
 }
 
+// BenchmarkStepDistinct is BenchmarkStepSteadyState on ten different
+// profiles, the path lockstep sets cannot shorten.
+func BenchmarkStepDistinct(b *testing.B) {
+	r := distinctRunner(b)
+	r.Step(0.25) // prime the cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Step(0.25)
+	}
+}
+
 // TestStepZeroAllocsSteadyState is the allocation guard the ISSUE 2
 // acceptance criteria pin: steady-state Step must be 0 allocs/op. The
 // window is long enough to cross phase transitions, so the re-solve path
@@ -116,6 +153,19 @@ func TestStepZeroAllocsSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Step allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestStepZeroAllocsDistinct extends the steady-state guard to ten
+// different profiles, where no process copies another.
+func TestStepZeroAllocsDistinct(t *testing.T) {
+	r := distinctRunner(t)
+	r.Step(0.25)
+	allocs := testing.AllocsPerRun(200, func() {
+		r.Step(0.25)
+	})
+	if allocs != 0 {
+		t.Fatalf("distinct-profile Step allocates %.1f allocs/op, want 0", allocs)
 	}
 }
 

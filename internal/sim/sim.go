@@ -37,7 +37,10 @@
 // since the last change other than a mask (opMemo); a revisited mask
 // vector takes its shares and link point from there. Otherwise the solves
 // rerun into scratch buffers owned by the Runner, so the hot path performs
-// no allocation once warm. The pre-optimisation solver is retained
+// no allocation once warm. Processes that cannot differ in any input —
+// same phase table, CLOS, parked state and progress, like the paper's
+// nine BE copies — form a lockstep set: its first member is solved and
+// advanced and the others copy it. The pre-optimisation solver is retained
 // verbatim in reference.go and equivalence tests hold the two to
 // identical trajectories.
 //
@@ -103,7 +106,8 @@ type Runner struct {
 	throttles []float64 // per-CLOS MBA throttle at the solved inflation
 
 	// Scratch buffers reused across solves to keep the hot path
-	// allocation-free.
+	// allocation-free. reach holds each process's reachable capacity in
+	// the share solve and its demand within one bwDemand evaluation.
 	reach     []float64
 	capsBuf   []float64
 	allocBuf  []float64
@@ -164,7 +168,8 @@ type slot struct {
 	core   int
 	clos   int
 	proc   *app.Proc
-	parked bool // parked cores neither run nor contend (thread packing)
+	parked bool  // parked cores neither run nor contend (thread packing)
+	lead   int32 // index of its lockstep set's first member (in the padding)
 }
 
 // New creates a Runner for machine m with closCount classes of service.
@@ -231,10 +236,32 @@ func (r *Runner) invalidateMasks() {
 
 // invalidate discards the cached operating point and the memo after a
 // change to the population, the CLOS assignment, the parked set or the
-// caps.
+// caps, and derives the lockstep sets again: only such a change can
+// split one.
 func (r *Runner) invalidate() {
 	r.invalidateMasks()
 	r.memo.drop()
+	r.groupLockstep()
+}
+
+// groupLockstep points each process at the first earlier process of its
+// CLOS and parked state that it is in lockstep with (app.Proc.InLockstep),
+// or at itself. Members of a set reach every way region together, so
+// they get equal shares, and they see the same throttle, co-location
+// factor and inflation: every result a member computes equals its
+// lead's. Mask and cap writes act on whole CLOS and cannot split a set,
+// and a member only ever copies its lead, so the set holds until the
+// next structural write.
+func (r *Runner) groupLockstep() {
+	for i, s := range r.procs {
+		s.lead = int32(i)
+		for j, l := range r.procs[:i] {
+			if int(l.lead) == j && l.clos == s.clos && l.parked == s.parked && l.proc.InLockstep(s.proc) {
+				s.lead = int32(j)
+				break
+			}
+		}
+	}
 }
 
 // Machine returns the simulated platform.
@@ -393,7 +420,8 @@ func (r *Runner) CoreParked(core int) bool {
 // Time returns the simulated time in seconds.
 func (r *Runner) Time() float64 { return r.time }
 
-// Proc returns the process attached to core, or nil.
+// Proc returns the process attached to core, or nil. Callers read it and
+// never write it: a process in lockstep is advanced by copying another.
 func (r *Runner) Proc(core int) *app.Proc {
 	if core >= 0 && core < len(r.coreIndex) {
 		if idx := r.coreIndex[core]; idx >= 0 {
@@ -482,6 +510,10 @@ func (r *Runner) ensureShares() {
 	}
 	for i, s := range r.procs {
 		r.lastPhases[i] = s.proc.PhaseIndex()
+		if l := int(s.lead); l != i {
+			r.opMiss[i] = r.opMiss[l]
+			continue
+		}
 		if s.parked {
 			r.opMiss[i] = 0
 			continue
@@ -626,6 +658,10 @@ func (r *Runner) solveSharesFull() {
 	bf := r.coLocFactor()
 	r.curBF = bf
 	for i, s := range r.procs {
+		if l := int(s.lead); l != i {
+			r.pressure[i], r.capsBuf[i] = r.pressure[l], r.capsBuf[l]
+			continue
+		}
 		if s.parked {
 			r.pressure[i] = 0
 			r.capsBuf[i] = 0
@@ -670,6 +706,10 @@ func (r *Runner) solveSharesFull() {
 		}
 		for i, s := range r.procs {
 			if s.parked {
+				continue
+			}
+			if l := int(s.lead); l != i {
+				r.pressure[i] = r.pressure[l]
 				continue
 			}
 			p := touchPressure(&r.m, s.proc, r.shares[i], bf)
@@ -792,30 +832,33 @@ func (r *Runner) throttleAt(clos int, f float64) float64 {
 // f — the demand curve handed to membw.Link.Solve. With no MBA caps set
 // (the common case) the throttle path short-circuits entirely; otherwise
 // each CLOS's throttle is solved once per evaluation and shared by its
-// processes.
+// processes. A lead's demand is kept in reach, and each of its followers
+// adds that value again.
 func (r *Runner) bwDemand(f float64) float64 {
-	var total float64
-	if !r.anyCaps {
-		for i, s := range r.procs {
-			if s.parked {
-				continue
-			}
-			total += r.procGbps(i, f)
+	if r.anyCaps {
+		for c := range r.thrSet {
+			r.thrSet[c] = false
 		}
-		return total
 	}
-	for c := range r.thrSet {
-		r.thrSet[c] = false
-	}
+	var total float64
 	for i, s := range r.procs {
 		if s.parked {
 			continue
 		}
-		if !r.thrSet[s.clos] {
-			r.thrVal[s.clos] = r.throttleAt(s.clos, f)
-			r.thrSet[s.clos] = true
+		if l := int(s.lead); l != i {
+			total += r.reach[l]
+			continue
 		}
-		total += r.procGbps(i, f*r.thrVal[s.clos])
+		inflation := f
+		if r.anyCaps {
+			if !r.thrSet[s.clos] {
+				r.thrVal[s.clos] = r.throttleAt(s.clos, f)
+				r.thrSet[s.clos] = true
+			}
+			inflation *= r.thrVal[s.clos]
+		}
+		r.reach[i] = r.procGbps(i, inflation)
+		total += r.reach[i]
 	}
 	return total
 }
@@ -837,7 +880,8 @@ func (r *Runner) Step(dt float64) {
 	r.ensureOperatingPoint()
 	inflation := r.lastInflation
 
-	// Advance processes at the solved operating point.
+	// Advance processes at the solved operating point; a lockstep
+	// follower copies the advance its lead has just made.
 	for i, s := range r.procs {
 		if s.parked {
 			// A parked core makes no progress but wall-clock time still
@@ -846,9 +890,13 @@ func (r *Runner) Step(dt float64) {
 			s.proc.Cycles += dt * r.m.CyclesPerSecond()
 			continue
 		}
-		t := r.throttles[s.clos]
 		before := s.proc.MemBytes
-		s.proc.AdvanceMissRef(&r.m, r.shares[i], r.opMiss[i], inflation*t, r.curBF, dt)
+		if l := int(s.lead); l != i {
+			s.proc.CopyProgress(r.procs[l].proc)
+		} else {
+			t := r.throttles[s.clos]
+			s.proc.AdvanceMissRef(&r.m, r.shares[i], r.opMiss[i], inflation*t, r.curBF, dt)
+		}
 		r.closBytes[s.clos] += s.proc.MemBytes - before
 	}
 	r.time += dt

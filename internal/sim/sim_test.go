@@ -517,17 +517,3 @@ func TestPropertySharesBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkStepTenCores(b *testing.B) {
-	r, _ := New(testMachine(), 2)
-	_ = r.Attach(0, 0, app.MustByName("omnetpp1"))
-	for i := 1; i < 10; i++ {
-		_ = r.Attach(i, 1, app.MustByName("gcc_base1"))
-	}
-	_ = r.SetMask(0, cache.ContiguousMask(1, 19))
-	_ = r.SetMask(1, cache.ContiguousMask(0, 1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Step(0.25)
-	}
-}
