@@ -31,6 +31,7 @@ import (
 	"math/rand"
 
 	"dicer/internal/resctrl"
+	"dicer/internal/sim"
 )
 
 // ErrInjected tags every error the chaos layer fabricates. Harnesses that
@@ -188,8 +189,8 @@ type System struct {
 
 	stats      Stats
 	freezeLeft int
-	lastInner  resctrl.Counters // previous snapshot of the inner system
-	lastOut    resctrl.Counters // previous snapshot served to the caller
+	lastInner  sim.Snapshot // previous snapshot of the inner system
+	lastOut    sim.Snapshot // previous snapshot served to the caller
 	haveLast   bool
 	pending    []pendingWrite
 	lastIssued map[int]uint64 // clos -> mask of the newest SetCBM attempt
@@ -321,7 +322,7 @@ func (s *System) LinkCapacityGbps() float64 { return s.inner.LinkCapacityGbps() 
 // Counters implements resctrl.System. Each call advances the fault clock:
 // due delayed writes land first, then the schedule decides between a
 // frozen replay, a dropout, and a (possibly jittered) real reading.
-func (s *System) Counters() resctrl.Counters {
+func (s *System) Counters() sim.Snapshot {
 	s.stats.Reads++
 	s.flushDue(s.stats.Reads)
 
@@ -350,7 +351,7 @@ func (s *System) Counters() resctrl.Counters {
 	if s.cfg.DropoutProb > 0 && s.rng.Float64() < s.cfg.DropoutProb {
 		s.stats.Dropouts++
 		s.lastInner = cur
-		out := resctrl.Counters{Time: cur.Time}
+		out := sim.Snapshot{Time: cur.Time}
 		s.lastOut = out
 		s.haveLast = true
 		return out
@@ -368,7 +369,7 @@ func (s *System) Counters() resctrl.Counters {
 	// stream the caller sees stays monotone while every per-period
 	// reading is noisy.
 	s.stats.JitteredReads++
-	out := resctrl.Counters{Time: cur.Time}
+	out := sim.Snapshot{Time: cur.Time}
 	prevIn := indexCores(s.lastInner.Cores)
 	prevOut := indexCores(s.lastOut.Cores)
 	for _, c := range cur.Cores {
@@ -378,14 +379,14 @@ func (s *System) Counters() resctrl.Counters {
 		jc.Cycles = po.Cycles + (c.Cycles-pi.Cycles)*s.factor()
 		out.Cores = append(out.Cores, jc)
 	}
-	prevInG := indexGroups(s.lastInner.Groups)
-	prevOutG := indexGroups(s.lastOut.Groups)
-	for _, g := range cur.Groups {
+	prevInG := indexGroups(s.lastInner.Clos)
+	prevOutG := indexGroups(s.lastOut.Clos)
+	for _, g := range cur.Clos {
 		pi, po := prevInG[g.Clos], prevOutG[g.Clos]
 		jg := g
 		jg.OccupancyBytes = g.OccupancyBytes * s.factor()
 		jg.MemBytes = po.MemBytes + (g.MemBytes-pi.MemBytes)*s.factor()
-		out.Groups = append(out.Groups, jg)
+		out.Clos = append(out.Clos, jg)
 	}
 	s.lastInner = cur
 	s.lastOut = out
@@ -398,16 +399,16 @@ func (s *System) factor() float64 {
 	return 1 - j + 2*j*s.rng.Float64()
 }
 
-func indexCores(cs []resctrl.CoreSample) map[int]resctrl.CoreSample {
-	m := make(map[int]resctrl.CoreSample, len(cs))
+func indexCores(cs []sim.CoreCounters) map[int]sim.CoreCounters {
+	m := make(map[int]sim.CoreCounters, len(cs))
 	for _, c := range cs {
 		m[c.Core] = c
 	}
 	return m
 }
 
-func indexGroups(gs []resctrl.GroupSample) map[int]resctrl.GroupSample {
-	m := make(map[int]resctrl.GroupSample, len(gs))
+func indexGroups(gs []sim.ClosCounters) map[int]sim.ClosCounters {
+	m := make(map[int]sim.ClosCounters, len(gs))
 	for _, g := range gs {
 		m[g.Clos] = g
 	}
@@ -416,10 +417,10 @@ func indexGroups(gs []resctrl.GroupSample) map[int]resctrl.GroupSample {
 
 // cloneCounters deep-copies a snapshot so callers cannot alias the
 // wrapper's retained state.
-func cloneCounters(c resctrl.Counters) resctrl.Counters {
-	out := resctrl.Counters{Time: c.Time}
-	out.Cores = append([]resctrl.CoreSample(nil), c.Cores...)
-	out.Groups = append([]resctrl.GroupSample(nil), c.Groups...)
+func cloneCounters(c sim.Snapshot) sim.Snapshot {
+	out := sim.Snapshot{Time: c.Time}
+	out.Cores = append([]sim.CoreCounters(nil), c.Cores...)
+	out.Clos = append([]sim.ClosCounters(nil), c.Clos...)
 	return out
 }
 

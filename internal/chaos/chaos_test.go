@@ -113,7 +113,7 @@ func TestDropoutServesEmptySnapshots(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		r.Step(1)
 		c := sys.Counters()
-		if len(c.Cores) == 0 && len(c.Groups) == 0 {
+		if len(c.Cores) == 0 && len(c.Clos) == 0 {
 			dropped++
 		} else {
 			served++
@@ -129,7 +129,7 @@ func TestDropoutServesEmptySnapshots(t *testing.T) {
 
 func TestFreezeRepeatsSnapshots(t *testing.T) {
 	sys, r := newSys(t, Config{FreezeProb: 0.3, FreezePeriods: 2}, 7)
-	var prev resctrl.Counters
+	var prev sim.Snapshot
 	frozen := 0
 	for i := 0; i < 60; i++ {
 		r.Step(1)
@@ -157,7 +157,7 @@ func TestJitterKeepsCumulativeMonotone(t *testing.T) {
 		for _, cc := range c.Cores {
 			instr += cc.Instructions
 		}
-		for _, g := range c.Groups {
+		for _, g := range c.Clos {
 			mem += g.MemBytes
 			if g.OccupancyBytes < 0 {
 				t.Fatalf("read %d: negative occupancy", i)

@@ -6,6 +6,7 @@ import (
 
 	"dicer/internal/cache"
 	"dicer/internal/resctrl"
+	"dicer/internal/sim"
 )
 
 // quietSystem is an allocation-free fakeSystem: array-backed masks and no
@@ -27,7 +28,7 @@ func (q *quietSystem) SetCBM(clos int, mask uint64) error {
 func (q *quietSystem) CBM(clos int) uint64          { return q.masks[clos] }
 func (q *quietSystem) SetMBACap(int, float64) error { return errors.New("no MBA") }
 func (q *quietSystem) LinkCapacityGbps() float64    { return 68.3 }
-func (q *quietSystem) Counters() resctrl.Counters   { return resctrl.Counters{} }
+func (q *quietSystem) Counters() sim.Snapshot       { return sim.Snapshot{} }
 
 var _ resctrl.System = (*quietSystem)(nil)
 

@@ -142,15 +142,6 @@ func NewMulti(cfg MultiConfig, specs []cluster.AppSpec) (*Controller, error) {
 	return newController(cfg, specs), nil
 }
 
-// MustNewMulti is NewMulti with a panic on bad configuration.
-func MustNewMulti(cfg MultiConfig, specs []cluster.AppSpec) *Controller {
-	c, err := NewMulti(cfg, specs)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 func newController(cfg MultiConfig, specs []cluster.AppSpec) *Controller {
 	c := &Controller{cfg: cfg}
 	c.groups = c.one[:]

@@ -9,6 +9,7 @@ import (
 	"dicer/internal/cache"
 	"dicer/internal/policy"
 	"dicer/internal/resctrl"
+	"dicer/internal/sim"
 )
 
 // fakeSystem is a scripted resctrl.System for controller unit tests: it
@@ -36,7 +37,7 @@ func (f *fakeSystem) SetCBM(clos int, mask uint64) error {
 func (f *fakeSystem) CBM(clos int) uint64          { return f.masks[clos] }
 func (f *fakeSystem) SetMBACap(int, float64) error { return fmt.Errorf("no MBA") }
 func (f *fakeSystem) LinkCapacityGbps() float64    { return 68.3 }
-func (f *fakeSystem) Counters() resctrl.Counters   { return resctrl.Counters{} }
+func (f *fakeSystem) Counters() sim.Snapshot       { return sim.Snapshot{} }
 
 func (f *fakeSystem) hpWays() int { return bits.OnesCount64(f.masks[policy.HPClos]) }
 func (f *fakeSystem) beWays() int { return bits.OnesCount64(f.masks[policy.BEClos]) }

@@ -9,6 +9,7 @@ import (
 	"dicer/internal/cluster"
 	"dicer/internal/mrc"
 	"dicer/internal/resctrl"
+	"dicer/internal/sim"
 )
 
 // testCurve is a moderately cache-sensitive miss curve for spec plumbing.
@@ -48,7 +49,7 @@ func (f *multiFake) SetCBM(clos int, mask uint64) error {
 func (f *multiFake) CBM(clos int) uint64          { return f.masks[clos] }
 func (f *multiFake) SetMBACap(int, float64) error { return fmt.Errorf("no MBA") }
 func (f *multiFake) LinkCapacityGbps() float64    { return 68.3 }
-func (f *multiFake) Counters() resctrl.Counters   { return resctrl.Counters{} }
+func (f *multiFake) Counters() sim.Snapshot       { return sim.Snapshot{} }
 func (f *multiFake) MoveCore(core, clos int) error {
 	f.cores[core] = clos
 	return nil
@@ -99,12 +100,15 @@ func TestMultiM1Equivalence(t *testing.T) {
 	var splitEvents []Event
 	split.Trace = func(e Event) { splitEvents = append(splitEvents, e) }
 
-	multi := MustNewMulti(MultiConfig{
+	multi, err := NewMulti(MultiConfig{
 		Group:      DefaultConfig(),
 		WayBytes:   1.25 * (1 << 20),
 		CLOSBudget: 2,
 		Grouping:   GroupingSingle,
 	}, singleSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
 	multiSys := newMultiFake(20, 2)
 	var multiEvents []Event
 	multi.Trace = func(e Event) { multiEvents = append(multiEvents, e) }
@@ -158,11 +162,14 @@ func TestMultiStackedMasks(t *testing.T) {
 	}
 	group := DefaultConfig()
 	group.MinBEWays = 2
-	mc := MustNewMulti(MultiConfig{
+	mc, err := NewMulti(MultiConfig{
 		Group:      group,
 		WayBytes:   1.25 * (1 << 20),
 		CLOSBudget: 4,
 	}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sys := newMultiFake(20, 4)
 	if err := mc.Setup(sys); err != nil {
 		t.Fatal(err)
@@ -248,7 +255,7 @@ func (q *quietMultiSystem) SetCBM(clos int, mask uint64) error {
 func (q *quietMultiSystem) CBM(clos int) uint64          { return q.masks[clos] }
 func (q *quietMultiSystem) SetMBACap(int, float64) error { return fmt.Errorf("no MBA") }
 func (q *quietMultiSystem) LinkCapacityGbps() float64    { return 68.3 }
-func (q *quietMultiSystem) Counters() resctrl.Counters   { return resctrl.Counters{} }
+func (q *quietMultiSystem) Counters() sim.Snapshot       { return sim.Snapshot{} }
 func (q *quietMultiSystem) MoveCore(core, clos int) error {
 	q.cores[core] = clos
 	return nil
@@ -261,11 +268,14 @@ func quietMulti(t testing.TB) (*Controller, *quietMultiSystem) {
 		{Name: "c", Core: 2, SLO: 0.9, Curve: testCurve(1)},
 		{Name: "d", Core: 3, SLO: 0.9, Curve: mrc.MustCurve(0.6)},
 	}
-	mc := MustNewMulti(MultiConfig{
+	mc, err := NewMulti(MultiConfig{
 		Group:      DefaultConfig(),
 		WayBytes:   1.25 * (1 << 20),
 		CLOSBudget: 4,
 	}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sys := &quietMultiSystem{ways: 20}
 	if err := mc.Setup(sys); err != nil {
 		t.Fatal(err)

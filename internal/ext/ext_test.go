@@ -296,7 +296,7 @@ func (n *nonParker) SetCBM(clos int, mask uint64) error {
 func (n *nonParker) CBM(clos int) uint64          { return n.masks[clos] }
 func (n *nonParker) SetMBACap(int, float64) error { return nil }
 func (n *nonParker) LinkCapacityGbps() float64    { return 68.3 }
-func (n *nonParker) Counters() resctrl.Counters   { return resctrl.Counters{} }
+func (n *nonParker) Counters() sim.Snapshot       { return sim.Snapshot{} }
 
 // ---------------------------------------------------------------------------
 // Overlapping partitions

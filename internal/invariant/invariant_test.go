@@ -12,6 +12,7 @@ import (
 	"dicer/internal/mrc"
 	"dicer/internal/policy"
 	"dicer/internal/resctrl"
+	"dicer/internal/sim"
 )
 
 // fake is a minimal scripted resctrl.System whose masks tests can corrupt
@@ -39,7 +40,7 @@ func (f *fake) SetCBM(clos int, mask uint64) error {
 func (f *fake) CBM(clos int) uint64          { return f.masks[clos] }
 func (f *fake) SetMBACap(int, float64) error { return errors.New("no MBA") }
 func (f *fake) LinkCapacityGbps() float64    { return 68.3 }
-func (f *fake) Counters() resctrl.Counters   { return resctrl.Counters{} }
+func (f *fake) Counters() sim.Snapshot       { return sim.Snapshot{} }
 func (f *fake) ActuationClean() bool         { return f.pending == 0 }
 
 var _ resctrl.System = (*fake)(nil)
@@ -273,12 +274,15 @@ func guardedThreeHP(t *testing.T) (*Guard, *core.Controller, *groupedFake) {
 		specs[i] = cluster.AppSpec{Name: fmt.Sprint("hp", i), Core: i, SLO: 0.9,
 			Curve: mrc.MustCurve(0.05, mrc.Component{Bytes: mb * (1 << 20), Frac: 0.6})}
 	}
-	ctl := core.MustNewMulti(core.MultiConfig{
+	ctl, err := core.NewMulti(core.MultiConfig{
 		Group:      core.DefaultConfig(),
 		WayBytes:   1.25 * (1 << 20),
 		CLOSBudget: 4,
 		Grouping:   core.GroupingPerApp,
 	}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sys := &groupedFake{*newFakeSys(20)}
 	g := Wrap(ctl)
 	if err := g.Setup(sys); err != nil {

@@ -125,69 +125,6 @@ func BytesToGbps(bytes, seconds float64) float64 {
 	return bytes * 8 / seconds / 1e9
 }
 
-// GbpsToBytesPerSec converts 10^9 bits/second to bytes/second.
-func GbpsToBytesPerSec(gbps float64) float64 { return gbps * 1e9 / 8 }
-
-// Saturated reports whether measured total bandwidth exceeds the given
-// threshold (the paper's MemBW_threshold, 50 Gbps in Table 1).
-func Saturated(totalGbps, thresholdGbps float64) bool {
-	return totalGbps > thresholdGbps
-}
-
-// LoadedLatency returns the effective memory latency in cycles for a base
-// (unloaded) latency at utilisation u.
-func (l Link) LoadedLatency(baseCycles, u float64) float64 {
-	return baseCycles * l.Inflation(u)
-}
-
-// EqualShare splits a bandwidth capacity fairly when demand exceeds
-// supply: each agent gets min(demand_i, fairShare) with unused share
-// redistributed (max-min fairness). Returned slice matches demands order.
-// It is a utility for callers that need per-agent achieved bandwidth past
-// saturation; below saturation every agent achieves its demand.
-func EqualShare(capacity float64, demands []float64) []float64 {
-	out := make([]float64, len(demands))
-	if len(demands) == 0 {
-		return out
-	}
-	total := 0.0
-	for _, d := range demands {
-		total += d
-	}
-	if total <= capacity {
-		copy(out, demands)
-		return out
-	}
-	// Max-min fairness via iterative water-filling.
-	remainingCap := capacity
-	active := make([]int, 0, len(demands))
-	for i := range demands {
-		active = append(active, i)
-	}
-	for len(active) > 0 {
-		share := remainingCap / float64(len(active))
-		progressed := false
-		next := active[:0]
-		for _, i := range active {
-			if demands[i] <= share+1e-12 {
-				out[i] = demands[i]
-				remainingCap -= demands[i]
-				progressed = true
-			} else {
-				next = append(next, i)
-			}
-		}
-		active = next
-		if !progressed {
-			for _, i := range active {
-				out[i] = share
-			}
-			break
-		}
-	}
-	return out
-}
-
 // Utilisation is a helper guarding against division by zero.
 func Utilisation(totalGbps, capacityGbps float64) float64 {
 	if capacityGbps <= 0 {

@@ -125,99 +125,6 @@ func TestBytesGbpsConversions(t *testing.T) {
 	if got := BytesToGbps(1e9, 0); got != 0 {
 		t.Fatalf("zero-interval bandwidth = %g, want 0", got)
 	}
-	if got := GbpsToBytesPerSec(8); math.Abs(got-1e9) > 1e-3 {
-		t.Fatalf("GbpsToBytesPerSec(8) = %g, want 1e9", got)
-	}
-	// Round trip.
-	if got := BytesToGbps(GbpsToBytesPerSec(42), 1); math.Abs(got-42) > 1e-9 {
-		t.Fatalf("round trip = %g, want 42", got)
-	}
-}
-
-func TestSaturated(t *testing.T) {
-	if Saturated(49.9, 50) {
-		t.Fatal("49.9 should not be saturated at threshold 50")
-	}
-	if !Saturated(50.1, 50) {
-		t.Fatal("50.1 should be saturated at threshold 50")
-	}
-}
-
-func TestLoadedLatency(t *testing.T) {
-	l := DefaultLink()
-	if got := l.LoadedLatency(180, 0.3); got != 180 {
-		t.Fatalf("unloaded latency = %g, want 180", got)
-	}
-	if got := l.LoadedLatency(180, 1.2); got <= 180 {
-		t.Fatalf("loaded latency = %g, want > 180", got)
-	}
-}
-
-func TestEqualShareUnderSubscribed(t *testing.T) {
-	got := EqualShare(100, []float64{10, 20, 30})
-	want := []float64{10, 20, 30}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("undersubscribed share[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-}
-
-func TestEqualShareMaxMin(t *testing.T) {
-	// Demands 5, 50, 50 on capacity 60: small demand satisfied, the rest
-	// split the remainder.
-	got := EqualShare(60, []float64{5, 50, 50})
-	if math.Abs(got[0]-5) > 1e-9 {
-		t.Fatalf("small demand got %g, want 5", got[0])
-	}
-	if math.Abs(got[1]-27.5) > 1e-9 || math.Abs(got[2]-27.5) > 1e-9 {
-		t.Fatalf("large demands got %g/%g, want 27.5 each", got[1], got[2])
-	}
-}
-
-func TestEqualShareEmpty(t *testing.T) {
-	if got := EqualShare(10, nil); len(got) != 0 {
-		t.Fatalf("empty demands returned %v", got)
-	}
-}
-
-// Property: EqualShare allocations never exceed demand, never exceed
-// capacity in total, and fully use capacity when oversubscribed.
-func TestPropertyEqualShare(t *testing.T) {
-	f := func(demandsRaw []uint8, capRaw uint8) bool {
-		if len(demandsRaw) == 0 {
-			return true
-		}
-		if len(demandsRaw) > 12 {
-			demandsRaw = demandsRaw[:12]
-		}
-		demands := make([]float64, len(demandsRaw))
-		var total float64
-		for i, d := range demandsRaw {
-			demands[i] = float64(d%50) + 0.5
-			total += demands[i]
-		}
-		capacity := float64(capRaw%100) + 1
-		got := EqualShare(capacity, demands)
-		var sum float64
-		for i, g := range got {
-			if g > demands[i]+1e-9 || g < 0 {
-				return false
-			}
-			sum += g
-		}
-		if sum > capacity+1e-6 && sum > total+1e-6 {
-			return false
-		}
-		if total > capacity {
-			// Oversubscribed: capacity should be (nearly) fully used.
-			return sum > capacity-1e-6
-		}
-		return math.Abs(sum-total) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestUtilisation(t *testing.T) {

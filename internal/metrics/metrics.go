@@ -1,12 +1,11 @@
 // Package metrics implements the evaluation arithmetic of the DICER paper:
 // slowdown, normalised IPC, Effective Utilisation (EFU, Eq. 1), SLO
 // conformance (Eq. 5), the SLO-Effective-Utilisation Combined Index (SUCI,
-// Eq. 4), plus the aggregate helpers (geometric/harmonic means, CDFs) used
+// Eq. 4), plus the aggregate helpers (means, geometric mean, CDFs) used
 // to render the figures.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -97,22 +96,6 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(sum / float64(len(xs)))
 }
 
-// HarmonicMean returns the harmonic mean of xs; it returns 0 if xs is
-// empty or contains a non-positive value.
-func HarmonicMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var denom float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		denom += 1 / x
-	}
-	return float64(len(xs)) / denom
-}
-
 // Mean returns the arithmetic mean (0 for an empty slice).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -185,12 +168,3 @@ func (c CDF) Quantile(q float64) float64 {
 
 // Len returns the sample size.
 func (c CDF) Len() int { return len(c.sorted) }
-
-// Validate01 returns an error when v is outside [0, 1]; metrics that are
-// fractions by construction assert with it in tests.
-func Validate01(name string, v float64) error {
-	if v < 0 || v > 1 || math.IsNaN(v) {
-		return fmt.Errorf("metrics: %s = %g outside [0,1]", name, v)
-	}
-	return nil
-}

@@ -149,15 +149,6 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
-func TestHarmonicMean(t *testing.T) {
-	if !almost(HarmonicMean([]float64{1, 0.5}), 2.0/3) {
-		t.Fatal("harmonic mean identity")
-	}
-	if HarmonicMean(nil) != 0 || HarmonicMean([]float64{1, 0}) != 0 {
-		t.Fatal("degenerate harmonic means should be 0")
-	}
-}
-
 func TestMeanAndFraction(t *testing.T) {
 	if !almost(Mean([]float64{1, 2, 3}), 2) {
 		t.Fatal("mean")
@@ -237,17 +228,6 @@ func TestPropertyCDF(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestValidate01(t *testing.T) {
-	if err := Validate01("x", 0.5); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{-0.1, 1.1, math.NaN()} {
-		if err := Validate01("x", v); err == nil {
-			t.Fatalf("expected error for %g", v)
-		}
 	}
 }
 

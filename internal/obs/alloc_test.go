@@ -94,12 +94,16 @@ func threeHP(t *testing.T) *core.Controller {
 		specs[i] = cluster.AppSpec{Name: "hp", Core: i, SLO: 0.9,
 			Curve: mrc.MustCurve(0.05, mrc.Component{Bytes: mb * (1 << 20), Frac: 0.6})}
 	}
-	return core.MustNewMulti(core.MultiConfig{
+	ctl, err := core.NewMulti(core.MultiConfig{
 		Group:      core.DefaultConfig(),
 		WayBytes:   1.25 * (1 << 20),
 		CLOSBudget: 4,
 		Grouping:   core.GroupingPerApp,
 	}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ctl
 }
 
 // groupedPeriod is a three-group reading: group 0 at ipc0, groups 1 and

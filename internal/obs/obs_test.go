@@ -13,6 +13,7 @@ import (
 	"dicer/internal/invariant"
 	"dicer/internal/policy"
 	"dicer/internal/resctrl"
+	"dicer/internal/sim"
 )
 
 // fakeSystem is an allocation-free resctrl.System for driving the
@@ -35,7 +36,7 @@ func (q *fakeSystem) SetCBM(clos int, mask uint64) error {
 func (q *fakeSystem) CBM(clos int) uint64          { return q.masks[clos] }
 func (q *fakeSystem) SetMBACap(int, float64) error { return errors.New("no MBA") }
 func (q *fakeSystem) LinkCapacityGbps() float64    { return 68.3 }
-func (q *fakeSystem) Counters() resctrl.Counters   { return resctrl.Counters{} }
+func (q *fakeSystem) Counters() sim.Snapshot       { return sim.Snapshot{} }
 func (q *fakeSystem) MoveCore(int, int) error      { return nil }
 
 var _ resctrl.System = (*fakeSystem)(nil)

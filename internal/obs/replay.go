@@ -7,6 +7,7 @@ import (
 	"dicer/internal/core"
 	"dicer/internal/policy"
 	"dicer/internal/resctrl"
+	"dicer/internal/sim"
 )
 
 // Replay re-drives a fresh DICER controller from a recorded v1 trace and
@@ -73,7 +74,7 @@ func (s *replaySystem) CBM(clos int) uint64 {
 }
 func (s *replaySystem) SetMBACap(int, float64) error { return fmt.Errorf("obs: replay has no MBA") }
 func (s *replaySystem) LinkCapacityGbps() float64    { return 0 }
-func (s *replaySystem) Counters() resctrl.Counters   { return resctrl.Counters{} }
+func (s *replaySystem) Counters() sim.Snapshot       { return sim.Snapshot{} }
 
 var _ resctrl.System = (*replaySystem)(nil)
 

@@ -161,14 +161,14 @@ func (f *FS) ReadFile(p string) (string, error) {
 		}
 		return strings.Join(cores, ",") + "\n", nil
 	case "mon_data/mon_L3_00/llc_occupancy":
-		for _, g := range f.sys.Counters().Groups {
+		for _, g := range f.sys.Counters().Clos {
 			if g.Clos == clos {
 				return fmt.Sprintf("%d\n", int64(g.OccupancyBytes)), nil
 			}
 		}
 		return "0\n", nil
 	case "mon_data/mon_L3_00/mbm_total_bytes":
-		for _, g := range f.sys.Counters().Groups {
+		for _, g := range f.sys.Counters().Clos {
 			if g.Clos == clos {
 				return fmt.Sprintf("%d\n", int64(g.MemBytes)), nil
 			}

@@ -1,25 +1,27 @@
 package resctrl
 
+import "dicer/internal/sim"
+
 // Meter converts the cumulative counters a System exposes into per-period
 // readings — exactly what a userspace controller does with RDT: read the
 // MSRs, subtract the previous reading, divide by the period.
 //
 // Sampling is allocation-free in steady state: the Meter owns the backing
-// arrays of the Period it returns and of its baseline reading, and reuses
-// them every call. A returned Period is therefore valid only until the
-// next Sample or Rebaseline on the same Meter — exactly the lifetime of a
-// monitoring period. Callers that need a reading to outlive its period
-// must copy the Cores and Groups slices.
+// arrays of the Period it returns and of its two readings, which an Emu's
+// runner fills in place, and reuses them every call. A returned Period is
+// therefore valid only until the next Sample or Rebaseline on the same
+// Meter — exactly the lifetime of a monitoring period. Callers that need
+// a reading to outlive its period must copy the Cores and Groups slices.
 type Meter struct {
 	sys  System
-	prev Counters // baseline reading (Meter-owned backing)
-	cur  Counters // scratch for the in-place read path (Meter-owned)
-	out  Period   // reused backing for the returned Period
+	prev sim.Snapshot // baseline reading (Meter-owned backing)
+	cur  sim.Snapshot // current reading (Meter-owned backing)
+	out  Period       // reused backing for the returned Period
 
-	// Scratch maps for the slow path (population changed between
-	// samples without a Rebaseline); lazily allocated, reused after.
-	prevCores  map[int]CoreSample
-	prevGroups map[int]GroupSample
+	// Baseline lookups for a population that changed between samples
+	// without a Rebaseline; lazily allocated, reused after.
+	prevCores map[int]sim.CoreCounters // by core id
+	prevBytes map[int]float64          // cumulative traffic by CLOS id
 }
 
 // PeriodCore is one core's activity over a monitoring period.
@@ -53,15 +55,20 @@ func NewMeter(sys System) *Meter {
 	return m
 }
 
-// readInto reads the counters into c, using the in-place CountersReader
-// path when the System offers it (the simulator-backed Emu does) and
-// falling back to the allocating Counters call otherwise.
-func (m *Meter) readInto(c *Counters) {
-	if cr, ok := m.sys.(CountersReader); ok {
-		cr.CountersInto(c)
-		return
+// read fills c with the current counters. Over an Emu the runner fills
+// c in place, reusing its slices, and estimates occupancy only when
+// occupancy is set; any other System, such as the chaos layer whose
+// reads advance its fault clock, is read through Counters.
+func (m *Meter) read(c *sim.Snapshot, occupancy bool) {
+	e, ok := m.sys.(*Emu)
+	switch {
+	case !ok:
+		*c = m.sys.Counters()
+	case occupancy:
+		e.r.SnapshotInto(c)
+	default:
+		e.r.CountersInto(c)
 	}
-	*c = m.sys.Counters()
 }
 
 // Rebaseline re-reads the counters and makes them the new baseline
@@ -73,67 +80,41 @@ func (m *Meter) readInto(c *Counters) {
 // Sample reads only a baseline's ids, instructions, cycles and traffic,
 // never its occupancy. Over an Emu the baseline is therefore read
 // without the occupancy estimate, whose share solve the next Step would
-// redo anyway; any other System, such as the chaos layer whose reads
-// advance its fault clock, is read as every Sample reads it.
+// redo anyway.
 func (m *Meter) Rebaseline() {
-	if e, ok := m.sys.(*Emu); ok {
-		e.baselineInto(&m.prev)
-		return
-	}
-	m.readInto(&m.prev)
+	m.read(&m.prev, false)
 }
 
 // Sample reads the counters, returns the delta since the previous Sample
 // (or since construction), and advances the baseline. The returned
 // Period's slices are Meter-owned and reused by the next Sample.
+//
+// Each entry is matched to its baseline by index while the monitored
+// population is unchanged since the baseline (same cores and CLOS in the
+// same order — the common case, since population changes rebaseline),
+// and by id otherwise, an absent baseline entry counting as zero: a
+// fresh process's cumulative counters start at zero, so its delta is its
+// total.
 func (m *Meter) Sample() Period {
-	m.readInto(&m.cur)
+	m.read(&m.cur, true)
 	cur, prev := &m.cur, &m.prev
+	byID := !m.aligned()
+	if byID {
+		m.indexBaseline()
+	}
 	dt := cur.Time - prev.Time
 	p := &m.out
 	p.Seconds = dt
 	p.TotalGbps = 0
 	p.Cores = p.Cores[:0]
 	p.Groups = p.Groups[:0]
-
-	// Fast path: the monitored population is unchanged since the
-	// baseline (same cores and CLOS groups in the same order — the
-	// common case, since population changes rebaseline). Match
-	// baseline entries by index instead of building lookup maps.
-	if m.aligned() {
-		for i, c := range cur.Cores {
-			pc := prev.Cores[i]
-			di := c.Instructions - pc.Instructions
-			dc := c.Cycles - pc.Cycles
-			ipc := 0.0
-			if dc > 0 {
-				ipc = di / dc
-			}
-			p.Cores = append(p.Cores, PeriodCore{Core: c.Core, Clos: c.Clos, Name: c.Name, IPC: ipc})
+	for i, c := range cur.Cores {
+		var pc sim.CoreCounters
+		if byID {
+			pc = m.prevCores[c.Core]
+		} else {
+			pc = prev.Cores[i]
 		}
-		for i, g := range cur.Groups {
-			p.Groups = append(p.Groups, m.periodGroup(g, prev.Groups[i].MemBytes, dt))
-			p.TotalGbps += p.Groups[len(p.Groups)-1].BandwidthGbps
-		}
-		m.swap()
-		return *p
-	}
-
-	// Slow path: population changed without a rebaseline — match by id,
-	// treating absent baseline entries as zero (a fresh process's
-	// cumulative counters start at zero, so the delta is its total).
-	if m.prevCores == nil {
-		m.prevCores = make(map[int]CoreSample, len(prev.Cores))
-		m.prevGroups = make(map[int]GroupSample, len(prev.Groups))
-	} else {
-		clear(m.prevCores)
-		clear(m.prevGroups)
-	}
-	for _, c := range prev.Cores {
-		m.prevCores[c.Core] = c
-	}
-	for _, c := range cur.Cores {
-		pc := m.prevCores[c.Core]
 		di := c.Instructions - pc.Instructions
 		dc := c.Cycles - pc.Cycles
 		ipc := 0.0
@@ -142,36 +123,30 @@ func (m *Meter) Sample() Period {
 		}
 		p.Cores = append(p.Cores, PeriodCore{Core: c.Core, Clos: c.Clos, Name: c.Name, IPC: ipc})
 	}
-	for _, g := range prev.Groups {
-		m.prevGroups[g.Clos] = g
+	for i, g := range cur.Clos {
+		var prevBytes float64
+		if byID {
+			prevBytes = m.prevBytes[g.Clos]
+		} else {
+			prevBytes = prev.Clos[i].MemBytes
+		}
+		bw := 0.0
+		if dt > 0 {
+			bw = (g.MemBytes - prevBytes) * 8 / dt / 1e9
+		}
+		p.Groups = append(p.Groups, PeriodGroup{Clos: g.Clos, CBM: g.Mask, OccupancyBytes: g.OccupancyBytes, BandwidthGbps: bw})
+		p.TotalGbps += bw
 	}
-	for _, g := range cur.Groups {
-		p.Groups = append(p.Groups, m.periodGroup(g, m.prevGroups[g.Clos].MemBytes, dt))
-		p.TotalGbps += p.Groups[len(p.Groups)-1].BandwidthGbps
-	}
-	m.swap()
+	// The current reading becomes the baseline: exchange the two
+	// buffers, so neither is copied and both backings are reused.
+	m.prev, m.cur = m.cur, m.prev
 	return *p
-}
-
-// periodGroup converts one cumulative group reading to its per-period
-// form given the baseline traffic counter.
-func (m *Meter) periodGroup(g GroupSample, prevMemBytes, dt float64) PeriodGroup {
-	bw := 0.0
-	if dt > 0 {
-		bw = (g.MemBytes - prevMemBytes) * 8 / dt / 1e9
-	}
-	return PeriodGroup{
-		Clos:           g.Clos,
-		CBM:            g.CBM,
-		OccupancyBytes: g.OccupancyBytes,
-		BandwidthGbps:  bw,
-	}
 }
 
 // aligned reports whether the current reading matches the baseline
 // entry-for-entry by core and CLOS id.
 func (m *Meter) aligned() bool {
-	if len(m.cur.Cores) != len(m.prev.Cores) || len(m.cur.Groups) != len(m.prev.Groups) {
+	if len(m.cur.Cores) != len(m.prev.Cores) || len(m.cur.Clos) != len(m.prev.Clos) {
 		return false
 	}
 	for i := range m.cur.Cores {
@@ -179,18 +154,29 @@ func (m *Meter) aligned() bool {
 			return false
 		}
 	}
-	for i := range m.cur.Groups {
-		if m.cur.Groups[i].Clos != m.prev.Groups[i].Clos {
+	for i := range m.cur.Clos {
+		if m.cur.Clos[i].Clos != m.prev.Clos[i].Clos {
 			return false
 		}
 	}
 	return true
 }
 
-// swap makes the current reading the new baseline by exchanging the two
-// buffers, so neither is copied and both backings are reused.
-func (m *Meter) swap() {
-	m.prev, m.cur = m.cur, m.prev
+// indexBaseline fills the by-id baseline lookups.
+func (m *Meter) indexBaseline() {
+	if m.prevCores == nil {
+		m.prevCores = make(map[int]sim.CoreCounters, len(m.prev.Cores))
+		m.prevBytes = make(map[int]float64, len(m.prev.Clos))
+	} else {
+		clear(m.prevCores)
+		clear(m.prevBytes)
+	}
+	for _, c := range m.prev.Cores {
+		m.prevCores[c.Core] = c
+	}
+	for _, g := range m.prev.Clos {
+		m.prevBytes[g.Clos] = g.MemBytes
+	}
 }
 
 // GroupBW returns the bandwidth of the given CLOS in the period, or 0.

@@ -56,3 +56,94 @@ func TestMeterRebaseline(t *testing.T) {
 		}
 	}
 }
+
+// TestMeterSampleByID pins which baseline entries Sample matches when the
+// monitored population changed since the baseline without a Rebaseline:
+// each core and CLOS of the period is the delta against the baseline
+// entry with the same id, and an absent one counts as zero, so a fresh
+// process reports its totals. The swap keeps the count, so only the ids
+// tell its reading apart from the baseline's.
+func TestMeterSampleByID(t *testing.T) {
+	milc := app.MustByName("milc1")
+	cases := []struct {
+		name   string
+		change func(r *sim.Runner) error
+	}{
+		{"attach to a free core", func(r *sim.Runner) error { return r.Attach(4, 1, milc) }},
+		{"detach", func(r *sim.Runner) error { return r.Detach(1) }},
+		{"swap core 2 for core 5", func(r *sim.Runner) error {
+			if err := r.Detach(2); err != nil {
+				return err
+			}
+			return r.Attach(5, 1, milc)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := sim.New(machine.Default(), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Four different profiles, so no two cores read alike.
+			for core, name := range []string{"omnetpp1", "gcc_base1", "lbm1", "mcf1"} {
+				if err := r.Attach(core, min(core, 1), app.MustByName(name)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			meter := NewMeter(NewEmu(r, false))
+			for i := 0; i < 4; i++ {
+				r.Step(0.25)
+			}
+			meter.Sample()
+
+			// The baseline is the reading that Sample just took.
+			type counts struct{ instructions, cycles float64 }
+			base := map[int]counts{}
+			for core := 0; core < r.Machine().Cores; core++ {
+				if p := r.Proc(core); p != nil {
+					base[core] = counts{p.Instructions, p.Cycles}
+				}
+			}
+			baseBytes := map[int]float64{}
+			for _, g := range r.Snapshot().Clos {
+				baseBytes[g.Clos] = g.MemBytes
+			}
+			t0 := r.Time()
+
+			if err := tc.change(r); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4; i++ {
+				r.Step(0.25)
+			}
+			got := meter.Sample()
+			dt := r.Time() - t0
+			if got.Seconds != dt {
+				t.Fatalf("period of %g s, want %g", got.Seconds, dt)
+			}
+
+			snap := r.Snapshot()
+			if len(got.Cores) != len(snap.Cores) {
+				t.Fatalf("%d cores in the period, want %d", len(got.Cores), len(snap.Cores))
+			}
+			for i, c := range snap.Cores {
+				p, b := r.Proc(c.Core), base[c.Core]
+				want := PeriodCore{Core: c.Core, Clos: c.Clos, Name: p.Profile.Name,
+					IPC: (p.Instructions - b.instructions) / (p.Cycles - b.cycles)}
+				if got.Cores[i] != want {
+					t.Errorf("core entry %d = %+v, want %+v", i, got.Cores[i], want)
+				}
+			}
+			if len(got.Groups) != len(snap.Clos) {
+				t.Fatalf("%d groups in the period, want %d", len(got.Groups), len(snap.Clos))
+			}
+			for i, g := range snap.Clos {
+				want := PeriodGroup{Clos: g.Clos, CBM: g.Mask, OccupancyBytes: g.OccupancyBytes,
+					BandwidthGbps: (g.MemBytes - baseBytes[g.Clos]) * 8 / dt / 1e9}
+				if got.Groups[i] != want {
+					t.Errorf("group entry %d = %+v, want %+v", i, got.Groups[i], want)
+				}
+			}
+		})
+	}
+}

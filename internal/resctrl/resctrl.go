@@ -12,9 +12,14 @@
 // The package defines the System interface that the DICER controller and
 // the baseline policies are written against; Emu implements it on top of
 // the simulator in internal/sim, and a real-hardware implementation could
-// be substituted without touching any policy code. FS (fs.go) additionally
-// exposes the emulation through resctrl's file paths and text formats, so
-// the substrate can be driven exactly like /sys/fs/resctrl.
+// be substituted without touching any policy code. A counter reading is
+// the simulator's sim.Snapshot, already RDT-shaped: per-core retired
+// instructions and cycles, and per CLOS the mask (CAT), occupancy (CMT)
+// and cumulative traffic (MBM); a hardware backend fills it field for
+// field from the core PMCs and the RDT MSRs. Meter (meter.go) turns two
+// readings into a monitoring period. FS (fs.go) additionally exposes the
+// emulation through resctrl's file paths and text formats, so the
+// substrate can be driven exactly like /sys/fs/resctrl.
 package resctrl
 
 import (
@@ -22,38 +27,6 @@ import (
 
 	"dicer/internal/sim"
 )
-
-// CoreSample is a per-core performance-counter reading.
-type CoreSample struct {
-	Core         int
-	Clos         int
-	Name         string // attached workload name (reporting aid)
-	Instructions float64
-	Cycles       float64
-}
-
-// IPC returns instructions per cycle for the sample window.
-func (c CoreSample) IPC() float64 {
-	if c.Cycles == 0 {
-		return 0
-	}
-	return c.Instructions / c.Cycles
-}
-
-// GroupSample is a per-CLOS monitoring reading.
-type GroupSample struct {
-	Clos           int
-	CBM            uint64
-	OccupancyBytes float64 // CMT: instantaneous LLC occupancy
-	MemBytes       float64 // MBM: cumulative memory traffic
-}
-
-// Counters is a consistent reading of every monitored quantity.
-type Counters struct {
-	Time   float64 // seconds since boot
-	Cores  []CoreSample
-	Groups []GroupSample
-}
 
 // System is the hardware-facing interface policies are written against.
 // Implementations: *Emu (simulator-backed, below); a Linux resctrl backend
@@ -74,24 +47,16 @@ type System interface {
 	// LinkCapacityGbps returns the peak memory-link bandwidth, used to
 	// convert MBA percent-of-peak throttles to absolute caps.
 	LinkCapacityGbps() float64
-	// Counters reads all monitoring counters.
-	Counters() Counters
-}
-
-// CountersReader is an optional System extension: implementations fill a
-// caller-owned Counters in place, reusing its slices, instead of
-// allocating a fresh reading per call. Meter prefers it when available,
-// which keeps per-period sampling allocation-free on the simulator-backed
-// substrate. The filled Counters aliases no implementation-owned state.
-type CountersReader interface {
-	CountersInto(*Counters)
+	// Counters reads all monitoring counters into a fresh snapshot: the
+	// simulator's reading, which a hardware backend fills field for
+	// field from the core PMCs and the CMT/MBM counters.
+	Counters() sim.Snapshot
 }
 
 // Emu implements System over the discrete-time simulator.
 type Emu struct {
 	r      *sim.Runner
 	hasMBA bool
-	snap   sim.Snapshot // scratch reused by CountersInto
 }
 
 // NewEmu wraps a simulator runner. withMBA controls whether SetMBACap is
@@ -155,54 +120,8 @@ func (e *Emu) UnparkCore(core int) error { return e.r.SetCoreParked(core, false)
 // CoreParked reports whether a core is parked.
 func (e *Emu) CoreParked(core int) bool { return e.r.CoreParked(core) }
 
-// Counters implements System.
-func (e *Emu) Counters() Counters {
-	var out Counters
-	e.CountersInto(&out)
-	return out
-}
+// Counters implements System with a fresh snapshot: it shares no
+// backing array with earlier readings, so callers may keep it.
+func (e *Emu) Counters() sim.Snapshot { return e.r.Snapshot() }
 
-// CountersInto implements CountersReader: it fills out with a fresh
-// reading, reusing out's slices when their capacity suffices. The
-// simulator snapshot behind it is Emu-owned scratch; the filled Counters
-// shares nothing with it.
-func (e *Emu) CountersInto(out *Counters) {
-	e.r.SnapshotInto(&e.snap)
-	e.convert(out)
-}
-
-// baselineInto is CountersInto without the occupancy estimate: every
-// OccupancyBytes is zero and no share solve runs.
-func (e *Emu) baselineInto(out *Counters) {
-	e.r.CountersInto(&e.snap)
-	e.convert(out)
-}
-
-// convert copies the scratch snapshot into out.
-func (e *Emu) convert(out *Counters) {
-	out.Time = e.snap.Time
-	out.Cores = out.Cores[:0]
-	out.Groups = out.Groups[:0]
-	for _, c := range e.snap.Cores {
-		out.Cores = append(out.Cores, CoreSample{
-			Core:         c.Core,
-			Clos:         c.Clos,
-			Name:         c.Name,
-			Instructions: c.Instructions,
-			Cycles:       c.Cycles,
-		})
-	}
-	for _, g := range e.snap.Clos {
-		out.Groups = append(out.Groups, GroupSample{
-			Clos:           g.Clos,
-			CBM:            g.Mask,
-			OccupancyBytes: g.OccupancyBytes,
-			MemBytes:       g.MemBytes,
-		})
-	}
-}
-
-var (
-	_ System         = (*Emu)(nil)
-	_ CountersReader = (*Emu)(nil)
-)
+var _ System = (*Emu)(nil)

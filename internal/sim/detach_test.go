@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"unsafe"
 
 	"dicer/internal/app"
 	"dicer/internal/machine"
@@ -112,6 +113,50 @@ func TestDetachMatchesFreshRunner(t *testing.T) {
 		if a.Proc(core).Instructions != b.Proc(core).Instructions ||
 			a.Proc(core).Cycles != b.Proc(core).Cycles {
 			t.Fatalf("core %d diverged after attach/detach churn", core)
+		}
+	}
+}
+
+// TestAttachKeepsScratch pins that New sizes the per-process scratch for
+// a process on every core: attaching that many keeps every backing
+// array, and each slice Attach sizes holds one entry per process.
+func TestAttachKeepsScratch(t *testing.T) {
+	r, err := New(machine.Default(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backing := func() map[string]unsafe.Pointer {
+		return map[string]unsafe.Pointer{
+			"procs":      unsafe.Pointer(unsafe.SliceData(r.procs)),
+			"shares":     unsafe.Pointer(unsafe.SliceData(r.shares)),
+			"pressure":   unsafe.Pointer(unsafe.SliceData(r.pressure)),
+			"opMiss":     unsafe.Pointer(unsafe.SliceData(r.opMiss)),
+			"reach":      unsafe.Pointer(unsafe.SliceData(r.reach)),
+			"capsBuf":    unsafe.Pointer(unsafe.SliceData(r.capsBuf)),
+			"allocBuf":   unsafe.Pointer(unsafe.SliceData(r.allocBuf)),
+			"lastPhases": unsafe.Pointer(unsafe.SliceData(r.lastPhases)),
+			"activeBuf":  unsafe.Pointer(unsafe.SliceData(r.activeBuf)),
+			"wfLive":     unsafe.Pointer(unsafe.SliceData(r.wfLive)),
+		}
+	}
+	want := backing()
+	gcc := app.MustByName("gcc_base1")
+	for core := 0; core < r.Machine().Cores; core++ {
+		if err := r.Attach(core, core%2, gcc); err != nil {
+			t.Fatal(err)
+		}
+		for name, p := range backing() {
+			if p != want[name] {
+				t.Fatalf("attaching core %d reallocated %s", core, name)
+			}
+		}
+		n := core + 1
+		for name, got := range map[string]int{"procs": len(r.procs), "shares": len(r.shares),
+			"pressure": len(r.pressure), "opMiss": len(r.opMiss), "reach": len(r.reach),
+			"capsBuf": len(r.capsBuf), "allocBuf": len(r.allocBuf), "lastPhases": len(r.lastPhases)} {
+			if got != n {
+				t.Fatalf("after %d attaches len(%s) = %d", n, name, got)
+			}
 		}
 	}
 }

@@ -187,6 +187,15 @@ func New(m machine.Machine, closCount int) (*Runner, error) {
 	r.regionCap = make([]float64, m.LLCWays)
 	r.regionCnt = make([]int, m.LLCWays)
 	r.coreIndex = make([]int, m.Cores)
+	// A Runner holds at most one process per core, so the per-process
+	// scratch gets that capacity here and Attach never regrows it.
+	r.procs = make([]*slot, 0, m.Cores)
+	for _, s := range []*[]float64{&r.shares, &r.pressure, &r.opMiss, &r.reach, &r.capsBuf, &r.allocBuf} {
+		*s = make([]float64, 0, m.Cores)
+	}
+	for _, s := range []*[]int{&r.lastPhases, &r.activeBuf, &r.wfLive} {
+		*s = make([]int, 0, m.Cores)
+	}
 	r.resetState(closCount)
 	return r, nil
 }
@@ -205,12 +214,12 @@ func (r *Runner) Reset(closCount int) error {
 
 // resetState (re)initialises all mutable state for closCount CLOS.
 func (r *Runner) resetState(closCount int) {
-	r.masks = growU64(r.masks, closCount)
-	r.caps = growF64(r.caps, closCount)
-	r.closBytes = growF64(r.closBytes, closCount)
-	r.throttles = growF64(r.throttles, closCount)
-	r.thrVal = growF64(r.thrVal, closCount)
-	r.thrSet = growBool(r.thrSet, closCount)
+	r.masks = grow(r.masks, closCount)
+	r.caps = grow(r.caps, closCount)
+	r.closBytes = grow(r.closBytes, closCount)
+	r.throttles = grow(r.throttles, closCount)
+	r.thrVal = grow(r.thrVal, closCount)
+	r.thrSet = grow(r.thrSet, closCount)
 	for i := 0; i < closCount; i++ {
 		r.masks[i] = r.m.FullMask()
 		r.caps[i] = 0
@@ -285,15 +294,15 @@ func (r *Runner) Attach(core, clos int, prof app.Profile) error {
 	r.coreIndex[core] = len(r.procs)
 	r.procs = append(r.procs, &slot{core: core, clos: clos, proc: app.NewProc(prof)})
 	n := len(r.procs)
-	r.shares = growF64(r.shares, n)
-	r.pressure = growF64(r.pressure, n)
-	r.opMiss = growF64(r.opMiss, n)
-	r.reach = growF64(r.reach, n)
-	r.capsBuf = growF64(r.capsBuf, n)
-	r.allocBuf = growF64(r.allocBuf, n)
-	r.lastPhases = growInt(r.lastPhases, n)
-	r.activeBuf = growInt(r.activeBuf, n)[:0]
-	r.wfLive = growInt(r.wfLive, n)[:0]
+	r.shares = grow(r.shares, n)
+	r.pressure = grow(r.pressure, n)
+	r.opMiss = grow(r.opMiss, n)
+	r.reach = grow(r.reach, n)
+	r.capsBuf = grow(r.capsBuf, n)
+	r.allocBuf = grow(r.allocBuf, n)
+	r.lastPhases = grow(r.lastPhases, n)
+	r.activeBuf = grow(r.activeBuf, n)[:0]
+	r.wfLive = grow(r.wfLive, n)[:0]
 	r.invalidate()
 	return nil
 }
@@ -988,7 +997,7 @@ func (r *Runner) CountersInto(snap *Snapshot) {
 // estimate when occupancy is set (the shares must then be current).
 func (r *Runner) fillSnapshot(snap *Snapshot, occupancy bool) {
 	snap.Time = r.time
-	occ := growF64(r.occBuf, len(r.masks))
+	occ := grow(r.occBuf, len(r.masks))
 	r.occBuf = occ
 	for c := range occ {
 		occ[c] = 0
@@ -1022,33 +1031,11 @@ func (r *Runner) fillSnapshot(snap *Snapshot, occupancy bool) {
 	}
 }
 
-// grow helpers: reslice when capacity suffices, reallocate otherwise.
-// Callers fully overwrite the live prefix before reading it.
-
-func growF64(s []float64, n int) []float64 {
+// grow reslices s to n when its capacity suffices and allocates n
+// otherwise. Callers fully overwrite the live prefix before reading it.
+func grow[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]float64, n)
-}
-
-func growU64(s []uint64, n int) []uint64 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]uint64, n)
-}
-
-func growInt(s []int, n int) []int {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]int, n)
-}
-
-func growBool(s []bool, n int) []bool {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]bool, n)
+	return make([]T, n)
 }
