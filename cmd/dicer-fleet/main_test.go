@@ -323,7 +323,7 @@ func TestServeEndpoints(t *testing.T) {
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if st.exporter.Periods() > 0 {
+		if st.monitor.Periods() > 0 {
 			break
 		}
 		if time.Now().After(deadline) {

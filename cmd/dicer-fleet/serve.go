@@ -11,19 +11,17 @@ import (
 	"dicer/internal/fleet"
 	"dicer/internal/httpd"
 	"dicer/internal/machine"
-	"dicer/internal/metrics"
 	"dicer/internal/slo"
 )
 
 // fleetServeState is shared between the background cluster loop and the
-// HTTP handlers: a Prometheus fleet exporter for /metrics, the fleet
-// diagnostic monitor (per-node + aggregate burn-rate alerters, slowdown
-// and EFU histograms) behind /alerts and /events, plus the most recent
+// HTTP handlers: the fleet diagnostic monitor (cluster counters and node
+// gauges, per-node + aggregate burn-rate alerters, slowdown and EFU
+// histograms) behind /metrics, /alerts and /events, plus the most recent
 // period's record and queue for /nodes and /queue.
 type fleetServeState struct {
-	exporter *metrics.FleetExporter
-	monitor  *diag.FleetMonitor
-	events   *httpd.EventStream
+	monitor *diag.FleetMonitor
+	events  *httpd.EventStream
 
 	incidentDir string
 
@@ -42,7 +40,6 @@ const maxServedIncidents = 64
 
 func newFleetServeState(p fleetParams) *fleetServeState {
 	st := &fleetServeState{
-		exporter:    metrics.NewFleetExporter(),
 		events:      httpd.NewEventStream(),
 		incidentDir: p.incidentDir,
 	}
@@ -64,7 +61,6 @@ func newFleetServeState(p fleetParams) *fleetServeState {
 
 // observe is the cluster's OnPeriod callback.
 func (st *fleetServeState) observe(rec *fleet.ClusterRecord, queue []fleet.QueueEntry) {
-	st.exporter.Observe(rec.Sample())
 	st.monitor.ObserveRecord(rec)
 	st.mu.Lock()
 	st.lastRec = *rec
@@ -102,8 +98,8 @@ func (st *fleetServeState) onIncident(inc *fleet.Incident) {
 
 // loop runs cluster laps until one fails; the failure parks in /healthz.
 // Each lap rebuilds the cluster, so node and controller state start
-// fresh while the exporter's counters and the monitor's alert history
-// accumulate across laps.
+// fresh while the monitor's counters and alert history accumulate
+// across laps.
 func (st *fleetServeState) loop(p fleetParams) {
 	for {
 		cfg, err := p.config()
@@ -136,10 +132,6 @@ func (st *fleetServeState) mux(withPprof bool) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if _, err := st.exporter.WriteTo(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
 		st.monitor.WriteProm(w)
 		st.events.WriteProm(w)
 	})
@@ -218,7 +210,7 @@ func (st *fleetServeState) mux(withPprof bool) *http.ServeMux {
 			http.Error(w, "degraded: "+why, http.StatusServiceUnavailable)
 			return
 		}
-		fmt.Fprintf(w, "ok laps=%d periods=%d\n", laps, st.exporter.Periods())
+		fmt.Fprintf(w, "ok laps=%d periods=%d\n", laps, st.monitor.Periods())
 	})
 	if withPprof {
 		httpd.AddPprof(mux)

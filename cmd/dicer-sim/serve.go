@@ -25,16 +25,16 @@ type serveParams struct {
 }
 
 // serveState is shared between the background scenario loop and the HTTP
-// handlers: a Prometheus exporter for /metrics, the diagnostic monitor
-// (slowdown/link histograms + SLO burn-rate alerter) behind /alerts and
-// /events, and the most recent *completed* lap's trace for /trace.
+// handlers: the diagnostic monitor (record counters and gauges,
+// slowdown/link histograms, SLO burn-rate alerter) behind /metrics,
+// /alerts and /events, and the most recent *completed* lap's trace for
+// /trace.
 // Serving whole laps (rather than a sliding window of recent periods)
 // keeps the /trace output replayable — dicer-trace replay re-drives the
 // controller from its Setup state, so the trace must start at period 0.
 type serveState struct {
-	exporter *dicer.PromExporter
-	monitor  *diag.Monitor
-	events   *httpd.EventStream
+	monitor *diag.Monitor
+	events  *httpd.EventStream
 
 	mu      sync.Mutex
 	cur     *dicer.TraceRing // lap in progress, rotated on Start
@@ -46,10 +46,7 @@ type serveState struct {
 }
 
 func newServeState(p serveParams) *serveState {
-	st := &serveState{
-		exporter: dicer.NewPromExporter(),
-		events:   httpd.NewEventStream(),
-	}
+	st := &serveState{events: httpd.NewEventStream()}
 	st.monitor = diag.NewMonitor(diag.MonitorConfig{
 		SLO: p.slo,
 		OnAlert: func(ev slo.AlertEvent) {
@@ -119,12 +116,12 @@ func (st *serveState) runOnce(p serveParams) error {
 	if p.slo > 0 {
 		sc.HPs[0].SLO = p.slo
 	}
-	sc.Trace = dicer.TraceMulti{st.exporter, st, st.monitor}
+	sc.Trace = dicer.TraceMulti{st, st.monitor}
 	if _, err := sc.Run(timed); err != nil {
 		return err
 	}
 	st.finishRun()
-	st.exporter.AddRun()
+	st.monitor.AddRun()
 	return nil
 }
 
@@ -144,10 +141,6 @@ func (st *serveState) mux(withPprof bool) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if _, err := st.exporter.WriteTo(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
 		st.monitor.WriteProm(w)
 		st.mu.Lock()
 		timed := st.timed
@@ -199,7 +192,7 @@ func (st *serveState) mux(withPprof bool) *http.ServeMux {
 			http.Error(w, "degraded: "+why, http.StatusServiceUnavailable)
 			return
 		}
-		fmt.Fprintf(w, "ok records=%d\n", st.exporter.Records())
+		fmt.Fprintf(w, "ok records=%d\n", st.monitor.Records())
 	})
 	if withPprof {
 		httpd.AddPprof(mux)

@@ -1,7 +1,8 @@
 // Package diag is the diagnostic layer on top of the observability
-// substrate (internal/obs, internal/metrics): streaming percentile
-// histograms, an SLO burn-rate alerter, and an offline trace analytics
-// engine that runs the very same code over recorded JSONL traces.
+// substrate (internal/obs): streaming percentile histograms, an SLO
+// burn-rate alerter, the one digest of each record stream behind the
+// serve modes' /metrics, and an offline trace analytics engine that
+// runs the very same code over recorded JSONL traces.
 //
 // The paper's whole argument is an SLO argument — DICER must hold HP
 // slowdown under a target while raising effective utilisation — and
@@ -15,18 +16,14 @@
 //     series.
 //   - Alerter: multi-window error-budget burn-rate rules over the
 //     slowdown target, with hysteresis, per node and fleet-aggregate.
-//   - Monitor / FleetMonitor / Analyze: the same histogram+alerter
-//     pipeline fed live (as an obs sink or a fleet period callback) or
-//     offline from a recorded trace — so an offline analysis of a trace
-//     is bit-equal to what the live endpoints reported during the run.
+//   - Monitor / FleetMonitor / Analyze: the same counter, histogram
+//     and alerter pipeline fed live (as an obs sink or a fleet period
+//     callback) or offline from a recorded trace — so an offline
+//     analysis of a trace is bit-equal to what the live endpoints
+//     reported during the run.
 package diag
 
-import (
-	"io"
-	"math"
-
-	"dicer/internal/metrics"
-)
+import "math"
 
 // Histogram is a streaming histogram over fixed logarithmic buckets:
 // bucket i spans (lo·growth^(i-1), lo·growth^i], with one underflow and
@@ -170,29 +167,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		cum = next
 	}
 	return h.max
-}
-
-// promQuantiles are the quantile gauges every histogram exports.
-var promQuantiles = []float64{0.5, 0.9, 0.99}
-
-// WriteProm renders the histogram as a Prometheus histogram series
-// (cumulative le buckets, _sum, _count) plus precomputed quantile
-// gauges under <name>_quantile, via internal/metrics.
-func (h *Histogram) WriteProm(w io.Writer, name, help string) {
-	uppers := make([]float64, len(h.counts))
-	cum := make([]uint64, len(h.counts))
-	var running uint64
-	for i, c := range h.counts {
-		running += c
-		uppers[i] = h.upper(i)
-		cum[i] = running
-	}
-	metrics.WritePromHistogram(w, name, help, uppers, cum, h.sum, h.count)
-	vals := make([]float64, len(promQuantiles))
-	for i, q := range promQuantiles {
-		vals[i] = h.Quantile(q)
-	}
-	metrics.WritePromQuantiles(w, name+"_quantile", help+" (precomputed quantiles)", promQuantiles, vals)
 }
 
 // Summary is a histogram's fixed-quantile digest, the unit the analyze

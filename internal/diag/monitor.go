@@ -1,23 +1,19 @@
 package diag
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 
 	"dicer/internal/fleet"
-	"dicer/internal/metrics"
 	"dicer/internal/obs"
 	"dicer/internal/slo"
 )
-
-// writeGauge forwards to the shared Prometheus text writer.
-func writeGauge(w io.Writer, name, help string, v float64) {
-	metrics.WritePromGauge(w, name, help, v)
-}
 
 // histories are capped so a monitor attached to a forever-looping serve
 // mode stays bounded; offline analyses of normal traces fit well under
@@ -50,6 +46,77 @@ type CauseCount struct {
 	Periods int    `json:"periods"`
 }
 
+// burnTrack is a burn-rate alerter with the history both monitors
+// keep of it: the capped transition list and burn timeline the reports
+// replay, and the number of periods spent firing.
+type burnTrack struct {
+	alerter       *slo.Alerter
+	events        []slo.AlertEvent
+	timeline      []BurnPoint
+	firingPeriods int
+}
+
+// step feeds one period's violating fraction and returns the alert
+// transition, if the period made one.
+func (b *burnTrack) step(period int, violFrac float64) (slo.AlertEvent, bool) {
+	ev, changed := b.alerter.Step(violFrac)
+	if changed && len(b.events) < maxEvents {
+		b.events = append(b.events, ev)
+	}
+	if b.alerter.Firing() {
+		b.firingPeriods++
+	}
+	if len(b.timeline) < maxTimeline {
+		burns := b.alerter.Burns()
+		b.timeline = append(b.timeline, BurnPoint{
+			Period: period,
+			Short:  burns[0],
+			Long:   burns[len(burns)-1],
+			Firing: b.alerter.Firing(),
+		})
+	}
+	return ev, changed
+}
+
+// report summarises the tracker; the violation rate is over n periods
+// (node-periods for a fleet).
+func (b *burnTrack) report(violations, n int) AlertReport {
+	ar := AlertReport{
+		Config:        b.alerter.Config(),
+		Violations:    violations,
+		FiringPeriods: b.firingPeriods,
+		Fires:         b.alerter.State().Fires,
+		FinalFiring:   b.alerter.Firing(),
+		Events:        append([]slo.AlertEvent(nil), b.events...),
+		Timeline:      append([]BurnPoint(nil), b.timeline...),
+	}
+	if n > 0 {
+		ar.ViolationRate = float64(violations) / float64(n)
+	}
+	return ar
+}
+
+// writeProm renders the alert gauges under a dicer_<prefix> namespace.
+func (b *burnTrack) writeProm(w io.Writer, prefix string) {
+	st := b.alerter.State()
+	writeGauge(w, "dicer_"+prefix+"slo_alert_firing", "1 while the SLO burn-rate alert fires.", oneIf(st.Firing))
+	writeGauge(w, "dicer_"+prefix+"slo_alert_fires_total", "Lifetime SLO alert fire transitions.", float64(st.Fires))
+	writeGauge(w, "dicer_"+prefix+"slo_alert_firing_periods_total", "Periods spent with the alert firing.", float64(b.firingPeriods))
+	if len(st.Burns) > 0 {
+		writeGauge(w, "dicer_"+prefix+"slo_burn_rate_short", "Short-window error-budget burn rate.", st.Burns[0])
+		writeGauge(w, "dicer_"+prefix+"slo_burn_rate_long", "Long-window error-budget burn rate.", st.Burns[len(st.Burns)-1])
+	}
+}
+
+// oneIf is 1 when b holds, else 0: a flag as a gauge value or a
+// violating fraction.
+func oneIf(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // MonitorConfig parameterises a single-node Monitor. The zero value is
 // usable: SLO and the references are adopted from the trace header when
 // the monitor is wired as a trace sink.
@@ -80,14 +147,15 @@ func (c MonitorConfig) alertConfig() slo.AlertConfig {
 	return c.Alert
 }
 
-// Monitor is the single-node diagnostic pipeline: percentile histograms
-// (HP slowdown, link utilisation, mask-change interval), the SLO
-// burn-rate alerter, and the decision-cause histogram, all fed one
-// obs.Record per monitoring period. It implements obs.Sink (and
-// HeaderSink, to adopt the trace header's SLO/reference values), so it
-// wires into a Scenario next to the Prometheus exporter; the offline
-// analytics engine drives the identical code from a recorded trace, so
-// live and offline diagnostics agree bit-for-bit.
+// Monitor is the single-node digest of the record stream, fed one
+// obs.Record per monitoring period: record, decision and chaos-fault
+// counters, the last period's gauges, percentile histograms (HP
+// slowdown, link utilisation, mask-change interval), the SLO burn-rate
+// alerter, and the decision-cause histogram. It implements obs.Sink
+// (and HeaderSink, to adopt the trace header's SLO/reference values),
+// so dicer-sim -serve wires it into a Scenario and renders /metrics
+// from it; the offline analytics engine drives the identical code from
+// a recorded trace, so live and offline diagnostics agree bit-for-bit.
 //
 // A Monitor is safe for concurrent Emit and snapshot/WriteProm calls.
 type Monitor struct {
@@ -102,35 +170,39 @@ type Monitor struct {
 	linkUtil *Histogram
 	interval *Histogram
 	causes   map[string]int
-	alerter  *slo.Alerter
+	burn     burnTrack
 
-	periods       int
-	violations    int
-	saturated     int
-	guardVetoes   int
-	tolerated     int
-	firingPeriods int
+	periods     int
+	runs        int
+	violations  int
+	saturated   int
+	guardVetoes int
+	tolerated   int
+	decisions   map[string]int // decision events by kind
+	faults      map[string]int // injected chaos faults by class
 
 	lastWays   int
 	lastChange int
-
-	events   []slo.AlertEvent
-	timeline []BurnPoint
+	// last is the latest record without its slices (they alias the
+	// recorder's scratch): the source of the last-period gauges.
+	last obs.Record
 }
 
 // NewMonitor builds a monitor.
 func NewMonitor(cfg MonitorConfig) *Monitor {
 	return &Monitor{
-		cfg:      cfg,
-		slo:      cfg.SLO,
-		alone:    cfg.AloneIPC,
-		linkGbps: cfg.LinkGbps,
-		slowdown: newSlowdownHist(),
-		linkUtil: newUtilHist(),
-		interval: newIntervalHist(),
-		causes:   map[string]int{},
-		alerter:  slo.NewAlerter(cfg.alertConfig()),
-		lastWays: -1,
+		cfg:       cfg,
+		slo:       cfg.SLO,
+		alone:     cfg.AloneIPC,
+		linkGbps:  cfg.LinkGbps,
+		slowdown:  newSlowdownHist(),
+		linkUtil:  newUtilHist(),
+		interval:  newIntervalHist(),
+		causes:    map[string]int{},
+		burn:      burnTrack{alerter: slo.NewAlerter(cfg.alertConfig())},
+		decisions: map[string]int{},
+		faults:    map[string]int{},
+		lastWays:  -1,
 	}
 }
 
@@ -160,6 +232,16 @@ func (m *Monitor) Emit(r *obs.Record) {
 	defer m.mu.Unlock()
 	p := m.periods
 	m.periods++
+	m.last = *r
+	m.last.Decisions, m.last.Groups = nil, nil
+	for _, d := range r.Decisions {
+		m.decisions[d]++
+	}
+	m.faults["dropout"] += r.Faults.Dropouts
+	m.faults["frozen"] += r.Faults.FrozenReads
+	m.faults["jittered"] += r.Faults.JitteredReads
+	m.faults["write_rejected"] += r.Faults.WritesRejected
+	m.faults["write_delayed"] += r.Faults.WritesDelayed
 
 	violated := false
 	if m.alone > 0 && r.HPIPC > 0 {
@@ -195,36 +277,23 @@ func (m *Monitor) Emit(r *obs.Record) {
 		m.lastChange = p
 	}
 
-	frac := 0.0
-	if violated {
-		frac = 1
+	if ev, changed := m.burn.step(p, oneIf(violated)); changed && m.cfg.OnAlert != nil {
+		m.cfg.OnAlert(ev)
 	}
-	m.step(frac)
 }
 
-// step drives the alerter and the shared bookkeeping; the lock is held.
-func (m *Monitor) step(violFrac float64) {
-	ev, changed := m.alerter.Step(violFrac)
-	if changed {
-		if len(m.events) < maxEvents {
-			m.events = append(m.events, ev)
-		}
-		if m.cfg.OnAlert != nil {
-			m.cfg.OnAlert(ev)
-		}
-	}
-	if m.alerter.Firing() {
-		m.firingPeriods++
-	}
-	if len(m.timeline) < maxTimeline {
-		burns := m.alerter.Burns()
-		m.timeline = append(m.timeline, BurnPoint{
-			Period: m.periods - 1,
-			Short:  burns[0],
-			Long:   burns[len(burns)-1],
-			Firing: m.alerter.Firing(),
-		})
-	}
+// AddRun counts one completed run (dicer-sim -serve calls it per lap).
+func (m *Monitor) AddRun() {
+	m.mu.Lock()
+	m.runs++
+	m.mu.Unlock()
+}
+
+// Records returns the number of records observed.
+func (m *Monitor) Records() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.periods
 }
 
 // Firing reports whether the SLO burn-rate alert is currently firing —
@@ -232,7 +301,7 @@ func (m *Monitor) step(violFrac float64) {
 func (m *Monitor) Firing() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.alerter.Firing()
+	return m.burn.alerter.Firing()
 }
 
 // Degraded is Firing with the reason attached: since when the alert has
@@ -241,10 +310,10 @@ func (m *Monitor) Firing() bool {
 func (m *Monitor) Degraded() (bool, string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.alerter.Firing() {
+	if !m.burn.alerter.Firing() {
 		return false, ""
 	}
-	st := m.alerter.State()
+	st := m.burn.alerter.State()
 	return true, fmt.Sprintf("slo-burn alert firing since period %d (short-burn %.2f, long-burn %.2f)",
 		st.Since, st.Burns[0], st.Burns[len(st.Burns)-1])
 }
@@ -279,10 +348,10 @@ func (m *Monitor) Snapshot() AlertsSnapshot {
 	s := AlertsSnapshot{
 		SLO:       m.slo,
 		AloneIPC:  m.alone,
-		Config:    m.alerter.Config(),
-		Aggregate: m.alerter.State(),
-		Events:    append([]slo.AlertEvent(nil), m.events...),
-		Degraded:  m.alerter.Firing(),
+		Config:    m.burn.alerter.Config(),
+		Aggregate: m.burn.alerter.State(),
+		Events:    append([]slo.AlertEvent(nil), m.burn.events...),
+		Degraded:  m.burn.alerter.Firing(),
 	}
 	if m.slo > 0 {
 		s.SlowdownTarget = 1 / m.slo
@@ -290,15 +359,34 @@ func (m *Monitor) Snapshot() AlertsSnapshot {
 	return s
 }
 
-// WriteProm renders the monitor's histograms as Prometheus text; the
-// serve modes append it to the exporter's /metrics output.
+// WriteProm renders the monitor as Prometheus text, the record stream's
+// part of dicer-sim -serve's /metrics: counters, the last period's
+// gauges (once a record arrived), histograms and alert gauges.
 func (m *Monitor) WriteProm(w io.Writer) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	writeCounter(w, "dicer_records_total", "Monitoring-period trace records observed.", m.periods)
+	writeCounter(w, "dicer_runs_total", "Completed scenario runs.", m.runs)
+	writeLabelled(w, "dicer_decisions_total", "Controller decision events by kind.", "kind", m.decisions)
+	writeCounter(w, "dicer_saturated_periods_total", "Periods with the memory link saturated.", m.saturated)
+	writeCounter(w, "dicer_tolerated_faults_total", "Periods whose injected actuation fault was tolerated.", m.tolerated)
+	writeCounter(w, "dicer_guard_violations_total", "Periods that tripped the runtime invariant guard.", m.guardVetoes)
+	writeLabelled(w, "dicer_chaos_faults_total", "Injected chaos faults by class.", "type", m.faults)
+	if m.periods > 0 {
+		r := &m.last
+		writeGauge(w, "dicer_period", "Last monitoring period index.", float64(r.Period))
+		writeGauge(w, "dicer_hp_ways", "Intended HP partition size (ways).", float64(r.HPWays))
+		writeGauge(w, "dicer_hp_ipc", "HP mean IPC over the last period.", r.HPIPC)
+		writeGauge(w, "dicer_be_mean_ipc", "BE mean IPC over the last period.", r.BEMeanIPC)
+		writeGauge(w, "dicer_hp_bw_gbps", "HP memory bandwidth over the last period.", r.HPBWGbps)
+		writeGauge(w, "dicer_total_bw_gbps", "Total memory bandwidth over the last period.", r.TotalGbps)
+		writeGauge(w, "dicer_hp_occupancy_bytes", "HP LLC occupancy at last period end.", r.HPOccBytes)
+		writeGauge(w, "dicer_saturated", "1 when the last period was saturated.", oneIf(r.Saturated))
+	}
 	m.slowdown.WriteProm(w, "dicer_hp_slowdown", "Per-period HP slowdown vs alone run.")
 	m.linkUtil.WriteProm(w, "dicer_link_utilisation", "Per-period memory-link utilisation.")
 	m.interval.WriteProm(w, "dicer_mask_change_interval_periods", "Periods between HP allocation changes.")
-	writeAlertProm(w, "", m.alerter, m.firingPeriods)
+	m.burn.writeProm(w, "")
 }
 
 // Report assembles the monitor's half of an analyze Report: everything
@@ -316,7 +404,7 @@ func (m *Monitor) Report() *Report {
 			m.linkUtil.Summarise("link_utilisation"),
 			m.interval.Summarise("mask_change_interval_periods"),
 		},
-		Alert:  m.alertReport(),
+		Alert:  m.burn.report(m.violations, m.periods),
 		Causes: sortCauses(m.causes),
 	}
 	if m.slo > 0 {
@@ -328,23 +416,6 @@ func (m *Monitor) Report() *Report {
 		Tolerated:   m.tolerated,
 	}
 	return rep
-}
-
-// alertReport summarises the alerter; the lock is held.
-func (m *Monitor) alertReport() AlertReport {
-	ar := AlertReport{
-		Config:        m.alerter.Config(),
-		Violations:    m.violations,
-		FiringPeriods: m.firingPeriods,
-		Fires:         m.alerter.State().Fires,
-		FinalFiring:   m.alerter.Firing(),
-		Events:        append([]slo.AlertEvent(nil), m.events...),
-		Timeline:      append([]BurnPoint(nil), m.timeline...),
-	}
-	if m.periods > 0 {
-		ar.ViolationRate = float64(m.violations) / float64(m.periods)
-	}
-	return ar
 }
 
 // sortCauses flattens a cause histogram deterministically: descending
@@ -401,13 +472,15 @@ func (c FleetMonitorConfig) alertConfig() slo.AlertConfig {
 	return c.Alert
 }
 
-// FleetMonitor is the cluster-level diagnostic pipeline: fleet-wide
-// histograms (per-node-period HP slowdown, fleet EFU, link
-// utilisation), one burn-rate alerter per node plus a fleet aggregate
-// (fed the violating fraction of live nodes), and per-node outlier
-// bookkeeping. It consumes fleet.ClusterRecord — the cluster's
-// OnPeriod callback live, the recorded trace offline — so both paths
-// agree bit-for-bit.
+// FleetMonitor is the cluster-level digest of the record stream: the
+// cluster's admission, placement, chaos and control-event counters and
+// the last period's gauges and per-node gauges, fleet-wide histograms
+// (per-node-period HP slowdown, fleet EFU, link utilisation), one
+// burn-rate alerter per node plus a fleet aggregate (fed the violating
+// fraction of live nodes), and per-node outlier bookkeeping. It
+// consumes fleet.ClusterRecord — the cluster's OnPeriod callback live
+// (dicer-fleet -serve renders /metrics from it), the recorded trace
+// offline — so both paths agree bit-for-bit.
 //
 // A FleetMonitor is safe for concurrent ObserveRecord and snapshot
 // calls.
@@ -421,21 +494,25 @@ type FleetMonitor struct {
 	slowdown *Histogram
 	efu      *Histogram
 	linkUtil *Histogram
-	agg      *slo.Alerter
+	// agg is the fleet-aggregate alerter; its transitions are the
+	// report's alert timeline. events holds every transition with node
+	// attribution (-1 = aggregate) for the /alerts snapshot.
+	agg    burnTrack
+	events []FleetAlertEvent
 
 	nodes map[int]*nodeState
 
-	periods       int
-	violations    int // node-periods
-	lostNodes     int
-	firingPeriods int
+	periods    int
+	violations int // node-periods
+	lostNodes  int
 
-	// aggEvents holds the fleet-aggregate alerter's transitions (the
-	// report's alert timeline); events holds every transition with node
-	// attribution (-1 = aggregate) for the /alerts snapshot.
-	aggEvents []slo.AlertEvent
-	events    []FleetAlertEvent
-	timeline  []BurnPoint
+	// sum holds each count field summed over every record; actions
+	// counts the records' control events by cause.
+	sum     fleet.ClusterRecord
+	actions map[string]int
+	// last is the latest record without its events; its Nodes are the
+	// monitor's own copy, sorted by node.
+	last fleet.ClusterRecord
 }
 
 // FleetAlertEvent is an alert transition attributed to its source: a
@@ -458,8 +535,9 @@ func NewFleetMonitor(cfg FleetMonitorConfig) *FleetMonitor {
 		slowdown: newSlowdownHist(),
 		efu:      NewHistogram(0.005, 1.5, 50),
 		linkUtil: newUtilHist(),
-		agg:      slo.NewAlerter(cfg.alertConfig()),
+		agg:      burnTrack{alerter: slo.NewAlerter(cfg.alertConfig())},
 		nodes:    map[int]*nodeState{},
+		actions:  map[string]int{},
 	}
 }
 
@@ -493,6 +571,27 @@ func (m *FleetMonitor) ObserveRecord(rec *fleet.ClusterRecord) {
 	defer m.mu.Unlock()
 	m.periods++
 	m.efu.Observe(rec.FleetEFU)
+	s := &m.sum
+	s.Arrivals += rec.Arrivals
+	s.Admitted += rec.Admitted
+	s.Rejected += rec.Rejected
+	s.Placed += rec.Placed
+	s.Requeued += rec.Requeued
+	s.Dropped += rec.Dropped
+	s.Done += rec.Done
+	s.Freezes += rec.Freezes
+	s.Losses += rec.Losses
+	s.Evicted += rec.Evicted
+	s.Incidents += rec.Incidents
+	s.SLOViolations += rec.SLOViolations
+	for i := range rec.Events {
+		m.actions[rec.Events[i].Cause]++
+	}
+	hbs := m.last.Nodes[:0] // reuse the previous copy's array
+	m.last = *rec
+	m.last.Events = nil
+	m.last.Nodes = append(hbs, rec.Nodes...)
+	slices.SortFunc(m.last.Nodes, func(a, b fleet.Heartbeat) int { return cmp.Compare(a.Node, b.Node) })
 
 	live := 0
 	violating := 0
@@ -531,12 +630,7 @@ func (m *FleetMonitor) ObserveRecord(rec *fleet.ClusterRecord) {
 			m.violations++
 		}
 		if ev, changed := n.alerter.Step(frac); changed {
-			if len(m.events) < maxEvents {
-				m.events = append(m.events, FleetAlertEvent{Node: hb.Node, AlertEvent: ev})
-			}
-			if m.cfg.OnAlert != nil {
-				m.cfg.OnAlert(hb.Node, ev)
-			}
+			m.alert(hb.Node, ev)
 		}
 		if n.alerter.Firing() {
 			n.firingP++
@@ -548,29 +642,27 @@ func (m *FleetMonitor) ObserveRecord(rec *fleet.ClusterRecord) {
 	if live > 0 {
 		frac = float64(violating) / float64(live)
 	}
-	if ev, changed := m.agg.Step(frac); changed {
-		if len(m.events) < maxEvents {
-			m.events = append(m.events, FleetAlertEvent{Node: -1, AlertEvent: ev})
-		}
-		if len(m.aggEvents) < maxEvents {
-			m.aggEvents = append(m.aggEvents, ev)
-		}
-		if m.cfg.OnAlert != nil {
-			m.cfg.OnAlert(-1, ev)
-		}
+	if ev, changed := m.agg.step(m.periods-1, frac); changed {
+		m.alert(-1, ev)
 	}
-	if m.agg.Firing() {
-		m.firingPeriods++
+}
+
+// alert records a transition with its source and passes it to OnAlert;
+// the lock is held.
+func (m *FleetMonitor) alert(node int, ev slo.AlertEvent) {
+	if len(m.events) < maxEvents {
+		m.events = append(m.events, FleetAlertEvent{Node: node, AlertEvent: ev})
 	}
-	if len(m.timeline) < maxTimeline {
-		burns := m.agg.Burns()
-		m.timeline = append(m.timeline, BurnPoint{
-			Period: m.periods - 1,
-			Short:  burns[0],
-			Long:   burns[len(burns)-1],
-			Firing: m.agg.Firing(),
-		})
+	if m.cfg.OnAlert != nil {
+		m.cfg.OnAlert(node, ev)
 	}
+}
+
+// Periods returns the number of cluster periods observed.
+func (m *FleetMonitor) Periods() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.periods
 }
 
 // Degraded reports the /healthz degradation signal: a firing alert
@@ -589,8 +681,8 @@ func (m *FleetMonitor) Degraded() (bool, string) {
 		}
 		return true, fmt.Sprintf("node(s) lost: %s", strings.Join(lost, ","))
 	}
-	if m.agg.Firing() {
-		st := m.agg.State()
+	if m.agg.alerter.Firing() {
+		st := m.agg.alerter.State()
 		return true, fmt.Sprintf("fleet slo-burn alert firing since period %d (short-burn %.2f, long-burn %.2f)",
 			st.Since, st.Burns[0], st.Burns[len(st.Burns)-1])
 	}
@@ -622,9 +714,9 @@ func (m *FleetMonitor) Snapshot() AlertsSnapshot {
 	defer m.mu.Unlock()
 	s := AlertsSnapshot{
 		SLO:        m.slo,
-		Config:     m.agg.Config(),
-		Aggregate:  m.agg.State(),
-		Events:     append([]slo.AlertEvent(nil), m.aggEvents...),
+		Config:     m.agg.alerter.Config(),
+		Aggregate:  m.agg.alerter.State(),
+		Events:     append([]slo.AlertEvent(nil), m.agg.events...),
 		NodeEvents: append([]FleetAlertEvent(nil), m.events...),
 	}
 	if m.slo > 0 {
@@ -637,20 +729,72 @@ func (m *FleetMonitor) Snapshot() AlertsSnapshot {
 			s.Degraded = true
 		}
 	}
-	if m.agg.Firing() || m.lostNodes > 0 {
+	if m.agg.alerter.Firing() || m.lostNodes > 0 {
 		s.Degraded = true
 	}
 	return s
 }
 
-// WriteProm renders the fleet histograms and alert gauges.
+// WriteProm renders the monitor as Prometheus text, the record stream's
+// part of dicer-fleet -serve's /metrics: counters, the last period's
+// gauges and per-node gauges (once a record arrived), histograms and
+// the aggregate alert gauges.
 func (m *FleetMonitor) WriteProm(w io.Writer) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	s := &m.sum
+	writeCounter(w, "dicer_fleet_periods_total", "Cluster monitoring periods observed.", m.periods)
+	writeCounter(w, "dicer_fleet_arrivals_total", "Best-effort job arrivals.", s.Arrivals)
+	writeCounter(w, "dicer_fleet_admitted_total", "Arrivals admitted to the queue.", s.Admitted)
+	writeCounter(w, "dicer_fleet_rejected_total", "Arrivals rejected by admission control.", s.Rejected)
+	writeCounter(w, "dicer_fleet_placements_total", "Job placements, including re-placements after node loss.", s.Placed)
+	writeCounter(w, "dicer_fleet_requeued_total", "Orphaned jobs re-queued after node loss.", s.Requeued)
+	writeCounter(w, "dicer_fleet_dropped_total", "Jobs dropped after exhausting placement attempts.", s.Dropped)
+	writeCounter(w, "dicer_fleet_done_total", "Jobs completed.", s.Done)
+	writeCounter(w, "dicer_fleet_node_freezes_total", "Node freeze events.", s.Freezes)
+	writeCounter(w, "dicer_fleet_node_losses_total", "Node loss events.", s.Losses)
+	writeCounter(w, "dicer_fleet_evictions_total", "BE jobs migrated off burning nodes.", s.Evicted)
+	writeCounter(w, "dicer_fleet_migrations_total", "SLO-burn migration decisions (one per burning node acted on).", m.actions[fleet.CauseMigration])
+	writeCounter(w, "dicer_fleet_repacks_total", "Repartition-first repacks (cache plans re-clustered fleet-wide).", m.actions[fleet.CauseRepack])
+	writeCounter(w, "dicer_fleet_scale_ups_total", "Autoscaler scale-up decisions.", m.actions[fleet.CauseScaleUp])
+	writeCounter(w, "dicer_fleet_scale_downs_total", "Autoscaler drain/retire decisions.", m.actions[fleet.CauseScaleDown])
+	writeCounter(w, "dicer_fleet_incidents_total", "Forensic incident bundles sealed by the flight recorder.", s.Incidents)
+	writeCounter(w, "dicer_fleet_slo_violations_total", "Per-node, per-period HP SLO misses.", s.SLOViolations)
+	if m.periods > 0 {
+		r := &m.last
+		writeGauge(w, "dicer_fleet_period", "Last cluster period index.", float64(r.Period))
+		writeGauge(w, "dicer_fleet_queue_len", "Jobs waiting for placement.", float64(r.QueueLen))
+		writeGauge(w, "dicer_fleet_running", "Jobs running across the fleet.", float64(r.Running))
+		writeGauge(w, "dicer_fleet_efu", "Last period's fleet EFU.", r.FleetEFU)
+		if r.NodesLive > 0 {
+			writeGauge(w, "dicer_fleet_nodes_live", "Working (non-retired, non-lost) nodes.", float64(r.NodesLive))
+		}
+		if r.Quarantined > 0 {
+			writeGauge(w, "dicer_fleet_quarantined", "Nodes quarantined out of the placement candidate set.", float64(r.Quarantined))
+		}
+		writeNodeGauge(w, "dicer_fleet_node_state", "Node health: 0 live, 1 frozen, 2 lost, 3 retired.",
+			r.Nodes, func(hb *fleet.Heartbeat) float64 {
+				switch {
+				case hb.Retired:
+					return 3
+				case hb.Lost:
+					return 2
+				case hb.Frozen:
+					return 1
+				}
+				return 0
+			})
+		writeNodeGauge(w, "dicer_fleet_node_be_count", "BE jobs running on the node.",
+			r.Nodes, func(hb *fleet.Heartbeat) float64 { return float64(hb.BECount) })
+		writeNodeGauge(w, "dicer_fleet_node_hp_norm", "Node HP normalised IPC.",
+			r.Nodes, func(hb *fleet.Heartbeat) float64 { return hb.HPNorm })
+		writeNodeGauge(w, "dicer_fleet_node_total_bw_gbps", "Node memory bandwidth.",
+			r.Nodes, func(hb *fleet.Heartbeat) float64 { return hb.TotalGbps })
+	}
 	m.slowdown.WriteProm(w, "dicer_fleet_hp_slowdown", "Per-node-period HP slowdown vs alone run.")
 	m.efu.WriteProm(w, "dicer_fleet_efu_hist", "Per-period fleet effective utilisation.")
 	m.linkUtil.WriteProm(w, "dicer_fleet_link_utilisation", "Per-node-period memory-link utilisation.")
-	writeAlertProm(w, "fleet_", m.agg, m.firingPeriods)
+	m.agg.writeProm(w, "fleet_")
 }
 
 // NodeReport is one node's row of the fleet analyze report.
@@ -675,6 +819,10 @@ type NodeReport struct {
 func (m *FleetMonitor) Report() *Report {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	nodePeriods := 0
+	for _, n := range m.nodes {
+		nodePeriods += n.periods
+	}
 	rep := &Report{
 		SLO:     m.slo,
 		Periods: m.periods,
@@ -683,28 +831,12 @@ func (m *FleetMonitor) Report() *Report {
 			m.efu.Summarise("fleet_efu"),
 			m.linkUtil.Summarise("link_utilisation"),
 		},
-		Alert: AlertReport{
-			Config:        m.agg.Config(),
-			Violations:    m.violations,
-			FiringPeriods: m.firingPeriods,
-			Fires:         m.agg.State().Fires,
-			FinalFiring:   m.agg.Firing(),
-			Events:        append([]slo.AlertEvent(nil), m.aggEvents...),
-			Timeline:      append([]BurnPoint(nil), m.timeline...),
-		},
+		Alert: m.agg.report(m.violations, nodePeriods),
 	}
 	if m.slo > 0 {
 		rep.SlowdownTarget = 1 / m.slo
 	}
-	meanRate := 0.0
-	nodePeriods := 0
-	for _, n := range m.nodes {
-		nodePeriods += n.periods
-	}
-	if nodePeriods > 0 {
-		meanRate = float64(m.violations) / float64(nodePeriods)
-		rep.Alert.ViolationRate = meanRate
-	}
+	meanRate := rep.Alert.ViolationRate
 	for _, id := range m.nodeIDs() {
 		n := m.nodes[id]
 		nr := NodeReport{
@@ -725,21 +857,4 @@ func (m *FleetMonitor) Report() *Report {
 		rep.Nodes = append(rep.Nodes, nr)
 	}
 	return rep
-}
-
-// writeAlertProm renders an alerter's gauges under a dicer_<prefix>
-// namespace.
-func writeAlertProm(w io.Writer, prefix string, a *slo.Alerter, firingPeriods int) {
-	st := a.State()
-	firing := 0.0
-	if st.Firing {
-		firing = 1
-	}
-	writeGauge(w, "dicer_"+prefix+"slo_alert_firing", "1 while the SLO burn-rate alert fires.", firing)
-	writeGauge(w, "dicer_"+prefix+"slo_alert_fires_total", "Lifetime SLO alert fire transitions.", float64(st.Fires))
-	writeGauge(w, "dicer_"+prefix+"slo_alert_firing_periods_total", "Periods spent with the alert firing.", float64(firingPeriods))
-	if len(st.Burns) > 0 {
-		writeGauge(w, "dicer_"+prefix+"slo_burn_rate_short", "Short-window error-budget burn rate.", st.Burns[0])
-		writeGauge(w, "dicer_"+prefix+"slo_burn_rate_long", "Long-window error-budget burn rate.", st.Burns[len(st.Burns)-1])
-	}
 }

@@ -7,19 +7,18 @@ import (
 	"testing"
 
 	"dicer/internal/diag"
-	"dicer/internal/metrics"
 	"dicer/internal/obs"
 )
 
 // TestRunManyWithLiveTracing exercises the observability wiring the way
 // the serve mode does, but across a parallel fleet: every uncached run
 // gets its own trace ring (per-runner isolation), all runs share one
-// Prometheus exporter, and a scraper goroutine renders the exposition
-// concurrently with the runs. Run under -race this pins the concurrency
-// contract of Config.Trace, Ring, and Exporter.
+// diagnostic monitor, and a scraper goroutine renders its /metrics
+// exposition concurrently with the runs. Run under -race this pins the
+// concurrency contract of Config.Trace, Ring, and Monitor.
 func TestRunManyWithLiveTracing(t *testing.T) {
 	const horizon = 15
-	exp := metrics.NewExporter()
+	mon := diag.NewMonitor(diag.MonitorConfig{})
 	var mu sync.Mutex
 	rings := map[string]*obs.Ring{}
 
@@ -29,7 +28,7 @@ func TestRunManyWithLiveTracing(t *testing.T) {
 		mu.Lock()
 		rings[fmt.Sprintf("%s/%s", w, pol)] = ring
 		mu.Unlock()
-		return obs.MultiSink{ring, exp}
+		return obs.MultiSink{ring, mon}
 	}
 	s, err := NewSuite(cfg)
 	if err != nil {
@@ -48,10 +47,7 @@ func TestRunManyWithLiveTracing(t *testing.T) {
 			default:
 			}
 			var buf bytes.Buffer
-			if _, err := exp.WriteTo(&buf); err != nil {
-				t.Error(err)
-				return
-			}
+			mon.WriteProm(&buf)
 		}
 	}()
 
@@ -85,8 +81,8 @@ func TestRunManyWithLiveTracing(t *testing.T) {
 			}
 		}
 	}
-	if got, want := exp.Records(), horizon*len(jobs); got != want {
-		t.Fatalf("exporter aggregated %d records, want %d", got, want)
+	if got, want := mon.Records(), horizon*len(jobs); got != want {
+		t.Fatalf("monitor digested %d records, want %d", got, want)
 	}
 
 	// Memoised replays do not re-execute and so must not re-emit traces:
@@ -97,7 +93,7 @@ func TestRunManyWithLiveTracing(t *testing.T) {
 	if len(rings) != len(jobs) {
 		t.Fatalf("cached re-run created new trace sinks (%d total)", len(rings))
 	}
-	if got := exp.Records(); got != horizon*len(jobs) {
+	if got := mon.Records(); got != horizon*len(jobs) {
 		t.Fatalf("cached re-run re-emitted records: %d", got)
 	}
 }
