@@ -108,20 +108,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Fraction returns the fraction of xs for which pred holds.
-func Fraction(xs []float64, pred func(float64) bool) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, x := range xs {
-		if pred(x) {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
-}
-
 // CDF is an empirical cumulative distribution over a sample.
 type CDF struct {
 	sorted []float64

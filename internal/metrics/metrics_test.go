@@ -149,19 +149,12 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
-func TestMeanAndFraction(t *testing.T) {
+func TestMean(t *testing.T) {
 	if !almost(Mean([]float64{1, 2, 3}), 2) {
 		t.Fatal("mean")
 	}
 	if Mean(nil) != 0 {
 		t.Fatal("empty mean")
-	}
-	got := Fraction([]float64{1, 2, 3, 4}, func(x float64) bool { return x > 2 })
-	if !almost(got, 0.5) {
-		t.Fatal("fraction")
-	}
-	if Fraction(nil, func(float64) bool { return true }) != 0 {
-		t.Fatal("empty fraction")
 	}
 }
 
