@@ -77,8 +77,7 @@ func (a *AppSpec) curve() *mrc.Curve {
 	return &a.Curve
 }
 
-// Config bounds a clustering run. All fields are required except
-// KneeEps, which defaults to DefaultKneeEps when zero.
+// Config bounds a clustering run. All fields are required.
 type Config struct {
 	TotalWays  int     // LLC associativity
 	WayBytes   float64 // bytes per way
@@ -86,14 +85,11 @@ type Config struct {
 
 	MinGroupWays int // CAT floor per HP group mask
 	MinBEWays    int // ways reserved for the BE partition
-
-	// KneeEps is the marginal miss-ratio gain below which additional
-	// ways stop counting toward an app's demand (the MRC knee).
-	KneeEps float64
 }
 
-// DefaultKneeEps is the demand-knee cutoff used when Config.KneeEps is 0.
-const DefaultKneeEps = 0.02
+// kneeEps is the marginal miss-ratio gain below which additional ways
+// stop counting toward an app's demand (the MRC knee).
+const kneeEps = 0.02
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
@@ -114,13 +110,6 @@ func (c Config) Validate() error {
 			c.TotalWays, c.MinGroupWays, c.MinBEWays)
 	}
 	return nil
-}
-
-func (c Config) kneeEps() float64 {
-	if c.KneeEps > 0 {
-		return c.KneeEps
-	}
-	return DefaultKneeEps
 }
 
 // Group is one CLOS group of the plan: the member apps (indices into the
@@ -171,13 +160,12 @@ func Sensitivity(cfg Config, c *mrc.Curve) float64 {
 }
 
 // DemandWays returns the smallest way count at which the curve is within
-// KneeEps of its full-cache miss ratio — the app's working-set knee,
+// kneeEps of its full-cache miss ratio — the app's working-set knee,
 // clamped to at least MinGroupWays.
 func DemandWays(cfg Config, c *mrc.Curve) int {
 	full := c.MissRatio(float64(cfg.TotalWays) * cfg.WayBytes)
-	eps := cfg.kneeEps()
 	for w := cfg.MinGroupWays; w < cfg.TotalWays; w++ {
-		if c.MissRatio(float64(w)*cfg.WayBytes)-full <= eps {
+		if c.MissRatio(float64(w)*cfg.WayBytes)-full <= kneeEps {
 			return w
 		}
 	}

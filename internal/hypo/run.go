@@ -18,12 +18,9 @@ import (
 // stream, or the multi-HP workload draw) while everything else stays
 // fixed, so per-seed pairs are true replicates.
 type Config struct {
-	Name string `json:"name"`
-	// Summary is a one-line description for reports (generated from the
-	// spec when empty).
-	Summary string     `json:"summary,omitempty"`
-	Fleet   *FleetSpec `json:"fleet,omitempty"`
-	Soak    *SoakSpec  `json:"soak,omitempty"`
+	Name  string     `json:"name"`
+	Fleet *FleetSpec `json:"fleet,omitempty"`
+	Soak  *SoakSpec  `json:"soak,omitempty"`
 	// MultiHP runs a single-node multi-HP consolidation
 	// (experiments.Suite.RunMultiHP) once per seed; the spec's Seed field
 	// is overridden by the hypothesis seed per replicate, so each seed
@@ -97,11 +94,9 @@ type SoakSpec struct {
 	HorizonPeriods int `json:"horizon_periods,omitempty"`
 }
 
-// Describe returns the config's one-line summary for reports.
+// Describe returns the config's one-line summary for reports, generated
+// from the spec.
 func (c Config) Describe() string {
-	if c.Summary != "" {
-		return c.Summary
-	}
 	if f := c.Fleet; f != nil {
 		nodes, horizon, qcap := f.Nodes, f.HorizonPeriods, f.QueueCap
 		if nodes == 0 {
