@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -94,6 +95,67 @@ func TestRingDeepCopiesDecisions(t *testing.T) {
 	snap[0].Decisions[0] = "MUTATED"
 	if again, _ := g.Last(); again.Decisions[0] != "shrink" {
 		t.Fatalf("snapshot aliased the ring slot: got %q", again.Decisions[0])
+	}
+}
+
+// cloneSink keeps a deep copy of every record as it is emitted.
+type cloneSink []Record
+
+func (c *cloneSink) Emit(r *Record) { *c = append(*c, r.clone()) }
+
+// TestRingDeepCopiesGroups runs a grouped recorder into a ring: every
+// retained record's groups must equal a deep copy taken at Emit,
+// although the recorder rewrites its group scratch every period. A
+// later record with more groups regrows the ring's group storage
+// without disturbing the records it holds.
+func TestRingDeepCopiesGroups(t *testing.T) {
+	ctl := threeHP(t)
+	sys := &fakeSystem{ways: 20}
+	ring := NewRing(64)
+	var want cloneSink
+	rec := NewRecorder(MultiSink{ring, &want})
+	rec.AttachController(ctl)
+	if err := ctl.Setup(sys); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 30; i++ {
+		p := groupedPeriod(1+0.1*float64(i%7), 0.8+0.1*float64(i%5))
+		if err := ctl.Observe(sys, p); err != nil {
+			t.Fatal(err)
+		}
+		rec.EndPeriod(i, p, sys, nil)
+	}
+	got := ring.Snapshot()
+	if len(got) != len(want) {
+		t.Fatalf("ring holds %d records, %d emitted", len(got), len(want))
+	}
+	decisions := 0
+	for i := range got {
+		if len(want[i].Groups) != 3 {
+			t.Fatalf("period %d emitted %d groups, want 3", i, len(want[i].Groups))
+		}
+		if !reflect.DeepEqual(got[i].Groups, want[i].Groups) {
+			t.Fatalf("period %d: ring holds groups %+v, emitted %+v", i, got[i].Groups, want[i].Groups)
+		}
+		for _, g := range want[i].Groups {
+			decisions += len(g.Decisions)
+		}
+	}
+	if decisions == 0 {
+		t.Fatal("no group decisions emitted: the run does not exercise their copies")
+	}
+
+	two := []GroupRecord{{Group: 0, IPC: 1, Decisions: []string{"shrink"}}, {Group: 1, IPC: 2}}
+	three := []GroupRecord{{Group: 0, IPC: 3}, {Group: 1, IPC: 4}, {Group: 2, IPC: 5, Decisions: []string{"sample"}}}
+	g := NewRing(3)
+	g.Emit(&Record{Period: 0, Groups: two})
+	g.Emit(&Record{Period: 1, Groups: three})
+	wantTwo := []GroupRecord{{Group: 0, IPC: 1, Decisions: []string{"shrink"}}, {Group: 1, IPC: 2}}
+	wantThree := []GroupRecord{{Group: 0, IPC: 3}, {Group: 1, IPC: 4}, {Group: 2, IPC: 5, Decisions: []string{"sample"}}}
+	two[0].IPC, two[0].Decisions[0], three[2].Decisions[0] = -1, "CLOBBERED", "CLOBBERED"
+	snap := g.Snapshot()
+	if !reflect.DeepEqual(snap[0].Groups, wantTwo) || !reflect.DeepEqual(snap[1].Groups, wantThree) {
+		t.Fatalf("ring holds groups %+v and %+v after regrowing", snap[0].Groups, snap[1].Groups)
 	}
 }
 

@@ -106,8 +106,8 @@ func (h Header) FaultFree() bool { return h.Chaos == "" || h.Chaos == "none" }
 // decisions, intended allocation, installed masks); the rest annotates
 // the substrate (guard interventions, chaos faults, tolerated errors).
 //
-// All fields are fixed-size except Decisions, which aliases a
-// preallocated buffer inside the Recorder; sinks that retain records
+// All fields are fixed-size except Decisions and Groups, which alias
+// preallocated buffers inside the Recorder; sinks that retain records
 // beyond the Emit call must deep-copy (Ring does).
 type Record struct {
 	// Period is the monitoring period index (0-based).
@@ -162,7 +162,7 @@ type Record struct {
 
 	// Groups holds per-CLOS-group observations and decisions for multi-
 	// HP (v2) traces; empty in v1 traces. Like Decisions it aliases
-	// recorder scratch — retaining sinks must deep-copy (clone does).
+	// recorder scratch — retaining sinks must deep-copy (Ring does).
 	Groups []GroupRecord `json:"groups,omitempty"`
 	// Reclustered marks a period in which the grouping plan changed and
 	// the per-group state machines restarted.

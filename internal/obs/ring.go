@@ -3,10 +3,13 @@ package obs
 import "sync"
 
 // Ring is a fixed-capacity, thread-safe ring buffer of Records: the
-// in-memory sink behind the /trace endpoint and the property tests. Once
-// constructed it never allocates on Emit — each slot owns a fixed
-// decision buffer that incoming records are deep-copied into — so it can
-// sit on the monitoring hot path for the lifetime of a deployment.
+// in-memory sink behind the /trace endpoint and the property tests.
+// Incoming records are deep-copied into storage each slot owns: a fixed
+// decision buffer, and group records with their decision buffers,
+// sized for every slot at once by the first grouped record (and again
+// only by one with more groups). Emit otherwise never allocates, so a
+// ring can sit on the monitoring hot path for the lifetime of a
+// deployment.
 type Ring struct {
 	mu    sync.Mutex
 	slots []ringSlot
@@ -15,11 +18,14 @@ type Ring struct {
 	total int // records ever emitted
 }
 
-// ringSlot stores one record plus the backing array its Decisions slice
-// points into, so retention never aliases the Recorder's scratch.
+// ringSlot stores one record plus the backing arrays its Decisions and
+// Groups slices point into, so retention never aliases the Recorder's
+// scratch.
 type ringSlot struct {
-	rec Record
-	dec [maxDecisions]string
+	rec    Record
+	dec    [maxDecisions]string
+	groups []GroupRecord
+	gdec   [][maxDecisions]string
 }
 
 // NewRing creates a ring holding the most recent capacity records.
@@ -37,12 +43,36 @@ func (g *Ring) Emit(r *Record) {
 	s.rec = *r
 	nd := copy(s.dec[:], r.Decisions)
 	s.rec.Decisions = s.dec[:nd]
+	if len(r.Groups) > 0 {
+		if len(r.Groups) > len(s.groups) {
+			g.growGroups(len(r.Groups))
+		}
+		s.rec.Groups = s.groups[:len(r.Groups)]
+		for i := range s.rec.Groups {
+			gr := &s.rec.Groups[i]
+			*gr = r.Groups[i]
+			if gr.Decisions != nil {
+				gr.Decisions = s.gdec[i][:copy(s.gdec[i][:], gr.Decisions)]
+			}
+		}
+	}
 	g.pos = (g.pos + 1) % len(g.slots)
 	if g.n < len(g.slots) {
 		g.n++
 	}
 	g.total++
 	g.mu.Unlock()
+}
+
+// growGroups gives every slot storage for k groups. Records already held
+// keep the storage they were copied into; nothing writes it again.
+func (g *Ring) growGroups(k int) {
+	groups := make([]GroupRecord, k*len(g.slots))
+	gdec := make([][maxDecisions]string, k*len(g.slots))
+	for i := range g.slots {
+		g.slots[i].groups = groups[i*k : (i+1)*k]
+		g.slots[i].gdec = gdec[i*k : (i+1)*k]
+	}
 }
 
 // Len returns the number of records currently held.
