@@ -91,7 +91,7 @@ func TestServeEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatalf("/trace output unparseable: %v", err)
 	}
-	if h.Policy != "DICER" || h.HP != "omnetpp1" || len(recs) != 12 {
+	if h.Policy != "DICER" || len(h.HPs) != 1 || h.HPs[0] != "omnetpp1" || len(recs) != 12 {
 		t.Fatalf("/trace header/records wrong: %+v, %d records", h, len(recs))
 	}
 	// The served trace is replayable like any recorded one.

@@ -15,16 +15,18 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden report files")
 
-// TestAnalyzeGoldenReports pins the rendered diagnostic report for both
-// committed golden traces — one single-node, one fleet — byte-for-byte.
-// Any drift means the analytics engine (or the trace behind it) changed
-// and must be reviewed, then refreshed with -update.
+// TestAnalyzeGoldenReports pins the rendered diagnostic report over
+// three committed golden traces — the two-CLOS node, the re-clustering
+// node with its decision causes and CLOS group breakdown, the fleet —
+// byte-for-byte. Any drift means the analytics engine (or the trace
+// behind it) changed and must be reviewed, then refreshed with -update.
 func TestAnalyzeGoldenReports(t *testing.T) {
 	cases := []struct {
 		name  string
 		trace string
 	}{
 		{"node_report", filepath.Join("..", "..", "testdata", "ctt_milc.jsonl.golden")},
+		{"recluster_report", filepath.Join("..", "..", "testdata", "recluster.jsonl.golden")},
 		{"fleet_report", filepath.Join("..", "dicer-fleet", "testdata", "cluster.jsonl.golden")},
 	}
 	for _, tc := range cases {
@@ -110,10 +112,9 @@ func TestSummaryAndAlertsJSON(t *testing.T) {
 	}
 }
 
-// TestAnalyzeMultiHPTrace records a short multi-HP run (which emits a
-// dicer-trace/v2 stream) and checks that all three subcommands sniff
-// the schema, and that analyze reports the per-CLOS-group breakdown in
-// both text and JSON.
+// TestAnalyzeMultiHPTrace records a short multi-HP run and checks that
+// all three subcommands read it, and that analyze reports the per-CLOS-
+// group breakdown in both text and JSON.
 func TestAnalyzeMultiHPTrace(t *testing.T) {
 	var hps []dicer.HPApp
 	for _, name := range []string{"omnetpp1", "sphinx1", "milc1"} {
@@ -149,10 +150,10 @@ func TestAnalyzeMultiHPTrace(t *testing.T) {
 
 	var out bytes.Buffer
 	if err := runAnalyze([]string{trace}, &out); err != nil {
-		t.Fatalf("analyze rejected a v2 trace: %v", err)
+		t.Fatalf("analyze rejected a grouped trace: %v", err)
 	}
 	if !strings.Contains(out.String(), "CLOS group breakdown:") {
-		t.Errorf("v2 analyze report missing group breakdown:\n%s", out.String())
+		t.Errorf("grouped analyze report missing group breakdown:\n%s", out.String())
 	}
 
 	out.Reset()
@@ -163,11 +164,8 @@ func TestAnalyzeMultiHPTrace(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatalf("analyze -json is not valid JSON: %v", err)
 	}
-	if rep.Schema != "dicer-trace/v2" {
-		t.Errorf("report schema = %q, want dicer-trace/v2", rep.Schema)
-	}
-	if len(rep.Groups) == 0 {
-		t.Fatalf("v2 report has no group summaries")
+	if len(rep.Groups) < 2 {
+		t.Fatalf("grouped report has %d group summaries, want one per group", len(rep.Groups))
 	}
 	for _, g := range rep.Groups {
 		if g.Periods == 0 || g.WaysMean <= 0 {
@@ -175,17 +173,17 @@ func TestAnalyzeMultiHPTrace(t *testing.T) {
 		}
 	}
 
-	// summary and alerts run the same engine; they must accept v2 too.
+	// summary and alerts run the same engine; they must accept it too.
 	out.Reset()
 	if err := runSummary([]string{trace}, &out); err != nil {
-		t.Fatalf("summary rejected a v2 trace: %v", err)
+		t.Fatalf("summary rejected a grouped trace: %v", err)
 	}
 	if !strings.Contains(out.String(), "hp_slowdown") {
-		t.Errorf("v2 summary missing percentile table:\n%s", out.String())
+		t.Errorf("grouped summary missing percentile table:\n%s", out.String())
 	}
 	out.Reset()
 	if err := runAlerts([]string{"-json", trace}, &out); err != nil {
-		t.Fatalf("alerts rejected a v2 trace: %v", err)
+		t.Fatalf("alerts rejected a grouped trace: %v", err)
 	}
 }
 

@@ -160,8 +160,8 @@ func runReplay(args []string, stdout io.Writer) error {
 	if res.MasksVerified {
 		masks = "decisions and installed masks"
 	}
-	fmt.Fprintf(stdout, "%s: OK — %d periods, %d decisions replayed identically (%s)\n",
-		path, res.Periods, res.Decisions, masks)
+	fmt.Fprintf(stdout, "%s: OK — %d periods, %d decisions over %d HP group(s) and %d re-plan(s) replayed identically (%s)\n",
+		path, res.Periods, res.Decisions, res.Groups, res.Replans, masks)
 	return nil
 }
 

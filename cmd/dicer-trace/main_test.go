@@ -97,11 +97,10 @@ func TestReplayRejectsNonDICERTrace(t *testing.T) {
 	}
 }
 
-// TestReplayRejectsV2Trace: a dicer-trace/v2 trace (a grouped
-// controller's per-group records) is refused with a structural error
-// naming its schema, at one HP app and at three, instead of replaying it
-// on the two-CLOS controller and reporting a false divergence.
-func TestReplayRejectsV2Trace(t *testing.T) {
+// TestRecordThenReplayGrouped: a grouped controller's trace replays
+// through the CLI like the two-CLOS controller's, at one HP app and at
+// three, with decisions and installed masks verified.
+func TestRecordThenReplayGrouped(t *testing.T) {
 	be, err := dicer.AppByName("gcc_base1")
 	if err != nil {
 		t.Fatal(err)
@@ -130,14 +129,17 @@ func TestReplayRejectsV2Trace(t *testing.T) {
 		if err := jl.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(t.TempDir(), "v2.jsonl")
+		path := filepath.Join(t.TempDir(), "grouped.jsonl")
 		if err := os.WriteFile(path, rec.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		var out bytes.Buffer
-		err := runReplay([]string{path}, &out)
-		if err == nil || !strings.Contains(err.Error(), "dicer-trace/v2") || strings.Contains(err.Error(), "diverged") {
-			t.Errorf("M=%d: replay of a v2 trace returned %v, want a schema error naming dicer-trace/v2", len(names), err)
+		if err := runReplay([]string{path}, &out); err != nil {
+			t.Errorf("M=%d: replay of a grouped recording failed: %v", len(names), err)
+			continue
+		}
+		if !strings.Contains(out.String(), "OK") || !strings.Contains(out.String(), "installed masks") {
+			t.Errorf("M=%d: replay output %q lacks full verification", len(names), out.String())
 		}
 	}
 }

@@ -188,8 +188,14 @@ func (c *Controller) GroupBudget(gi int) int { return c.groups[gi].maxWays }
 // GroupState returns group gi's state name, for reporting.
 func (c *Controller) GroupState(gi int) string { return c.groups[gi].st.String() }
 
-// GroupOf returns the CLOS group of HP app i under the current plan.
-func (c *Controller) GroupOf(app int) int { return c.plan.GroupOf(app) }
+// GroupOf returns the CLOS group of HP app i under the current plan; on
+// the two-CLOS split, which has no plan, its one HP app is group 0.
+func (c *Controller) GroupOf(app int) int {
+	if len(c.plan.Groups) == 0 {
+		return 0
+	}
+	return c.plan.GroupOf(app)
+}
 
 // HPWays returns the HP ways currently enforced, summed over groups.
 func (c *Controller) HPWays() int {
@@ -221,6 +227,43 @@ func (c *Controller) Specs() []cluster.AppSpec { return c.specs }
 // two-CLOS split every planner would return the one group holding
 // NumWays-MinBEWays ways, so that group is installed directly.
 func (c *Controller) Setup(sys resctrl.System) error {
+	if err := c.attach(sys); err != nil {
+		return err
+	}
+	if c.specs == nil {
+		g := &c.cfg.Group
+		c.groups = c.groups[:1]
+		c.groups[0].init(0, g.MinHPWays, c.totalWays-g.MinBEWays)
+		return c.installMasks()
+	}
+	plan, err := c.planNow(false)
+	if err != nil {
+		return err
+	}
+	return c.installPlan(plan)
+}
+
+// Resume returns a controller set up on sys from the given plan, as
+// Setup leaves a grouped controller after planning. It has no planning
+// view, so it moves no cores and never replans by itself; Recluster
+// installs later plans. obs.Replay rebuilds a recorded run with it.
+func Resume(cfg Config, closBudget int, plan cluster.Plan, sys resctrl.System) (*Controller, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	c := newController(MultiConfig{Group: cfg, CLOSBudget: closBudget}, nil)
+	if err := c.attach(sys); err != nil {
+		return nil, err
+	}
+	if err := c.installPlan(plan); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// attach checks sys against the configuration and makes it the
+// controller's substrate, with the period count restarted.
+func (c *Controller) attach(sys resctrl.System) error {
 	total := sys.NumWays()
 	g := &c.cfg.Group
 	if total < g.MinHPWays+g.MinBEWays {
@@ -233,16 +276,7 @@ func (c *Controller) Setup(sys resctrl.System) error {
 	c.totalWays = total
 	c.period = 0
 	c.sys = sys
-	if c.specs == nil {
-		c.groups = c.groups[:1]
-		c.groups[0].init(0, g.MinHPWays, total-g.MinBEWays)
-		return c.installMasks()
-	}
-	plan, err := c.planNow(false)
-	if err != nil {
-		return err
-	}
-	return c.installPlan(plan)
+	return nil
 }
 
 // planNow computes the plan for the current specs. hints controls
@@ -279,13 +313,14 @@ func (c *Controller) planNow(hints bool) (cluster.Plan, error) {
 // installPlan moves cores into their plan groups, restarts every group's
 // state machine at its budget, and installs the stacked masks. Plans
 // with more than the available HP CLOS ids are rejected by planning, so
-// group i maps directly to CLOS i.
+// group i maps directly to CLOS i. A controller without a planning view
+// (Resume) has no cores to move.
 func (c *Controller) installPlan(plan cluster.Plan) error {
 	k := len(plan.Groups)
-	if k > c.BEClos() {
-		return fmt.Errorf("dicer: plan has %d groups, budget allows %d", k, c.BEClos())
+	if k < 1 || k > c.BEClos() {
+		return fmt.Errorf("dicer: plan has %d groups, budget allows 1 to %d", k, c.BEClos())
 	}
-	if mover, ok := c.sys.(resctrl.CoreMover); ok {
+	if mover, ok := c.sys.(resctrl.CoreMover); ok && c.specs != nil {
 		for gi, g := range plan.Groups {
 			for _, appIdx := range g.Apps {
 				if err := mover.MoveCore(c.specs[appIdx].Core, gi); err != nil {
@@ -293,7 +328,7 @@ func (c *Controller) installPlan(plan cluster.Plan) error {
 				}
 			}
 		}
-	} else if k != 1 {
+	} else if k != 1 && c.specs != nil {
 		// Without a core mover the caller must have attached every HP
 		// app to CLOS 0 already; only the degenerate one-group plan can
 		// be honoured.
@@ -362,8 +397,19 @@ func (c *Controller) Observe(sys resctrl.System, p resctrl.Period) error {
 // grouping when membership changed. Group state restarts on change —
 // the partition landscape under a new grouping invalidates old optima.
 func (c *Controller) maybeRecluster(p resctrl.Period) error {
-	changed, err := c.Replan()
-	if err != nil || !changed || c.Trace == nil {
+	plan, err := c.planNow(true)
+	if err != nil || samePlan(c.plan, plan) {
+		return err
+	}
+	return c.Recluster(plan, p)
+}
+
+// Recluster installs a changed plan as the re-cluster schedule does:
+// every group restarts at its budget under relaid masks and announces
+// EventRecluster with its reading from p. obs.Replay installs recorded
+// re-plans with it.
+func (c *Controller) Recluster(plan cluster.Plan, p resctrl.Period) error {
+	if err := c.installPlan(plan); err != nil {
 		return err
 	}
 	for gi := range c.groups {
@@ -378,8 +424,8 @@ func (c *Controller) maybeRecluster(p resctrl.Period) error {
 // hook: unlike the periodic re-cluster schedule it runs on demand,
 // outside Observe, so an external controller can force a repack of the
 // node's cache groups before resorting to added capacity. Group state
-// restarts on change, exactly as a scheduled re-cluster would. On the
-// two-CLOS split there is nothing to replan.
+// restarts on change, exactly as a scheduled re-cluster would, but no
+// group announces it. On the two-CLOS split there is nothing to replan.
 func (c *Controller) Replan() (bool, error) {
 	if c.specs == nil {
 		return false, nil

@@ -54,12 +54,12 @@ type Report struct {
 	Causes  []CauseCount `json:"causes,omitempty"`
 	Counter Counters     `json:"counters,omitempty"`
 	Nodes   []NodeReport `json:"nodes,omitempty"`
-	// Groups is the per-CLOS-group breakdown of a multi-HP
-	// (dicer-trace/v2) trace; empty for v1 and fleet traces.
+	// Groups is the per-CLOS-group breakdown of a node trace whose
+	// controller ran more than one HP group; empty otherwise.
 	Groups []GroupSummary `json:"groups,omitempty"`
 }
 
-// GroupSummary aggregates one CLOS group's slice of a v2 trace.
+// GroupSummary aggregates one CLOS group's slice of a node trace.
 type GroupSummary struct {
 	Group     int     `json:"group"`
 	Periods   int     `json:"periods"`
@@ -84,8 +84,8 @@ type AnalyzeOptions struct {
 	Alert slo.AlertConfig
 }
 
-// Analyze streams a recorded JSONL trace — single-node (dicer-trace/v1)
-// or fleet (dicer-fleet/v1), sniffed from the header line — through the
+// Analyze streams a recorded JSONL trace — single-node (obs.Schema) or
+// fleet (fleet.TraceSchema), sniffed from the header line — through the
 // same Monitor/FleetMonitor pipeline the live endpoints use, and
 // returns the run's diagnostic report. Determinism is by construction:
 // identical records through identical code.
@@ -105,7 +105,7 @@ func Analyze(r io.Reader, opts AnalyzeOptions) (*Report, error) {
 		return nil, fmt.Errorf("diag: bad trace header: %w", err)
 	}
 	switch probe.Schema {
-	case obs.Schema, obs.SchemaV2:
+	case obs.Schema:
 		return analyzeNode(bytes.NewReader(raw), opts)
 	case fleet.TraceSchema:
 		return analyzeFleet(bytes.NewReader(raw), opts)
@@ -150,17 +150,15 @@ func analyzeNode(r io.Reader, opts AnalyzeOptions) (*Report, error) {
 	rep := m.Report()
 	rep.Schema = hdr.Schema
 	rep.Policy = hdr.Policy
-	rep.Workload = workloadName(hdr.HP, len(hdr.BEs))
-	if len(hdr.HPs) > 0 {
-		rep.Workload = workloadName(strings.Join(hdr.HPs, ","), len(hdr.BEs))
-	}
+	rep.Workload = workloadName(strings.Join(hdr.HPs, ","), len(hdr.BEs))
 	rep.RefSource = refSource
 	rep.Groups = summariseGroups(recs)
 	return rep, nil
 }
 
-// summariseGroups folds a v2 trace's per-CLOS-group records into one
-// breakdown row per group. Returns nil on v1 traces (no group records).
+// summariseGroups folds a trace's per-CLOS-group records into one
+// breakdown row per group. It returns nil when the trace has no more
+// than one group: the report's totals already are that group's.
 func summariseGroups(recs []obs.Record) []GroupSummary {
 	type acc struct {
 		periods   int
@@ -187,6 +185,9 @@ func summariseGroups(recs []obs.Record) []GroupSummary {
 			}
 		}
 	}
+	if len(accs) < 2 {
+		return nil
+	}
 	var out []GroupSummary
 	for id, a := range accs {
 		if a.periods == 0 {
@@ -201,11 +202,8 @@ func summariseGroups(recs []obs.Record) []GroupSummary {
 			WaysMean:  a.ways / n,
 			Decisions: a.decisions,
 		}
-		best := 0
-		for _, cause := range sortedKeys(a.causes) {
-			if c := a.causes[cause]; c > best {
-				best, gs.TopCause = c, cause
-			}
+		if causes := sortCauses(a.causes); len(causes) > 0 {
+			gs.TopCause = causes[0].Cause
 		}
 		out = append(out, gs)
 	}
@@ -353,13 +351,6 @@ func (r *Report) Render(w io.Writer) {
 				n.Fires, n.FiringPeriods, strings.Join(flags, ","))
 		}
 	}
-}
-
-// RenderString is Render into a string.
-func (r *Report) RenderString() string {
-	var b strings.Builder
-	r.Render(&b)
-	return b.String()
 }
 
 func firingWord(f bool) string {

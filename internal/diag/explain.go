@@ -388,13 +388,6 @@ func (r *ExplainReport) Render(w io.Writer, fl []fleet.FlightEntry) {
 	}
 }
 
-// RenderString is Render into a string.
-func (r *ExplainReport) RenderString(fl []fleet.FlightEntry) string {
-	var b strings.Builder
-	r.Render(&b, fl)
-	return b.String()
-}
-
 // renderFlightStrip draws the flight window one character per period
 // (L=lost F=frozen V=violated s=saturated .=ok) with a marker line
 // flagging the onset (o) and the trigger (^), chunked into rows of 60.

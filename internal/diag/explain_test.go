@@ -167,7 +167,7 @@ func TestExplainDeterministic(t *testing.T) {
 	if !bytes.Equal(ja, jc) {
 		t.Fatal("JSON renderings differ")
 	}
-	if a.RenderString(inc.Flight) != c.RenderString(inc.Flight) {
+	if renderExplain(a, inc.Flight) != renderExplain(c, inc.Flight) {
 		t.Fatal("text renderings differ")
 	}
 }
@@ -175,7 +175,7 @@ func TestExplainDeterministic(t *testing.T) {
 func TestExplainRenderSections(t *testing.T) {
 	inc := syntheticIncident()
 	rep := ExplainIncident(inc)
-	out := rep.RenderString(inc.Flight)
+	out := renderExplain(rep, inc.Flight)
 	for _, want := range []string{
 		"incident #3  slo-burn on node 1 at period 47",
 		"onset p41 (run 7)",
@@ -202,4 +202,11 @@ func TestExplainRenderSections(t *testing.T) {
 			}
 		}
 	}
+}
+
+// renderExplain is Render into a string.
+func renderExplain(r *ExplainReport, fl []fleet.FlightEntry) string {
+	var b strings.Builder
+	r.Render(&b, fl)
+	return b.String()
 }

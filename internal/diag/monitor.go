@@ -100,8 +100,8 @@ func (b *burnTrack) report(violations, n int) AlertReport {
 func (b *burnTrack) writeProm(w io.Writer, prefix string) {
 	st := b.alerter.State()
 	writeGauge(w, "dicer_"+prefix+"slo_alert_firing", "1 while the SLO burn-rate alert fires.", oneIf(st.Firing))
-	writeGauge(w, "dicer_"+prefix+"slo_alert_fires_total", "Lifetime SLO alert fire transitions.", float64(st.Fires))
-	writeGauge(w, "dicer_"+prefix+"slo_alert_firing_periods_total", "Periods spent with the alert firing.", float64(b.firingPeriods))
+	writeCounter(w, "dicer_"+prefix+"slo_alert_fires_total", "Lifetime SLO alert fire transitions.", st.Fires)
+	writeCounter(w, "dicer_"+prefix+"slo_alert_firing_periods_total", "Periods spent with the alert firing.", b.firingPeriods)
 	if len(st.Burns) > 0 {
 		writeGauge(w, "dicer_"+prefix+"slo_burn_rate_short", "Short-window error-budget burn rate.", st.Burns[0])
 		writeGauge(w, "dicer_"+prefix+"slo_burn_rate_long", "Long-window error-budget burn rate.", st.Burns[len(st.Burns)-1])
@@ -121,9 +121,9 @@ func oneIf(b bool) float64 {
 // usable: SLO and the references are adopted from the trace header when
 // the monitor is wired as a trace sink.
 type MonitorConfig struct {
-	// SLO is the HP's target fraction of alone performance; the
-	// slowdown target is its reciprocal. 0 = adopt from header (0.9
-	// when the header has none).
+	// SLO is the HPs' target fraction of alone performance; the
+	// slowdown target is its reciprocal. 0 = adopt the header's, when
+	// every HP there shares one (0.9 otherwise).
 	SLO float64
 	// AloneIPC is the HP's alone-run reference. 0 = adopt from header;
 	// without any reference the SLO/slowdown diagnostics are skipped
@@ -151,7 +151,8 @@ func (c MonitorConfig) alertConfig() slo.AlertConfig {
 // obs.Record per monitoring period: record, decision and chaos-fault
 // counters, the last period's gauges, percentile histograms (HP
 // slowdown, link utilisation, mask-change interval), the SLO burn-rate
-// alerter, and the decision-cause histogram. It implements obs.Sink
+// alerter, and the decision-cause histogram (one cause per CLOS group
+// and period). It implements obs.Sink
 // (and HeaderSink, to adopt the trace header's SLO/reference values),
 // so dicer-sim -serve wires it into a Scenario and renders /metrics
 // from it; the offline analytics engine drives the identical code from
@@ -211,8 +212,8 @@ func NewMonitor(cfg MonitorConfig) *Monitor {
 func (m *Monitor) Start(h obs.Header) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.slo == 0 {
-		m.slo = h.SLO
+	if m.slo == 0 && len(h.SLOs) > 0 && slices.Min(h.SLOs) == slices.Max(h.SLOs) {
+		m.slo = h.SLOs[0]
 	}
 	if m.slo == 0 {
 		m.slo = 0.9
@@ -233,9 +234,15 @@ func (m *Monitor) Emit(r *obs.Record) {
 	p := m.periods
 	m.periods++
 	m.last = *r
-	m.last.Decisions, m.last.Groups = nil, nil
-	for _, d := range r.Decisions {
-		m.decisions[d]++
+	m.last.Groups, m.last.Plan = nil, nil
+	for i := range r.Groups {
+		g := &r.Groups[i]
+		for _, d := range g.Decisions {
+			m.decisions[d]++
+		}
+		if g.Cause != "" {
+			m.causes[g.Cause]++
+		}
 	}
 	m.faults["dropout"] += r.Faults.Dropouts
 	m.faults["frozen"] += r.Faults.FrozenReads
@@ -265,9 +272,6 @@ func (m *Monitor) Emit(r *obs.Record) {
 	}
 	if r.Tolerated {
 		m.tolerated++
-	}
-	if r.Cause != "" {
-		m.causes[r.Cause]++
 	}
 	if r.HPWays != m.lastWays {
 		if m.lastWays >= 0 {
@@ -591,7 +595,11 @@ func (m *FleetMonitor) ObserveRecord(rec *fleet.ClusterRecord) {
 	m.last = *rec
 	m.last.Events = nil
 	m.last.Nodes = append(hbs, rec.Nodes...)
-	slices.SortFunc(m.last.Nodes, func(a, b fleet.Heartbeat) int { return cmp.Compare(a.Node, b.Node) })
+	// The fleet emits heartbeats in node order; sort only other input.
+	byNode := func(a, b fleet.Heartbeat) int { return cmp.Compare(a.Node, b.Node) }
+	if !slices.IsSortedFunc(m.last.Nodes, byNode) {
+		slices.SortFunc(m.last.Nodes, byNode)
+	}
 
 	live := 0
 	violating := 0

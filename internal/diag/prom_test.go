@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -56,7 +57,7 @@ func checkPin(t *testing.T, name string, got []byte) {
 // grouped): the exposition after Start and before the first record,
 // then after every record and two completed runs.
 func TestPromPinNodeStreams(t *testing.T) {
-	for _, name := range []string{"ctt_milc", "ctf_omnetpp_chaos", "recluster_v2"} {
+	for _, name := range []string{"ctt_milc", "ctf_omnetpp_chaos", "recluster"} {
 		t.Run(name, func(t *testing.T) {
 			f, err := os.Open(filepath.Join("..", "..", "testdata", name+".jsonl.golden"))
 			if err != nil {
@@ -132,15 +133,15 @@ func TestMonitorCountsSyntheticRecords(t *testing.T) {
 	m := NewMonitor(MonitorConfig{})
 	m.Emit(&obs.Record{
 		Period: 0, HPIPC: 1.25, BEMeanIPC: 0.5, HPBWGbps: 4.5, TotalGbps: 55,
-		Saturated: true, Decisions: []string{"saturated", "sample"},
-		HPWays: 18, HPOccBytes: 2.5e6,
+		Saturated: true, HPWays: 18, HPOccBytes: 2.5e6,
 		Faults: chaos.Stats{Dropouts: 2, FrozenReads: 4, WritesRejected: 1},
+		Groups: []obs.GroupRecord{{Decisions: []string{"saturated", "sample"}, Cause: "sampling"}},
 	})
 	m.Emit(&obs.Record{
 		Period: 1, HPIPC: 1.3, TotalGbps: 20,
-		Decisions: []string{"sample"},
-		HPWays:    17, Tolerated: true, Guard: "MaskLegal: x",
+		HPWays: 17, Tolerated: true, Guard: "MaskLegal: x",
 		Faults: chaos.Stats{JitteredReads: 3, WritesDelayed: 5},
+		Groups: []obs.GroupRecord{{Decisions: []string{"sample"}, Cause: "guard-veto"}},
 	})
 	m.AddRun()
 
@@ -170,8 +171,12 @@ func TestMonitorCountsSyntheticRecords(t *testing.T) {
 	if m.Records() != 2 {
 		t.Fatalf("Records() = %d, want 2", m.Records())
 	}
-	if c := m.Report().Counter; c != (Counters{Saturated: 1, GuardVetoes: 1, Tolerated: 1}) {
+	rep := m.Report()
+	if c := rep.Counter; c != (Counters{Saturated: 1, GuardVetoes: 1, Tolerated: 1}) {
 		t.Errorf("report counters %+v disagree with the exposition", c)
+	}
+	if want := []CauseCount{{"guard-veto", 1}, {"sampling", 1}}; !reflect.DeepEqual(rep.Causes, want) {
+		t.Errorf("causes %+v, want %+v", rep.Causes, want)
 	}
 	if again := promText(m); again != text {
 		t.Fatal("two WriteProm calls produced different expositions")
@@ -181,10 +186,59 @@ func TestMonitorCountsSyntheticRecords(t *testing.T) {
 	}
 }
 
+// TestMonitorCountsGroups: a grouped record adds every group's
+// decisions and one cause per group, a record without groups — no
+// controller — adds no cause but still counts its tolerated fault, and
+// the monitor adopts the header's SLO only when every HP shares it.
+func TestMonitorCountsGroups(t *testing.T) {
+	m := NewMonitor(MonitorConfig{})
+	if err := m.Start(obs.Header{SLOs: []float64{0.8, 0.8, 0.8}}); err != nil {
+		t.Fatal(err)
+	}
+	m.Emit(&obs.Record{Period: 0, Groups: []obs.GroupRecord{
+		{Group: 0, Decisions: []string{"shrink"}, Cause: "shrink-step"},
+		{Group: 1, Decisions: []string{"hold", "recluster"}, Cause: "recluster"},
+		{Group: 2, Decisions: []string{"shrink"}, Cause: "shrink-step"},
+	}})
+	m.Emit(&obs.Record{Period: 1, Tolerated: true, Groups: []obs.GroupRecord{
+		{Group: 0, Decisions: []string{"hold"}, Cause: "chaos-masked"},
+		{Group: 1, Decisions: []string{"shrink"}, Cause: "chaos-masked"},
+	}})
+	m.Emit(&obs.Record{Period: 2, Tolerated: true})
+
+	text := promText(m)
+	for _, line := range []string{
+		`dicer_decisions_total{kind="hold"} 2`,
+		`dicer_decisions_total{kind="recluster"} 1`,
+		`dicer_decisions_total{kind="shrink"} 3`,
+	} {
+		wantLine(t, text, line)
+	}
+	rep := m.Report()
+	want := []CauseCount{{"chaos-masked", 2}, {"shrink-step", 2}, {"recluster", 1}}
+	if !reflect.DeepEqual(rep.Causes, want) {
+		t.Errorf("causes %+v, want %+v", rep.Causes, want)
+	}
+	if rep.Counter.Tolerated != 2 {
+		t.Errorf("tolerated %d, want 2", rep.Counter.Tolerated)
+	}
+	if rep.SLO != 0.8 {
+		t.Errorf("SLO %v, want the HPs' shared 0.8", rep.SLO)
+	}
+
+	mixed := NewMonitor(MonitorConfig{})
+	if err := mixed.Start(obs.Header{SLOs: []float64{0.8, 0.95}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := mixed.Report().SLO; got != 0.9 {
+		t.Errorf("SLO %v with differing HP SLOs, want the 0.9 default", got)
+	}
+}
+
 func TestMonitorDoesNotAliasDecisions(t *testing.T) {
 	m := NewMonitor(MonitorConfig{})
 	dec := []string{"shrink"}
-	m.Emit(&obs.Record{Period: 0, Decisions: dec})
+	m.Emit(&obs.Record{Period: 0, Groups: []obs.GroupRecord{{Decisions: dec}}})
 	dec[0] = "CLOBBERED" // recorder scratch reuse
 	text := promText(m)
 	wantLine(t, text, `dicer_decisions_total{kind="shrink"} 1`)
@@ -203,7 +257,8 @@ func TestMonitorConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				m.Emit(&obs.Record{Period: i, HPIPC: 0.8, TotalGbps: 30, Decisions: []string{"hold"}})
+				m.Emit(&obs.Record{Period: i, HPIPC: 0.8, TotalGbps: 30,
+					Groups: []obs.GroupRecord{{Decisions: []string{"hold"}, Cause: "steady"}}})
 				m.AddRun()
 			}
 		}()

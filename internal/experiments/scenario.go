@@ -82,9 +82,9 @@ type Scenario struct {
 	// delayed writes have drained; a violation aborts the run with an
 	// *invariant.Error.
 	CheckInvariants bool
-	// Trace, when non-nil, receives one record per monitoring period:
-	// dicer-trace/v1 on the two-CLOS split, v2 with per-group decisions
-	// on a grouped run. Sinks that accept a header receive one first.
+	// Trace, when non-nil, receives one record per monitoring period,
+	// with one group record per HP CLOS group (one on the two-CLOS
+	// split). Sinks that accept a header receive one first, after Setup.
 	Trace obs.Sink
 }
 
@@ -368,18 +368,21 @@ func (sc *Scenario) run(b *box.Box, pol policy.Policy, dcfg core.Config,
 		b.Rec = obs.NewRecorder(sc.Trace)
 		b.Rec.AttachController(core.ControllerOf(b.Policy))
 		b.Rec.AttachChaos(csys)
-		h, err := sc.header(pol.Name(), grouped, alone)
+	}
+	b.OnPeriod = sc.OnPeriod
+
+	if err := tolerate(b.Start()); err != nil {
+		return err
+	}
+	if b.Rec != nil {
+		// The header records the plan Setup installed.
+		h, err := sc.header(pol.Name(), alone)
 		if err == nil {
 			err = b.Rec.Start(h)
 		}
 		if err != nil {
 			return err
 		}
-	}
-	b.OnPeriod = sc.OnPeriod
-
-	if err := tolerate(b.Start()); err != nil {
-		return err
 	}
 	for period := 0; period < sc.HorizonPeriods; period++ {
 		_, err := b.Period(period)
@@ -441,12 +444,10 @@ func (sc *Scenario) run(b *box.Box, pol policy.Policy, dcfg core.Config,
 }
 
 // header describes the run's workload for trace sinks and the replay
-// tool; the recorder adds the schema and the controller's half. The
-// two-CLOS split names its HP with the SLO and alone reference the
-// diagnostic layer measures slowdown against; a grouped run names every
-// HP app with its SLO.
-func (sc *Scenario) header(policyName string, grouped bool,
-	alone func(app.Profile) (float64, error)) (obs.Header, error) {
+// tool; the recorder adds the schema and the controller's half. It
+// names every HP app with its SLO, and a single HP with the alone
+// reference the diagnostic layer measures slowdown against.
+func (sc *Scenario) header(policyName string, alone func(app.Profile) (float64, error)) (obs.Header, error) {
 	h := obs.Header{
 		Policy:         policyName,
 		NumWays:        sc.Machine.LLCWays,
@@ -454,18 +455,16 @@ func (sc *Scenario) header(policyName string, grouped bool,
 		HorizonPeriods: sc.HorizonPeriods,
 		LinkGbps:       sc.Machine.Link.CapacityGBps,
 	}
-	if grouped {
-		for _, hp := range sc.HPs {
-			h.HPs = append(h.HPs, hp.Profile.Name)
-			h.SLOs = append(h.SLOs, hp.SLO)
-		}
-	} else {
-		hp := sc.HPs[0]
-		ref, err := alone(hp.Profile)
+	for _, hp := range sc.HPs {
+		h.HPs = append(h.HPs, hp.Profile.Name)
+		h.SLOs = append(h.SLOs, hp.SLO)
+	}
+	if len(sc.HPs) == 1 {
+		ref, err := alone(sc.HPs[0].Profile)
 		if err != nil {
 			return h, err
 		}
-		h.HP, h.SLO, h.HPAloneIPC = hp.Profile.Name, hp.SLO, ref
+		h.HPAloneIPC = ref
 	}
 	for _, be := range sc.BEs {
 		h.BEs = append(h.BEs, be.Name)

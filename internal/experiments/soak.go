@@ -212,10 +212,11 @@ func (s *Suite) soakRun(w Workload, sched chaos.Config, seed int64, horizon int)
 }
 
 // fingerprint folds every period's controller state and installed masks
-// into an FNV-1a hash: a soak cell's trajectory identity.
+// into an FNV-1a hash: a soak cell's trajectory identity. The soak runs
+// the two-CLOS controller, whose one group's state is the controller's.
 type fingerprint struct{ hash.Hash64 }
 
 // Emit implements obs.Sink.
 func (f fingerprint) Emit(r *obs.Record) {
-	fmt.Fprintf(f, "%d:%d:%s:%x:%x|", r.Period, r.HPWays, r.State, r.HPMask, r.BEMask)
+	fmt.Fprintf(f, "%d:%d:%s:%x:%x|", r.Period, r.HPWays, r.Groups[0].State, r.HPMask, r.BEMask)
 }

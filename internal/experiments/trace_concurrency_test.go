@@ -24,7 +24,9 @@ func TestRunManyWithLiveTracing(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.Trace = func(w Workload, pol PolicyName) obs.Sink {
-		ring := obs.NewRing(horizon)
+		// One slot to spare: a ring holding exactly horizon records saw
+		// no more.
+		ring := obs.NewRing(horizon + 1)
 		mu.Lock()
 		rings[fmt.Sprintf("%s/%s", w, pol)] = ring
 		mu.Unlock()
@@ -72,8 +74,8 @@ func TestRunManyWithLiveTracing(t *testing.T) {
 		t.Fatalf("%d trace sinks created, want one per uncached run (%d)", len(rings), len(jobs))
 	}
 	for key, ring := range rings {
-		if ring.Total() != horizon {
-			t.Errorf("%s: ring saw %d records, want %d", key, ring.Total(), horizon)
+		if ring.Len() != horizon {
+			t.Errorf("%s: ring saw %d records, want %d", key, ring.Len(), horizon)
 		}
 		for _, r := range ring.Snapshot() {
 			if r.Err != "" || r.Guard != "" {

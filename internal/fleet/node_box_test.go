@@ -15,7 +15,7 @@ import (
 func recordLines(buf *bytes.Buffer) obs.Sink { return obs.FuncSink(obs.NewJSONL(buf).Emit) }
 
 // TestNodeTraceMatchesScenario: a recorder on a single-HP node's box
-// writes the same dicer-trace/v1 records as the same Scenario, byte for
+// writes the same trace records as the same Scenario, byte for
 // byte, under DICER, UM and CT.
 func TestNodeTraceMatchesScenario(t *testing.T) {
 	m := machine.Default()

@@ -12,28 +12,27 @@ import (
 // TestRecorderAllocFree pins the observability layer's hot-path
 // guarantee: assembling and emitting a record costs zero heap
 // allocations through the no-op sink and through a ring — the two sinks
-// meant to stay attached for the lifetime of a deployment — for both
-// record layouts: v1 on the two-CLOS controller and v2 on a grouped
-// three-HP controller. A regression here means a slice, closure, or
-// interface boxing crept into EndPeriod (or a sink started copying
-// lazily).
+// meant to stay attached for the lifetime of a deployment — on the
+// two-CLOS controller and on a grouped three-HP controller. A
+// regression here means a slice, closure, or interface boxing crept
+// into EndPeriod (or a sink started copying lazily).
 func TestRecorderAllocFree(t *testing.T) {
-	v1 := func(*testing.T) *core.Controller { return core.MustNew(core.DefaultConfig()) }
-	// Each layout's readings: steady, then a degraded/improved pair whose
-	// alternation keeps the groups resetting and validating.
-	v1Readings := [3]resctrl.Period{period(1.0, 0.8, 5, 20), period(0.6, 0.8, 5, 20), period(1.4, 0.8, 5, 20)}
-	v2Readings := [3]resctrl.Period{groupedPeriod(1.0, 0.8), groupedPeriod(0.6, 1.2), groupedPeriod(1.4, 0.7)}
+	split := func(*testing.T) *core.Controller { return core.MustNew(core.DefaultConfig()) }
+	// Each controller's readings: steady, then a degraded/improved pair
+	// whose alternation keeps the groups resetting and validating.
+	splitReadings := [3]resctrl.Period{period(1.0, 0.8, 5, 20), period(0.6, 0.8, 5, 20), period(1.4, 0.8, 5, 20)}
+	groupedReadings := [3]resctrl.Period{groupedPeriod(1.0, 0.8), groupedPeriod(0.6, 1.2), groupedPeriod(1.4, 0.7)}
 	cases := []struct {
 		name     string
 		sink     Sink
 		ctl      func(*testing.T) *core.Controller
 		readings [3]resctrl.Period
 	}{
-		{"nop", NopSink{}, v1, v1Readings},
-		{"ring", NewRing(64), v1, v1Readings},
-		{"multi-nop-ring", MultiSink{NopSink{}, NewRing(64)}, v1, v1Readings},
-		{"v2-grouped-nop", NopSink{}, threeHP, v2Readings},
-		{"v2-grouped-ring", NewRing(64), threeHP, v2Readings},
+		{"nop", NopSink{}, split, splitReadings},
+		{"ring", NewRing(64), split, splitReadings},
+		{"multi-nop-ring", MultiSink{NopSink{}, NewRing(64)}, split, splitReadings},
+		{"grouped-nop", NopSink{}, threeHP, groupedReadings},
+		{"grouped-ring", NewRing(64), threeHP, groupedReadings},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -21,7 +21,6 @@ type FlightRing[T any] struct {
 	slots []T
 	pos   int // next write position
 	n     int // valid slots (<= len(slots))
-	total int // values ever pushed
 }
 
 // NewFlightRing creates a ring retaining the most recent capacity values.
@@ -39,17 +38,10 @@ func (g *FlightRing[T]) Push(v T) {
 	if g.n < len(g.slots) {
 		g.n++
 	}
-	g.total++
 }
 
 // Len returns the number of values currently held.
 func (g *FlightRing[T]) Len() int { return g.n }
-
-// Cap returns the ring capacity.
-func (g *FlightRing[T]) Cap() int { return len(g.slots) }
-
-// Total returns the number of values ever pushed (held or evicted).
-func (g *FlightRing[T]) Total() int { return g.total }
 
 // Snapshot appends the held values oldest-first to dst and returns the
 // extended slice. Values are shallow copies: callers that need isolation
@@ -72,5 +64,5 @@ func (g *FlightRing[T]) Reset() {
 	for i := range g.slots {
 		g.slots[i] = zero
 	}
-	g.pos, g.n, g.total = 0, 0, 0
+	g.pos, g.n = 0, 0
 }

@@ -8,23 +8,23 @@ import (
 
 // TestFlightRingWraparound exercises the generic ring through several
 // full wraps: ordering stays oldest-first, eviction keeps exactly the
-// last capacity values, and Total counts evictions too.
+// last capacity values, and Reset restarts it empty.
 func TestFlightRingWraparound(t *testing.T) {
 	r := NewFlightRing[int](5)
-	if r.Cap() != 5 || r.Len() != 0 || r.Total() != 0 {
-		t.Fatalf("fresh ring: cap=%d len=%d total=%d", r.Cap(), r.Len(), r.Total())
+	if r.Len() != 0 || len(r.Snapshot(nil)) != 0 {
+		t.Fatalf("fresh ring: len=%d", r.Len())
 	}
 	for i := 0; i < 3; i++ {
 		r.Push(i)
 	}
-	if got := r.Snapshot(nil); len(got) != 3 || got[0] != 0 || got[2] != 2 {
-		t.Fatalf("partial ring snapshot = %v", got)
+	if got := r.Snapshot(nil); r.Len() != 3 || len(got) != 3 || got[0] != 0 || got[2] != 2 {
+		t.Fatalf("partial ring: len=%d snapshot %v", r.Len(), got)
 	}
 	for i := 3; i < 23; i++ {
 		r.Push(i)
 	}
-	if r.Len() != 5 || r.Total() != 23 {
-		t.Fatalf("wrapped ring: len=%d total=%d", r.Len(), r.Total())
+	if r.Len() != 5 {
+		t.Fatalf("wrapped ring: len=%d, want its capacity 5", r.Len())
 	}
 	got := r.Snapshot(nil)
 	for i, v := range got {
@@ -38,8 +38,12 @@ func TestFlightRingWraparound(t *testing.T) {
 		t.Fatalf("appending snapshot = %v", got)
 	}
 	r.Reset()
-	if r.Len() != 0 || r.Total() != 0 || len(r.Snapshot(nil)) != 0 {
-		t.Fatalf("reset ring not empty: len=%d total=%d", r.Len(), r.Total())
+	if r.Len() != 0 || len(r.Snapshot(nil)) != 0 {
+		t.Fatalf("reset ring not empty: len=%d", r.Len())
+	}
+	r.Push(7)
+	if got := r.Snapshot(nil); len(got) != 1 || got[0] != 7 {
+		t.Fatalf("push after reset: snapshot %v, want [7]", got)
 	}
 }
 
@@ -93,7 +97,8 @@ func BenchmarkFlightRecord(b *testing.B) {
 	})
 	b.Run("push-only", func(b *testing.B) {
 		r := NewFlightRing[Record](64)
-		rec := Record{Period: 1, HPIPC: 1.2, Cause: "steady", State: "optimise"}
+		rec := Record{Period: 1, HPIPC: 1.2, HPWays: 5,
+			Groups: []GroupRecord{{State: "optimise", Decisions: []string{"hold"}, Cause: "steady"}}}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -71,9 +71,6 @@ func NewJSONL(w io.Writer) *JSONL {
 
 // Start implements HeaderSink: the header becomes the first line.
 func (j *JSONL) Start(h Header) error {
-	if h.Schema == "" {
-		h.Schema = Schema
-	}
 	j.lw.WriteLine(h)
 	return j.lw.Err()
 }
@@ -102,8 +99,8 @@ func ReadTrace(r io.Reader) (Header, []Record, error) {
 	if err := json.Unmarshal(sc.Bytes(), &h); err != nil {
 		return h, nil, fmt.Errorf("obs: bad trace header: %w", err)
 	}
-	if h.Schema != Schema && h.Schema != SchemaV2 {
-		return h, nil, fmt.Errorf("obs: unsupported trace schema %q (want %q or %q)", h.Schema, Schema, SchemaV2)
+	if h.Schema != Schema {
+		return h, nil, fmt.Errorf("obs: unsupported trace schema %q (want %q)", h.Schema, Schema)
 	}
 
 	var recs []Record

@@ -5,13 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"dicer/internal/cache"
 	"dicer/internal/chaos"
+	"dicer/internal/cluster"
 	"dicer/internal/core"
 	"dicer/internal/invariant"
+	"dicer/internal/mrc"
 	"dicer/internal/policy"
 	"dicer/internal/resctrl"
 	"dicer/internal/sim"
@@ -59,13 +62,26 @@ func period(hpIPC, beIPC, hpBW, totalBW float64) resctrl.Period {
 	}
 }
 
+// last returns the ring's most recent record.
+func last(t *testing.T, g *Ring) Record {
+	t.Helper()
+	snap := g.Snapshot()
+	if len(snap) == 0 {
+		t.Fatal("ring holds no record")
+	}
+	return snap[len(snap)-1]
+}
+
 func TestRingEvictionAndSnapshot(t *testing.T) {
 	g := NewRing(3)
+	if g.Len() != 0 || len(g.Snapshot()) != 0 {
+		t.Fatalf("fresh ring holds %d records", g.Len())
+	}
 	for i := 0; i < 5; i++ {
 		g.Emit(&Record{Period: i})
 	}
-	if g.Len() != 3 || g.Total() != 5 {
-		t.Fatalf("Len=%d Total=%d, want 3 and 5", g.Len(), g.Total())
+	if g.Len() != 3 {
+		t.Fatalf("Len=%d, want 3", g.Len())
 	}
 	snap := g.Snapshot()
 	if len(snap) != 3 {
@@ -76,25 +92,21 @@ func TestRingEvictionAndSnapshot(t *testing.T) {
 			t.Errorf("snapshot[%d].Period = %d, want %d (oldest-first)", i, snap[i].Period, want)
 		}
 	}
-	last, ok := g.Last()
-	if !ok || last.Period != 4 {
-		t.Fatalf("Last = %+v, %v; want period 4", last, ok)
-	}
 }
 
 func TestRingDeepCopiesDecisions(t *testing.T) {
 	g := NewRing(4)
 	buf := [maxDecisions]string{"shrink"}
-	g.Emit(&Record{Period: 0, Decisions: buf[:1]})
+	g.Emit(&Record{Period: 0, Groups: []GroupRecord{{Decisions: buf[:1]}}})
 	buf[0] = "CLOBBERED" // the recorder reuses its scratch like this
 	snap := g.Snapshot()
-	if got := snap[0].Decisions[0]; got != "shrink" {
+	if got := snap[0].Groups[0].Decisions[0]; got != "shrink" {
 		t.Fatalf("ring aliased the caller's decision buffer: got %q", got)
 	}
 	// Snapshot copies must also be independent of the ring's own slots.
-	snap[0].Decisions[0] = "MUTATED"
-	if again, _ := g.Last(); again.Decisions[0] != "shrink" {
-		t.Fatalf("snapshot aliased the ring slot: got %q", again.Decisions[0])
+	snap[0].Groups[0].Decisions[0] = "MUTATED"
+	if again := last(t, g); again.Groups[0].Decisions[0] != "shrink" {
+		t.Fatalf("snapshot aliased the ring slot: got %q", again.Groups[0].Decisions[0])
 	}
 }
 
@@ -171,10 +183,10 @@ func TestMultiSinkFanOutAndStart(t *testing.T) {
 	if err := jl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if ring.Total() != 1 {
-		t.Fatalf("ring got %d records, want 1", ring.Total())
+	if ring.Len() != 1 {
+		t.Fatalf("ring got %d records, want 1", ring.Len())
 	}
-	if got, _ := ring.Last(); got.Period != 7 {
+	if got := last(t, ring); got.Period != 7 {
 		t.Fatalf("ring record period = %d, want 7", got.Period)
 	}
 	h, recs, err := ReadTrace(&buf)
@@ -191,19 +203,28 @@ func TestJSONLRoundTrip(t *testing.T) {
 	jl := NewJSONL(&buf)
 	cfg := core.DefaultConfig()
 	hIn := Header{
-		Schema: Schema, Policy: "DICER", HP: "milc1", BEs: []string{"gcc_base1", "gcc_base1"},
+		Schema: Schema, Policy: "DICER-clustered", HPs: []string{"milc1", "namd1"},
+		SLOs: []float64{0.9, 0.8}, BEs: []string{"gcc_base1", "gcc_base1"},
 		NumWays: 20, PeriodSec: 1, HorizonPeriods: 2,
 		Chaos: "storm", ChaosSeed: 7, Controller: &cfg,
+		CLOSBudget: 4, Grouping: core.GroupingClustered,
+		Plan: []PlanGroup{{Apps: []int{0}, Ways: 12}, {Apps: []int{1}, Ways: 7}},
 	}
 	if err := jl.Start(hIn); err != nil {
 		t.Fatal(err)
 	}
 	in := []Record{
 		{Period: 0, TimeSec: 1, HPIPC: 1.25, HPBWGbps: 4.5, TotalGbps: 55.5,
-			Saturated: true, State: "sampling", Decisions: []string{"saturated", "sample"},
-			HPWays: 18, HPMask: 0x3ffff, BEMask: 0xc0000,
-			Faults: chaos.Stats{Reads: 1, Dropouts: 1}},
-		{Period: 1, TimeSec: 2, HPIPC: 1.3, State: "optimise", HPWays: 2,
+			Saturated: true, HPWays: 18, HPMask: 0x3ffff, BEMask: 0xc0000,
+			Faults: chaos.Stats{Reads: 1, Dropouts: 1},
+			Groups: []GroupRecord{
+				{Group: 0, IPC: 1.5, BWGbps: 3, Ways: 11, Mask: 0xffe00, State: "sampling",
+					Decisions: []string{"saturated", "sample"}, Cause: "sampling"},
+				{Group: 1, IPC: 1, BWGbps: 1.5, Ways: 7, Mask: 0x1fc, State: "optimise",
+					Decisions: []string{"hold", "recluster"}, Cause: "recluster"},
+			},
+			Plan: []PlanGroup{{Apps: []int{0, 1}, Ways: 18}}},
+		{Period: 1, TimeSec: 2, HPIPC: 1.3, HPWays: 2,
 			Tolerated: true, Guard: "MaskLegal: boom", Err: "other"},
 	}
 	for i := range in {
@@ -217,31 +238,24 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hOut.Policy != hIn.Policy || hOut.Chaos != hIn.Chaos || hOut.ChaosSeed != hIn.ChaosSeed ||
-		hOut.NumWays != hIn.NumWays || len(hOut.BEs) != 2 {
-		t.Fatalf("header round-trip diverged: %+v vs %+v", hOut, hIn)
-	}
-	if hOut.Controller == nil || *hOut.Controller != cfg {
-		t.Fatalf("controller config round-trip diverged: %+v", hOut.Controller)
+	if !reflect.DeepEqual(hOut, hIn) {
+		t.Fatalf("header round-trip diverged:\n got %+v\nwant %+v", hOut, hIn)
 	}
 	if hOut.FaultFree() {
 		t.Fatal("chaos trace reported fault-free")
 	}
-	if len(out) != len(in) {
-		t.Fatalf("got %d records, want %d", len(out), len(in))
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("records round-trip diverged:\n got %+v\nwant %+v", out, in)
 	}
-	for i := range in {
-		got, want := out[i], in[i]
-		if got.Period != want.Period || got.HPIPC != want.HPIPC ||
-			got.Saturated != want.Saturated || got.State != want.State ||
-			got.HPWays != want.HPWays || got.HPMask != want.HPMask ||
-			got.BEMask != want.BEMask || got.Faults != want.Faults ||
-			got.Tolerated != want.Tolerated || got.Guard != want.Guard ||
-			got.Err != want.Err {
-			t.Errorf("record %d round-trip diverged:\n got %+v\nwant %+v", i, got, want)
-		}
-		if fmt.Sprint(got.Decisions) != fmt.Sprint(want.Decisions) {
-			t.Errorf("record %d decisions diverged: %v vs %v", i, got.Decisions, want.Decisions)
+}
+
+// TestReadTraceRefusesEarlierSchemas: a trace written under an earlier
+// schema is refused by a reader error that names the schema it found.
+func TestReadTraceRefusesEarlierSchemas(t *testing.T) {
+	for _, schema := range []string{"dicer-trace/v1", "dicer-trace/v2"} {
+		_, _, err := ReadTrace(strings.NewReader(`{"schema":"` + schema + `","policy":"DICER","num_ways":20}` + "\n"))
+		if err == nil || !strings.Contains(err.Error(), schema) {
+			t.Errorf("%s header: ReadTrace returned %v, want an error naming %s", schema, err, schema)
 		}
 	}
 }
@@ -286,10 +300,10 @@ func TestRecorderCapturesPeriods(t *testing.T) {
 		}
 		rec.EndPeriod(i, p, sys, nil)
 
-		r, ok := ring.Last()
-		if !ok {
-			t.Fatalf("period %d: no record emitted", i)
+		if ring.Len() != i+1 {
+			t.Fatalf("period %d: ring holds %d records", i, ring.Len())
 		}
+		r := last(t, ring)
 		if r.Period != i || r.TimeSec != float64(i+1) {
 			t.Fatalf("period %d: bookkeeping %d/%v", i, r.Period, r.TimeSec)
 		}
@@ -300,66 +314,90 @@ func TestRecorderCapturesPeriods(t *testing.T) {
 		if want := bws[i] > 50; r.Saturated != want {
 			t.Fatalf("period %d: saturated = %v, want %v (bw %v)", i, r.Saturated, want, bws[i])
 		}
-		if r.State != ctl.State() || r.HPWays != ctl.HPWays() {
+		if len(r.Groups) != 1 || r.Plan != nil {
+			t.Fatalf("period %d: two-CLOS record has %d groups, plan %v", i, len(r.Groups), r.Plan)
+		}
+		g := r.Groups[0]
+		if g.Group != 0 || g.IPC != ipcs[i] || g.BWGbps != 5 {
+			t.Fatalf("period %d: group inputs diverged: %+v", i, g)
+		}
+		if g.State != ctl.State() || g.Ways != ctl.HPWays() || r.HPWays != ctl.HPWays() {
 			t.Fatalf("period %d: state/ways diverged from controller", i)
 		}
-		if r.HPMask != sys.CBM(policy.HPClos) || r.BEMask != sys.CBM(policy.BEClos) {
+		if r.HPMask != sys.CBM(policy.HPClos) || g.Mask != r.HPMask || r.BEMask != sys.CBM(policy.BEClos) {
 			t.Fatalf("period %d: masks diverged from substrate", i)
 		}
-		if fmt.Sprint(r.Decisions) != fmt.Sprint(witness) {
-			t.Fatalf("period %d: decisions %v, witness saw %v", i, r.Decisions, witness)
+		if fmt.Sprint(g.Decisions) != fmt.Sprint(witness) {
+			t.Fatalf("period %d: decisions %v, witness saw %v", i, g.Decisions, witness)
+		}
+		if len(witness) > 0 {
+			if want := core.EventKind(witness[len(witness)-1]).Cause(); g.Cause != want {
+				t.Fatalf("period %d: cause %q, want %q (the last decision's)", i, g.Cause, want)
+			}
 		}
 		if r.Tolerated || r.Guard != "" || r.Err != "" || r.Faults != (chaos.Stats{}) {
 			t.Fatalf("period %d: clean run carried annotations: %+v", i, r)
 		}
 	}
-	if ring.Total() != len(ipcs) {
-		t.Fatalf("emitted %d records, want %d", ring.Total(), len(ipcs))
+	if ring.Len() != len(ipcs) {
+		t.Fatalf("emitted %d records, want %d", ring.Len(), len(ipcs))
 	}
 }
 
+// TestRecorderClassifiesErrors sorts Observe errors into the record's
+// annotations and overrides the group's cause with the substrate's
+// provenance: chaos-masked for a tolerated fault, guard-veto for an
+// invariant violation (also when both occurred).
 func TestRecorderClassifiesErrors(t *testing.T) {
 	ring := NewRing(8)
 	rec := NewRecorder(ring)
 	sys := &fakeSystem{ways: 20}
+	ctl := core.MustNew(core.DefaultConfig())
+	rec.AttachController(ctl)
+	if err := ctl.Setup(sys); err != nil {
+		t.Fatal(err)
+	}
 	p := period(1, 1, 5, 20)
+	end := func(i int, err error) Record {
+		t.Helper()
+		if err := ctl.Observe(sys, p); err != nil {
+			t.Fatal(err)
+		}
+		rec.EndPeriod(i, p, sys, err)
+		return last(t, ring)
+	}
 
-	rec.EndPeriod(0, p, sys, fmt.Errorf("write: %w", chaos.ErrInjected))
-	r, _ := ring.Last()
-	if !r.Tolerated || r.Guard != "" || r.Err != "" {
+	r := end(0, fmt.Errorf("write: %w", chaos.ErrInjected))
+	if !r.Tolerated || r.Guard != "" || r.Err != "" || r.Groups[0].Cause != "chaos-masked" {
 		t.Fatalf("injected fault misclassified: %+v", r)
 	}
 
 	ie := &invariant.Error{Period: 1, Violations: []invariant.Violation{{Name: "MaskLegal", Detail: "empty"}}}
-	rec.EndPeriod(1, p, sys, ie)
-	r, _ = ring.Last()
-	if r.Guard == "" || r.Tolerated || r.Err != "" {
+	r = end(1, ie)
+	if r.Guard == "" || r.Tolerated || r.Err != "" || r.Groups[0].Cause != "guard-veto" {
 		t.Fatalf("invariant violation misclassified: %+v", r)
 	}
 
 	// A joined injected-fault + guard error (the soak harness's shape)
-	// annotates both.
-	rec.EndPeriod(2, p, sys, errors.Join(fmt.Errorf("w: %w", chaos.ErrInjected), ie))
-	r, _ = ring.Last()
-	if !r.Tolerated || r.Guard == "" {
+	// annotates both; the guard's veto is the cause.
+	r = end(2, errors.Join(fmt.Errorf("w: %w", chaos.ErrInjected), ie))
+	if !r.Tolerated || r.Guard == "" || r.Groups[0].Cause != "guard-veto" {
 		t.Fatalf("joined error misclassified: %+v", r)
 	}
 
-	rec.EndPeriod(3, p, sys, errors.New("boom"))
-	r, _ = ring.Last()
-	if r.Err != "boom" || r.Tolerated || r.Guard != "" {
+	r = end(3, errors.New("boom"))
+	if r.Err != "boom" || r.Tolerated || r.Guard != "" || r.Groups[0].Cause != "shrink-step" {
 		t.Fatalf("plain error misclassified: %+v", r)
 	}
 
 	// The scratch annotations must reset for the next clean period.
-	rec.EndPeriod(4, p, sys, nil)
-	r, _ = ring.Last()
-	if r.Err != "" || r.Tolerated || r.Guard != "" {
+	r = end(4, nil)
+	if r.Err != "" || r.Tolerated || r.Guard != "" || r.Groups[0].Cause != "shrink-step" {
 		t.Fatalf("annotations leaked into a clean period: %+v", r)
 	}
 }
 
-// TestRecorderNonDICER: without a controller, State stays empty and
+// TestRecorderNonDICER: without a controller a record has no groups and
 // HPWays is derived from the installed mask.
 func TestRecorderNonDICER(t *testing.T) {
 	ring := NewRing(4)
@@ -369,8 +407,8 @@ func TestRecorderNonDICER(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec.EndPeriod(0, period(1, 1, 5, 60), sys, nil)
-	r, _ := ring.Last()
-	if r.State != "" || len(r.Decisions) != 0 {
+	r := last(t, ring)
+	if r.Groups != nil || r.Plan != nil {
 		t.Fatalf("non-DICER record has controller fields: %+v", r)
 	}
 	if r.HPWays != 8 {
@@ -410,39 +448,26 @@ func TestRecorderChaosDeltas(t *testing.T) {
 	}
 }
 
-// traceRun records a fault-free DICER run through a JSONL sink and
-// returns the parsed trace.
-func traceRun(t *testing.T, periods int) (Header, []Record) {
+// traceRun records a fault-free run of ctl through a JSONL sink, fed
+// reading(i) in period i, and returns the parsed trace.
+func traceRun(t *testing.T, periods int, ctl *core.Controller, reading func(i int) resctrl.Period) (Header, []Record) {
 	t.Helper()
-	ctl := core.MustNew(core.DefaultConfig())
 	sys := &fakeSystem{ways: 20}
 	var buf bytes.Buffer
 	jl := NewJSONL(&buf)
 	rec := NewRecorder(jl)
 	rec.AttachController(ctl)
-	cfg := ctl.Config()
-	if err := rec.Start(Header{
-		Schema: Schema, Policy: ctl.Name(), HP: "synthetic", BEs: []string{"synthetic"},
-		NumWays: 20, PeriodSec: 1, HorizonPeriods: periods, Controller: &cfg,
-	}); err != nil {
-		t.Fatal(err)
-	}
 	if err := ctl.Setup(sys); err != nil {
 		t.Fatal(err)
 	}
+	if err := rec.Start(Header{
+		Policy: ctl.Name(), HPs: []string{"synthetic"}, BEs: []string{"synthetic"},
+		NumWays: 20, PeriodSec: 1, HorizonPeriods: periods,
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < periods; i++ {
-		// A mix of steady, saturated, and phase-change periods so the
-		// replay exercises every decision kind.
-		ipc, bw := 1.0, 20.0
-		switch {
-		case i%7 == 3:
-			ipc = 0.6
-		case i%7 == 5:
-			ipc = 1.5
-		case i%5 == 2:
-			bw = 60
-		}
-		p := period(ipc, 0.8, 5, bw)
+		p := reading(i)
 		err := ctl.Observe(sys, p)
 		rec.EndPeriod(i, p, sys, err)
 		if err != nil {
@@ -459,78 +484,205 @@ func traceRun(t *testing.T, periods int) (Header, []Record) {
 	return h, recs
 }
 
+// mixedReading is a mix of steady, saturated, improved and degraded
+// periods, so a replay exercises every decision kind; HP IPC ipc0 goes
+// to group 0 and ipc12 to groups 1 and 2 of a three-group reading.
+func mixedReading(i int) (ipc0, ipc12, bw float64) {
+	ipc0, ipc12, bw = 1.0, 0.8, 20.0
+	switch {
+	case i%7 == 3:
+		ipc0, ipc12 = 0.6, 1.2
+	case i%7 == 5:
+		ipc0, ipc12 = 1.5, 0.5
+	case i%5 == 2:
+		bw = 60
+	}
+	return ipc0, ipc12, bw
+}
+
+// splitTrace records the two-CLOS controller.
+func splitTrace(t *testing.T, periods int) (Header, []Record) {
+	return traceRun(t, periods, core.MustNew(core.DefaultConfig()), func(i int) resctrl.Period {
+		ipc, _, bw := mixedReading(i)
+		return period(ipc, 0.8, 5, bw)
+	})
+}
+
+// groupedTrace records the three-group controller.
+func groupedTrace(t *testing.T, periods int) (Header, []Record) {
+	return traceRun(t, periods, threeHP(t), func(i int) resctrl.Period {
+		ipc0, ipc12, bw := mixedReading(i)
+		p := groupedPeriod(ipc0, ipc12)
+		p.TotalGbps = bw
+		return p
+	})
+}
+
 func TestReplayRoundTrip(t *testing.T) {
-	h, recs := traceRun(t, 60)
-	res, err := Replay(h, recs)
-	if err != nil {
-		t.Fatalf("replay of a freshly recorded trace diverged: %v", err)
-	}
-	if res.Periods != 60 {
-		t.Fatalf("replayed %d periods, want 60", res.Periods)
-	}
-	if !res.MasksVerified {
-		t.Fatal("fault-free trace did not verify masks")
-	}
-	if res.Decisions == 0 {
-		t.Fatal("trace carried no decisions; replay proved nothing")
+	for _, tc := range []struct {
+		name   string
+		trace  func(*testing.T, int) (Header, []Record)
+		groups int
+	}{
+		{"two-clos", splitTrace, 1},
+		{"grouped", groupedTrace, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, recs := tc.trace(t, 60)
+			if h.CLOSBudget != tc.groups+1 || len(h.Plan) != tc.groups {
+				t.Fatalf("header budget %d and plan %+v, want %d groups", h.CLOSBudget, h.Plan, tc.groups)
+			}
+			res, err := Replay(h, recs)
+			if err != nil {
+				t.Fatalf("replay of a freshly recorded trace diverged: %v", err)
+			}
+			if res.Periods != 60 || res.Groups != tc.groups {
+				t.Fatalf("replayed %d periods over %d groups, want 60 over %d", res.Periods, res.Groups, tc.groups)
+			}
+			if !res.MasksVerified {
+				t.Fatal("fault-free trace did not verify masks")
+			}
+			if res.Decisions == 0 {
+				t.Fatal("trace carried no decisions; replay proved nothing")
+			}
+		})
 	}
 }
 
-func TestReplayDetectsTampering(t *testing.T) {
-	h, recs := traceRun(t, 40)
-	tamper := func(mutate func(r *Record)) error {
-		cp := make([]Record, len(recs))
-		copy(cp, recs)
-		for i := range cp {
-			cp[i] = *(&recs[i])
-			cp[i].Decisions = append([]string(nil), recs[i].Decisions...)
-		}
-		mutate(&cp[20])
-		_, err := Replay(h, cp)
-		return err
+// TestReplayInstallsRecordedReplans records a per-app controller whose
+// apps swap miss curves mid-run, so the re-cluster schedule installs new
+// budgets; the replay must install each recorded plan and match.
+func TestReplayInstallsRecordedReplans(t *testing.T) {
+	specs := make([]cluster.AppSpec, 3)
+	for i, mb := range []float64{16, 8, 2} {
+		specs[i] = cluster.AppSpec{Name: "hp", Core: i, SLO: 0.9,
+			Curve: mrc.MustCurve(0.05, mrc.Component{Bytes: mb * (1 << 20), Frac: 0.6})}
 	}
+	ctl, err := core.NewMulti(core.MultiConfig{
+		Group:          core.DefaultConfig(),
+		WayBytes:       1.25 * (1 << 20),
+		CLOSBudget:     4,
+		Grouping:       core.GroupingPerApp,
+		ReclusterEvery: 5,
+	}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, recs := traceRun(t, 40, ctl, func(i int) resctrl.Period {
+		if i == 12 || i == 27 {
+			live := ctl.Specs()
+			live[0].Curve, live[2].Curve = live[2].Curve, live[0].Curve
+		}
+		ipc0, ipc12, bw := mixedReading(i)
+		p := groupedPeriod(ipc0, ipc12)
+		p.TotalGbps = bw
+		return p
+	})
+	replans := 0
+	for i := range recs {
+		if recs[i].Plan != nil {
+			replans++
+		}
+	}
+	if replans == 0 {
+		t.Fatal("the run never re-planned; the test proves nothing")
+	}
+	res, err := Replay(h, recs)
+	if err != nil {
+		t.Fatalf("replay diverged: %v", err)
+	}
+	if res.Replans != replans {
+		t.Fatalf("replay installed %d re-plans, trace records %d", res.Replans, replans)
+	}
+
+	// A recorded plan the run never installed is a divergence.
+	i := slices.IndexFunc(recs, func(r Record) bool { return r.Plan != nil })
+	tampered := append([]Record(nil), recs...)
+	tampered[i].Plan = []PlanGroup{{Apps: []int{0, 1, 2}, Ways: 10}}
+	if _, err := Replay(h, tampered); err == nil {
+		t.Fatal("replay accepted a tampered re-plan")
+	}
+}
+
+// TestReplayDetectsTampering falsifies one output field of period 20 at
+// a time, on the two-CLOS trace and on the grouped one: replay reads
+// only the records' inputs, so each must surface as exactly that
+// divergence, naming the period, the group and the field.
+func TestReplayDetectsTampering(t *testing.T) {
 	cases := []struct {
+		group  int
 		field  string
 		mutate func(r *Record)
 	}{
-		{"hp_ways", func(r *Record) { r.HPWays++ }},
-		{"state", func(r *Record) { r.State = "sampling" }},
-		{"decisions", func(r *Record) { r.Decisions = append(r.Decisions, "shrink") }},
-		{"hp_mask", func(r *Record) { r.HPMask ^= 1 << 19 }},
+		{-1, "hp_ways", func(r *Record) { r.HPWays++ }},
+		{-1, "be_mask", func(r *Record) { r.BEMask ^= 1 }},
+		{0, "state", func(r *Record) { r.Groups[0].State += "-tampered" }},
+		{0, "decisions", func(r *Record) { r.Groups[0].Decisions = append(r.Groups[0].Decisions, "shrink") }},
+		{0, "ways", func(r *Record) { r.Groups[0].Ways++ }},
+		{0, "mask", func(r *Record) { r.Groups[0].Mask ^= 1 << 19 }},
+		{-1, "groups", func(r *Record) { r.Groups = append(r.Groups, GroupRecord{}) }},
 	}
-	for _, tc := range cases {
-		err := tamper(tc.mutate)
-		var re *ReplayError
-		if !errors.As(err, &re) {
-			t.Errorf("tampered %s: replay returned %v, want *ReplayError", tc.field, err)
-			continue
+	grouped := []struct {
+		group  int
+		field  string
+		mutate func(r *Record)
+	}{
+		{2, "ways", func(r *Record) { r.Groups[2].Ways++ }},
+		{1, "decisions", func(r *Record) { r.Groups[1].Decisions = nil }},
+		{2, "mask", func(r *Record) { r.Groups[2].Mask ^= r.Groups[2].Mask & -r.Groups[2].Mask }},
+	}
+	for _, trace := range []struct {
+		name  string
+		trace func(*testing.T, int) (Header, []Record)
+	}{{"two-clos", splitTrace}, {"grouped", groupedTrace}} {
+		h, recs := trace.trace(t, 40)
+		all := cases
+		if trace.name == "grouped" {
+			all = append(all, grouped...)
 		}
-		// Tampering one field can legitimately surface on a neighbouring
-		// one first (state and decisions are coupled); requiring *a*
-		// divergence at or after the tampered period is the contract.
-		if re.Period < 20 {
-			t.Errorf("tampered %s at period 20, divergence reported at %d", tc.field, re.Period)
+		for _, tc := range all {
+			cp := make([]Record, len(recs))
+			for i := range recs {
+				cp[i] = recs[i].clone()
+			}
+			tc.mutate(&cp[20])
+			_, err := Replay(h, cp)
+			var re *ReplayError
+			if !errors.As(err, &re) {
+				t.Errorf("%s: tampered %s: replay returned %v, want *ReplayError", trace.name, tc.field, err)
+				continue
+			}
+			if re.Period != 20 || re.Group != tc.group || re.Field != tc.field {
+				t.Errorf("%s: tampered group %d %s at period 20, replay reported %v", trace.name, tc.group, tc.field, err)
+			}
+			if tc.group >= 0 && !strings.Contains(err.Error(), fmt.Sprintf("period 20, group %d: %s", tc.group, tc.field)) {
+				t.Errorf("%s: error %q does not name the period, group and field", trace.name, err)
+			}
 		}
 	}
 }
 
 func TestReplayRequiresControllerConfig(t *testing.T) {
-	h, recs := traceRun(t, 5)
-	h.Controller = nil
-	if _, err := Replay(h, recs); err == nil {
-		t.Fatal("replay without controller config accepted")
-	}
-	h2, _ := traceRun(t, 5)
-	h2.NumWays = 1
-	if _, err := Replay(h2, recs); err == nil {
-		t.Fatal("replay with 1 way accepted")
+	h, recs := splitTrace(t, 5)
+	for name, mutate := range map[string]func(h *Header){
+		"no controller config": func(h *Header) { h.Controller = nil },
+		"1 way":                func(h *Header) { h.NumWays = 1 },
+		"CLOS budget 1":        func(h *Header) { h.CLOSBudget = 1 },
+		"no plan":              func(h *Header) { h.Plan = nil },
+		"plan over budget":     func(h *Header) { h.Plan = append(h.Plan, h.Plan[0]) },
+	} {
+		bad := h
+		mutate(&bad)
+		if _, err := Replay(bad, recs); err == nil {
+			t.Errorf("replay with %s accepted", name)
+		}
 	}
 }
 
 // TestReplaySkipsMaskCheckUnderChaos: a trace header naming a fault
 // schedule must replay decisions but not masks.
 func TestReplayMasksSkippedForChaosTrace(t *testing.T) {
-	h, recs := traceRun(t, 30)
+	h, recs := splitTrace(t, 30)
 	h.Chaos = "storm"
 	h.ChaosSeed = 7
 	res, err := Replay(h, recs)

@@ -14,10 +14,10 @@
 //     reset, sample, ...), its state machine position, the intended HP way
 //     count and the masks actually installed, plus guard interventions and
 //     chaos faults active in the period.
-//   - Can I replay it? Replay re-drives a fresh controller from a v1
+//   - Can I replay it? Replay re-drives a fresh controller from a
 //     trace's recorded inputs and verifies decision-for-decision
-//     equivalence, so every captured single-HP trace doubles as a
-//     regression test.
+//     equivalence, so every captured trace doubles as a regression
+//     test, at any number of CLOS groups.
 //
 // The hot path stays clean: records are assembled in a preallocated
 // scratch buffer and sinks receive a pointer, so tracing through the no-op
@@ -34,31 +34,26 @@ import (
 
 // Schema identifies the trace file format. It is the first line's
 // "schema" field; readers reject files with a different value.
-const Schema = "dicer-trace/v1"
+const Schema = "dicer-trace/v3"
 
-// SchemaV2 is the multi-HP trace format: the v1 layout plus per-CLOS-
-// group header fields (HPs, SLOs, CLOSBudget, Grouping) and per-period
-// group records. Every v2 field is optional in both Header and Record,
-// so v1 traces parse unchanged and v1 writers remain byte-identical;
-// ReadTrace accepts both versions.
-const SchemaV2 = "dicer-trace/v2"
-
-// maxDecisions bounds the controller decision events recorded per period.
-// The DICER state machine emits at most two per Observe (e.g. "saturated"
-// followed by "sample"); four leaves headroom without heap allocation.
+// maxDecisions bounds the decision events recorded per group and period.
+// A group's state machine emits at most two per Observe (e.g.
+// "saturated" followed by "sample"), plus "recluster" when the period
+// re-plans; four leaves headroom without heap allocation.
 const maxDecisions = 4
 
 // Header is the first line of a JSONL trace: everything needed to
 // interpret — and replay — the records that follow.
 type Header struct {
-	// Schema is Schema or SchemaV2, stamped by Recorder.Start from the
-	// layout of the attached controller.
+	// Schema is Schema, stamped by Recorder.Start.
 	Schema string `json:"schema"`
 	// Policy is the co-location policy name (e.g. "DICER", "UM").
 	Policy string `json:"policy"`
-	// HP and BEs name the workload (catalog profile names).
-	HP  string   `json:"hp,omitempty"`
-	BEs []string `json:"bes,omitempty"`
+	// HPs and BEs name the workload (catalog profile names, HPs in app
+	// order); SLOs is each HP's target fraction of alone performance.
+	HPs  []string  `json:"hps,omitempty"`
+	SLOs []float64 `json:"slos,omitempty"`
+	BEs  []string  `json:"bes,omitempty"`
 	// NumWays is the machine's allocatable LLC way count.
 	NumWays int `json:"num_ways"`
 	// PeriodSec is the monitoring period length T.
@@ -69,12 +64,9 @@ type Header struct {
 	// "none" means fault-free); ChaosSeed seeds its fault stream.
 	Chaos     string `json:"chaos,omitempty"`
 	ChaosSeed int64  `json:"chaos_seed,omitempty"`
-	// SLO is the HP's target fraction of alone performance (the
-	// slowdown target is its reciprocal); HPAloneIPC the HP's full-LLC
-	// alone-run IPC it is measured against. Both are optional — the
-	// diagnostic layer (internal/diag) falls back to the trace's peak
-	// HP IPC as the reference when they are absent.
-	SLO        float64 `json:"slo,omitempty"`
+	// HPAloneIPC is a single HP's full-LLC alone-run IPC, its slowdown
+	// reference; without it the diagnostic layer (internal/diag) falls
+	// back to the trace's peak HP IPC.
 	HPAloneIPC float64 `json:"hp_alone_ipc,omitempty"`
 	// LinkGbps is the machine's memory-link capacity, for link
 	// utilisation diagnostics.
@@ -82,17 +74,12 @@ type Header struct {
 	// Controller is the DICER configuration, when the traced policy is
 	// (or wraps) a DICER controller; nil otherwise. Replay requires it.
 	Controller *core.Config `json:"controller,omitempty"`
-
-	// v2 (multi-HP) fields — absent in v1 traces.
-	//
-	// HPs names the HP applications in app order (HP is then unused);
-	// SLOs carries each app's target fraction of alone performance.
-	HPs  []string  `json:"hps,omitempty"`
-	SLOs []float64 `json:"slos,omitempty"`
-	// CLOSBudget is the CLOS-id budget the grouping plan ran under, and
-	// Grouping the policy that produced it (clustered/per-app/single).
-	CLOSBudget int    `json:"clos_budget,omitempty"`
-	Grouping   string `json:"grouping,omitempty"`
+	// CLOSBudget is the controller's CLOS-id budget (2 on the two-CLOS
+	// split), Grouping its planning policy ("" on the split) and Plan
+	// the grouping Setup installed.
+	CLOSBudget int         `json:"clos_budget,omitempty"`
+	Grouping   string      `json:"grouping,omitempty"`
+	Plan       []PlanGroup `json:"plan,omitempty"`
 }
 
 // FaultFree reports whether the trace was recorded without fault
@@ -102,20 +89,24 @@ func (h Header) FaultFree() bool { return h.Chaos == "" || h.Chaos == "none" }
 
 // Record is one monitoring period's audit entry. The first group of
 // fields is the controller's *input* (the counters it read and the
-// verdicts derived from them); the second is its *output* (state,
-// decisions, intended allocation, installed masks); the rest annotates
-// the substrate (guard interventions, chaos faults, tolerated errors).
+// verdicts derived from them); the second its *output* (intended
+// allocation, installed masks); the next annotates the substrate (guard
+// interventions, chaos faults, tolerated errors). Under a controller,
+// Groups carries one entry per HP CLOS group — exactly one on the
+// two-CLOS split — and Plan the grouping a re-cluster installed.
 //
-// All fields are fixed-size except Decisions and Groups, which alias
-// preallocated buffers inside the Recorder; sinks that retain records
-// beyond the Emit call must deep-copy (Ring does).
+// Groups and their Decisions alias preallocated buffers inside the
+// Recorder; sinks that retain records beyond the Emit call must
+// deep-copy them (Ring does). A Plan is allocated for its re-cluster
+// and never written again, so retaining sinks may share it.
 type Record struct {
 	// Period is the monitoring period index (0-based).
 	Period int `json:"period"`
 	// TimeSec is simulated seconds elapsed since the run began.
 	TimeSec float64 `json:"time_sec"`
 
-	// Inputs: the counters the controller read this period.
+	// Inputs: the counters the controller read this period, HP totals
+	// spanning every HP group.
 	HPIPC      float64 `json:"hp_ipc"`
 	BEMeanIPC  float64 `json:"be_mean_ipc"`
 	HPBWGbps   float64 `json:"hp_bw_gbps"`
@@ -126,23 +117,10 @@ type Record struct {
 	// a DICER controller (no threshold to compare against).
 	Saturated bool `json:"saturated,omitempty"`
 
-	// Outputs: what the controller decided.
-	//
-	// State is the controller state after the period ("optimise",
-	// "sampling", "validate"; "" for non-DICER policies). Decisions are
-	// the decision events emitted during the period, in order. HPWays is
-	// the controller's intended HP partition size; HPMask/BEMask are the
-	// masks actually installed on the substrate at period end (under
-	// actuation faults the two can disagree).
-	State     string   `json:"state,omitempty"`
-	Decisions []string `json:"decisions,omitempty"`
-	// Cause is the period's decision provenance: the final decision's
-	// cause tag (core.EventKind.Cause — saturation-detected, sampling,
-	// shrink-step, steady, phase-reset, perf-reset, rollback,
-	// validated), overridden by "guard-veto" when the invariant guard
-	// intervened and "chaos-masked" when an injected fault swallowed
-	// the actuation. Empty for policies without a controller.
-	Cause  string `json:"cause,omitempty"`
+	// Outputs. HPWays is the HP ways the controller intends, summed over
+	// its groups (the installed HP masks' way count without a
+	// controller); HPMask/BEMask are the masks installed at period end.
+	// Under actuation faults intent and installation can disagree.
 	HPWays int    `json:"hp_ways"`
 	HPMask uint64 `json:"hp_mask"`
 	BEMask uint64 `json:"be_mask"`
@@ -160,17 +138,18 @@ type Record struct {
 	// Err carries any other error the period's observation produced.
 	Err string `json:"err,omitempty"`
 
-	// Groups holds per-CLOS-group observations and decisions for multi-
-	// HP (v2) traces; empty in v1 traces. Like Decisions it aliases
-	// recorder scratch — retaining sinks must deep-copy (Ring does).
 	Groups []GroupRecord `json:"groups,omitempty"`
-	// Reclustered marks a period in which the grouping plan changed and
-	// the per-group state machines restarted.
-	Reclustered bool `json:"reclustered,omitempty"`
+	Plan   []PlanGroup   `json:"plan,omitempty"`
 }
 
-// GroupRecord is one CLOS group's slice of a v2 record: the counters the
-// group's state machine read and what it decided.
+// GroupRecord is one CLOS group's slice of a record: the counters the
+// group's state machine read and what it decided. State is its state
+// after the period, Ways its intended allocation, Mask the mask
+// installed on its CLOS and Decisions its decision events in order.
+// Cause is the group's provenance: the last decision's cause tag
+// (core.EventKind.Cause), overridden by "guard-veto" when the invariant
+// guard intervened and "chaos-masked" when an injected fault swallowed
+// the actuation.
 type GroupRecord struct {
 	Group     int      `json:"group"`
 	IPC       float64  `json:"ipc"`
@@ -182,13 +161,18 @@ type GroupRecord struct {
 	Cause     string   `json:"cause,omitempty"`
 }
 
-// clone returns a deep copy whose Decisions no longer alias the
-// recorder's scratch buffer.
+// PlanGroup is one HP CLOS group of a grouping plan: its member apps
+// (indices into the header's HPs, ascending) and the way budget its
+// state machine moves under.
+type PlanGroup struct {
+	Apps []int `json:"apps"`
+	Ways int   `json:"ways"`
+}
+
+// clone returns a copy that shares no recorder scratch with r (its plan,
+// never written again, is shared).
 func (r *Record) clone() Record {
 	out := *r
-	if len(r.Decisions) > 0 {
-		out.Decisions = append([]string(nil), r.Decisions...)
-	}
 	if len(r.Groups) > 0 {
 		out.Groups = append([]GroupRecord(nil), r.Groups...)
 		for i := range out.Groups {

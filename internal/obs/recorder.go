@@ -12,22 +12,18 @@ import (
 )
 
 // Recorder assembles one Record per monitoring period and hands it to a
-// Sink. It owns all its scratch — the Record, its fixed decision buffer
-// and, for grouped controllers, one GroupRecord and decision buffer per
-// possible HP group — so a period costs zero heap allocations regardless
-// of the sink: the harnesses wire it unconditionally and pay nothing when
-// the sink is NopSink.
-//
-// The record layout is decided once, when the controller attaches: a
-// controller with a grouping policy (core.NewMulti) gets dicer-trace/v2
-// records, with per-group decisions and HP totals spanning every group;
-// the two-CLOS controller (core.New), and runs without a controller,
-// get dicer-trace/v1 records.
+// Sink. A record follows the controller's shape: one group record per HP
+// CLOS group (one on the two-CLOS split) and HP totals over them all.
+// The Recorder owns all its scratch — the Record and one GroupRecord and
+// decision buffer per possible HP group — so a period costs zero heap
+// allocations regardless of the sink (a re-cluster allocates the plan
+// it records): the harnesses wire it unconditionally and pay nothing
+// when the sink is NopSink.
 //
 // Wiring order: NewRecorder, then AttachController / AttachChaos as the
-// run's substrate dictates, optionally Start with the workload half of
-// the trace header, then EndPeriod once per monitoring period after the
-// policy observed it.
+// run's substrate dictates, the policy's Setup, optionally Start with
+// the workload half of the trace header, then EndPeriod once per
+// monitoring period after the policy observed it.
 type Recorder struct {
 	sink      Sink
 	ctl       *core.Controller
@@ -37,12 +33,10 @@ type Recorder struct {
 	prevFaults chaos.Stats
 	timeSec    float64
 
-	rec Record
-	dec [maxDecisions]string
-
-	// v2 scratch, one slot per possible HP group; nil for v1 records.
-	groups []GroupRecord
-	gdec   [][maxDecisions]string
+	rec       Record
+	groups    []GroupRecord // one per possible HP group; nil without a controller
+	gdec      [][maxDecisions]string
+	replanned bool // a re-cluster installed a plan this period
 }
 
 // NewRecorder creates a Recorder emitting to sink (NopSink if nil).
@@ -55,8 +49,8 @@ func NewRecorder(sink Sink) *Recorder {
 
 // AttachController subscribes the recorder to a DICER controller's
 // decision stream (chained after any existing subscriber), adopts its
-// saturation threshold for the per-period verdict, and picks the record
-// layout: v2 when the controller has a grouping policy, v1 otherwise.
+// saturation threshold for the per-period verdict, and sizes the group
+// scratch for every HP CLOS id the controller may use.
 func (r *Recorder) AttachController(ctl *core.Controller) {
 	if ctl == nil {
 		return
@@ -67,10 +61,8 @@ func (r *Recorder) AttachController(ctl *core.Controller) {
 	if cfg.DisableSaturationHandling {
 		r.threshold = 0
 	}
-	if ctl.Grouping() != "" {
-		r.groups = make([]GroupRecord, ctl.BEClos())
-		r.gdec = make([][maxDecisions]string, len(r.groups))
-	}
+	r.groups = make([]GroupRecord, ctl.BEClos())
+	r.gdec = make([][maxDecisions]string, len(r.groups))
 	ctl.ChainTrace(r.onEvent)
 }
 
@@ -85,20 +77,17 @@ func (r *Recorder) AttachChaos(cs *chaos.System) {
 }
 
 // Start forwards the trace header to the sink when it wants one. The
-// layout half of the header comes from the attached controller, as the
-// records' layout does: Start stamps the schema, the controller's
-// configuration and, for a grouped controller, its CLOS budget and
-// grouping policy.
+// controller half of the header comes from the attached controller:
+// Start stamps the schema, the controller's configuration, CLOS budget
+// and grouping policy, and the plan it runs — so call it after Setup.
 func (r *Recorder) Start(h Header) error {
 	h.Schema = Schema
 	if r.ctl != nil {
 		cfg := r.ctl.Config()
 		h.Controller = &cfg
-		if r.groups != nil {
-			h.Schema = SchemaV2
-			h.CLOSBudget = r.ctl.BEClos() + 1
-			h.Grouping = r.ctl.Grouping()
-		}
+		h.CLOSBudget = r.ctl.BEClos() + 1
+		h.Grouping = r.ctl.Grouping()
+		h.Plan = planOf(r.ctl)
 	}
 	if hs, ok := r.sink.(HeaderSink); ok {
 		return hs.Start(h)
@@ -106,24 +95,30 @@ func (r *Recorder) Start(h Header) error {
 	return nil
 }
 
-// onEvent folds one controller decision into the period's record. In v1
-// the last decision's cause tag becomes the period's provenance (classify
-// may override it with guard-veto / chaos-masked); in v2 each group keeps
-// its own decisions and cause.
-func (r *Recorder) onEvent(e core.Event) {
-	if r.groups == nil {
-		if n := len(r.rec.Decisions); n < maxDecisions {
-			r.dec[n] = string(e.Kind)
-			r.rec.Decisions = r.dec[:n+1]
-		}
-		r.rec.Cause = e.Cause
-		return
+// planOf returns the controller's current plan: every group's member
+// apps and budget. The two-CLOS split has no planning view; its one HP
+// app is app 0.
+func planOf(ctl *core.Controller) []PlanGroup {
+	plan := make([]PlanGroup, ctl.NumGroups())
+	for gi := range plan {
+		plan[gi].Ways = ctl.GroupBudget(gi)
 	}
+	for app := 0; app < max(1, len(ctl.Specs())); app++ {
+		gi := ctl.GroupOf(app)
+		plan[gi].Apps = append(plan[gi].Apps, app)
+	}
+	return plan
+}
+
+// onEvent folds one controller decision into its group's record: the
+// decision joins the group's list and its cause tag becomes the group's
+// provenance.
+func (r *Recorder) onEvent(e core.Event) {
 	if e.Group < 0 || e.Group >= len(r.groups) {
 		return
 	}
 	if e.Kind == core.EventRecluster {
-		r.rec.Reclustered = true
+		r.replanned = true
 	}
 	g := &r.groups[e.Group]
 	if n := len(g.Decisions); n < maxDecisions {
@@ -177,15 +172,14 @@ func (r *Recorder) EndPeriod(period int, p resctrl.Period, sys resctrl.System, o
 	rec.TotalGbps = p.TotalGbps
 	rec.Saturated = r.threshold > 0 && p.TotalGbps > r.threshold
 
-	// Outputs. Decisions were folded in by onEvent during Observe. A v1
-	// record carries the controller's state and intended HP ways (under
-	// actuation faults the installed mask can lag them); a v2 record
-	// carries both per group instead.
+	// Outputs. Decisions were folded into the groups by onEvent during
+	// Observe; the controller's intent can run ahead of the installed
+	// masks under actuation faults.
 	rec.HPMask = hpMask
 	rec.BEMask = sys.CBM(beClos)
-	rec.State = ""
 	rec.HPWays = bits.OnesCount64(hpMask)
-	if r.groups != nil {
+	if r.ctl != nil {
+		rec.HPWays = r.ctl.HPWays()
 		rec.Groups = r.groups[:k]
 		for gi := range rec.Groups {
 			g := &rec.Groups[gi]
@@ -196,9 +190,9 @@ func (r *Recorder) EndPeriod(period int, p resctrl.Period, sys resctrl.System, o
 			g.Mask = sys.CBM(gi)
 			g.State = r.ctl.GroupState(gi)
 		}
-	} else if r.ctl != nil {
-		rec.State = r.ctl.State()
-		rec.HPWays = r.ctl.HPWays()
+		if r.replanned {
+			rec.Plan = planOf(r.ctl)
+		}
 	}
 
 	// Substrate annotations.
@@ -217,29 +211,34 @@ func (r *Recorder) EndPeriod(period int, p resctrl.Period, sys resctrl.System, o
 	}
 
 	r.sink.Emit(rec)
-	rec.Decisions = r.dec[:0]
-	rec.Cause = ""
 	for gi := range r.groups {
 		r.groups[gi].Decisions = nil
 		r.groups[gi].Cause = ""
 	}
-	rec.Groups = nil
-	rec.Reclustered = false
+	rec.Plan = nil
+	r.replanned = false
 }
 
 // classify sorts an Observe error into the record's annotation fields
-// and overrides the decision cause with the substrate-level provenance.
-// Kept off the happy path so a clean period stays allocation-free.
+// and overrides every group's cause with the substrate-level
+// provenance. Kept off the happy path so a clean period stays
+// allocation-free.
 func (r *Recorder) classify(err error) {
+	cause := ""
 	if errors.Is(err, chaos.ErrInjected) {
 		r.rec.Tolerated = true
-		r.rec.Cause = "chaos-masked"
+		cause = "chaos-masked"
 	}
 	var ie *invariant.Error
 	if errors.As(err, &ie) {
 		r.rec.Guard = ie.Error()
-		r.rec.Cause = "guard-veto"
+		cause = "guard-veto"
 	} else if !r.rec.Tolerated {
 		r.rec.Err = err.Error()
+	}
+	if cause != "" {
+		for gi := range r.rec.Groups {
+			r.rec.Groups[gi].Cause = cause
+		}
 	}
 }

@@ -2,32 +2,32 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 
 	"dicer/internal/cache"
+	"dicer/internal/cluster"
 	"dicer/internal/core"
-	"dicer/internal/policy"
 	"dicer/internal/resctrl"
 	"dicer/internal/sim"
 )
 
-// Replay re-drives a fresh DICER controller from a recorded v1 trace and
-// verifies decision-for-decision equivalence: for every period, the
-// replayed controller — fed exactly the counter readings the trace
-// recorded — must reproduce the recorded decision events, state machine
-// position and intended HP allocation. For fault-free traces the
-// installed masks are verified too (under actuation faults the recorded
-// masks lag the controller's intent by construction, so only the
-// decisions are compared — they are a pure function of the recorded
-// inputs either way).
+// Replay re-drives a fresh DICER controller from a recorded trace and
+// verifies decision-for-decision equivalence: started from the header's
+// plan, fed exactly the readings each record carries and given each
+// recorded re-plan as the re-cluster schedule gives it, the controller
+// must reproduce every group's decisions, state and intended ways, and
+// the HP total. Fault-free traces verify the installed masks too (under
+// actuation faults they lag the intent by construction).
 //
-// This is the replay guarantee that turns every captured trace into a
-// regression test: the controller's decisions depend only on the
-// per-period observables (HP IPC, HP bandwidth, total bandwidth) and its
-// own configuration, both of which the trace carries.
+// This turns every captured trace into a regression test: each group's
+// decisions depend only on its IPC and bandwidth, the total bandwidth,
+// the configuration and the plan, all of which the trace carries.
 
 // ReplayResult summarises a verified replay.
 type ReplayResult struct {
 	Periods       int  // records replayed
+	Groups        int  // most HP CLOS groups in any period
+	Replans       int  // recorded re-plans installed
 	Decisions     int  // decision events compared
 	MasksVerified bool // installed masks were also compared (fault-free trace)
 }
@@ -35,15 +35,23 @@ type ReplayResult struct {
 // ReplayError reports the first divergence between trace and replay.
 type ReplayError struct {
 	Period int
-	Field  string // "state" | "hp_ways" | "decisions" | "hp_mask" | "be_mask"
+	Group  int    // HP CLOS group, -1 for the record's own fields
+	Field  string // "groups" | "hp_ways" | "be_mask"; a group's "state" | "ways" | "decisions" | "mask"
 	Got    string // replayed value
 	Want   string // recorded value
 }
 
 func (e *ReplayError) Error() string {
-	return fmt.Sprintf("obs: replay diverged at period %d: %s = %s, trace recorded %s",
-		e.Period, e.Field, e.Got, e.Want)
+	where := fmt.Sprintf("period %d", e.Period)
+	if e.Group >= 0 {
+		where += fmt.Sprintf(", group %d", e.Group)
+	}
+	return fmt.Sprintf("obs: replay diverged at %s: %s = %s, trace recorded %s",
+		where, e.Field, e.Got, e.Want)
 }
+
+// maxReplayClos bounds a header's CLOS budget (real CAT has about 16).
+const maxReplayClos = 64
 
 // replaySystem is the minimal substrate a replayed controller needs:
 // mask storage with CAT legality checks and the way count from the
@@ -51,7 +59,7 @@ func (e *ReplayError) Error() string {
 // trace), so Counters returns an empty snapshot.
 type replaySystem struct {
 	ways  int
-	masks [4]uint64
+	masks []uint64
 }
 
 func (s *replaySystem) NumWays() int { return s.ways }
@@ -80,106 +88,107 @@ var _ resctrl.System = (*replaySystem)(nil)
 
 // Replay verifies h and recs as described above. It returns the summary
 // and the first divergence as a *ReplayError (or a plain error for
-// structural problems: a schema other than v1, no controller config, bad
-// way count, ...).
+// structural problems: no controller config or plan, bad way count or
+// CLOS budget, ...).
 func Replay(h Header, recs []Record) (ReplayResult, error) {
 	var res ReplayResult
-	if h.Schema != Schema {
-		// A v2 trace records per-group decisions but not the plan's
-		// membership, so its controller cannot be rebuilt.
-		return res, fmt.Errorf("obs: replay supports %s traces only, this trace is %s", Schema, h.Schema)
-	}
 	if h.Controller == nil {
 		return res, fmt.Errorf("obs: trace has no controller config (policy %q); only DICER traces replay", h.Policy)
 	}
 	if h.NumWays < 2 {
 		return res, fmt.Errorf("obs: trace header way count %d too small", h.NumWays)
 	}
-	ctl, err := core.New(*h.Controller)
-	if err != nil {
-		return res, fmt.Errorf("obs: trace controller config: %w", err)
+	if h.CLOSBudget < 2 || h.CLOSBudget > maxReplayClos {
+		return res, fmt.Errorf("obs: trace header CLOS budget %d outside [2, %d]", h.CLOSBudget, maxReplayClos)
 	}
-	sys := &replaySystem{ways: h.NumWays}
-
-	var events []string
-	ctl.Trace = func(e core.Event) { events = append(events, string(e.Kind)) }
-	if err := ctl.Setup(sys); err != nil {
+	sys := &replaySystem{ways: h.NumWays, masks: make([]uint64, h.CLOSBudget)}
+	ctl, err := core.Resume(*h.Controller, h.CLOSBudget, clusterPlan(h.Plan), sys)
+	if err != nil {
 		return res, fmt.Errorf("obs: replay setup: %w", err)
 	}
+	events := make([][]string, ctl.BEClos())
+	ctl.Trace = func(e core.Event) { events[e.Group] = append(events[e.Group], string(e.Kind)) }
 	res.MasksVerified = h.FaultFree()
 
 	for i := range recs {
 		rec := &recs[i]
-		events = events[:0]
-		p := synthPeriod(rec)
-		// The only error Observe can produce here is a failed schemata
-		// write, which the legal-by-construction replay system never
-		// rejects; treat one as a structural failure.
+		for gi := range events {
+			events[gi] = events[gi][:0]
+		}
+		p := synthPeriod(rec, ctl.BEClos())
+		// The replay system rejects only masks no controller could have
+		// installed: a structural failure.
 		if err := ctl.Observe(sys, p); err != nil {
 			return res, fmt.Errorf("obs: replay observe period %d: %w", rec.Period, err)
+		}
+		if rec.Plan != nil {
+			if err := ctl.Recluster(clusterPlan(rec.Plan), p); err != nil {
+				return res, fmt.Errorf("obs: replay re-plan period %d: %w", rec.Period, err)
+			}
+			res.Replans++
 		}
 		if err := compare(rec, ctl, sys, events, res.MasksVerified); err != nil {
 			return res, err
 		}
 		res.Periods++
-		res.Decisions += len(events)
+		res.Groups = max(res.Groups, len(rec.Groups))
+		for gi := range rec.Groups {
+			res.Decisions += len(events[gi])
+		}
 	}
 	return res, nil
 }
 
-// synthPeriod rebuilds the observables the controller consumed from one
-// record. The controller reads only the HP-class mean IPC, the HP
-// group's bandwidth and the total bandwidth, so one core per class and
-// one group per class reproduce its view exactly.
-func synthPeriod(rec *Record) resctrl.Period {
-	return resctrl.Period{
-		Seconds: 1,
-		Cores: []resctrl.PeriodCore{
-			{Core: 0, Clos: policy.HPClos, IPC: rec.HPIPC},
-			{Core: 1, Clos: policy.BEClos, IPC: rec.BEMeanIPC},
-		},
-		Groups: []resctrl.PeriodGroup{
-			{Clos: policy.HPClos, BandwidthGbps: rec.HPBWGbps, OccupancyBytes: rec.HPOccBytes},
-			{Clos: policy.BEClos, BandwidthGbps: rec.TotalGbps - rec.HPBWGbps},
-		},
-		TotalGbps: rec.TotalGbps,
+// clusterPlan is a recorded plan in the planner's terms.
+func clusterPlan(groups []PlanGroup) cluster.Plan {
+	plan := cluster.Plan{Groups: make([]cluster.Group, len(groups))}
+	for gi, g := range groups {
+		plan.Groups[gi] = cluster.Group{Apps: g.Apps, Ways: g.Ways}
 	}
+	return plan
+}
+
+// synthPeriod rebuilds the observables the controller consumed from one
+// record: one core and one monitoring group per recorded group, whose
+// CLOS mean IPC and bandwidth are all a group reads. A group that a
+// shrinking re-plan dropped reads zero; the re-plan discards whatever
+// it decided.
+func synthPeriod(rec *Record, beClos int) resctrl.Period {
+	p := resctrl.Period{Seconds: 1, TotalGbps: rec.TotalGbps}
+	for gi, g := range rec.Groups {
+		p.Cores = append(p.Cores, resctrl.PeriodCore{Core: gi, Clos: gi, IPC: g.IPC})
+		p.Groups = append(p.Groups, resctrl.PeriodGroup{Clos: gi, BandwidthGbps: g.BWGbps})
+	}
+	p.Cores = append(p.Cores, resctrl.PeriodCore{Core: len(rec.Groups), Clos: beClos, IPC: rec.BEMeanIPC})
+	p.Groups = append(p.Groups, resctrl.PeriodGroup{Clos: beClos, BandwidthGbps: rec.TotalGbps - rec.HPBWGbps})
+	return p
 }
 
 // compare checks one period's replayed outcome against the record.
-func compare(rec *Record, ctl *core.Controller, sys *replaySystem, events []string, masks bool) error {
-	if got := ctl.State(); got != rec.State {
-		return &ReplayError{rec.Period, "state", got, rec.State}
+func compare(rec *Record, ctl *core.Controller, sys *replaySystem, events [][]string, masks bool) error {
+	if got := ctl.NumGroups(); got != len(rec.Groups) {
+		return &ReplayError{rec.Period, -1, "groups", fmt.Sprint(got), fmt.Sprint(len(rec.Groups))}
 	}
 	if got := ctl.HPWays(); got != rec.HPWays {
-		return &ReplayError{rec.Period, "hp_ways",
-			fmt.Sprintf("%d", got), fmt.Sprintf("%d", rec.HPWays)}
+		return &ReplayError{rec.Period, -1, "hp_ways", fmt.Sprint(got), fmt.Sprint(rec.HPWays)}
 	}
-	if !equalStrings(events, rec.Decisions) {
-		return &ReplayError{rec.Period, "decisions",
-			fmt.Sprintf("%v", events), fmt.Sprintf("%v", rec.Decisions)}
+	for gi := range rec.Groups {
+		g := &rec.Groups[gi]
+		if got := ctl.GroupState(gi); got != g.State {
+			return &ReplayError{rec.Period, gi, "state", got, g.State}
+		}
+		if got := ctl.GroupWays(gi); got != g.Ways {
+			return &ReplayError{rec.Period, gi, "ways", fmt.Sprint(got), fmt.Sprint(g.Ways)}
+		}
+		if !slices.Equal(events[gi], g.Decisions) {
+			return &ReplayError{rec.Period, gi, "decisions", fmt.Sprint(events[gi]), fmt.Sprint(g.Decisions)}
+		}
+		if got := sys.CBM(gi); masks && got != g.Mask {
+			return &ReplayError{rec.Period, gi, "mask", fmt.Sprintf("%#x", got), fmt.Sprintf("%#x", g.Mask)}
+		}
 	}
-	if masks {
-		if got := sys.CBM(policy.HPClos); got != rec.HPMask {
-			return &ReplayError{rec.Period, "hp_mask",
-				fmt.Sprintf("%#x", got), fmt.Sprintf("%#x", rec.HPMask)}
-		}
-		if got := sys.CBM(policy.BEClos); got != rec.BEMask {
-			return &ReplayError{rec.Period, "be_mask",
-				fmt.Sprintf("%#x", got), fmt.Sprintf("%#x", rec.BEMask)}
-		}
+	if got := sys.CBM(ctl.BEClos()); masks && got != rec.BEMask {
+		return &ReplayError{rec.Period, -1, "be_mask", fmt.Sprintf("%#x", got), fmt.Sprintf("%#x", rec.BEMask)}
 	}
 	return nil
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

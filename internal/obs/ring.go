@@ -4,26 +4,24 @@ import "sync"
 
 // Ring is a fixed-capacity, thread-safe ring buffer of Records: the
 // in-memory sink behind the /trace endpoint and the property tests.
-// Incoming records are deep-copied into storage each slot owns: a fixed
-// decision buffer, and group records with their decision buffers,
-// sized for every slot at once by the first grouped record (and again
-// only by one with more groups). Emit otherwise never allocates, so a
-// ring can sit on the monitoring hot path for the lifetime of a
-// deployment.
+// Incoming records are deep-copied into storage each slot owns: group
+// records with their decision buffers, sized for every slot at once by
+// the first record with groups (and again only by one with more
+// groups). A record's plan is shared, never rewritten. Emit otherwise
+// never allocates, so a ring can sit on the monitoring hot path for the
+// lifetime of a deployment.
 type Ring struct {
 	mu    sync.Mutex
 	slots []ringSlot
 	pos   int // next write position
 	n     int // valid slots (<= len(slots))
-	total int // records ever emitted
 }
 
-// ringSlot stores one record plus the backing arrays its Decisions and
-// Groups slices point into, so retention never aliases the Recorder's
-// scratch.
+// ringSlot stores one record plus the backing arrays its Groups slice
+// and their Decisions point into, so retention never aliases the
+// Recorder's scratch.
 type ringSlot struct {
 	rec    Record
-	dec    [maxDecisions]string
 	groups []GroupRecord
 	gdec   [][maxDecisions]string
 }
@@ -41,8 +39,6 @@ func (g *Ring) Emit(r *Record) {
 	g.mu.Lock()
 	s := &g.slots[g.pos]
 	s.rec = *r
-	nd := copy(s.dec[:], r.Decisions)
-	s.rec.Decisions = s.dec[:nd]
 	if len(r.Groups) > 0 {
 		if len(r.Groups) > len(s.groups) {
 			g.growGroups(len(r.Groups))
@@ -60,7 +56,6 @@ func (g *Ring) Emit(r *Record) {
 	if g.n < len(g.slots) {
 		g.n++
 	}
-	g.total++
 	g.mu.Unlock()
 }
 
@@ -82,15 +77,9 @@ func (g *Ring) Len() int {
 	return g.n
 }
 
-// Total returns the number of records ever emitted (held or evicted).
-func (g *Ring) Total() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.total
-}
-
-// Snapshot returns the held records oldest-first as independent deep
-// copies, safe to serialise while the ring keeps filling.
+// Snapshot returns the held records oldest-first as copies that share
+// nothing the ring writes again, safe to serialise while it keeps
+// filling.
 func (g *Ring) Snapshot() []Record {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -104,20 +93,6 @@ func (g *Ring) Snapshot() []Record {
 		out = append(out, slot.rec.clone())
 	}
 	return out
-}
-
-// Last returns the most recent record (deep copy) and whether one exists.
-func (g *Ring) Last() (Record, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.n == 0 {
-		return Record{}, false
-	}
-	i := g.pos - 1
-	if i < 0 {
-		i += len(g.slots)
-	}
-	return g.slots[i].rec.clone(), true
 }
 
 var _ Sink = (*Ring)(nil)

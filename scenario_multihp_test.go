@@ -251,10 +251,11 @@ func TestMultiScenarioRecluster(t *testing.T) {
 	}
 }
 
-// TestMultiScenarioTraceV2 pins the v2 trace surface: a multi-HP run
-// emits a dicer-trace/v2 header with the per-app fields and per-period
-// group records, and ReadTrace accepts it.
-func TestMultiScenarioTraceV2(t *testing.T) {
+// TestMultiScenarioTraceGrouped pins the grouped trace surface: a
+// multi-HP run's header names every HP with its SLO, the CLOS budget,
+// the grouping and the plan Setup installed, every record carries one
+// group record per HP group, and the trace replays.
+func TestMultiScenarioTraceGrouped(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewTraceJSONL(&buf)
 	ms := &Scenario{
@@ -272,11 +273,18 @@ func TestMultiScenarioTraceV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Schema != "dicer-trace/v2" {
-		t.Fatalf("schema %q", h.Schema)
-	}
 	if len(h.HPs) != 2 || len(h.SLOs) != 2 || h.CLOSBudget != 4 || h.Grouping != GroupingClustered {
-		t.Fatalf("v2 header fields missing: %+v", h)
+		t.Fatalf("grouped header fields missing: %+v", h)
+	}
+	if len(h.Plan) == 0 || h.HPAloneIPC != 0 {
+		t.Fatalf("header plan %+v, alone reference %v: want a plan and no single-HP reference", h.Plan, h.HPAloneIPC)
+	}
+	apps := 0
+	for _, g := range h.Plan {
+		apps += len(g.Apps)
+	}
+	if apps != 2 {
+		t.Fatalf("header plan %+v places %d apps, want 2", h.Plan, apps)
 	}
 	if len(recs) != 10 {
 		t.Fatalf("trace holds %d records, want 10", len(recs))
@@ -293,6 +301,9 @@ func TestMultiScenarioTraceV2(t *testing.T) {
 				t.Fatalf("record %d group %d degenerate: %+v", i, gi, g)
 			}
 		}
+	}
+	if _, err := ReplayTrace(h, recs); err != nil {
+		t.Fatalf("grouped trace does not replay: %v", err)
 	}
 }
 

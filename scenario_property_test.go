@@ -15,7 +15,8 @@ import (
 
 // hpTrajectory runs sc under a fresh DICER controller with a trace ring
 // attached and returns a fingerprint of everything HP-facing: per-period
-// controller state, decisions, intended ways, and installed HP mask.
+// controller state and decisions (the one group's), intended ways, and
+// installed HP mask.
 func hpTrajectory(t *testing.T, sc *Scenario) string {
 	t.Helper()
 	ring := NewTraceRing(sc.HorizonPeriods + 1)
@@ -30,7 +31,7 @@ func hpTrajectory(t *testing.T, sc *Scenario) string {
 	var out []byte
 	for _, r := range ring.Snapshot() {
 		out = append(out, fmt.Sprintf("%d:%s:%v:%d:%x|",
-			r.Period, r.State, r.Decisions, r.HPWays, r.HPMask)...)
+			r.Period, r.Groups[0].State, r.Groups[0].Decisions, r.HPWays, r.HPMask)...)
 	}
 	return string(out)
 }

@@ -8,12 +8,12 @@ import (
 	"testing"
 )
 
-// Golden-trace tests: two canonical scenarios are recorded through the
-// JSONL sink and compared byte-for-byte against testdata/*.jsonl.golden.
-// Because the simulator, the chaos layer, and the JSONL encoding are all
-// deterministic, any byte of drift means controller decisions, counter
-// modelling, or the trace schema changed — each of which deserves a
-// deliberate golden refresh:
+// Golden-trace tests: three canonical scenarios are recorded through
+// the JSONL sink and compared byte-for-byte against
+// testdata/*.jsonl.golden. Because the simulator, the chaos layer, and
+// the JSONL encoding are all deterministic, any byte of drift means
+// controller decisions, counter modelling, or the trace schema changed
+// — each of which deserves a deliberate golden refresh:
 //
 //	go test . -run TestGoldenTrace -update-traces
 //
@@ -92,54 +92,21 @@ func TestGoldenTraces(t *testing.T) {
 	}
 }
 
-// TestGoldenTracesReplay replays the committed golden files themselves:
-// the fault-free golden verifies decisions and installed masks, the
-// chaos golden decisions only.
-func TestGoldenTracesReplay(t *testing.T) {
-	for i := range goldenScenarios {
-		g := goldenScenarios[i]
-		t.Run(g.name, func(t *testing.T) {
-			f, err := os.Open(filepath.Join("testdata", g.name+".jsonl.golden"))
-			if err != nil {
-				t.Fatalf("missing golden trace (run TestGoldenTraces with -update-traces first): %v", err)
-			}
-			defer f.Close()
-			h, recs, err := ReadTrace(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := ReplayTrace(h, recs)
-			if err != nil {
-				t.Fatalf("golden trace does not replay: %v", err)
-			}
-			if res.Periods != 60 {
-				t.Fatalf("replayed %d periods, want 60", res.Periods)
-			}
-			if wantMasks := g.chaos == ""; res.MasksVerified != wantMasks {
-				t.Fatalf("MasksVerified = %v, want %v", res.MasksVerified, wantMasks)
-			}
-			if res.Decisions == 0 {
-				t.Fatal("golden trace carried no decisions")
-			}
-		})
-	}
-}
+// goldenReclusterPeriods is the re-clustering golden's horizon: long
+// enough for the re-cluster schedule to regroup the apps at least once.
+const goldenReclusterPeriods = 30
 
-// goldenV2Periods is the v2 golden's horizon: long enough for the
-// re-cluster schedule to regroup the apps at least once.
-const goldenV2Periods = 30
-
-// recordGoldenTraceV2 records the multi-HP re-clustering configuration
-// (four HP apps plus one BE under an 8-CLOS budget, re-planned every 5
-// periods against upcoming-phase hints) as a dicer-trace/v2 trace.
-func recordGoldenTraceV2(t *testing.T) []byte {
+// recordGoldenTraceRecluster records the multi-HP re-clustering
+// configuration: four HP apps plus one BE under an 8-CLOS budget,
+// re-planned every 5 periods against upcoming-phase hints.
+func recordGoldenTraceRecluster(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	jl := NewTraceJSONL(&buf)
 	ms := &Scenario{
 		HPs:            multiHPs(t, "astar1", "bzip21", "milc1", "namd1"),
 		BEs:            []Profile{mustApp(t, "lbm1")},
-		HorizonPeriods: goldenV2Periods,
+		HorizonPeriods: goldenReclusterPeriods,
 		CLOSBudget:     8,
 		ReclusterEvery: 5,
 		UsePhaseHints:  true,
@@ -150,7 +117,7 @@ func recordGoldenTraceV2(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	if res.Reclusters == 0 {
-		t.Fatal("golden v2 run never re-clustered")
+		t.Fatal("golden re-clustering run never re-clustered")
 	}
 	if err := jl.Flush(); err != nil {
 		t.Fatal(err)
@@ -158,11 +125,11 @@ func recordGoldenTraceV2(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// TestGoldenTraceV2 pins the multi-HP trace byte for byte: per-group
-// decisions, masks, states and re-cluster markers.
-func TestGoldenTraceV2(t *testing.T) {
-	got := recordGoldenTraceV2(t)
-	path := filepath.Join("testdata", "recluster_v2.jsonl.golden")
+// TestGoldenTraceRecluster pins the multi-HP trace byte for byte:
+// per-group decisions, masks and states, and the recorded re-plans.
+func TestGoldenTraceRecluster(t *testing.T) {
+	got := recordGoldenTraceRecluster(t)
+	path := filepath.Join("testdata", "recluster.jsonl.golden")
 	if *updateTraces {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
@@ -174,8 +141,52 @@ func TestGoldenTraceV2(t *testing.T) {
 		t.Fatalf("missing golden trace (run with -update-traces to create): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("recorded v2 trace drifted from golden (%d vs %d bytes); "+
+		t.Errorf("recorded re-clustering trace drifted from golden (%d vs %d bytes); "+
 			"controller decisions or trace schema changed — re-run with -update-traces if intended",
 			len(got), len(want))
+	}
+}
+
+// TestGoldenTracesReplay replays the committed golden files themselves:
+// the fault-free goldens verify decisions and installed masks, the
+// chaos golden decisions only, and the re-clustering golden every group
+// through both of its recorded re-plans.
+func TestGoldenTracesReplay(t *testing.T) {
+	cases := []struct {
+		name            string
+		periods, groups int
+		replans         int
+		masks           bool
+	}{
+		{"ctt_milc", 60, 1, 0, true},
+		{"ctf_omnetpp_chaos", 60, 1, 0, false},
+		{"recluster", goldenReclusterPeriods, 4, 2, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := os.Open(filepath.Join("testdata", tc.name+".jsonl.golden"))
+			if err != nil {
+				t.Fatalf("missing golden trace (run the golden trace tests with -update-traces first): %v", err)
+			}
+			defer f.Close()
+			h, recs, err := ReadTrace(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := ReplayTrace(h, recs)
+			if err != nil {
+				t.Fatalf("golden trace does not replay: %v", err)
+			}
+			if res.Periods != tc.periods || res.Groups != tc.groups || res.Replans != tc.replans {
+				t.Fatalf("replayed %d periods, %d groups, %d re-plans; want %d, %d, %d",
+					res.Periods, res.Groups, res.Replans, tc.periods, tc.groups, tc.replans)
+			}
+			if res.MasksVerified != tc.masks {
+				t.Fatalf("MasksVerified = %v, want %v", res.MasksVerified, tc.masks)
+			}
+			if res.Decisions == 0 {
+				t.Fatal("golden trace carried no decisions")
+			}
+		})
 	}
 }
