@@ -1,6 +1,7 @@
 package diag
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -90,13 +91,10 @@ type AnalyzeOptions struct {
 // returns the run's diagnostic report. Determinism is by construction:
 // identical records through identical code.
 func Analyze(r io.Reader, opts AnalyzeOptions) (*Report, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
+	br := bufio.NewReader(r)
+	line, err := br.ReadBytes('\n')
+	if err != nil && err != io.EOF {
 		return nil, fmt.Errorf("diag: read trace: %w", err)
-	}
-	line := raw
-	if i := bytes.IndexByte(raw, '\n'); i >= 0 {
-		line = raw[:i]
 	}
 	var probe struct {
 		Schema string `json:"schema"`
@@ -104,11 +102,12 @@ func Analyze(r io.Reader, opts AnalyzeOptions) (*Report, error) {
 	if err := json.Unmarshal(line, &probe); err != nil {
 		return nil, fmt.Errorf("diag: bad trace header: %w", err)
 	}
+	trace := io.MultiReader(bytes.NewReader(line), br)
 	switch probe.Schema {
 	case obs.Schema:
-		return analyzeNode(bytes.NewReader(raw), opts)
+		return analyzeNode(trace, opts)
 	case fleet.TraceSchema:
-		return analyzeFleet(bytes.NewReader(raw), opts)
+		return analyzeFleet(trace, opts)
 	default:
 		return nil, fmt.Errorf("diag: unknown trace schema %q", probe.Schema)
 	}
@@ -220,9 +219,11 @@ func sortedKeys(m map[string]int) []string {
 	return keys
 }
 
-// analyzeFleet runs a cluster trace through a FleetMonitor.
+// analyzeFleet runs a cluster trace through a FleetMonitor record by
+// record as it decodes. The monitor copies what it keeps of a record,
+// so one decode buffer serves the whole trace.
 func analyzeFleet(r io.Reader, opts AnalyzeOptions) (*Report, error) {
-	hdr, recs, err := fleet.ReadClusterTrace(r)
+	d, hdr, err := fleet.NewTraceDecoder(r)
 	if err != nil {
 		return nil, err
 	}
@@ -231,8 +232,14 @@ func analyzeFleet(r io.Reader, opts AnalyzeOptions) (*Report, error) {
 		Alert: opts.Alert,
 	})
 	m.StartHeader(hdr)
-	for i := range recs {
-		m.ObserveRecord(&recs[i])
+	var rec fleet.ClusterRecord
+	for {
+		if err := d.Decode(&rec); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, err
+		}
+		m.ObserveRecord(&rec)
 	}
 	rep := m.Report()
 	rep.Schema = hdr.Schema

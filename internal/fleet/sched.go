@@ -3,7 +3,9 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 
 	"dicer/internal/app"
 	"dicer/internal/machine"
@@ -35,18 +37,41 @@ type NodeView struct {
 	Machine         machine.Machine
 }
 
-// Scheduler places queued jobs onto candidate nodes. Pick returns the
-// chosen node's position in views and whether any node is acceptable;
-// returning ok=false queues the job for a later period. Implementations
-// must be deterministic given their construction arguments (the random
-// scheduler owns a seeded stream). A scheduler belongs to one Cluster,
-// which calls Pick under its step lock; schedulers keep state between
-// picks (the random stream, the headroom prediction memo) and are not
-// safe for concurrent use.
+// Scheduler places queued jobs onto candidate nodes. The cluster runs
+// one placement pass per period: BeginPass with the period's candidate
+// views, Pick for each queued job in queue order, Folded after each
+// placement it folds into a view, and EndPass. Between BeginPass and
+// EndPass, Pick always receives the pass's views, and only the reported
+// folds change them. Pick called outside a pass places one job over the
+// views it is given.
+//
+// Pick returns the chosen node's position in views and whether any node
+// is acceptable; returning ok=false queues the job for a later period.
+// Implementations must be deterministic given their construction
+// arguments (the random scheduler owns a seeded stream). A scheduler
+// belongs to one Cluster, which calls it under its step lock;
+// schedulers keep state between picks (the random stream, the headroom
+// prediction memo and pass rows) and are not safe for concurrent use.
 type Scheduler interface {
 	Name() string
+	// BeginPass opens a placement pass over views.
+	BeginPass(views []NodeView)
 	Pick(job *Job, views []NodeView) (idx int, ok bool)
+	// Folded reports that a placement was folded into views[idx]; left
+	// reports that the view then left the list, the views after it each
+	// moving up one position.
+	Folded(idx int, left bool)
+	// EndPass closes the pass.
+	EndPass()
 }
+
+// passless gives the pass methods, as no-ops, to a scheduler whose picks
+// read nothing but the views.
+type passless struct{}
+
+func (passless) BeginPass([]NodeView) {}
+func (passless) Folded(int, bool)     {}
+func (passless) EndPass()             {}
 
 // NewScheduler builds a scheduler by name: "random", "least-loaded" or
 // "headroom". seed feeds the random scheduler's stream (ignored by the
@@ -69,6 +94,7 @@ func SchedulerNames() []string { return []string{"random", "least-loaded", "head
 // RandomScheduler places uniformly at random among candidates — the
 // baseline any informed scheduler must beat.
 type RandomScheduler struct {
+	passless
 	rng *rand.Rand
 }
 
@@ -86,7 +112,7 @@ func (s *RandomScheduler) Pick(_ *Job, views []NodeView) (int, bool) {
 // LeastLoadedScheduler places on the node with the fewest running BE
 // jobs (ties to the lowest node ID) — load balancing blind to what the
 // jobs actually are.
-type LeastLoadedScheduler struct{}
+type LeastLoadedScheduler struct{ passless }
 
 // Name implements Scheduler.
 func (LeastLoadedScheduler) Name() string { return "least-loaded" }
@@ -113,36 +139,70 @@ func (LeastLoadedScheduler) Pick(_ *Job, views []NodeView) (int, bool) {
 // so streamers spread out instead of saturating one link, with
 // cache-hungry jobs steered away from crowded BE partitions.
 //
-// A placement pass scores every queued job against every candidate, but
-// the prediction depends only on the machine, the profile's phases and
-// the BE geometry (ways, count), which repeat across candidates, jobs
-// and periods. The scheduler therefore memoises PredictJobGbps per
-// profile and geometry for one machine at a time; the memo only ever
-// returns what PredictJobGbps returned for the same inputs, so picks are
-// exactly those of scoring every candidate from scratch. The zero value
-// is ready to use.
+// A placement pass picks for every queued job over the same candidates,
+// and a placement changes only the one view it is folded into. The
+// scheduler therefore keeps, per profile, a row of its score on every
+// candidate of the pass: a profile's first pick in a pass fills the
+// row, and its later picks re-score only the candidates folded since.
+// The prediction behind a score depends only on the machine, the
+// profile's phases and the BE geometry (ways, count), which repeat
+// across candidates, jobs and periods, so it is memoised per profile and
+// geometry for one machine at a time. Rows and memo only ever hold what
+// scoring the same view from scratch gives, and the winner comes from
+// the same comparison in view order, so picks are exactly those of
+// scoring every candidate on every pick. The zero value is ready to use.
 type HeadroomScheduler struct {
-	// m is the machine the constants and the memo below describe; valid
-	// reports that it passed Validate and its geometry fits the memo.
+	// m is the machine the constants and the memo rows describe, and gen
+	// numbers it (reset bumps it); valid reports that m passed Validate
+	// and its geometry fits the memo.
 	m     machine.Machine
+	gen   int
 	valid bool
 	// knee and capacity are m's link knee and peak in Gbps, wayBytes
 	// the capacity of one LLC way: the score's per-machine constants.
 	knee, capacity, wayBytes float64
-	// memo maps a profile name to its predictions on m.
+	// memo maps a profile name to its predictions and pass row.
 	memo map[string]*demandMemo
+
+	// The placement pass. open reports one is open and pass numbers it;
+	// same reports that every view of the pass carries the valid
+	// machine m, so a row stays exact between picks (otherwise every
+	// pick re-scores every view on that view's own machine). A slot
+	// numbers a view as the pass opened; ids holds each slot's node ID.
+	// live has a bit per slot still in the list (nlive of them), so a
+	// view's position is the number of live slots before its own. folds
+	// lists the slot of every fold reported so far, and stamp holds one
+	// past each slot's last index in it.
+	open  bool
+	pass  int
+	same  bool
+	ids   []int
+	live  []uint64
+	nlive int
+	folds []int32
+	stamp []int32
 }
 
-// demandMemo holds one profile's predicted demand on the scheduler's
-// machine, PredictJobGbps(m, profile, beWays, beCount) at index
-// beWays*(m.Cores+1)+beCount, NaN until computed. phases identifies the
-// profile's phase set: catalog profiles (app.ByName, app.ByClass) share
-// their Phases backing array, and a profile of the same name with other
-// phases resets the entry.
+// demandMemo is one profile's state in the scheduler: fp is its
+// cacheable footprint (MaxFootprint), and gbps holds its
+// predicted demand on the machine of generation gen,
+// PredictJobGbps(m, profile, beWays, beCount) at index
+// beWays*(m.Cores+1)+beCount, NaN until computed. score and feasible
+// (one bit per slot) are its pass row: the profile's score on the view
+// in each slot as of its last pick, in pass pass after seen folds.
+// phases identifies the profile's phase set: catalog profiles
+// (app.ByName, app.ByClass) share their Phases backing array, and a
+// profile of the same name with other phases makes both stale.
 type demandMemo struct {
-	phases *app.Phase
-	n      int
-	gbps   []float64
+	phases   *app.Phase
+	n        int
+	fp       float64
+	gen      int
+	gbps     []float64
+	pass     int
+	seen     int
+	score    []float64
+	feasible []uint64
 }
 
 // maxMemoEntries bounds one profile's memo (ways+1 × cores+1 entries;
@@ -156,67 +216,208 @@ const pressureWeight = 0.15
 // Name implements Scheduler.
 func (*HeadroomScheduler) Name() string { return "headroom" }
 
-// Pick implements Scheduler.
-func (s *HeadroomScheduler) Pick(job *Job, views []NodeView) (int, bool) {
-	prof := &job.Profile
-	fp := prof.MaxFootprint()
-	var row []float64 // the job's memo row on s.m
-	best, ok := 0, false
-	bestScore := 0.0
+// BeginPass implements Scheduler: every view gets the slot of its
+// position, and the machine is compared once for the whole pass.
+func (s *HeadroomScheduler) BeginPass(views []NodeView) {
+	s.open = true
+	s.pass++
+	n := len(views)
+	s.ids = slices.Grow(s.ids[:0], n)[:n]
 	for i := range views {
-		v := &views[i]
-		if !s.valid || v.Machine != s.m {
-			s.reset(&v.Machine)
-			row = nil
-		}
-		if row == nil && s.valid {
-			row = s.memoFor(prof)
-		}
-		score, feasible := s.score(v, s.predict(row, prof, v), fp)
-		if !feasible {
+		s.ids[i] = views[i].ID
+	}
+	words := (n + 63) / 64
+	s.live = slices.Grow(s.live[:0], words)[:words]
+	for w := range s.live {
+		s.live[w] = ^uint64(0)
+	}
+	if n%64 != 0 {
+		s.live[words-1] = 1<<(n%64) - 1
+	}
+	s.nlive = n
+	s.folds = s.folds[:0]
+	s.stamp = slices.Grow(s.stamp[:0], n)[:n]
+	s.same = false
+	if n == 0 {
+		return
+	}
+	if !s.valid || views[0].Machine != s.m {
+		s.reset(&views[0].Machine)
+	}
+	same := s.valid
+	for i := 1; same && i < n; i++ {
+		same = views[i].Machine == s.m
+	}
+	s.same = same
+}
+
+// Folded implements Scheduler.
+func (s *HeadroomScheduler) Folded(idx int, left bool) {
+	if !s.open {
+		return
+	}
+	slot := s.slotAt(idx)
+	s.folds = append(s.folds, int32(slot))
+	s.stamp[slot] = int32(len(s.folds))
+	if left {
+		s.live[slot>>6] &^= 1 << (slot & 63)
+		s.nlive--
+	}
+}
+
+// EndPass implements Scheduler.
+func (s *HeadroomScheduler) EndPass() { s.open = false }
+
+// slotAt returns the slot of the view at position idx: the idx-th live
+// slot.
+func (s *HeadroomScheduler) slotAt(idx int) int {
+	for w, word := range s.live {
+		if c := bits.OnesCount64(word); idx >= c {
+			idx -= c
 			continue
 		}
-		if !ok || score > bestScore ||
-			(score == bestScore && v.ID < views[best].ID) {
-			best, bestScore, ok = i, score, true
+		for ; idx > 0; idx-- {
+			word &= word - 1
+		}
+		return w<<6 | bits.TrailingZeros64(word)
+	}
+	panic(fmt.Sprintf("fleet: no view at position %d of the pass", idx))
+}
+
+// position returns the position of the view in a live slot.
+func (s *HeadroomScheduler) position(slot int) int {
+	w := slot >> 6
+	n := bits.OnesCount64(s.live[w] & (1<<(slot&63) - 1))
+	for _, word := range s.live[:w] {
+		n += bits.OnesCount64(word)
+	}
+	return n
+}
+
+// Pick implements Scheduler. Outside a pass it runs as a one-shot pass.
+func (s *HeadroomScheduler) Pick(job *Job, views []NodeView) (int, bool) {
+	if !s.open {
+		s.BeginPass(views)
+		defer s.EndPass()
+	}
+	if len(views) != s.nlive {
+		panic(fmt.Sprintf("fleet: Pick over %d views in a pass of %d", len(views), s.nlive))
+	}
+	prof := &job.Profile
+	e := s.entry(prof)
+	fp, row := e.fp, s.gbps(e)
+	if e.pass != s.pass || !s.same {
+		// Fill the row: every live slot, in view order, each on its own
+		// machine unless the pass has one.
+		if e.pass != s.pass {
+			e.pass = s.pass
+			n := len(s.ids)
+			e.score = slices.Grow(e.score[:0], n)[:n]
+			e.feasible = slices.Grow(e.feasible[:0], len(s.live))[:len(s.live)]
+		}
+		i := 0
+		for w, word := range s.live {
+			for ; word != 0; word &= word - 1 {
+				v := &views[i]
+				if !s.same && (!s.valid || v.Machine != s.m) {
+					s.reset(&v.Machine)
+					row = s.gbps(e)
+				}
+				score, fits := s.score(v, s.predict(row, prof, v), fp)
+				e.put(w<<6|bits.TrailingZeros64(word), score, fits)
+				i++
+			}
+		}
+	} else {
+		// Re-score the live slots folded since the row's last pick, each
+		// once, at its last fold.
+		for k, slot := range s.folds[e.seen:] {
+			if int(s.stamp[slot]) == e.seen+k+1 && s.live[slot>>6]&(1<<(slot&63)) != 0 {
+				v := &views[s.position(int(slot))]
+				score, fits := s.score(v, s.predict(row, prof, v), fp)
+				e.put(int(slot), score, fits)
+			}
 		}
 	}
-	return best, ok
-}
+	e.seen = len(s.folds)
 
-// reset points the scheduler at machine m: its score constants, and an
-// empty memo if m is valid and small enough to memoise. On a valid
-// machine every field the score and the prediction read is an integer
-// or a strictly positive float, so a machine that compares equal (==)
-// to m gives bit-identical results. A machine failing Validate is never
-// memoised, and each of its candidates resets the constants from that
-// candidate's own fields.
-func (s *HeadroomScheduler) reset(m *machine.Machine) {
-	s.m = *m
-	s.knee = m.Link.Knee * m.Link.CapacityGBps
-	s.capacity = m.Link.CapacityGBps
-	s.wayBytes = m.WayBytes()
-	s.valid = m.Validate() == nil && m.Cores < maxMemoEntries/(m.LLCWays+1)
-	clear(s.memo)
-}
-
-// memoFor returns p's memo row on the scheduler's (valid) machine,
-// creating or resetting it when p is new or its phases changed; nil for
-// a profile without phases.
-func (s *HeadroomScheduler) memoFor(p *app.Profile) []float64 {
-	if len(p.Phases) == 0 {
-		return nil
+	// The argmax over live feasible slots in slot (= view) order.
+	best, ok := 0, false
+	bestScore, bestID := 0.0, 0
+	scores, ids := e.score, s.ids
+	for w, word := range s.live {
+		for m := word & e.feasible[w]; m != 0; m &= m - 1 {
+			slot := w<<6 | bits.TrailingZeros64(m)
+			if score := scores[slot]; !ok || score > bestScore ||
+				(score == bestScore && ids[slot] < bestID) {
+				best, bestScore, bestID, ok = slot, score, ids[slot], true
+			}
+		}
 	}
+	if !ok {
+		return 0, false
+	}
+	return s.position(best), true
+}
+
+// put records a score and its feasibility in the row's slot.
+func (e *demandMemo) put(slot int, score float64, fits bool) {
+	e.score[slot] = score
+	if bit := uint64(1) << (slot & 63); fits {
+		e.feasible[slot>>6] |= bit
+	} else {
+		e.feasible[slot>>6] &^= bit
+	}
+}
+
+// entry returns p's memo entry, creating it when p is new and marking
+// its predictions and row stale when p's phases changed.
+func (s *HeadroomScheduler) entry(p *app.Profile) *demandMemo {
 	e := s.memo[p.Name]
 	if e == nil {
 		if s.memo == nil {
 			s.memo = make(map[string]*demandMemo)
 		}
-		e = &demandMemo{gbps: make([]float64, (s.m.LLCWays+1)*(s.m.Cores+1))}
+		e = &demandMemo{}
 		s.memo[p.Name] = e
 	}
-	if e.phases != &p.Phases[0] || e.n != len(p.Phases) {
-		e.phases, e.n = &p.Phases[0], len(p.Phases)
+	var phases *app.Phase
+	if len(p.Phases) > 0 {
+		phases = &p.Phases[0]
+	}
+	if e.phases != phases || e.n != len(p.Phases) {
+		e.phases, e.n, e.fp = phases, len(p.Phases), p.MaxFootprint()
+		e.gen, e.pass = 0, 0
+	}
+	return e
+}
+
+// reset points the scheduler at machine m: its score constants, and a
+// new generation for the memo if m is valid and small enough to
+// memoise. On a valid machine every field the score and the prediction
+// read is an integer or a strictly positive float, so a machine that
+// compares equal (==) to m gives bit-identical results. A machine
+// failing Validate is never memoised, and each of its views resets the
+// constants from that view's own fields.
+func (s *HeadroomScheduler) reset(m *machine.Machine) {
+	s.m = *m
+	s.gen++
+	s.knee = m.Link.Knee * m.Link.CapacityGBps
+	s.capacity = m.Link.CapacityGBps
+	s.wayBytes = m.WayBytes()
+	s.valid = m.Validate() == nil && m.Cores < maxMemoEntries/(m.LLCWays+1)
+}
+
+// gbps returns e's prediction memo on the scheduler's machine, emptied
+// when it described another; nil when the machine is not memoised.
+func (s *HeadroomScheduler) gbps(e *demandMemo) []float64 {
+	if !s.valid {
+		return nil
+	}
+	if e.gen != s.gen {
+		e.gen = s.gen
+		n := (s.m.LLCWays + 1) * (s.m.Cores + 1)
+		e.gbps = slices.Grow(e.gbps[:0], n)[:n]
 		for i := range e.gbps {
 			e.gbps[i] = math.NaN()
 		}

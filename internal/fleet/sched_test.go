@@ -368,3 +368,118 @@ func TestHeadroomPickAllocFree(t *testing.T) {
 		t.Fatalf("warm Pick over %d views allocates %.2f times, want 0", len(views), avg)
 	}
 }
+
+// TestHeadroomPassMatchesReference drives whole placement passes the
+// way the cluster does — each placement folded into its view and
+// reported, a filled view leaving the list in order — and holds every
+// pick to the reference scoring of the views as they stand. The views
+// come from a stepped two-HP fleet and from seeded random sets (IDs
+// shuffled with gaps, duplicates under other IDs, one machine or two);
+// each pass's jobs repeat profiles, so most picks re-score only what
+// the folds since changed, and a profile sharing a catalog name but not
+// its phases takes turns with the catalog one.
+func TestHeadroomPassMatchesReference(t *testing.T) {
+	sched, err := NewScheduler("headroom", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mA := machine.Default()
+	mB := machine.Default()
+	mB.LLCWays, mB.Cores, mB.LLCBytes = 16, 12, 20<<20
+	mB.Link.CapacityGBps, mB.Link.Knee = 51.2, 0.7
+	rng := rand.New(rand.NewSource(3))
+
+	randomViews := func(ms []machine.Machine) []NodeView {
+		n := 20 + rng.Intn(40)
+		out := make([]NodeView, 0, n+n/4)
+		for i := 0; i < n; i++ {
+			m := ms[i%len(ms)]
+			v := NodeView{
+				ID:          3*i + rng.Intn(3),
+				FreeCores:   1 + rng.Intn(3),
+				BECount:     rng.Intn(m.Cores+1) - 1,
+				BEWays:      rng.Intn(m.LLCWays+2) - 1,
+				TotalGbps:   rng.Float64() * m.Link.Knee * m.Link.CapacityGBps,
+				BEFootprint: rng.Float64() * float64(m.LLCBytes),
+				Machine:     m,
+			}
+			if rng.Intn(2) == 0 {
+				v.HPGroupPressure = rng.Float64()
+			}
+			out = append(out, v)
+		}
+		for i := 0; i < n/4; i++ {
+			dup := out[rng.Intn(n)]
+			dup.ID = 3*n + i
+			out = append(out, dup)
+		}
+		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		return out
+	}
+	var heavies []app.Profile
+	for _, p := range app.Catalog() {
+		heavy := p
+		heavy.Phases = slices.Clone(p.Phases)
+		for i := range heavy.Phases {
+			heavy.Phases[i].APKI *= 4
+		}
+		heavies = append(heavies, heavy)
+	}
+	burst := func(n int) []*Job {
+		cat := app.Catalog()
+		jobs := make([]*Job, n)
+		for i := range jobs {
+			k := rng.Intn(len(cat))
+			if rng.Intn(8) == 0 {
+				jobs[i] = &Job{Profile: heavies[k]}
+			} else {
+				jobs[i] = &Job{Profile: cat[k]}
+			}
+		}
+		return jobs
+	}
+
+	placed, left, queued := 0, 0, 0
+	pass := func(views []NodeView, jobs []*Job) {
+		t.Helper()
+		vs := slices.Clone(views)
+		sched.BeginPass(vs)
+		defer sched.EndPass()
+		for k, j := range jobs {
+			wantIdx, wantOK := refHeadroomPick(j, vs)
+			gotIdx, gotOK := sched.Pick(j, vs)
+			if gotIdx != wantIdx || gotOK != wantOK {
+				t.Fatalf("job %d (%s) over %d views: Pick = (%d, %v), reference (%d, %v)",
+					k, j.Profile.Name, len(vs), gotIdx, gotOK, wantIdx, wantOK)
+			}
+			if !gotOK {
+				queued++
+				continue
+			}
+			placed++
+			v := &vs[gotIdx]
+			v.fold(v.Machine, &j.Profile)
+			full := v.FreeCores <= 0
+			sched.Folded(gotIdx, full)
+			if full {
+				left++
+				vs = slices.Delete(vs, gotIdx, gotIdx+1)
+			}
+		}
+	}
+
+	fleetViews, _ := placementInputs(t)
+	fleetViews = slices.DeleteFunc(fleetViews, func(v NodeView) bool { return v.FreeCores <= 0 })
+	pass(fleetViews, burst(3*len(fleetViews)))
+	for _, ms := range [][]machine.Machine{{mA}, {mB}, {mA, mB}, {mA}} {
+		for round := 0; round < 3; round++ {
+			vs := randomViews(ms)
+			pass(vs, burst(3*len(vs)))
+		}
+	}
+
+	t.Logf("%d placed (%d filled a view), %d queued", placed, left, queued)
+	if placed == 0 || left == 0 || queued == 0 {
+		t.Fatalf("inputs too one-sided: %d placed, %d filled, %d queued", placed, left, queued)
+	}
+}

@@ -120,33 +120,75 @@ type ClusterRecord struct {
 	Nodes []Heartbeat `json:"nodes"`
 }
 
-// ReadClusterTrace parses a cluster trace written by Cluster.Run.
+// ReadClusterTrace parses a cluster trace written by Cluster.Run,
+// collecting every record.
 func ReadClusterTrace(r io.Reader) (TraceHeader, []ClusterRecord, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var hdr TraceHeader
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return hdr, nil, err
-		}
-		return hdr, nil, fmt.Errorf("fleet: empty trace")
-	}
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return hdr, nil, fmt.Errorf("fleet: bad trace header: %w", err)
-	}
-	if hdr.Schema != TraceSchema {
-		return hdr, nil, fmt.Errorf("fleet: trace schema %q, want %q", hdr.Schema, TraceSchema)
+	d, hdr, err := NewTraceDecoder(r)
+	if err != nil {
+		return hdr, nil, err
 	}
 	var recs []ClusterRecord
-	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
+	for {
 		var rec ClusterRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return hdr, recs, fmt.Errorf("fleet: bad record %d: %w", len(recs), err)
+		if err := d.Decode(&rec); err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return hdr, recs, err
 		}
 		recs = append(recs, rec)
 	}
-	return hdr, recs, sc.Err()
+}
+
+// TraceDecoder reads a cluster trace one record at a time, so a reader
+// that folds records as they come holds one record, not the trace.
+type TraceDecoder struct {
+	sc *bufio.Scanner
+	n  int // records decoded
+}
+
+// NewTraceDecoder reads and checks a cluster trace's header.
+func NewTraceDecoder(r io.Reader) (*TraceDecoder, TraceHeader, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	var hdr TraceHeader
+	if !sc.Scan() {
+		if err := sc.Err(); err != nil {
+			return nil, hdr, err
+		}
+		return nil, hdr, fmt.Errorf("fleet: empty trace")
+	}
+	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
+		return nil, hdr, fmt.Errorf("fleet: bad trace header: %w", err)
+	}
+	if hdr.Schema != TraceSchema {
+		return nil, hdr, fmt.Errorf("fleet: trace schema %q, want %q", hdr.Schema, TraceSchema)
+	}
+	return &TraceDecoder{sc: sc}, hdr, nil
+}
+
+// Decode decodes the next record into rec; io.EOF follows the last. rec
+// is zeroed first, keeping only the arrays behind its Nodes and Events
+// (the decoder fills reused elements field by field, so stale ones must
+// not show through), so one record can carry a whole trace.
+func (d *TraceDecoder) Decode(rec *ClusterRecord) error {
+	for d.sc.Scan() {
+		line := d.sc.Bytes()
+		if len(line) == 0 {
+			continue
+		}
+		nodes, events := rec.Nodes[:cap(rec.Nodes)], rec.Events[:cap(rec.Events)]
+		clear(nodes)
+		clear(events)
+		*rec = ClusterRecord{Nodes: nodes[:0], Events: events[:0]}
+		if err := json.Unmarshal(line, rec); err != nil {
+			return fmt.Errorf("fleet: bad record %d: %w", d.n, err)
+		}
+		d.n++
+		return nil
+	}
+	if err := d.sc.Err(); err != nil {
+		return err
+	}
+	return io.EOF
 }
