@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"math"
 	"testing"
 
 	"dicer/internal/chaos"
@@ -27,21 +26,25 @@ func equivSuites(t *testing.T) (opt, ref *Suite) {
 }
 
 // equivWorkloads is the scenario matrix: a cache-sensitive CT-Favoured
-// pair, the paper's canonical CT-Thwarted pair (phase-heavy HP), and a
+// pair, the paper's canonical CT-Thwarted pair (phase-heavy HP), a
 // bandwidth-hostile pair that saturates the link and exercises the
-// saturation/sampling controller states.
+// saturation/sampling controller states, and two pairs whose shared
+// regions water-fill over many solves with the pressure settling in its
+// low bits: a streaming HP beside nine cache-hungry BEs, and a
+// phase-heavy HP beside nine phased BEs.
 func equivWorkloads() []Workload {
 	return []Workload{
 		{HP: "omnetpp1", BE: "gcc_base1", BECount: 9},
 		{HP: "milc1", BE: "gcc_base1", BECount: 9},
 		{HP: "mcf1", BE: "lbm1", BECount: 5},
+		{HP: "lbm1", BE: "canneal1", BECount: 9},
+		{HP: "GemsFDTD1", BE: "Xalan1", BECount: 9},
 	}
 }
 
 // TestSolverEquivalenceRuns holds the optimized solver to the reference
-// across the scenario matrix under all three policies: every Result must
-// agree within 1e-9 (the solves are bit-identical; the tolerance is the
-// acceptance criterion's, not an expectation of drift).
+// across the scenario matrix under all three policies: the solves are
+// bit-identical, so every Result field must be equal.
 func TestSolverEquivalenceRuns(t *testing.T) {
 	opt, ref := equivSuites(t)
 	for _, w := range equivWorkloads() {
@@ -54,19 +57,8 @@ func TestSolverEquivalenceRuns(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s reference: %v", w, pol, err)
 			}
-			for _, c := range []struct {
-				name     string
-				opt, ref float64
-			}{
-				{"HPIPC", ro.HPIPC, rr.HPIPC},
-				{"BEIPC", ro.BEIPC, rr.BEIPC},
-				{"HPAlone", ro.HPAlone, rr.HPAlone},
-				{"BEAlone", ro.BEAlone, rr.BEAlone},
-			} {
-				if math.Abs(c.opt-c.ref) > 1e-9 {
-					t.Errorf("%s/%s: %s diverged: optimized %v reference %v",
-						w, pol, c.name, c.opt, c.ref)
-				}
+			if ro != rr {
+				t.Errorf("%s/%s: result diverged:\noptimized %+v\nreference %+v", w, pol, ro, rr)
 			}
 		}
 	}
@@ -106,7 +98,7 @@ func TestSolverEquivalenceChaos(t *testing.T) {
 				t.Errorf("%s schedule %q seed %d: decision fingerprint diverged: %x vs %x",
 					w, cell.sched.Name, cell.seed, ro.Fingerprint, rr.Fingerprint)
 			}
-			if math.Abs(ro.HPIPC-rr.HPIPC) > 1e-9 {
+			if ro.HPIPC != rr.HPIPC {
 				t.Errorf("%s schedule %q seed %d: HP IPC diverged: %v vs %v",
 					w, cell.sched.Name, cell.seed, ro.HPIPC, rr.HPIPC)
 			}
