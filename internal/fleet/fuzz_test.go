@@ -56,3 +56,41 @@ func FuzzReadClusterTrace(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadIncident feeds the incident bundle decoder arbitrary input: it
+// must never panic, and whatever it accepts must re-dump to bytes that it
+// accepts again and that re-dump identically. The seeds are the
+// committed node-loss bundle cut to its manifest and first flight line,
+// and a manifest of another schema, which the decoder refuses.
+func FuzzReadIncident(f *testing.F) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "cmd", "dicer-fleet", "testdata", "incidents",
+		"incident-000-p0011-n002-node-loss.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	lines := bytes.SplitAfter(raw, []byte("\n"))
+	f.Add(bytes.Join(lines[:2], nil))
+	f.Add([]byte(`{"schema":"dicer-incident/v0","seq":0,"trigger":"node-loss","node":2,"period":11}` + "\n"))
+	dump := func(t *testing.T, inc *Incident) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := inc.Dump(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		inc, err := ReadIncident(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		once := dump(t, inc)
+		again, err := ReadIncident(bytes.NewReader(once))
+		if err != nil {
+			t.Fatalf("re-dumped bundle does not decode: %v\n%s", err, once)
+		}
+		if twice := dump(t, again); !bytes.Equal(once, twice) {
+			t.Fatalf("re-dumping is not a fixpoint:\n%s\n%s", once, twice)
+		}
+	})
+}

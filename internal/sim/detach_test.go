@@ -136,7 +136,10 @@ func TestAttachKeepsScratch(t *testing.T) {
 			"allocBuf":   unsafe.Pointer(unsafe.SliceData(r.allocBuf)),
 			"lastPhases": unsafe.Pointer(unsafe.SliceData(r.lastPhases)),
 			"activeBuf":  unsafe.Pointer(unsafe.SliceData(r.activeBuf)),
+			"runCnt":     unsafe.Pointer(unsafe.SliceData(r.runCnt)),
 			"wfLive":     unsafe.Pointer(unsafe.SliceData(r.wfLive)),
+			"occClos":    unsafe.Pointer(unsafe.SliceData(r.occClos)),
+			"occMembers": unsafe.Pointer(unsafe.SliceData(r.occMembers)),
 		}
 	}
 	want := backing()
@@ -153,7 +156,8 @@ func TestAttachKeepsScratch(t *testing.T) {
 		n := core + 1
 		for name, got := range map[string]int{"procs": len(r.procs), "shares": len(r.shares),
 			"pressure": len(r.pressure), "opMiss": len(r.opMiss), "reach": len(r.reach),
-			"capsBuf": len(r.capsBuf), "allocBuf": len(r.allocBuf), "lastPhases": len(r.lastPhases)} {
+			"capsBuf": len(r.capsBuf), "allocBuf": len(r.allocBuf), "runCnt": len(r.runCnt),
+			"lastPhases": len(r.lastPhases)} {
 			if got != n {
 				t.Fatalf("after %d attaches len(%s) = %d", n, name, got)
 			}

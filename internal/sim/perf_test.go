@@ -88,7 +88,20 @@ func warmMemo(tb testing.TB, r *Runner, pairs []maskPair) int {
 // through more mask vectors than the memo holds, so no step finds its
 // masks memoised.
 func BenchmarkStepUncached(b *testing.B) {
-	r := tenCoreRunner(b)
+	benchUncached(b, tenCoreRunner(b))
+}
+
+// BenchmarkStepUncachedDistinct is BenchmarkStepUncached's mask walk on
+// ten different profiles, a fleet node's shape: every process is a
+// lockstep set of its own, so no shared region water-fills fewer runs
+// than members.
+func BenchmarkStepUncachedDistinct(b *testing.B) {
+	benchUncached(b, distinctRunner(b))
+}
+
+// benchUncached times a walk over more mask vectors than the memo holds,
+// so every step re-solves both fixed points.
+func benchUncached(b *testing.B, r *Runner) {
 	pairs := memoPairs()
 	next := warmMemo(b, r, pairs)
 	b.ReportAllocs()

@@ -51,6 +51,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -62,7 +63,8 @@ import (
 
 // shareIters bounds the pressure fixed-point iteration. Shares converge
 // geometrically under damping; 12 iterations put the residual well below
-// the model's own fidelity.
+// the model's own fidelity. The solve stops earlier at an exact fixed
+// point, where every later iteration would repeat the last one.
 const shareIters = 12
 
 // memoCap bounds the operating-point memo. DICER visits at most 19
@@ -108,17 +110,20 @@ type Runner struct {
 	// Scratch buffers reused across solves to keep the hot path
 	// allocation-free. reach holds each process's reachable capacity in
 	// the share solve and its demand within one bwDemand evaluation.
-	reach     []float64
-	capsBuf   []float64
-	allocBuf  []float64
-	activeBuf []int
-	wfLive    []int
-	regionSig []uint64 // way regions keyed by sharer signature
-	regionCap []float64
-	regionCnt []int
-	thrVal    []float64 // per-CLOS throttle memo within one demand eval
-	thrSet    []bool
-	occBuf    []float64 // per-CLOS occupancy accumulator for SnapshotInto
+	reach      []float64
+	capsBuf    []float64
+	allocBuf   []float64
+	activeBuf  []int // a shared region's runs, by first member
+	runCnt     []int // members in the run that starts at each process
+	wfLive     []int
+	occClos    []int    // the CLOS that hold an unparked process
+	occMembers []uint64 // each one's unparked processes, a bitmask over procs
+	regionSig  []uint64 // way regions keyed by sharer signature
+	regionCap  []float64
+	regionCnt  []int
+	thrVal     []float64 // per-CLOS throttle memo within one demand eval
+	thrSet     []bool
+	occBuf     []float64 // per-CLOS occupancy accumulator for SnapshotInto
 
 	// demandFn is the bandwidth-demand closure handed to membw.Link.Solve,
 	// bound once at construction so Step allocates nothing.
@@ -193,9 +198,10 @@ func New(m machine.Machine, closCount int) (*Runner, error) {
 	for _, s := range []*[]float64{&r.shares, &r.pressure, &r.opMiss, &r.reach, &r.capsBuf, &r.allocBuf} {
 		*s = make([]float64, 0, m.Cores)
 	}
-	for _, s := range []*[]int{&r.lastPhases, &r.activeBuf, &r.wfLive} {
+	for _, s := range []*[]int{&r.lastPhases, &r.activeBuf, &r.runCnt, &r.wfLive, &r.occClos} {
 		*s = make([]int, 0, m.Cores)
 	}
+	r.occMembers = make([]uint64, 0, m.Cores)
 	r.resetState(closCount)
 	return r, nil
 }
@@ -302,6 +308,7 @@ func (r *Runner) Attach(core, clos int, prof app.Profile) error {
 	r.allocBuf = grow(r.allocBuf, n)
 	r.lastPhases = grow(r.lastPhases, n)
 	r.activeBuf = grow(r.activeBuf, n)[:0]
+	r.runCnt = grow(r.runCnt, n)
 	r.wfLive = grow(r.wfLive, n)[:0]
 	r.invalidate()
 	return nil
@@ -614,6 +621,16 @@ func (r *Runner) memoStore() {
 // regions. Results land in r.shares (bytes per process, indexed like
 // r.procs). All working storage is scratch owned by the Runner; region
 // iteration follows way order, so the result is deterministic.
+//
+// It computes what the reference solver does, bit for bit, and skips
+// three kinds of work that cannot change a result: regions come from
+// each occupied CLOS's members instead of from every process; a shared
+// region water-fills runs of lockstep members instead of members (see
+// waterfill); and the pressure iteration stops at its first exact fixed
+// point. An iteration computes the shares from the pressure alone, since
+// the regions and caps are fixed within a solve, so once an iteration
+// leaves every lead's pressure bit for bit as it found it, every later
+// one repeats it and its shares are the last iteration's.
 func (r *Runner) solveSharesFull() {
 	n := len(r.procs)
 	if n == 0 {
@@ -622,13 +639,27 @@ func (r *Runner) solveSharesFull() {
 	wayBytes := r.m.WayBytes()
 
 	// Group ways into regions keyed by sharer signature. With <=64 procs a
-	// bitmask over procs identifies a region.
+	// bitmask over procs identifies a region: the OR of the unparked
+	// members of every CLOS whose mask covers the way.
+	occClos, occMembers := r.occClos[:0], r.occMembers[:0]
+	for i, s := range r.procs {
+		if s.parked {
+			continue
+		}
+		k := slices.Index(occClos, s.clos)
+		if k < 0 {
+			k = len(occClos)
+			occClos = append(occClos, s.clos)
+			occMembers = append(occMembers, 0)
+		}
+		occMembers[k] |= 1 << uint(i)
+	}
 	nr := 0
 	for w := 0; w < r.m.LLCWays; w++ {
 		var sig uint64
-		for i, s := range r.procs {
-			if !s.parked && r.masks[s.clos]&(1<<uint(w)) != 0 {
-				sig |= 1 << uint(i)
+		for k, c := range occClos {
+			if r.masks[c]&(1<<uint(w)) != 0 {
+				sig |= occMembers[k]
 			}
 		}
 		if sig == 0 {
@@ -658,10 +689,8 @@ func (r *Runner) solveSharesFull() {
 	}
 	for j := 0; j < nr; j++ {
 		sig, cnt := r.regionSig[j], r.regionCnt[j]
-		for i := 0; i < n; i++ {
-			if sig&(1<<uint(i)) != 0 {
-				r.reach[i] += r.regionCap[j] / float64(cnt)
-			}
+		for m := sig; m != 0; m &= m - 1 {
+			r.reach[bits.TrailingZeros64(m)] += r.regionCap[j] / float64(cnt)
 		}
 	}
 	bf := r.coLocFactor()
@@ -687,8 +716,11 @@ func (r *Runner) solveSharesFull() {
 	// Damped fixed point: water-fill each region by touch rate (hits keep
 	// LRU lines fresh, so retention competition follows total access
 	// intensity, not miss intensity), capped by footprint; re-evaluate
-	// touch rates at the resulting shares.
-	active := r.activeBuf[:0]
+	// touch rates at the resulting shares. Shares accumulate at each run's
+	// first member, a set's lead unless the set is split, and every
+	// follower takes its lead's share at the end. Followers copy their
+	// lead's pressure as it changes: a run may start at one.
+	active, cnt := r.activeBuf[:0], r.runCnt
 	for iter := 0; iter < shareIters; iter++ {
 		for i := range r.shares {
 			r.shares[i] = 0
@@ -701,18 +733,16 @@ func (r *Runner) solveSharesFull() {
 				r.shares[bits.TrailingZeros64(sig)] += r.regionCap[j]
 				continue
 			}
-			active = active[:0]
-			for i := 0; i < n; i++ {
-				if sig&(1<<uint(i)) != 0 {
-					active = append(active, i)
-					r.allocBuf[i] = 0
-				}
+			active = runs(sig, r.procs, active, cnt)
+			for _, i := range active {
+				r.allocBuf[i] = 0
 			}
-			r.wfLive = waterfill(r.regionCap[j], r.pressure, r.capsBuf, active, r.allocBuf, r.wfLive)
+			r.wfLive = waterfill(r.regionCap[j], r.pressure, r.capsBuf, active, cnt, r.allocBuf, r.wfLive)
 			for _, i := range active {
 				r.shares[i] += r.allocBuf[i]
 			}
 		}
+		settled := true
 		for i, s := range r.procs {
 			if s.parked {
 				continue
@@ -721,26 +751,69 @@ func (r *Runner) solveSharesFull() {
 				r.pressure[i] = r.pressure[l]
 				continue
 			}
-			p := touchPressure(&r.m, s.proc, r.shares[i], bf)
-			r.pressure[i] = 0.5*r.pressure[i] + 0.5*p
+			p := 0.5*r.pressure[i] + 0.5*touchPressure(&r.m, s.proc, r.shares[i], bf)
+			if math.Float64bits(p) != math.Float64bits(r.pressure[i]) {
+				settled = false
+			}
+			r.pressure[i] = p
+		}
+		if settled {
+			break
 		}
 	}
 	r.activeBuf = active[:0]
+	for i, s := range r.procs {
+		if l := int(s.lead); l != i {
+			r.shares[i] = r.shares[l]
+		}
+	}
 }
 
-// waterfill divides capacity among the active processes in proportion to
-// their weights, capping each allocation at caps[i] and redistributing the
-// excess to the remaining processes. Results are written into alloc at the
-// active indices. live is scratch storage (contents ignored); the possibly
-// regrown buffer is returned for reuse. active itself is never modified.
-func waterfill(capacity float64, weights, caps []float64, active []int, alloc []float64, live []int) []int {
+// runs lists the runs of the region whose sharer signature is sig in
+// active, each as its first member, and sets cnt there to the run's
+// member count. A run is a maximal stretch of consecutive members of one
+// lockstep set. A set split by a member of another (SetClos out of its
+// middle) makes two runs of one lead, so a run's slot is its first
+// member, never its lead.
+func runs(sig uint64, procs []*slot, active, cnt []int) []int {
+	active = active[:0]
+	prev := int32(-1)
+	for m := sig; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		l := procs[i].lead
+		if l == prev {
+			cnt[active[len(active)-1]]++
+			continue
+		}
+		prev = l
+		active = append(active, i)
+		cnt[i] = 1
+	}
+	return active
+}
+
+// waterfill divides capacity among the active runs in proportion to their
+// weights, capping each allocation at caps[i] and redistributing the
+// excess to the remaining runs. A run stands for cnt[i] consecutive
+// members with weight weights[i] and cap caps[i] each, and active holds
+// each run's first member; members of a run are allocated alike, so one
+// result per run is written into alloc at its first member. Sums add a
+// run's term once per member in turn and the even split counts members,
+// so every allocation equals a water-fill over the members bit for bit.
+// live is scratch storage (contents ignored); the possibly regrown buffer
+// is returned for reuse. active itself is never modified.
+func waterfill(capacity float64, weights, caps []float64, active, cnt []int, alloc []float64, live []int) []int {
 	remaining := capacity
 	live = append(live[:0], active...)
 	scratch := live
 	for len(live) > 0 && remaining > 1e-9 {
 		var totW float64
+		members := 0
 		for _, i := range live {
-			totW += weights[i]
+			for k := 0; k < cnt[i]; k++ {
+				totW += weights[i]
+			}
+			members += cnt[i]
 		}
 		// With no weight information left (all-zero weights), fall back to
 		// an even split — still honouring caps via the same loop.
@@ -752,7 +825,7 @@ func waterfill(capacity float64, weights, caps []float64, active []int, alloc []
 		}
 		tw := totW
 		if tw <= 0 {
-			tw = float64(len(live))
+			tw = float64(members)
 		}
 		capped := live[:0]
 		progressed := false
@@ -762,7 +835,9 @@ func waterfill(capacity float64, weights, caps []float64, active []int, alloc []
 			headroom := caps[i] - alloc[i]
 			if headroom <= t {
 				alloc[i] += headroom
-				remaining -= headroom
+				for k := 0; k < cnt[i]; k++ {
+					remaining -= headroom
+				}
 				progressed = true
 			} else {
 				capped = append(capped, i)
@@ -1004,11 +1079,19 @@ func (r *Runner) fillSnapshot(snap *Snapshot, occupancy bool) {
 	}
 	snap.Cores = snap.Cores[:0]
 	snap.Clos = snap.Clos[:0]
+	// OccupancyDemand is a pure function of the phase and the share, so a
+	// process in the same phase at the same share as the previous one
+	// (the members of a lockstep set) reuses its value.
+	var ph *app.Phase
+	var share, o float64
 	for i, s := range r.procs {
 		if occupancy && !s.parked {
-			o := s.proc.PhaseRef().Curve.OccupancyDemand(r.shares[i])
-			if o > r.shares[i] {
-				o = r.shares[i]
+			if p, sh := s.proc.PhaseRef(), r.shares[i]; p != ph || math.Float64bits(sh) != math.Float64bits(share) {
+				ph, share = p, sh
+				o = p.Curve.OccupancyDemand(sh)
+				if o > sh {
+					o = sh
+				}
 			}
 			occ[s.clos] += o
 		}
