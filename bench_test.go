@@ -317,7 +317,7 @@ func BenchmarkExtension_MBA(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		plain, _ := runScenario(b, "lbm1", "libquantum1", 9, dicer.NewDICER(), false)
 		cfg := core.DefaultConfig()
-		mba, err := ext.NewDicerMBA(cfg, ext.DefaultMBAConfig(cfg.BWThresholdGbps))
+		mba, err := ext.NewDicerMBA(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

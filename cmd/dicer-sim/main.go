@@ -206,7 +206,7 @@ func buildPolicy(name, hpName string) (dicer.Policy, *core.Controller, bool, err
 		return ctl, ctl, false, nil
 	case name == "dicer+mba":
 		cfg := dicer.DefaultControllerConfig()
-		d, err := ext.NewDicerMBA(cfg, ext.DefaultMBAConfig(cfg.BWThresholdGbps))
+		d, err := ext.NewDicerMBA(cfg)
 		if err != nil {
 			return nil, nil, false, err
 		}
@@ -232,7 +232,7 @@ func buildPolicy(name, hpName string) (dicer.Policy, *core.Controller, bool, err
 	case name == "dicer+bemgr":
 		cfg := dicer.DefaultControllerConfig()
 		ctl := dicer.NewDICER()
-		mgr, err := ext.NewBEManager(ctl, ext.DefaultBEManagerConfig(cfg.BWThresholdGbps))
+		mgr, err := ext.NewBEManager(ctl, cfg.BWThresholdGbps)
 		if err != nil {
 			return nil, nil, false, err
 		}

@@ -30,12 +30,12 @@ func main() {
 
 	cfg := dicer.DefaultControllerConfig()
 
-	mba, err := ext.NewDicerMBA(cfg, ext.DefaultMBAConfig(cfg.BWThresholdGbps))
+	mba, err := ext.NewDicerMBA(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	bemgrInner := dicer.NewDICER()
-	bemgr, err := ext.NewBEManager(bemgrInner, ext.DefaultBEManagerConfig(cfg.BWThresholdGbps))
+	bemgr, err := ext.NewBEManager(bemgrInner, cfg.BWThresholdGbps)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -74,15 +74,14 @@ type GroupSummary struct {
 }
 
 // AnalyzeOptions tune the offline engine. The zero value analyses with
-// the trace header's references and the default alert rules.
+// the trace header's references; the burn-rate rule is always
+// slo.DefaultAlertConfig, and the report records it.
 type AnalyzeOptions struct {
 	// SLO overrides the trace header's SLO target.
 	SLO float64
 	// AloneIPC overrides the header's alone-run reference (single-node
 	// traces only).
 	AloneIPC float64
-	// Alert overrides the burn-rate rules; zero = DefaultAlertConfig.
-	Alert slo.AlertConfig
 }
 
 // Analyze streams a recorded JSONL trace — single-node (obs.Schema) or
@@ -138,7 +137,6 @@ func analyzeNode(r io.Reader, opts AnalyzeOptions) (*Report, error) {
 	m := NewMonitor(MonitorConfig{
 		SLO:      opts.SLO,
 		AloneIPC: alone,
-		Alert:    opts.Alert,
 	})
 	if err := m.Start(hdr); err != nil {
 		return nil, err
@@ -227,10 +225,7 @@ func analyzeFleet(r io.Reader, opts AnalyzeOptions) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := NewFleetMonitor(FleetMonitorConfig{
-		SLO:   opts.SLO,
-		Alert: opts.Alert,
-	})
+	m := NewFleetMonitor(FleetMonitorConfig{SLO: opts.SLO})
 	m.StartHeader(hdr)
 	var rec fleet.ClusterRecord
 	for {

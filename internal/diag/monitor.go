@@ -119,7 +119,9 @@ func oneIf(b bool) float64 {
 
 // MonitorConfig parameterises a single-node Monitor. The zero value is
 // usable: SLO and the references are adopted from the trace header when
-// the monitor is wired as a trace sink.
+// the monitor is wired as a trace sink, and the link capacity always is
+// (without one, link diagnostics are skipped). Every alerter runs
+// slo.DefaultAlertConfig.
 type MonitorConfig struct {
 	// SLO is the HPs' target fraction of alone performance; the
 	// slowdown target is its reciprocal. 0 = adopt the header's, when
@@ -129,22 +131,10 @@ type MonitorConfig struct {
 	// without any reference the SLO/slowdown diagnostics are skipped
 	// (Analyze falls back to the trace's peak HP IPC instead).
 	AloneIPC float64
-	// LinkGbps is the memory-link capacity for link utilisation. 0 =
-	// adopt from header; without one link diagnostics are skipped.
-	LinkGbps float64
-	// Alert configures the burn-rate alerter; zero = DefaultAlertConfig.
-	Alert slo.AlertConfig
 	// OnAlert, when set, observes every alert transition (the /events
 	// SSE stream publishes from here). Called with the monitor lock
 	// held; keep it fast and do not call back into the monitor.
 	OnAlert func(slo.AlertEvent)
-}
-
-func (c MonitorConfig) alertConfig() slo.AlertConfig {
-	if len(c.Alert.Windows) == 0 {
-		return slo.DefaultAlertConfig()
-	}
-	return c.Alert
 }
 
 // Monitor is the single-node digest of the record stream, fed one
@@ -195,12 +185,11 @@ func NewMonitor(cfg MonitorConfig) *Monitor {
 		cfg:       cfg,
 		slo:       cfg.SLO,
 		alone:     cfg.AloneIPC,
-		linkGbps:  cfg.LinkGbps,
 		slowdown:  newSlowdownHist(),
 		linkUtil:  newUtilHist(),
 		interval:  newIntervalHist(),
 		causes:    map[string]int{},
-		burn:      burnTrack{alerter: slo.NewAlerter(cfg.alertConfig())},
+		burn:      burnTrack{alerter: slo.NewAlerter(slo.DefaultAlertConfig())},
 		decisions: map[string]int{},
 		faults:    map[string]int{},
 		lastWays:  -1,
@@ -461,19 +450,9 @@ type FleetMonitorConfig struct {
 	// LinkGbps is each node's link capacity; 0 = adopt from the cluster
 	// trace header (link diagnostics are skipped without one).
 	LinkGbps float64
-	// Alert configures every alerter (per node and aggregate); zero =
-	// DefaultAlertConfig.
-	Alert slo.AlertConfig
 	// OnAlert observes alert transitions; node is the node ID, or -1
 	// for the fleet aggregate. Called with the monitor lock held.
 	OnAlert func(node int, ev slo.AlertEvent)
-}
-
-func (c FleetMonitorConfig) alertConfig() slo.AlertConfig {
-	if len(c.Alert.Windows) == 0 {
-		return slo.DefaultAlertConfig()
-	}
-	return c.Alert
 }
 
 // FleetMonitor is the cluster-level digest of the record stream: the
@@ -539,7 +518,7 @@ func NewFleetMonitor(cfg FleetMonitorConfig) *FleetMonitor {
 		slowdown: newSlowdownHist(),
 		efu:      NewHistogram(0.005, 1.5, 50),
 		linkUtil: newUtilHist(),
-		agg:      burnTrack{alerter: slo.NewAlerter(cfg.alertConfig())},
+		agg:      burnTrack{alerter: slo.NewAlerter(slo.DefaultAlertConfig())},
 		nodes:    map[int]*nodeState{},
 		actions:  map[string]int{},
 	}
@@ -561,7 +540,7 @@ func (m *FleetMonitor) node(id int) *nodeState {
 	n := m.nodes[id]
 	if n == nil {
 		n = &nodeState{
-			alerter:  slo.NewAlerter(m.cfg.alertConfig()),
+			alerter:  slo.NewAlerter(slo.DefaultAlertConfig()),
 			slowdown: newSlowdownHist(),
 		}
 		m.nodes[id] = n

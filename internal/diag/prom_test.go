@@ -250,7 +250,10 @@ func TestMonitorDoesNotAliasDecisions(t *testing.T) {
 // TestMonitorConcurrent scrapes while emitting and counting runs; run
 // under -race this pins the lock discipline /metrics depends on.
 func TestMonitorConcurrent(t *testing.T) {
-	m := NewMonitor(MonitorConfig{AloneIPC: 1, LinkGbps: 68.3})
+	m := NewMonitor(MonitorConfig{AloneIPC: 1})
+	if err := m.Start(obs.Header{LinkGbps: 68.3}); err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

@@ -11,8 +11,9 @@ import (
 // byte-identical output to Workers=1 for every worker count. Results are
 // written into index-addressed slots and every simulation is seeded, so
 // nothing downstream of the executor may depend on scheduling. Each test
-// renders through the report tables (the user-visible byte stream) and,
-// for the chaos soak, compares the per-period decision fingerprints.
+// renders through the report tables (the user-visible byte stream) or,
+// for the fleet, compares every cell's result; the chaos soak also
+// compares the per-period decision fingerprints.
 // CI runs this file under -race, which also exercises the executor's
 // claim/steal synchronisation.
 
@@ -168,8 +169,12 @@ func TestParallelSerialEquivalenceFleetTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, gs := FleetTable(want).String(), FleetTable(got).String()
-	if ws != gs {
-		t.Fatalf("rendered fleet table differs:\nserial:\n%s\nparallel:\n%s", ws, gs)
+	if len(got) != len(want) {
+		t.Fatalf("cell counts differ: %d vs %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("cell %d differs:\nserial:   %+v\nparallel: %+v", i, want[i], got[i])
+		}
 	}
 }

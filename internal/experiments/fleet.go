@@ -11,7 +11,8 @@ import (
 // FleetConfig parameterises the fleet comparison: one seeded arrival
 // trace replayed across every (scheduler, node policy) cell, so the
 // cells differ only in how the cluster places jobs and how each node
-// partitions its LLC.
+// partitions its LLC. Every cell is a static fleet without node chaos
+// at the fleet's default SLO.
 type FleetConfig struct {
 	// Nodes is the cluster size. Default 4.
 	Nodes int
@@ -26,17 +27,8 @@ type FleetConfig struct {
 	// Policies are the node-local policies to compare. Default UM, CT,
 	// DICER.
 	Policies []PolicyName
-	// SLO is each HP's target fraction of alone performance. Default 0.9.
-	SLO float64
 	// QueueCap bounds the admission queue. Default 32.
 	QueueCap int
-	// NodeChaos optionally schedules node freeze/loss events (the same
-	// schedule in every cell).
-	NodeChaos chaos.NodeSchedule
-	// Migration and Autoscale pass the fleet control loops through to
-	// every cell. Zero values keep the classic static fleet.
-	Migration fleet.MigrationConfig
-	Autoscale fleet.AutoscaleConfig
 }
 
 // fleetDefaults fills unset fields from the suite configuration.
@@ -52,9 +44,6 @@ func (s *Suite) fleetDefaults(fc FleetConfig) FleetConfig {
 	}
 	if len(fc.Policies) == 0 {
 		fc.Policies = []PolicyName{UM, CT, DICER}
-	}
-	if fc.SLO == 0 {
-		fc.SLO = 0.9
 	}
 	if fc.QueueCap == 0 {
 		fc.QueueCap = 32
@@ -91,16 +80,12 @@ func (s *Suite) FleetSuite(fc FleetConfig) ([]FleetCell, error) {
 			Machine:        s.cfg.Machine,
 			Policy:         string(cell.Policy),
 			DICER:          s.cfg.DICER,
-			SLO:            fc.SLO,
 			PeriodSec:      s.cfg.PeriodSec,
 			StepsPerPeriod: s.cfg.StepsPerPeriod,
 			HorizonPeriods: fc.HorizonPeriods,
 			Arrivals:       fc.Arrivals,
 			Scheduler:      cell.Scheduler,
 			QueueCap:       fc.QueueCap,
-			NodeChaos:      fc.NodeChaos,
-			Migration:      fc.Migration,
-			Autoscale:      fc.Autoscale,
 			AloneIPC:       s.AloneIPC,
 		})
 		if err != nil {
@@ -115,39 +100,22 @@ func (s *Suite) FleetSuite(fc FleetConfig) ([]FleetCell, error) {
 }
 
 // FleetControlConfig parameterises the migration-vs-static control
-// grid: one scheduler and node policy held fixed while the fleet
-// control loops (SLO-burn BE migration, repartition-first autoscaling)
-// are toggled across node chaos schedules. Every cell replays the same
-// arrival trace; within a chaos column the cells also share the chaos
-// schedule, so rows differ only in which control loops run.
+// grid: the fleet's default scheduler (headroom) and node policy (DICER)
+// on four nodes at the default SLO, while the fleet control loops
+// (SLO-burn BE migration, repartition-first autoscaling) are toggled
+// across node chaos schedules. Every cell replays the same arrival
+// trace; within a chaos column the cells also share the chaos schedule,
+// so rows differ only in which control loops run.
 type FleetControlConfig struct {
-	// Nodes is the cluster size. Default 4.
-	Nodes int
 	// HorizonPeriods is the simulated duration. Default the suite's
 	// SweepHorizonPeriods.
 	HorizonPeriods int
 	// Arrivals drives the shared BE arrival trace.
 	Arrivals fleet.ArrivalConfig
-	// Scheduler and Policy are held fixed across the grid. Defaults:
-	// "headroom", DICER.
-	Scheduler string
-	Policy    PolicyName
-	// SLO is each HP's target fraction of alone performance. Default 0.9.
-	SLO float64
 	// QueueCap bounds the admission queue. Default 32.
 	QueueCap int
-	// Modes are the control-loop rows. Default static, migrate,
-	// autoscale, both.
-	Modes []string
-	// ChaosNames are the canned node chaos schedules (columns), by
-	// chaos.NodeScheduleByName. Default none, node-freeze, node-storm.
-	ChaosNames []string
 	// ChaosSeed seeds the chaos schedules.
 	ChaosSeed int64
-	// Migration and Autoscale override the control-loop parameters used
-	// when a mode enables them (Enabled is forced per mode).
-	Migration fleet.MigrationConfig
-	Autoscale fleet.AutoscaleConfig
 }
 
 // Control-grid mode names.
@@ -171,77 +139,52 @@ type FleetControlCell struct {
 // across the suite worker pool. Results are returned in (mode, chaos)
 // configuration order.
 func (s *Suite) FleetControlGrid(fc FleetControlConfig) ([]FleetControlCell, error) {
-	if fc.Nodes == 0 {
-		fc.Nodes = 4
-	}
 	if fc.HorizonPeriods == 0 {
 		fc.HorizonPeriods = s.cfg.SweepHorizonPeriods
-	}
-	if fc.Scheduler == "" {
-		fc.Scheduler = "headroom"
-	}
-	if fc.Policy == "" {
-		fc.Policy = DICER
-	}
-	if fc.SLO == 0 {
-		fc.SLO = 0.9
 	}
 	if fc.QueueCap == 0 {
 		fc.QueueCap = 32
 	}
-	if len(fc.Modes) == 0 {
-		fc.Modes = []string{ControlStatic, ControlMigrate, ControlAutoscale, ControlBoth}
-	}
-	if len(fc.ChaosNames) == 0 {
-		fc.ChaosNames = []string{"none", "node-freeze", "node-storm"}
-	}
+	// The grid's rows are the control modes, its columns the canned node
+	// chaos schedules (chaos.NodeScheduleByName).
+	const nodes = 4
+	modes := []string{ControlStatic, ControlMigrate, ControlAutoscale, ControlBoth}
+	chaosNames := []string{"none", "node-freeze", "node-storm"}
 
 	// Chaos schedules are generated once per column and shared down it;
 	// the generator sizes the schedule for the static fleet (autoscaled
 	// nodes beyond the initial count simply see no chaos events, which
 	// matches a disruption pattern fixed before the fleet grew).
-	schedules := make([]chaos.NodeSchedule, len(fc.ChaosNames))
-	for i, name := range fc.ChaosNames {
-		sched, err := chaos.NodeScheduleByName(name, fc.ChaosSeed, fc.Nodes, fc.HorizonPeriods)
+	schedules := make([]chaos.NodeSchedule, len(chaosNames))
+	for i, name := range chaosNames {
+		sched, err := chaos.NodeScheduleByName(name, fc.ChaosSeed, nodes, fc.HorizonPeriods)
 		if err != nil {
 			return nil, err
 		}
 		schedules[i] = sched
 	}
 
-	cells := make([]FleetControlCell, 0, len(fc.Modes)*len(fc.ChaosNames))
-	for _, mode := range fc.Modes {
-		switch mode {
-		case ControlStatic, ControlMigrate, ControlAutoscale, ControlBoth:
-		default:
-			return nil, fmt.Errorf("experiments: unknown control mode %q (have %s, %s, %s, %s)",
-				mode, ControlStatic, ControlMigrate, ControlAutoscale, ControlBoth)
-		}
-		for _, name := range fc.ChaosNames {
+	cells := make([]FleetControlCell, 0, len(modes)*len(chaosNames))
+	for _, mode := range modes {
+		for _, name := range chaosNames {
 			cells = append(cells, FleetControlCell{Mode: mode, Chaos: name})
 		}
 	}
 
 	if err := s.execute(len(cells), func(i int) error {
 		cell := &cells[i]
-		mig, asc := fc.Migration, fc.Autoscale
-		mig.Enabled = cell.Mode == ControlMigrate || cell.Mode == ControlBoth
-		asc.Enabled = cell.Mode == ControlAutoscale || cell.Mode == ControlBoth
 		c, err := fleet.New(fleet.Config{
-			Nodes:          fc.Nodes,
+			Nodes:          nodes,
 			Machine:        s.cfg.Machine,
-			Policy:         string(fc.Policy),
 			DICER:          s.cfg.DICER,
-			SLO:            fc.SLO,
 			PeriodSec:      s.cfg.PeriodSec,
 			StepsPerPeriod: s.cfg.StepsPerPeriod,
 			HorizonPeriods: fc.HorizonPeriods,
 			Arrivals:       fc.Arrivals,
-			Scheduler:      fc.Scheduler,
 			QueueCap:       fc.QueueCap,
-			NodeChaos:      schedules[i%len(fc.ChaosNames)],
-			Migration:      mig,
-			Autoscale:      asc,
+			NodeChaos:      schedules[i%len(chaosNames)],
+			Migration:      fleet.MigrationConfig{Enabled: cell.Mode == ControlMigrate || cell.Mode == ControlBoth},
+			Autoscale:      fleet.AutoscaleConfig{Enabled: cell.Mode == ControlAutoscale || cell.Mode == ControlBoth},
 			AloneIPC:       s.AloneIPC,
 		})
 		if err != nil {
@@ -273,22 +216,6 @@ func FleetControlTable(cells []FleetControlCell) *report.Table {
 			fmt.Sprintf("%d", r.Evicted), fmt.Sprintf("%d", r.Repacks),
 			fmt.Sprintf("%d/%d", r.ScaleUps, r.ScaleDowns), nodesEnd,
 			fmt.Sprintf("%d", r.Done), fmt.Sprintf("%d", r.Dropped))
-	}
-	return t
-}
-
-// FleetTable renders the comparison as the fleet analogue of the paper's
-// policy tables: one row per (scheduler, policy) cell.
-func FleetTable(cells []FleetCell) *report.Table {
-	t := report.NewTable("Fleet consolidation: scheduler x node policy",
-		"Scheduler", "Policy", "FleetEFU", "SLO viol periods", "Reject rate",
-		"p95 wait", "Done", "Dropped")
-	for _, c := range cells {
-		r := c.Result
-		t.AddRow(c.Scheduler, string(c.Policy), report.F3(r.FleetEFU),
-			fmt.Sprintf("%d", r.SLOViolationPeriods), report.Pct(100*r.RejectRate),
-			fmt.Sprintf("%.1f", r.P95QueueWait), fmt.Sprintf("%d", r.Done),
-			fmt.Sprintf("%d", r.Dropped))
 	}
 	return t
 }

@@ -17,7 +17,8 @@ import (
 // shared group). The fairness metric is the worst per-app slowdown; SLO
 // conformance and Eq. 1 EFU ride along.
 
-// MultiHPSpec describes one multi-HP consolidation run.
+// MultiHPSpec describes one multi-HP consolidation run. Every HP app
+// targets 0.9 of its alone performance (the default SLO).
 type MultiHPSpec struct {
 	// M is the number of HP applications; BECount the best-effort apps
 	// filling further cores.
@@ -29,9 +30,6 @@ type MultiHPSpec struct {
 	// Grouping is the plan policy (core.GroupingClustered / PerApp /
 	// Single; empty means clustered).
 	Grouping string `json:"grouping,omitempty"`
-	// SLO is every app's target fraction of alone performance (default
-	// 0.9).
-	SLO float64 `json:"slo,omitempty"`
 	// HorizonPeriods per run; 0 means the suite's sweep horizon.
 	HorizonPeriods int `json:"horizon_periods,omitempty"`
 	// ReclusterEvery re-plans the grouping every N periods (0 = fixed);
@@ -87,10 +85,6 @@ func (s *Suite) RunMultiHP(spec MultiHPSpec) (MultiHPOutcome, error) {
 	if spec.CLOSBudget < 2 {
 		return MultiHPOutcome{}, fmt.Errorf("experiments: multi-HP spec needs a CLOS budget >= 2")
 	}
-	slo := spec.SLO
-	if slo == 0 {
-		slo = defaultSLO
-	}
 	sc := &Scenario{
 		Machine:        s.cfg.Machine,
 		PeriodSec:      s.cfg.PeriodSec,
@@ -121,7 +115,7 @@ func (s *Suite) RunMultiHP(spec MultiHPSpec) (MultiHPOutcome, error) {
 		if err != nil {
 			return MultiHPOutcome{}, err
 		}
-		sc.HPs = append(sc.HPs, HPApp{Profile: prof, SLO: slo})
+		sc.HPs = append(sc.HPs, HPApp{Profile: prof, SLO: defaultSLO})
 	}
 	for _, name := range beNames {
 		prof, err := app.ByName(name)

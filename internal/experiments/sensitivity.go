@@ -275,11 +275,11 @@ func (s *Suite) runExtensionVariant(w Workload, vi int) (hpNorm, efu float64, er
 	case 0:
 		pol, err = core.New(s.cfg.DICER)
 	case 1:
-		pol, err = ext.NewDicerMBA(s.cfg.DICER, ext.DefaultMBAConfig(s.cfg.DICER.BWThresholdGbps))
+		pol, err = ext.NewDicerMBA(s.cfg.DICER)
 	case 2:
 		var inner *core.Controller
 		if inner, err = core.New(s.cfg.DICER); err == nil {
-			pol, err = ext.NewBEManager(inner, ext.DefaultBEManagerConfig(s.cfg.DICER.BWThresholdGbps))
+			pol, err = ext.NewBEManager(inner, s.cfg.DICER.BWThresholdGbps)
 		}
 	default:
 		err = fmt.Errorf("experiments: unknown extension variant %d", vi)

@@ -40,66 +40,38 @@ type CoreParker interface {
 // ---------------------------------------------------------------------------
 // DICER + MBA
 
-// MBAConfig tunes the AIMD bandwidth-throttle loop of DicerMBA.
-type MBAConfig struct {
-	// TargetGbps is the bandwidth the loop steers the system under.
-	// Usually the DICER saturation threshold.
-	TargetGbps float64
-	// FloorGbps is the lowest BE cap AIMD may impose.
-	FloorGbps float64
-	// DecreaseFactor multiplies the BE cap on saturation (e.g. 0.8).
-	DecreaseFactor float64
-	// IncreaseGbps is added to the BE cap each unsaturated period.
-	IncreaseGbps float64
-}
-
-// DefaultMBAConfig returns a conservative AIMD configuration for the
-// paper's 68.3 Gbps link.
-func DefaultMBAConfig(threshold float64) MBAConfig {
-	return MBAConfig{
-		TargetGbps:     threshold,
-		FloorGbps:      5,
-		DecreaseFactor: 0.8,
-		IncreaseGbps:   2,
-	}
-}
-
-// Validate reports configuration errors.
-func (c MBAConfig) Validate() error {
-	if c.TargetGbps <= 0 {
-		return fmt.Errorf("ext: non-positive MBA target %g", c.TargetGbps)
-	}
-	if c.FloorGbps <= 0 || c.FloorGbps > c.TargetGbps {
-		return fmt.Errorf("ext: MBA floor %g outside (0, %g]", c.FloorGbps, c.TargetGbps)
-	}
-	if c.DecreaseFactor <= 0 || c.DecreaseFactor >= 1 {
-		return fmt.Errorf("ext: MBA decrease factor %g outside (0,1)", c.DecreaseFactor)
-	}
-	if c.IncreaseGbps <= 0 {
-		return fmt.Errorf("ext: non-positive MBA increase %g", c.IncreaseGbps)
-	}
-	return nil
-}
+// The AIMD bandwidth-throttle loop's fixed parameters, conservative for
+// the paper's 68.3 Gbps link. The loop steers total bandwidth under the
+// DICER saturation threshold.
+const (
+	// mbaFloorGbps is the lowest BE cap AIMD may impose.
+	mbaFloorGbps = 5
+	// mbaDecrease multiplies the BE cap on saturation.
+	mbaDecrease = 0.8
+	// mbaIncreaseGbps is added to the BE cap each unsaturated period.
+	mbaIncreaseGbps = 2
+)
 
 // DicerMBA wraps the DICER controller with an MBA throttle on the BE
 // class. It implements policy.Policy.
 type DicerMBA struct {
-	ctl *core.Controller
-	cfg MBAConfig
+	ctl    *core.Controller
+	target float64 // Gbps the loop steers total bandwidth under
 
 	cap float64 // current BE cap in Gbps; 0 = uncapped
 }
 
-// NewDicerMBA builds the combined controller.
-func NewDicerMBA(dicer core.Config, mba MBAConfig) (*DicerMBA, error) {
-	if err := mba.Validate(); err != nil {
-		return nil, err
+// NewDicerMBA builds the combined controller; the throttle's target is
+// the DICER config's saturation threshold (BWThresholdGbps).
+func NewDicerMBA(dicer core.Config) (*DicerMBA, error) {
+	if dicer.BWThresholdGbps < mbaFloorGbps {
+		return nil, fmt.Errorf("ext: DICER threshold %g below the MBA floor %d Gbps", dicer.BWThresholdGbps, mbaFloorGbps)
 	}
 	ctl, err := core.New(dicer)
 	if err != nil {
 		return nil, err
 	}
-	return &DicerMBA{ctl: ctl, cfg: mba}, nil
+	return &DicerMBA{ctl: ctl, target: dicer.BWThresholdGbps}, nil
 }
 
 // Name implements policy.Policy.
@@ -128,20 +100,20 @@ func (d *DicerMBA) Observe(sys resctrl.System, p resctrl.Period) error {
 	}
 	beBW := p.GroupBW(policy.BEClos)
 	switch {
-	case p.TotalGbps > d.cfg.TargetGbps:
+	case p.TotalGbps > d.target:
 		// Multiplicative decrease from the observed BE consumption.
 		base := d.cap
 		if base <= 0 || base > beBW {
 			base = beBW
 		}
-		d.cap = base * d.cfg.DecreaseFactor
-		if d.cap < d.cfg.FloorGbps {
-			d.cap = d.cfg.FloorGbps
+		d.cap = base * mbaDecrease
+		if d.cap < mbaFloorGbps {
+			d.cap = mbaFloorGbps
 		}
 	case d.cap > 0:
 		// Additive increase while there is headroom.
-		d.cap += d.cfg.IncreaseGbps
-		if d.cap >= d.cfg.TargetGbps {
+		d.cap += mbaIncreaseGbps
+		if d.cap >= d.target {
 			d.cap = 0 // headroom regained: uncap
 		}
 	}
@@ -153,48 +125,16 @@ var _ policy.Policy = (*DicerMBA)(nil)
 // ---------------------------------------------------------------------------
 // BE-count manager
 
-// BEManagerConfig tunes the BE parking loop.
-type BEManagerConfig struct {
-	// ParkAboveGbps: park one BE after PatiencePeriods consecutive periods
-	// with total bandwidth above this.
-	ParkAboveGbps float64
-	// UnparkBelowGbps: unpark one BE after PatiencePeriods consecutive
-	// periods below this (hysteresis: set it well under ParkAboveGbps).
-	UnparkBelowGbps float64
-	// PatiencePeriods is the consecutive-period requirement for action.
-	PatiencePeriods int
-	// MinActiveBEs bounds parking; at least this many BEs keep running.
-	MinActiveBEs int
-}
-
-// DefaultBEManagerConfig derives a parking configuration from the DICER
-// saturation threshold.
-func DefaultBEManagerConfig(threshold float64) BEManagerConfig {
-	return BEManagerConfig{
-		ParkAboveGbps:   threshold,
-		UnparkBelowGbps: threshold * 0.8,
-		PatiencePeriods: 3,
-		MinActiveBEs:    1,
-	}
-}
-
-// Validate reports configuration errors.
-func (c BEManagerConfig) Validate() error {
-	if c.ParkAboveGbps <= 0 {
-		return fmt.Errorf("ext: non-positive park threshold %g", c.ParkAboveGbps)
-	}
-	if c.UnparkBelowGbps <= 0 || c.UnparkBelowGbps >= c.ParkAboveGbps {
-		return fmt.Errorf("ext: unpark threshold %g must be in (0, %g)",
-			c.UnparkBelowGbps, c.ParkAboveGbps)
-	}
-	if c.PatiencePeriods < 1 {
-		return fmt.Errorf("ext: patience %d < 1", c.PatiencePeriods)
-	}
-	if c.MinActiveBEs < 0 {
-		return fmt.Errorf("ext: negative minimum active BEs %d", c.MinActiveBEs)
-	}
-	return nil
-}
+// The BE parking loop's fixed parameters.
+const (
+	// unparkFraction places the unpark threshold under the park
+	// threshold (hysteresis).
+	unparkFraction = 0.8
+	// parkPatience is the consecutive-period requirement for action.
+	parkPatience = 3
+	// minActiveBEs bounds parking; at least this many BEs keep running.
+	minActiveBEs = 1
+)
 
 // BEManager wraps an inner policy (normally the DICER controller) and
 // additionally parks/unparks BE cores based on sustained link saturation.
@@ -202,7 +142,11 @@ func (c BEManagerConfig) Validate() error {
 // CoreParker.
 type BEManager struct {
 	inner policy.Policy
-	cfg   BEManagerConfig
+	// parkAbove / unparkBelow: park one BE after parkPatience
+	// consecutive periods with total bandwidth above parkAbove, unpark
+	// one after as many below unparkBelow.
+	parkAbove   float64
+	unparkBelow float64
 
 	beCores []int // BE core ids, discovered at Setup
 	parked  []int // stack of parked cores (last parked, first unparked)
@@ -210,15 +154,17 @@ type BEManager struct {
 	coldRun int   // consecutive under-threshold periods
 }
 
-// NewBEManager wraps inner with BE-count management.
-func NewBEManager(inner policy.Policy, cfg BEManagerConfig) (*BEManager, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// NewBEManager wraps inner with BE-count management, parking above
+// thresholdGbps (normally the DICER saturation threshold) and unparking
+// below unparkFraction of it.
+func NewBEManager(inner policy.Policy, thresholdGbps float64) (*BEManager, error) {
+	if thresholdGbps <= 0 {
+		return nil, fmt.Errorf("ext: non-positive park threshold %g", thresholdGbps)
 	}
 	if inner == nil {
 		return nil, fmt.Errorf("ext: nil inner policy")
 	}
-	return &BEManager{inner: inner, cfg: cfg}, nil
+	return &BEManager{inner: inner, parkAbove: thresholdGbps, unparkBelow: thresholdGbps * unparkFraction}, nil
 }
 
 // Name implements policy.Policy.
@@ -251,17 +197,17 @@ func (b *BEManager) Observe(sys resctrl.System, p resctrl.Period) error {
 		return fmt.Errorf("ext: system %T cannot park cores", sys)
 	}
 	switch {
-	case p.TotalGbps > b.cfg.ParkAboveGbps:
+	case p.TotalGbps > b.parkAbove:
 		b.hotRun++
 		b.coldRun = 0
-	case p.TotalGbps < b.cfg.UnparkBelowGbps:
+	case p.TotalGbps < b.unparkBelow:
 		b.coldRun++
 		b.hotRun = 0
 	default:
 		b.hotRun = 0
 		b.coldRun = 0
 	}
-	if b.hotRun >= b.cfg.PatiencePeriods && len(b.beCores)-len(b.parked) > b.cfg.MinActiveBEs {
+	if b.hotRun >= parkPatience && len(b.beCores)-len(b.parked) > minActiveBEs {
 		// Park the highest-numbered still-active BE core.
 		for i := len(b.beCores) - 1; i >= 0; i-- {
 			c := b.beCores[i]
@@ -275,7 +221,7 @@ func (b *BEManager) Observe(sys resctrl.System, p resctrl.Period) error {
 		}
 		b.hotRun = 0
 	}
-	if b.coldRun >= b.cfg.PatiencePeriods && len(b.parked) > 0 {
+	if b.coldRun >= parkPatience && len(b.parked) > 0 {
 		c := b.parked[len(b.parked)-1]
 		b.parked = b.parked[:len(b.parked)-1]
 		if err := parker.UnparkCore(c); err != nil {

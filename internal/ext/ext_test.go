@@ -66,36 +66,22 @@ func drive(t *testing.T, emu *resctrl.Emu, pol policy.Policy, periods int) {
 // DicerMBA
 
 func TestMBAConfigValidation(t *testing.T) {
-	good := DefaultMBAConfig(50)
-	if err := good.Validate(); err != nil {
+	if _, err := NewDicerMBA(core.DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
-	mutations := []func(*MBAConfig){
-		func(c *MBAConfig) { c.TargetGbps = 0 },
-		func(c *MBAConfig) { c.FloorGbps = 0 },
-		func(c *MBAConfig) { c.FloorGbps = c.TargetGbps + 1 },
-		func(c *MBAConfig) { c.DecreaseFactor = 0 },
-		func(c *MBAConfig) { c.DecreaseFactor = 1 },
-		func(c *MBAConfig) { c.IncreaseGbps = 0 },
-	}
-	for i, m := range mutations {
-		cfg := DefaultMBAConfig(50)
-		m(&cfg)
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("mutation %d: expected error", i)
-		}
-	}
-	if _, err := NewDicerMBA(core.Config{}, good); err == nil {
+	if _, err := NewDicerMBA(core.Config{}); err == nil {
 		t.Fatal("expected error for invalid DICER config")
 	}
-	if _, err := NewDicerMBA(core.DefaultConfig(), MBAConfig{}); err == nil {
-		t.Fatal("expected error for invalid MBA config")
+	low := core.DefaultConfig()
+	low.BWThresholdGbps = mbaFloorGbps - 1
+	if _, err := NewDicerMBA(low); err == nil {
+		t.Fatal("expected error for a DICER threshold below the MBA floor")
 	}
 }
 
 func TestDicerMBAThrottlesSaturation(t *testing.T) {
 	emu := build(t, streamApp(), streamApp(), 9, true)
-	d, err := NewDicerMBA(core.DefaultConfig(), DefaultMBAConfig(50))
+	d, err := NewDicerMBA(core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +105,7 @@ func TestDicerMBAThrottlesSaturation(t *testing.T) {
 
 func TestDicerMBAUncapsQuietWorkload(t *testing.T) {
 	emu := build(t, quietApp(), quietApp(), 3, true)
-	d, err := NewDicerMBA(core.DefaultConfig(), DefaultMBAConfig(50))
+	d, err := NewDicerMBA(core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +122,7 @@ func TestDicerMBAProtectsHPBetterThanPlainDICER(t *testing.T) {
 		return emu.Runner().Proc(0).IPC()
 	}
 	plain := run(core.MustNew(core.DefaultConfig()), false)
-	mba, err := NewDicerMBA(core.DefaultConfig(), DefaultMBAConfig(50))
+	mba, err := NewDicerMBA(core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +135,7 @@ func TestDicerMBAProtectsHPBetterThanPlainDICER(t *testing.T) {
 
 func TestDicerMBARequiresMBASupport(t *testing.T) {
 	emu := build(t, streamApp(), streamApp(), 3, false)
-	d, err := NewDicerMBA(core.DefaultConfig(), DefaultMBAConfig(50))
+	d, err := NewDicerMBA(core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,32 +148,22 @@ func TestDicerMBARequiresMBASupport(t *testing.T) {
 // BEManager
 
 func TestBEManagerConfigValidation(t *testing.T) {
-	good := DefaultBEManagerConfig(50)
-	if err := good.Validate(); err != nil {
+	if _, err := NewBEManager(policy.Unmanaged{}, 50); err != nil {
 		t.Fatal(err)
 	}
-	mutations := []func(*BEManagerConfig){
-		func(c *BEManagerConfig) { c.ParkAboveGbps = 0 },
-		func(c *BEManagerConfig) { c.UnparkBelowGbps = 0 },
-		func(c *BEManagerConfig) { c.UnparkBelowGbps = c.ParkAboveGbps },
-		func(c *BEManagerConfig) { c.PatiencePeriods = 0 },
-		func(c *BEManagerConfig) { c.MinActiveBEs = -1 },
-	}
-	for i, m := range mutations {
-		cfg := DefaultBEManagerConfig(50)
-		m(&cfg)
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("mutation %d: expected error", i)
+	for _, threshold := range []float64{0, -1} {
+		if _, err := NewBEManager(policy.Unmanaged{}, threshold); err == nil {
+			t.Errorf("threshold %g: expected error", threshold)
 		}
 	}
-	if _, err := NewBEManager(nil, good); err == nil {
+	if _, err := NewBEManager(nil, 50); err == nil {
 		t.Fatal("expected error for nil inner policy")
 	}
 }
 
 func TestBEManagerParksUnderSaturation(t *testing.T) {
 	emu := build(t, streamApp(), streamApp(), 9, false)
-	mgr, err := NewBEManager(policy.Unmanaged{}, DefaultBEManagerConfig(50))
+	mgr, err := NewBEManager(policy.Unmanaged{}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,14 +174,14 @@ func TestBEManagerParksUnderSaturation(t *testing.T) {
 	if mgr.ParkedBEs() == 0 {
 		t.Fatal("sustained saturation should park BEs")
 	}
-	// At least MinActiveBEs keep running.
+	// At least minActiveBEs keep running.
 	active := 0
 	for core := 1; core <= 9; core++ {
 		if !emu.CoreParked(core) {
 			active++
 		}
 	}
-	if active < DefaultBEManagerConfig(50).MinActiveBEs {
+	if active < minActiveBEs {
 		t.Fatalf("only %d BEs active", active)
 	}
 	// Parked cores must actually be frozen.
@@ -227,7 +203,7 @@ func TestBEManagerParksUnderSaturation(t *testing.T) {
 
 func TestBEManagerLeavesQuietWorkloadAlone(t *testing.T) {
 	emu := build(t, quietApp(), quietApp(), 9, false)
-	mgr, err := NewBEManager(policy.Unmanaged{}, DefaultBEManagerConfig(50))
+	mgr, err := NewBEManager(policy.Unmanaged{}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,8 +217,7 @@ func TestBEManagerUnparksWhenLoadDrops(t *testing.T) {
 	// Drive saturation manually, then feed quiet periods and watch the
 	// parked BEs return. Uses a fake period stream for precise control.
 	emu := build(t, streamApp(), streamApp(), 9, false)
-	cfg := DefaultBEManagerConfig(50)
-	mgr, err := NewBEManager(policy.Unmanaged{}, cfg)
+	mgr, err := NewBEManager(policy.Unmanaged{}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +226,7 @@ func TestBEManagerUnparksWhenLoadDrops(t *testing.T) {
 	}
 	hot := resctrl.Period{TotalGbps: 60}
 	cold := resctrl.Period{TotalGbps: 10}
-	for i := 0; i < cfg.PatiencePeriods; i++ {
+	for i := 0; i < parkPatience; i++ {
 		if err := mgr.Observe(emu, hot); err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +234,7 @@ func TestBEManagerUnparksWhenLoadDrops(t *testing.T) {
 	if mgr.ParkedBEs() != 1 {
 		t.Fatalf("parked %d after patience, want 1", mgr.ParkedBEs())
 	}
-	for i := 0; i < cfg.PatiencePeriods; i++ {
+	for i := 0; i < parkPatience; i++ {
 		if err := mgr.Observe(emu, cold); err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +245,7 @@ func TestBEManagerUnparksWhenLoadDrops(t *testing.T) {
 }
 
 func TestBEManagerRequiresParker(t *testing.T) {
-	mgr, err := NewBEManager(policy.Unmanaged{}, DefaultBEManagerConfig(50))
+	mgr, err := NewBEManager(policy.Unmanaged{}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,25 +16,27 @@ type AutoscaleConfig struct {
 	// Enabled turns the autoscaler on. The zero value keeps the fleet at
 	// fixed size and its traces byte-identical.
 	Enabled bool `json:"enabled"`
-	// QueueHigh is the queue depth that counts as pressure. Default 8.
-	QueueHigh int `json:"queue_high"`
-	// SustainPeriods is how many consecutive periods a signal must hold
-	// before the controller acts. Default 3.
-	SustainPeriods int `json:"sustain_periods"`
-	// CooldownPeriods is the minimum spacing between control actions, so
-	// each decision's effect is observed before the next. Default 10.
-	CooldownPeriods int `json:"cooldown_periods"`
-	// ScaleStep is how many nodes a scale-up adds. Default 1.
-	ScaleStep int `json:"scale_step"`
 	// MaxNodes / MinNodes bound the working fleet size. Defaults:
 	// 2 × initial nodes, and the initial node count.
 	MaxNodes int `json:"max_nodes"`
 	MinNodes int `json:"min_nodes"`
-	// IdleFreeFraction is the free-BE-core fraction (over non-draining
-	// working nodes) at or above which an empty-queue fleet counts as
-	// idle. Default 0.5.
-	IdleFreeFraction float64 `json:"idle_free_fraction"`
 }
+
+// The autoscaler's fixed parameters. A scale-up adds one node.
+const (
+	// queueHigh is the queue depth that counts as pressure.
+	queueHigh = 8
+	// sustainPeriods is how many consecutive periods a signal must hold
+	// before the controller acts.
+	sustainPeriods = 3
+	// autoscaleCooldown is the minimum spacing between control actions,
+	// so each decision's effect is observed before the next.
+	autoscaleCooldown = 10
+	// idleFreeFraction is the free-BE-core fraction (over non-draining
+	// working nodes) at or above which an empty-queue fleet counts as
+	// idle.
+	idleFreeFraction = 0.5
+)
 
 // withDefaults fills unset fields in place (only when enabled, so a
 // zero config stays zero and static headers stay byte-identical).
@@ -42,26 +44,11 @@ func (a *AutoscaleConfig) withDefaults(initialNodes int) {
 	if !a.Enabled {
 		return
 	}
-	if a.QueueHigh == 0 {
-		a.QueueHigh = 8
-	}
-	if a.SustainPeriods == 0 {
-		a.SustainPeriods = 3
-	}
-	if a.CooldownPeriods == 0 {
-		a.CooldownPeriods = 10
-	}
-	if a.ScaleStep == 0 {
-		a.ScaleStep = 1
-	}
 	if a.MaxNodes == 0 {
 		a.MaxNodes = 2 * initialNodes
 	}
 	if a.MinNodes == 0 {
 		a.MinNodes = initialNodes
-	}
-	if a.IdleFreeFraction == 0 {
-		a.IdleFreeFraction = 0.5
 	}
 }
 
@@ -70,26 +57,11 @@ func (a AutoscaleConfig) validate() error {
 	if !a.Enabled {
 		return nil
 	}
-	if a.QueueHigh < 1 {
-		return fmt.Errorf("fleet: autoscale queue-high %d < 1", a.QueueHigh)
-	}
-	if a.SustainPeriods < 1 {
-		return fmt.Errorf("fleet: autoscale sustain %d < 1", a.SustainPeriods)
-	}
-	if a.CooldownPeriods < 1 {
-		return fmt.Errorf("fleet: autoscale cooldown %d < 1", a.CooldownPeriods)
-	}
-	if a.ScaleStep < 1 {
-		return fmt.Errorf("fleet: autoscale step %d < 1", a.ScaleStep)
-	}
 	if a.MinNodes < 1 {
 		return fmt.Errorf("fleet: autoscale min nodes %d < 1", a.MinNodes)
 	}
 	if a.MaxNodes < a.MinNodes {
 		return fmt.Errorf("fleet: autoscale max nodes %d < min nodes %d", a.MaxNodes, a.MinNodes)
-	}
-	if a.IdleFreeFraction <= 0 || a.IdleFreeFraction > 1 {
-		return fmt.Errorf("fleet: autoscale idle free fraction %g outside (0,1]", a.IdleFreeFraction)
 	}
 	return nil
 }
@@ -128,7 +100,7 @@ func (c *Cluster) autoscaleLocked(p int, rec *ClusterRecord) error {
 		free += n.FreeCores()
 		beCap += c.cfg.Machine.Cores - n.hpCount
 	}
-	if qlen > a.QueueHigh {
+	if qlen > queueHigh {
 		c.pressStreak++
 	} else {
 		c.pressStreak = 0
@@ -136,7 +108,7 @@ func (c *Cluster) autoscaleLocked(p int, rec *ClusterRecord) error {
 		// repartition rung.
 		c.repackTried = false
 	}
-	if qlen == 0 && beCap > 0 && float64(free)/float64(beCap) >= a.IdleFreeFraction {
+	if qlen == 0 && beCap > 0 && float64(free)/float64(beCap) >= idleFreeFraction {
 		c.idleStreak++
 	} else {
 		c.idleStreak = 0
@@ -146,7 +118,7 @@ func (c *Cluster) autoscaleLocked(p int, rec *ClusterRecord) error {
 		return nil
 	}
 	switch {
-	case c.pressStreak >= a.SustainPeriods && !c.repackTried:
+	case c.pressStreak >= sustainPeriods && !c.repackTried:
 		// Rung 1, repartition-first: claw back capacity we already have.
 		// Draining nodes return to service, and every working multi-HP
 		// node re-clusters its cache plan against its current HP specs.
@@ -170,37 +142,31 @@ func (c *Cluster) autoscaleLocked(p int, rec *ClusterRecord) error {
 			}
 		}
 		c.repackTried = true
-		c.coolUntil = p + a.CooldownPeriods
+		c.coolUntil = p + autoscaleCooldown
 		c.res.Repacks++
 		rec.Events = append(rec.Events, FleetEvent{
 			Cause:  CauseRepack,
 			Node:   -1,
 			Detail: fmt.Sprintf("undrained=%d replanned=%d queue=%d", undrained, replanned, qlen),
 		})
-	case c.pressStreak >= a.SustainPeriods && working < a.MaxNodes:
+	case c.pressStreak >= sustainPeriods && working < a.MaxNodes:
 		// Rung 2: repartitioning did not relieve the pressure — add
 		// capacity.
-		add := a.ScaleStep
-		if working+add > a.MaxNodes {
-			add = a.MaxNodes - working
-		}
 		first := len(c.nodes)
-		for k := 0; k < add; k++ {
-			n, err := c.buildNode(len(c.nodes))
-			if err != nil {
-				return err
-			}
-			c.appendNode(n)
+		n, err := c.buildNode(first)
+		if err != nil {
+			return err
 		}
-		c.coolUntil = p + a.CooldownPeriods
+		c.appendNode(n)
+		c.coolUntil = p + autoscaleCooldown
 		c.res.ScaleUps++
-		c.res.NodesAdded += add
+		c.res.NodesAdded++
 		rec.Events = append(rec.Events, FleetEvent{
 			Cause:  CauseScaleUp,
 			Node:   -1,
-			Detail: fmt.Sprintf("added=%d first=%d queue=%d", add, first, qlen),
+			Detail: fmt.Sprintf("added=1 first=%d queue=%d", first, qlen),
 		})
-	case c.idleStreak >= a.SustainPeriods && placeable > a.MinNodes:
+	case c.idleStreak >= sustainPeriods && placeable > a.MinNodes:
 		// Scale down: drain the placeable node with the fewest BE jobs
 		// (least work to let finish), ties to the highest ID (newest
 		// first, mirroring the scale-up order).
@@ -216,7 +182,7 @@ func (c *Cluster) autoscaleLocked(p int, rec *ClusterRecord) error {
 		}
 		if best >= 0 {
 			c.nodes[best].draining = true
-			c.coolUntil = p + a.CooldownPeriods
+			c.coolUntil = p + autoscaleCooldown
 			c.res.ScaleDowns++
 			c.idleStreak = 0
 			rec.Events = append(rec.Events, FleetEvent{Cause: CauseScaleDown, Node: c.nodes[best].ID(), Detail: "drain"})

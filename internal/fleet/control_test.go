@@ -66,12 +66,13 @@ func TestMigrationConservesJobs(t *testing.T) {
 
 // TestMigrationHysteresis checks the loop does not ping-pong: two
 // migrations off the same node must be separated by at least the
-// per-node cooldown, and an evicted job may not be placed back onto the
-// evicting node while it is quarantined.
+// per-node cooldown, each decision evicts at most maxEvict jobs, and an
+// evicted node takes no placements while it is quarantined, so its
+// heartbeat BE count does not rise from the eviction period through the
+// last quarantined period.
 func TestMigrationHysteresis(t *testing.T) {
 	var buf bytes.Buffer
-	cfg := controlConfig(&buf)
-	res := runFleet(t, cfg)
+	res := runFleet(t, controlConfig(&buf))
 	if res.Migrations < 2 {
 		t.Fatalf("want at least two migrations to check spacing, got %d", res.Migrations)
 	}
@@ -79,9 +80,14 @@ func TestMigrationHysteresis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cool := cfg.Migration.CooldownPeriods
-	if cool == 0 {
-		cool = 10 // package default
+	beCount := func(period, node int) int {
+		for _, hb := range recs[period].Nodes {
+			if hb.Node == node {
+				return hb.BECount
+			}
+		}
+		t.Fatalf("period %d has no heartbeat for node %d", period, node)
+		return 0
 	}
 	last := map[int]int{}
 	for _, rec := range recs {
@@ -89,18 +95,28 @@ func TestMigrationHysteresis(t *testing.T) {
 			if ev.Cause != CauseMigration {
 				continue
 			}
-			if prev, ok := last[ev.Node]; ok && rec.Period-prev < cool {
+			if prev, ok := last[ev.Node]; ok && rec.Period-prev < migrationCooldown {
 				t.Fatalf("node %d migrated at periods %d and %d, inside cooldown %d",
-					ev.Node, prev, rec.Period, cool)
+					ev.Node, prev, rec.Period, migrationCooldown)
 			}
 			last[ev.Node] = rec.Period
+			if len(ev.Jobs) > maxEvict {
+				t.Fatalf("period %d: node %d evicted %d jobs, above maxEvict %d",
+					rec.Period, ev.Node, len(ev.Jobs), maxEvict)
+			}
+			for q := rec.Period + 1; q < rec.Period+quarantinePeriods && q < len(recs); q++ {
+				if before, now := beCount(q-1, ev.Node), beCount(q, ev.Node); now > before {
+					t.Fatalf("node %d quarantined from period %d took placements: BE count %d -> %d at period %d",
+						ev.Node, rec.Period, before, now, q)
+				}
+			}
 		}
 	}
 }
 
 // TestAutoscalerMonotone checks the controller does not act without its
 // signal: an autoscale-enabled fleet whose queue never breaches
-// QueueHigh must end with zero repacks and zero scale-ups.
+// queueHigh must end with zero repacks and zero scale-ups.
 func TestAutoscalerMonotone(t *testing.T) {
 	res := runFleet(t, Config{
 		Nodes:          4,

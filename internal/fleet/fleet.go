@@ -41,9 +41,6 @@ type Config struct {
 	// (cores 0..HPsPerNode-1) under the multi-HP DICER controller.
 	// Default 1: the legacy single-HP node, byte-identical traces.
 	HPsPerNode int
-	// CLOSBudget is each multi-HP node's CLOS-id budget (HP groups plus
-	// the BE partition). Default 16 (real CAT). Ignored at HPsPerNode 1.
-	CLOSBudget int
 	// Policy is the node-local policy on every node: "UM", "CT" or
 	// "DICER" (default).
 	Policy string
@@ -56,9 +53,6 @@ type Config struct {
 	PeriodSec      float64 // default 1.0
 	StepsPerPeriod int     // default 4
 	HorizonPeriods int     // default 120
-	// AloneHorizonPeriods is the horizon of locally computed alone-run
-	// reference IPCs, independent of the cluster horizon. Default 120.
-	AloneHorizonPeriods int
 
 	// Arrivals drives the BE job generator.
 	Arrivals ArrivalConfig
@@ -70,13 +64,6 @@ type Config struct {
 	// QueueCap bounds the admission queue; arrivals beyond it are
 	// rejected. Default 32.
 	QueueCap int
-	// MaxPlaceAttempts bounds how many times a job may be placed
-	// (initial placement plus re-placements after node loss) before it is
-	// dropped. Default 5.
-	MaxPlaceAttempts int
-	// BackoffPeriods delays a re-queued orphan's next placement attempt
-	// by attempts × this many periods. Default 2.
-	BackoffPeriods int
 
 	// Workers bounds concurrent node stepping. Default GOMAXPROCS.
 	Workers int
@@ -124,6 +111,21 @@ type Config struct {
 	OnIncident func(inc *Incident)
 }
 
+// The cluster's fixed parameters. Multi-HP nodes run under the 16
+// CLOS ids of real CAT (NodeConfig's default budget).
+const (
+	// maxPlaceAttempts bounds how many times a job may be placed
+	// (initial placement plus re-placements after node loss) before it
+	// is dropped.
+	maxPlaceAttempts = 5
+	// orphanBackoff delays a re-queued orphan's next placement attempt
+	// by attempts × this many periods.
+	orphanBackoff = 2
+	// aloneHorizonPeriods is the horizon of locally computed alone-run
+	// reference IPCs, independent of the cluster horizon.
+	aloneHorizonPeriods = 120
+)
+
 // withDefaults returns cfg with unset fields filled.
 func (cfg Config) withDefaults() Config {
 	if cfg.Nodes == 0 {
@@ -141,9 +143,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.HPsPerNode == 0 {
 		cfg.HPsPerNode = 1
 	}
-	if cfg.CLOSBudget == 0 {
-		cfg.CLOSBudget = 16
-	}
 	if cfg.DICER == (core.Config{}) {
 		cfg.DICER = core.DefaultConfig()
 	}
@@ -159,25 +158,15 @@ func (cfg Config) withDefaults() Config {
 	if cfg.HorizonPeriods == 0 {
 		cfg.HorizonPeriods = 120
 	}
-	if cfg.AloneHorizonPeriods == 0 {
-		cfg.AloneHorizonPeriods = 120
-	}
 	if cfg.Scheduler == "" {
 		cfg.Scheduler = "headroom"
 	}
 	if cfg.QueueCap == 0 {
 		cfg.QueueCap = 32
 	}
-	if cfg.MaxPlaceAttempts == 0 {
-		cfg.MaxPlaceAttempts = 5
-	}
-	if cfg.BackoffPeriods == 0 {
-		cfg.BackoffPeriods = 2
-	}
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	cfg.Migration.withDefaults()
 	cfg.Autoscale.withDefaults(cfg.Nodes)
 	cfg.Forensics.withDefaults()
 	return cfg
@@ -277,7 +266,9 @@ type Cluster struct {
 
 	// Migration state (alerters is nil unless migration or forensics is
 	// armed): per-node burn-rate alerters, placement quarantine bounds,
-	// and eviction cooldown bounds.
+	// and eviction cooldown bounds. Every alerter runs alertRule,
+	// slo.DefaultAlertConfig built once, so they share its windows.
+	alertRule slo.AlertConfig
 	alerters  []*slo.Alerter
 	quarUntil []int
 	migNext   []int
@@ -332,9 +323,6 @@ func New(cfg Config) (*Cluster, error) {
 	if err := cfg.NodeChaos.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.Migration.validate(); err != nil {
-		return nil, err
-	}
 	if err := cfg.Autoscale.validate(); err != nil {
 		return nil, err
 	}
@@ -358,6 +346,7 @@ func New(cfg Config) (*Cluster, error) {
 		accs:     make([]stepAcc, cfg.Workers),
 	}
 	c.stepFn = c.stepNode
+	c.alertRule = slo.DefaultAlertConfig()
 	if cfg.Forensics.Enabled {
 		c.fr = newForensics(cfg.Forensics)
 	}
@@ -411,7 +400,6 @@ func (c *Cluster) buildNode(id int) (*Node, error) {
 		Machine:        cfg.Machine,
 		HPs:            hps,
 		HPAloneIPCs:    alones,
-		CLOSBudget:     cfg.CLOSBudget,
 		Policy:         cfg.Policy,
 		DICER:          cfg.DICER,
 		SLO:            cfg.SLO,
@@ -428,22 +416,12 @@ func (c *Cluster) appendNode(n *Node) {
 	c.quarUntil = append(c.quarUntil, 0)
 	c.migNext = append(c.migNext, 0)
 	if c.cfg.Migration.Enabled || c.cfg.Forensics.Enabled {
-		c.alerters = append(c.alerters, slo.NewAlerter(c.alertConfig()))
+		c.alerters = append(c.alerters, slo.NewAlerter(c.alertRule))
 	}
 	if c.fr != nil {
 		c.fr.addNode()
 		n.armFlightTap()
 	}
-}
-
-// alertConfig is the per-node burn-rate rule in effect: the migration
-// engine's when it is armed (so migration and forensics agree on what
-// "burning" means), the forensics rule otherwise.
-func (c *Cluster) alertConfig() slo.AlertConfig {
-	if c.cfg.Migration.Enabled {
-		return c.cfg.Migration.Alert
-	}
-	return c.cfg.Forensics.Alert
 }
 
 // header builds the trace header.
@@ -503,7 +481,7 @@ func (c *Cluster) incidentManifest(pd *pendingIncident) IncidentManifest {
 		LinkGbps:   c.cfg.Machine.Link.CapacityGBps,
 		PeriodSec:  c.cfg.PeriodSec,
 		NodeChaos:  c.cfg.NodeChaos.Name,
-		Alert:      c.alertConfig(),
+		Alert:      c.alertRule,
 	}
 }
 
@@ -540,7 +518,7 @@ func (c *Cluster) aloneIPC(name string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	v, err := r.AloneIPC(prof, c.cfg.Machine.LLCWays, c.cfg.AloneHorizonPeriods*c.cfg.StepsPerPeriod,
+	v, err := r.AloneIPC(prof, c.cfg.Machine.LLCWays, aloneHorizonPeriods*c.cfg.StepsPerPeriod,
 		c.cfg.PeriodSec/float64(c.cfg.StepsPerPeriod))
 	if err != nil {
 		return 0, err
@@ -704,12 +682,12 @@ func (c *Cluster) stepLocked() (*ClusterRecord, error) {
 				c.fr.trigger(p, ev.Node, TriggerNodeLoss, fmt.Sprintf("orphans=%d", len(orphans)))
 			}
 			for _, j := range orphans {
-				if j.Attempts >= c.cfg.MaxPlaceAttempts {
+				if j.Attempts >= maxPlaceAttempts {
 					rec.Dropped++
 					c.res.Dropped++
 					continue
 				}
-				j.NotBefore = p + j.Attempts*c.cfg.BackoffPeriods
+				j.NotBefore = p + j.Attempts*orphanBackoff
 				c.queue = append(c.queue, j)
 				rec.Requeued++
 				c.res.Requeued++

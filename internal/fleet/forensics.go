@@ -62,12 +62,6 @@ type ForensicsConfig struct {
 	// MaxIncidents bounds retained bundles per run; triggers beyond it
 	// are counted and dropped. Default 16.
 	MaxIncidents int `json:"max_incidents"`
-	// Alert is the per-node burn-rate rule used when the migration
-	// engine is not armed. With Migration.Enabled the migration
-	// alerters (Migration.Alert) drive incident triggers too, so the
-	// two loops agree on what "burning" means. Zero value means
-	// slo.DefaultAlertConfig.
-	Alert slo.AlertConfig `json:"alert"`
 }
 
 // withDefaults fills unset fields in place (only when enabled, so a
@@ -88,9 +82,6 @@ func (f *ForensicsConfig) withDefaults() {
 	if f.MaxIncidents == 0 {
 		f.MaxIncidents = 16
 	}
-	if f.Alert.Budget == 0 && len(f.Alert.Windows) == 0 {
-		f.Alert = slo.DefaultAlertConfig()
-	}
 }
 
 // validate reports configuration errors.
@@ -110,7 +101,7 @@ func (f ForensicsConfig) validate() error {
 	if f.MaxIncidents < 1 {
 		return fmt.Errorf("fleet: forensics max incidents %d < 1", f.MaxIncidents)
 	}
-	return f.Alert.Validate()
+	return nil
 }
 
 // FlightEntry is one node-period of black-box evidence: the heartbeat
@@ -148,7 +139,8 @@ type TimedEvent struct {
 
 // IncidentManifest is the first line of an incident bundle: the
 // trigger, the window in scope, and enough of the fleet configuration
-// to interpret the evidence without the full cluster trace.
+// to interpret the evidence without the full cluster trace, including
+// the burn-rate rule the run's alerters ran (slo.DefaultAlertConfig).
 type IncidentManifest struct {
 	Schema  string `json:"schema"`
 	Seq     int    `json:"seq"`

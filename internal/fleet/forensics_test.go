@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dicer/internal/chaos"
+	"dicer/internal/slo"
 )
 
 // forensicsConfig is controlConfig with the flight recorder armed: the
@@ -129,8 +130,8 @@ func TestForensicsWithoutMigration(t *testing.T) {
 		if inc.Manifest.Trigger == TriggerSLOBurn {
 			sawBurn = true
 		}
-		if inc.Manifest.Alert.Budget != cfg.Forensics.Alert.Budget && cfg.Forensics.Alert.Budget != 0 {
-			t.Fatalf("manifest alert config %+v not the forensics rule", inc.Manifest.Alert)
+		if !reflect.DeepEqual(inc.Manifest.Alert, slo.DefaultAlertConfig()) {
+			t.Fatalf("manifest alert config %+v not the rule the alerters ran", inc.Manifest.Alert)
 		}
 	}
 	if !sawBurn {

@@ -75,19 +75,15 @@ type FleetSpec struct {
 	// so replicates see different fault streams drawn from the same
 	// process.
 	NodeChaos string `json:"node_chaos,omitempty"`
-	// Migration / Autoscale enable the fleet control loops with their
-	// default parameters (SLO-burn BE migration, repartition-first
-	// autoscaling).
+	// Migration enables the fleet's SLO-burn BE migration.
 	Migration bool `json:"migration,omitempty"`
-	Autoscale bool `json:"autoscale,omitempty"`
 }
 
 // SoakSpec runs the chaos soak (experiments.Suite.Soak) once per seed:
-// every workload under one fault schedule, extracting the worst HP
-// degradation across workloads for that seed.
+// every workload of experiments.DefaultSoakWorkloads under one fault
+// schedule, extracting the worst HP degradation across workloads for
+// that seed.
 type SoakSpec struct {
-	// Workloads to soak; empty means experiments.DefaultSoakWorkloads.
-	Workloads []experiments.Workload `json:"workloads,omitempty"`
 	// Schedule names the chaos fault schedule ("storm", "dropout", ...).
 	Schedule string `json:"schedule"`
 	// HorizonPeriods per run; 0 means the soak default (60).
@@ -120,9 +116,6 @@ func (c Config) Describe() string {
 		if f.Migration {
 			extras += ", SLO-burn migration"
 		}
-		if f.Autoscale {
-			extras += ", autoscaler"
-		}
 		return fmt.Sprintf("fleet: %d nodes x %d periods, scheduler %s, policy %s (controller %s), arrivals λ=%.1f/period mean-dur %.0f, queue cap %d%s",
 			nodes, horizon, f.Scheduler, f.Policy, ctl, arr.RatePerPeriod, arr.MeanDurationPeriods, qcap, extras)
 	}
@@ -142,10 +135,7 @@ func (c Config) Describe() string {
 			m.M, m.BECount, m.CLOSBudget, grouping, extras)
 	}
 	if s := c.Soak; s != nil {
-		n := len(s.Workloads)
-		if n == 0 {
-			n = len(experiments.DefaultSoakWorkloads())
-		}
+		n := len(experiments.DefaultSoakWorkloads())
 		horizon := s.HorizonPeriods
 		if horizon == 0 {
 			horizon = 60
@@ -159,21 +149,16 @@ func (c Config) Describe() string {
 // Runner executes hypotheses against one experiments.Suite. The suite's
 // pooled runners and singleflight alone-run memo are shared across every
 // (config, seed) cell, so multi-seed replication pays for each alone
-// reference exactly once.
+// reference exactly once. Concurrent cells are bounded by the suite's
+// configured worker count (GOMAXPROCS when that is 0).
 type Runner struct {
 	Suite *experiments.Suite
-	// Workers bounds concurrent cells; 0 means the suite's configured
-	// worker count (GOMAXPROCS when that is 0 too).
-	Workers int
 }
 
 // NewRunner wraps a suite.
 func NewRunner(s *experiments.Suite) *Runner { return &Runner{Suite: s} }
 
 func (r *Runner) workers() int {
-	if r.Workers > 0 {
-		return r.Workers
-	}
 	if w := r.Suite.Config().Workers; w > 0 {
 		return w
 	}
@@ -321,7 +306,6 @@ func (r *Runner) runFleet(spec FleetSpec, seeds []int64, metrics []Metric) ([][]
 			QueueCap:       qcap,
 			NodeChaos:      sched,
 			Migration:      fleet.MigrationConfig{Enabled: spec.Migration},
-			Autoscale:      fleet.AutoscaleConfig{Enabled: spec.Autoscale},
 			AloneIPC:       r.Suite.AloneIPC,
 		})
 		if err != nil {
@@ -412,7 +396,6 @@ func (r *Runner) runSoak(spec SoakSpec, seeds []int64, metrics []Metric) ([][]fl
 		return nil, err
 	}
 	soak, err := r.Suite.Soak(experiments.SoakConfig{
-		Workloads:        spec.Workloads,
 		Schedules:        []chaos.Config{sched},
 		Seeds:            seeds,
 		HorizonPeriods:   spec.HorizonPeriods,

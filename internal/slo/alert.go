@@ -2,10 +2,10 @@
 // leaf package — no internal dependencies — so both the diagnostics
 // layer (per-node and fleet-aggregate monitors, live and offline) and
 // the fleet layer's migration engine can evaluate the same burn-rate
-// rules without an import cycle: diag imports fleet for trace types,
+// rule without an import cycle: diag imports fleet for trace types,
 // and fleet needs the alerter to drive SLO-burn migration, so the
-// alerter lives below both. internal/diag re-exports these types under
-// their historical names.
+// alerter lives below both. There is one rule: every alerter outside
+// this package's tests is built from DefaultAlertConfig.
 package slo
 
 import "fmt"
