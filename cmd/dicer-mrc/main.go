@@ -26,8 +26,9 @@ func main() {
 	flag.Parse()
 
 	m := machine.Default()
+	alone := sim.NewAloneTable(m, 240, 0.25, false) // 60-s alone runs
 	if *name != "" {
-		detail(m, *name)
+		detail(m, alone, *name)
 		return
 	}
 
@@ -36,14 +37,14 @@ func main() {
 		"Name", "Suite", "Class", "Phases", "Footprint MB", "APKI", "Alone IPC")
 	for _, p := range dicer.Catalog() {
 		t.AddRowf(p.Name, p.Suite, string(p.Class), len(p.Phases),
-			p.MaxFootprint()/(1<<20), p.Phases[0].APKI, aloneIPC(m, p, m.LLCWays))
+			p.MaxFootprint()/(1<<20), p.Phases[0].APKI, aloneIPC(alone, p, m.LLCWays))
 	}
 	if err := t.Render(os.Stdout); err != nil {
 		fatal(err)
 	}
 }
 
-func detail(m machine.Machine, name string) {
+func detail(m machine.Machine, alone *sim.AloneTable, name string) {
 	p, err := dicer.AppByName(name)
 	if err != nil {
 		fatal(err)
@@ -62,7 +63,7 @@ func detail(m machine.Machine, name string) {
 	for w := 1; w <= m.LLCWays; w++ {
 		bytes := m.WaysBytes(w)
 		miss := p.Phases[0].Curve.MissRatio(bytes)
-		ipc := aloneIPC(m, p, w)
+		ipc := aloneIPC(alone, p, w)
 		series = append(series, ipc)
 		t.AddRowf(w, bytes/(1<<20), miss, p.Phases[0].APKI*miss, ipc)
 	}
@@ -72,13 +73,9 @@ func detail(m machine.Machine, name string) {
 	fmt.Printf("\nIPC vs ways: %s\n", report.Sparkline(series))
 }
 
-// aloneIPC simulates prof alone confined to the given ways for 60 s.
-func aloneIPC(m machine.Machine, prof app.Profile, ways int) float64 {
-	r, err := sim.New(m, 1)
-	if err != nil {
-		fatal(err)
-	}
-	ipc, err := r.AloneIPC(prof, ways, 240, 0.25)
+// aloneIPC looks up prof's alone IPC confined to the given ways.
+func aloneIPC(alone *sim.AloneTable, prof app.Profile, ways int) float64 {
+	ipc, err := alone.IPC(prof, ways)
 	if err != nil {
 		fatal(err)
 	}

@@ -22,6 +22,7 @@ import (
 	"dicer/internal/metrics"
 	"dicer/internal/obs"
 	"dicer/internal/policy"
+	"dicer/internal/sim"
 )
 
 // Config controls how scenarios are simulated.
@@ -151,25 +152,13 @@ func (r Result) SUCI(slo, lambda float64) float64 {
 	return metrics.SUCI(r.SLOAchieved(slo), r.EFU(), lambda)
 }
 
-// memoShards spreads the Suite memo maps over independently locked
+// memoShards spreads the Suite's run memo over independently locked
 // shards so RunMany workers don't serialise on one mutex. 16 comfortably
 // exceeds any realistic worker count while keeping the footprint trivial.
 const memoShards = 16
 
-// aloneEntry is a singleflight cell: the first caller computes under the
-// mutex and publishes through done; every concurrent duplicate blocks on
-// the mutex and shares the result, and every later caller takes the
-// lock-free fast path. A sync.Once would do the same, but once.Do(f)
-// heap-allocates the closure f on every call — including warm hits —
-// and the memo lookup is pinned at zero allocations.
-type aloneEntry struct {
-	done atomic.Bool
-	mu   sync.Mutex
-	ipc  float64
-	err  error
-}
-
-// runEntry is the singleflight cell for co-located runs.
+// runEntry is the singleflight cell for co-located runs, built like the
+// cells of sim.AloneTable so that a warm lookup allocates nothing.
 type runEntry struct {
 	done atomic.Bool
 	mu   sync.Mutex
@@ -177,48 +166,44 @@ type runEntry struct {
 	err  error
 }
 
-type memoShard[K comparable, V any] struct {
+type memoShard struct {
 	mu sync.Mutex
-	m  map[K]*V
+	m  map[runKey]*runEntry
 }
 
 // entry returns the cell for key, creating it if absent. Only the map
 // access is under the shard lock; the compute runs under the cell's own
 // lock, so distinct keys never contend. Warm lookups allocate nothing:
 // the key is a value type and the cell is boxed once, on first miss.
-func (s *memoShard[K, V]) entry(key K) *V {
+func (s *memoShard) entry(key runKey) *runEntry {
 	s.mu.Lock()
 	v, ok := s.m[key]
 	if !ok {
 		if s.m == nil {
-			s.m = map[K]*V{}
+			s.m = map[runKey]*runEntry{}
 		}
-		v = new(V)
+		v = new(runEntry)
 		s.m[key] = v
 	}
 	s.mu.Unlock()
 	return v
 }
 
-// Suite memoises alone runs and co-located runs for one configuration.
-// It is safe for concurrent use: the memo maps are sharded by key hash,
-// each entry is computed exactly once (singleflight), and simulation
-// state is pooled and reset between runs.
+// Suite memoises co-located runs for one configuration, and its one
+// alone-run table serves every run, fleet cell and hypothesis replicate
+// it drives. It is safe for concurrent use: the run memo is sharded by
+// key hash, each entry is computed exactly once (singleflight), and
+// simulation state is pooled and reset between runs.
 type Suite struct {
 	cfg Config
 
-	aloneSh [memoShards]memoShard[aloneKey, aloneEntry]
-	runSh   [memoShards]memoShard[runKey, runEntry]
+	alone *sim.AloneTable
+	runSh [memoShards]memoShard
 
 	ctxs sync.Pool // *runCtx, reset before reuse
 
 	classMu sync.Mutex
 	class   map[int]*Classification // BECount -> classification
-}
-
-type aloneKey struct {
-	name string
-	ways int
 }
 
 type runKey struct {
@@ -237,13 +222,6 @@ func fnv1a(h uint64, s string) uint64 {
 }
 
 const fnvOffset = 14695981039346656037
-
-func (k aloneKey) shard() int {
-	h := fnv1a(fnvOffset, k.name)
-	h ^= uint64(k.ways)
-	h *= 1099511628211
-	return int(h % memoShards)
-}
 
 func (k runKey) shard() int {
 	h := fnv1a(fnvOffset, k.w.HP)
@@ -267,7 +245,9 @@ func NewSuite(cfg Config) (*Suite, error) {
 		return nil, err
 	}
 	return &Suite{
-		cfg:   cfg,
+		cfg: cfg,
+		alone: sim.NewAloneTable(cfg.Machine, cfg.HorizonPeriods*cfg.StepsPerPeriod,
+			cfg.PeriodSec/float64(cfg.StepsPerPeriod), cfg.ReferenceSolver),
 		class: map[int]*Classification{},
 	}, nil
 }
@@ -358,35 +338,12 @@ func (s *Suite) AloneIPC(name string) (float64, error) {
 // restricted to the given number of (exclusive) LLC ways — the measurement
 // behind the paper's Figure 2.
 func (s *Suite) AloneIPCWays(name string, ways int) (float64, error) {
-	key := aloneKey{name, ways}
-	e := s.aloneSh[key.shard()].entry(key)
-	if !e.done.Load() {
-		e.mu.Lock()
-		if !e.done.Load() {
-			e.ipc, e.err = s.aloneUncached(name, ways)
-			e.done.Store(true)
-		}
-		e.mu.Unlock()
-	}
-	return e.ipc, e.err
-}
-
-func (s *Suite) aloneUncached(name string, ways int) (float64, error) {
 	prof, err := app.ByName(name)
 	if err != nil {
 		return 0, err
 	}
-	c, err := s.getCtx()
-	if err != nil {
-		return 0, err
-	}
-	defer s.putCtx(c)
-	return c.box.Runner.AloneIPC(prof, ways, s.cfg.HorizonPeriods*s.cfg.StepsPerPeriod,
-		s.cfg.PeriodSec/float64(s.cfg.StepsPerPeriod))
+	return s.alone.IPC(prof, ways)
 }
-
-// aloneIPC resolves a run's alone references through the memo.
-func (s *Suite) aloneIPC(prof app.Profile) (float64, error) { return s.AloneIPC(prof.Name) }
 
 // Run executes (memoised) one co-located workload under one policy for the
 // given horizon in periods.
@@ -434,7 +391,7 @@ func (s *Suite) run(w Workload, p policy.Policy, polName PolicyName, horizon int
 	if s.cfg.Trace != nil {
 		sc.Trace = s.cfg.Trace(w, polName)
 	}
-	if err := sc.run(&c.box, p, s.cfg.DICER, s.aloneIPC, &c.res); err != nil {
+	if err := sc.run(&c.box, p, s.cfg.DICER, s.alone, &c.res); err != nil {
 		return Result{}, err
 	}
 	hp := c.res.Apps[0]

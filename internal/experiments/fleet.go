@@ -14,7 +14,7 @@ import (
 // partitions its LLC. Every cell is a static fleet without node chaos
 // at the fleet's default SLO.
 type FleetConfig struct {
-	// Nodes is the cluster size. Default 4.
+	// Nodes is the cluster size. Default fleet.DefaultNodes.
 	Nodes int
 	// HorizonPeriods is the simulated duration. Default the suite's
 	// SweepHorizonPeriods.
@@ -27,15 +27,12 @@ type FleetConfig struct {
 	// Policies are the node-local policies to compare. Default UM, CT,
 	// DICER.
 	Policies []PolicyName
-	// QueueCap bounds the admission queue. Default 32.
+	// QueueCap bounds the admission queue. Default fleet.DefaultQueueCap.
 	QueueCap int
 }
 
 // fleetDefaults fills unset fields from the suite configuration.
 func (s *Suite) fleetDefaults(fc FleetConfig) FleetConfig {
-	if fc.Nodes == 0 {
-		fc.Nodes = 4
-	}
 	if fc.HorizonPeriods == 0 {
 		fc.HorizonPeriods = s.cfg.SweepHorizonPeriods
 	}
@@ -44,9 +41,6 @@ func (s *Suite) fleetDefaults(fc FleetConfig) FleetConfig {
 	}
 	if len(fc.Policies) == 0 {
 		fc.Policies = []PolicyName{UM, CT, DICER}
-	}
-	if fc.QueueCap == 0 {
-		fc.QueueCap = 32
 	}
 	return fc
 }
@@ -101,7 +95,7 @@ func (s *Suite) FleetSuite(fc FleetConfig) ([]FleetCell, error) {
 
 // FleetControlConfig parameterises the migration-vs-static control
 // grid: the fleet's default scheduler (headroom) and node policy (DICER)
-// on four nodes at the default SLO, while the fleet control loops
+// at the fleet's default size and SLO, while the fleet control loops
 // (SLO-burn BE migration, repartition-first autoscaling) are toggled
 // across node chaos schedules. Every cell replays the same arrival
 // trace; within a chaos column the cells also share the chaos schedule,
@@ -112,7 +106,7 @@ type FleetControlConfig struct {
 	HorizonPeriods int
 	// Arrivals drives the shared BE arrival trace.
 	Arrivals fleet.ArrivalConfig
-	// QueueCap bounds the admission queue. Default 32.
+	// QueueCap bounds the admission queue. Default fleet.DefaultQueueCap.
 	QueueCap int
 	// ChaosSeed seeds the chaos schedules.
 	ChaosSeed int64
@@ -142,12 +136,8 @@ func (s *Suite) FleetControlGrid(fc FleetControlConfig) ([]FleetControlCell, err
 	if fc.HorizonPeriods == 0 {
 		fc.HorizonPeriods = s.cfg.SweepHorizonPeriods
 	}
-	if fc.QueueCap == 0 {
-		fc.QueueCap = 32
-	}
 	// The grid's rows are the control modes, its columns the canned node
 	// chaos schedules (chaos.NodeScheduleByName).
-	const nodes = 4
 	modes := []string{ControlStatic, ControlMigrate, ControlAutoscale, ControlBoth}
 	chaosNames := []string{"none", "node-freeze", "node-storm"}
 
@@ -157,7 +147,7 @@ func (s *Suite) FleetControlGrid(fc FleetControlConfig) ([]FleetControlCell, err
 	// matches a disruption pattern fixed before the fleet grew).
 	schedules := make([]chaos.NodeSchedule, len(chaosNames))
 	for i, name := range chaosNames {
-		sched, err := chaos.NodeScheduleByName(name, fc.ChaosSeed, nodes, fc.HorizonPeriods)
+		sched, err := chaos.NodeScheduleByName(name, fc.ChaosSeed, fleet.DefaultNodes, fc.HorizonPeriods)
 		if err != nil {
 			return nil, err
 		}
@@ -174,7 +164,6 @@ func (s *Suite) FleetControlGrid(fc FleetControlConfig) ([]FleetControlCell, err
 	if err := s.execute(len(cells), func(i int) error {
 		cell := &cells[i]
 		c, err := fleet.New(fleet.Config{
-			Nodes:          nodes,
 			Machine:        s.cfg.Machine,
 			DICER:          s.cfg.DICER,
 			PeriodSec:      s.cfg.PeriodSec,

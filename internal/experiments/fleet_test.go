@@ -107,3 +107,65 @@ func TestFleetSuiteDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetControlGrid runs the control grid as dicer-bench -fleetgrid
+// does and checks the grid's own claim, that its rows differ only in
+// which control loops run. It asserts no ordering between the modes.
+func TestFleetControlGrid(t *testing.T) {
+	cfg := DefaultConfig()
+	s, err := NewSuite(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := s.FleetControlGrid(FleetControlConfig{
+		HorizonPeriods: cfg.HorizonPeriods,
+		Arrivals: fleet.ArrivalConfig{
+			Seed: 42, RatePerPeriod: 3, MeanDurationPeriods: 10,
+			ClassWeights: [4]float64{0.5, 0.25, 0.15, 0.1},
+		},
+		QueueCap:  40,
+		ChaosSeed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 12 {
+		t.Fatalf("got %d cells, want 4 modes x 3 chaos schedules", len(cells))
+	}
+	if cells[0].Result.Arrivals == 0 {
+		t.Fatal("no arrivals generated")
+	}
+	column := map[string]fleet.Result{} // each chaos column's first cell
+	for _, c := range cells {
+		r, cell := c.Result, c.Mode+"/"+c.Chaos
+		if r.Arrivals != cells[0].Result.Arrivals {
+			t.Errorf("%s saw %d arrivals, the first cell %d", cell, r.Arrivals, cells[0].Result.Arrivals)
+		}
+		if got := r.Done + r.RunningEnd + r.QueuedEnd + r.Dropped; got != r.Admitted {
+			t.Errorf("%s: done %d + running %d + queued %d + dropped %d = %d, want admitted %d",
+				cell, r.Done, r.RunningEnd, r.QueuedEnd, r.Dropped, got, r.Admitted)
+		}
+		if first, ok := column[c.Chaos]; !ok {
+			column[c.Chaos] = r
+		} else if r.Freezes != first.Freezes || r.Losses != first.Losses {
+			t.Errorf("%s: %d freezes and %d losses, the column's first cell %d and %d",
+				cell, r.Freezes, r.Losses, first.Freezes, first.Losses)
+		}
+		autoscaled := r.Repacks + r.ScaleUps + r.ScaleDowns
+		var ok bool
+		switch c.Mode {
+		case ControlStatic:
+			ok = r.Migrations+r.Evicted+autoscaled == 0 && r.NodesEnd == 0
+		case ControlMigrate:
+			ok = r.Migrations > 0 && autoscaled == 0
+		case ControlAutoscale:
+			ok = r.ScaleUps > 0 && r.Evicted == 0
+		case ControlBoth:
+			ok = r.Migrations > 0 && r.ScaleUps > 0
+		}
+		if !ok {
+			t.Errorf("%s: control actions do not match the mode: %d migrations (%d evicted), %d repacks, %d/%d scale-ups/downs, %d nodes at end",
+				cell, r.Migrations, r.Evicted, r.Repacks, r.ScaleUps, r.ScaleDowns, r.NodesEnd)
+		}
+	}
+}

@@ -125,7 +125,7 @@ func (s *Suite) RunMultiHP(spec MultiHPSpec) (MultiHPOutcome, error) {
 		sc.BEs = append(sc.BEs, prof)
 	}
 	var res ScenarioResult
-	if err := sc.run(nil, nil, s.cfg.DICER, s.aloneIPC, &res); err != nil {
+	if err := sc.run(nil, nil, s.cfg.DICER, s.alone, &res); err != nil {
 		return MultiHPOutcome{}, err
 	}
 	return MultiHPOutcome{

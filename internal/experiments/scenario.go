@@ -242,34 +242,18 @@ func (sc *Scenario) Run(pol policy.Policy) (ScenarioResult, error) {
 	sc.defaults()
 	dcfg := core.DefaultConfig()
 	dcfg.PeriodSec = sc.PeriodSec
-	memo := map[string]float64{}
-	alone := func(prof app.Profile) (float64, error) {
-		ipc, ok := memo[prof.Name]
-		if !ok {
-			var err error
-			if ipc, err = sc.aloneIPC(prof); err != nil {
-				return 0, err
-			}
-			memo[prof.Name] = ipc
-		}
-		return ipc, nil
-	}
 	var res ScenarioResult
-	if err := sc.run(nil, pol, dcfg, alone, &res); err != nil {
+	if err := sc.run(nil, pol, dcfg, sc.aloneTable(), &res); err != nil {
 		return ScenarioResult{}, err
 	}
 	return res, nil
 }
 
-// aloneIPC runs prof alone on the scenario's machine with the full LLC
-// over the scenario's horizon.
-func (sc *Scenario) aloneIPC(prof app.Profile) (float64, error) {
-	r, err := sim.New(sc.Machine, 1)
-	if err != nil {
-		return 0, err
-	}
-	return r.AloneIPC(prof, sc.Machine.LLCWays, sc.HorizonPeriods*sc.StepsPerPeriod,
-		sc.PeriodSec/float64(sc.StepsPerPeriod))
+// aloneTable returns an empty table of full-horizon alone runs on the
+// scenario's machine.
+func (sc *Scenario) aloneTable() *sim.AloneTable {
+	return sim.NewAloneTable(sc.Machine, sc.HorizonPeriods*sc.StepsPerPeriod,
+		sc.PeriodSec/float64(sc.StepsPerPeriod), false)
 }
 
 // AloneIPC runs prof alone on machine m with the full LLC for the default
@@ -279,17 +263,17 @@ func (sc *Scenario) aloneIPC(prof app.Profile) (float64, error) {
 func AloneIPC(m machine.Machine, prof app.Profile) (float64, error) {
 	sc := &Scenario{Machine: m}
 	sc.defaults()
-	return sc.aloneIPC(prof)
+	return sc.aloneTable().IPC(prof, sc.Machine.LLCWays)
 }
 
 // run is the one co-location run behind Scenario.Run and every Suite
 // path. b is the box to run on (nil builds a fresh one on the scenario's
 // machine); dcfg configures the scenario's own DICER when pol is nil;
-// alone resolves the alone-run references; res receives the outcome,
+// alone holds the alone-run references; res receives the outcome,
 // reusing its slices. Fields are taken as set: defaults are the
 // caller's business.
 func (sc *Scenario) run(b *box.Box, pol policy.Policy, dcfg core.Config,
-	alone func(app.Profile) (float64, error), res *ScenarioResult) error {
+	alone *sim.AloneTable, res *ScenarioResult) error {
 	cfg := box.Config{
 		HPs:            sc.HPs,
 		BEs:            sc.BEs,
@@ -418,7 +402,7 @@ func (sc *Scenario) run(b *box.Box, pol policy.Policy, dcfg core.Config,
 	}
 	res.FinalHPWays = bits.OnesCount64(hpMask)
 	for i, hp := range sc.HPs {
-		ref, err := alone(hp.Profile)
+		ref, err := alone.IPC(hp.Profile, sc.Machine.LLCWays)
 		if err != nil {
 			return err
 		}
@@ -428,14 +412,10 @@ func (sc *Scenario) run(b *box.Box, pol policy.Policy, dcfg core.Config,
 		}
 		res.Apps = append(res.Apps, a)
 	}
-	var ref float64
-	var err error
 	for i, be := range sc.BEs {
-		// Consecutive copies of one BE share its reference.
-		if i == 0 || be.Name != sc.BEs[i-1].Name {
-			if ref, err = alone(be); err != nil {
-				return err
-			}
+		ref, err := alone.IPC(be, sc.Machine.LLCWays)
+		if err != nil {
+			return err
 		}
 		res.BEIPCs = append(res.BEIPCs, b.Runner.Proc(m+i).IPC())
 		res.BEAloneIPCs = append(res.BEAloneIPCs, ref)
@@ -447,7 +427,7 @@ func (sc *Scenario) run(b *box.Box, pol policy.Policy, dcfg core.Config,
 // tool; the recorder adds the schema and the controller's half. It
 // names every HP app with its SLO, and a single HP with the alone
 // reference the diagnostic layer measures slowdown against.
-func (sc *Scenario) header(policyName string, alone func(app.Profile) (float64, error)) (obs.Header, error) {
+func (sc *Scenario) header(policyName string, alone *sim.AloneTable) (obs.Header, error) {
 	h := obs.Header{
 		Policy:         policyName,
 		NumWays:        sc.Machine.LLCWays,
@@ -460,7 +440,7 @@ func (sc *Scenario) header(policyName string, alone func(app.Profile) (float64, 
 		h.SLOs = append(h.SLOs, hp.SLO)
 	}
 	if len(sc.HPs) == 1 {
-		ref, err := alone(sc.HPs[0].Profile)
+		ref, err := alone.IPC(sc.HPs[0].Profile, sc.Machine.LLCWays)
 		if err != nil {
 			return h, err
 		}

@@ -69,17 +69,42 @@ func TestMigrationConservesJobs(t *testing.T) {
 // per-node cooldown, each decision evicts at most maxEvict jobs, and an
 // evicted node takes no placements while it is quarantined, so its
 // heartbeat BE count does not rise from the eviction period through the
-// last quarantined period.
+// last quarantined period. Under controlConfig no node's alert fires
+// again inside its cooldown, so the spacing check alone cannot fail
+// there. Twenty-period jobs without chaos keep a node burning through
+// its cooldown: that run migrates 7 times, and 17 times without the
+// per-node cooldown check, node 1 at periods 26, 27 and 29.
 func TestMigrationHysteresis(t *testing.T) {
-	var buf bytes.Buffer
-	res := runFleet(t, controlConfig(&buf))
-	if res.Migrations < 2 {
-		t.Fatalf("want at least two migrations to check spacing, got %d", res.Migrations)
+	longJobs := func(trace *bytes.Buffer) Config {
+		cfg := controlConfig(trace)
+		cfg.HorizonPeriods = 80
+		cfg.Arrivals.MeanDurationPeriods = 20
+		cfg.NodeChaos = chaos.NodeSchedule{}
+		return cfg
 	}
-	_, recs, err := ReadClusterTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		config func(*bytes.Buffer) Config
+	}{{"chaos", controlConfig}, {"long-jobs", longJobs}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			res := runFleet(t, tc.config(&buf))
+			if res.Migrations < 2 {
+				t.Fatalf("want at least two migrations to check spacing, got %d", res.Migrations)
+			}
+			_, recs, err := ReadClusterTrace(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkHysteresis(t, recs)
+		})
 	}
+}
+
+// checkHysteresis applies TestMigrationHysteresis's spacing, eviction
+// and quarantine checks to one run's records.
+func checkHysteresis(t *testing.T, recs []ClusterRecord) {
+	t.Helper()
 	beCount := func(period, node int) int {
 		for _, hb := range recs[period].Nodes {
 			if hb.Node == node {

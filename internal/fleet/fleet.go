@@ -91,8 +91,8 @@ type Config struct {
 	Trace io.Writer
 
 	// AloneIPC, when set, resolves alone-run reference IPCs by profile
-	// name instead of simulating them (the experiment suite shares one
-	// memoised table across cells).
+	// name, once per node HP and admitted job, instead of the cluster's
+	// own table (the experiment suite shares its one table this way).
 	AloneIPC func(name string) (float64, error)
 
 	// OnPeriod, when set, observes each period's record (and the queue
@@ -126,10 +126,17 @@ const (
 	aloneHorizonPeriods = 120
 )
 
+// The default fleet size and admission-queue bound, for callers that
+// need them before a fleet exists (a chaos schedule, a description).
+const (
+	DefaultNodes    = 4
+	DefaultQueueCap = 32
+)
+
 // withDefaults returns cfg with unset fields filled.
 func (cfg Config) withDefaults() Config {
 	if cfg.Nodes == 0 {
-		cfg.Nodes = 4
+		cfg.Nodes = DefaultNodes
 	}
 	if cfg.Machine.Cores == 0 {
 		cfg.Machine = machine.Default()
@@ -162,7 +169,7 @@ func (cfg Config) withDefaults() Config {
 		cfg.Scheduler = "headroom"
 	}
 	if cfg.QueueCap == 0 {
-		cfg.QueueCap = 32
+		cfg.QueueCap = DefaultQueueCap
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -255,7 +262,7 @@ type Cluster struct {
 	nextArr  int
 	queue    []*Job
 
-	alone map[string]float64
+	alone *sim.AloneTable // nil when cfg.AloneIPC is set
 
 	period   int
 	lastGbps []float64 // per node, most recent live heartbeat
@@ -342,8 +349,11 @@ func New(cfg Config) (*Cluster, error) {
 		cfg:      cfg,
 		sched:    sched,
 		arrivals: arrivals,
-		alone:    map[string]float64{},
 		accs:     make([]stepAcc, cfg.Workers),
+	}
+	if cfg.AloneIPC == nil {
+		c.alone = sim.NewAloneTable(cfg.Machine, aloneHorizonPeriods*cfg.StepsPerPeriod,
+			cfg.PeriodSec/float64(cfg.StepsPerPeriod), false)
 	}
 	c.stepFn = c.stepNode
 	c.alertRule = slo.DefaultAlertConfig()
@@ -389,7 +399,7 @@ func (c *Cluster) buildNode(id int) (*Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		hpAlone, err := c.aloneIPC(hpName)
+		hpAlone, err := c.aloneIPC(hp)
 		if err != nil {
 			return nil, err
 		}
@@ -497,34 +507,13 @@ func (c *Cluster) Incidents() []*Incident {
 	return append([]*Incident(nil), c.fr.incidents...)
 }
 
-// aloneIPC resolves a profile's full-LLC alone-run IPC, memoised.
-func (c *Cluster) aloneIPC(name string) (float64, error) {
-	if v, ok := c.alone[name]; ok {
-		return v, nil
-	}
+// aloneIPC resolves prof's full-LLC alone-run IPC through cfg.AloneIPC
+// or the cluster's table.
+func (c *Cluster) aloneIPC(prof app.Profile) (float64, error) {
 	if c.cfg.AloneIPC != nil {
-		v, err := c.cfg.AloneIPC(name)
-		if err != nil {
-			return 0, err
-		}
-		c.alone[name] = v
-		return v, nil
+		return c.cfg.AloneIPC(prof.Name)
 	}
-	prof, err := app.ByName(name)
-	if err != nil {
-		return 0, err
-	}
-	r, err := sim.New(c.cfg.Machine, 1)
-	if err != nil {
-		return 0, err
-	}
-	v, err := r.AloneIPC(prof, c.cfg.Machine.LLCWays, aloneHorizonPeriods*c.cfg.StepsPerPeriod,
-		c.cfg.PeriodSec/float64(c.cfg.StepsPerPeriod))
-	if err != nil {
-		return 0, err
-	}
-	c.alone[name] = v
-	return v, nil
+	return c.alone.IPC(prof, c.cfg.Machine.LLCWays)
 }
 
 // Done reports whether the horizon has been reached.
@@ -711,7 +700,7 @@ func (c *Cluster) stepLocked() (*ClusterRecord, error) {
 		if err != nil {
 			return nil, err
 		}
-		alone, err := c.aloneIPC(a.App)
+		alone, err := c.aloneIPC(prof)
 		if err != nil {
 			return nil, err
 		}

@@ -96,10 +96,10 @@ func (c Config) Describe() string {
 	if f := c.Fleet; f != nil {
 		nodes, horizon, qcap := f.Nodes, f.HorizonPeriods, f.QueueCap
 		if nodes == 0 {
-			nodes = 4
+			nodes = fleet.DefaultNodes
 		}
 		if qcap == 0 {
-			qcap = 32
+			qcap = fleet.DefaultQueueCap
 		}
 		arr := f.Arrivals
 		ctl := "default"
@@ -147,7 +147,7 @@ func (c Config) Describe() string {
 }
 
 // Runner executes hypotheses against one experiments.Suite. The suite's
-// pooled runners and singleflight alone-run memo are shared across every
+// pooled runners and its alone-run table are shared across every
 // (config, seed) cell, so multi-seed replication pays for each alone
 // reference exactly once. Concurrent cells are bounded by the suite's
 // configured worker count (GOMAXPROCS when that is 0).
@@ -266,18 +266,15 @@ func (r *Runner) runConfig(cfg Config, seeds []int64, metrics []Metric) ([]Metri
 // runFleet executes one cluster per seed across the experiments
 // executor (results land in seed order regardless of worker count),
 // extracting the requested metrics. Alone-run references resolve
-// through the suite's singleflight memo.
+// through the suite's table.
 func (r *Runner) runFleet(spec FleetSpec, seeds []int64, metrics []Metric) ([][]float64, error) {
 	scfg := r.Suite.Config()
-	nodes, horizon, qcap := spec.Nodes, spec.HorizonPeriods, spec.QueueCap
+	nodes, horizon := spec.Nodes, spec.HorizonPeriods
 	if nodes == 0 {
-		nodes = 4
+		nodes = fleet.DefaultNodes
 	}
 	if horizon == 0 {
 		horizon = scfg.SweepHorizonPeriods
-	}
-	if qcap == 0 {
-		qcap = 32
 	}
 	dicer := scfg.DICER
 	if spec.DICER != nil {
@@ -303,7 +300,7 @@ func (r *Runner) runFleet(spec FleetSpec, seeds []int64, metrics []Metric) ([][]
 			Arrivals:       arr,
 			Scheduler:      spec.Scheduler,
 			SchedSeed:      seeds[i],
-			QueueCap:       qcap,
+			QueueCap:       spec.QueueCap,
 			NodeChaos:      sched,
 			Migration:      fleet.MigrationConfig{Enabled: spec.Migration},
 			AloneIPC:       r.Suite.AloneIPC,
