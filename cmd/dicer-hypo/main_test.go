@@ -103,8 +103,8 @@ func TestSelectHypotheses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != len(hypo.Names()) {
-		t.Fatalf("all selected %d, registry has %d", len(all), len(hypo.Names()))
+	if len(all) != len(hypo.Registered()) {
+		t.Fatalf("all selected %d, registry has %d", len(all), len(hypo.Registered()))
 	}
 	two, err := selectHypotheses("headroom-beats-random, chaos-soak-degradation-bound")
 	if err != nil {

@@ -140,7 +140,7 @@ func TestServeHealthzDegradesOnAlert(t *testing.T) {
 	if err := st.runOnce(p); err != nil {
 		t.Fatal(err)
 	}
-	if !st.monitor.Firing() {
+	if firing, _ := st.monitor.Degraded(); !firing {
 		t.Fatalf("alert not firing under an unmanaged 99%% SLO: %+v", st.monitor.Snapshot())
 	}
 	srv := httptest.NewServer(st.mux(false))

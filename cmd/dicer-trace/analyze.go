@@ -78,7 +78,7 @@ func runSummary(args []string, stdout io.Writer) error {
 		return err
 	}
 	if *a.jsonOut {
-		return writeJSONSlice(stdout, rep.Metrics)
+		return writeJSONValue(stdout, rep.Metrics)
 	}
 	fmt.Fprintf(stdout, "%-30s %8s %9s %9s %9s %9s %9s\n",
 		"metric", "count", "mean", "p50", "p90", "p99", "max")
@@ -131,5 +131,3 @@ func writeJSONValue(w io.Writer, v any) error {
 	_, err = w.Write(append(b, '\n'))
 	return err
 }
-
-func writeJSONSlice(w io.Writer, v any) error { return writeJSONValue(w, v) }

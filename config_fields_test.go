@@ -1,16 +1,10 @@
 package dicer
 
 import (
-	"errors"
 	"go/ast"
-	"go/build"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"io/fs"
 	"path"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -52,39 +46,7 @@ var configAllowlist = []struct {
 // do not count. The module's packages and perfbench are type-checked from
 // source; perfbench, cmd/ and examples/ count as callers.
 func TestConfigFieldsHaveSetters(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the module and its standard-library imports from source")
-	}
-	fset := token.NewFileSet()
-	l := &fieldLoader{fset: fset, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*loadedPkg{}}
-
-	var dirs []string
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		name := d.Name()
-		if p != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		dirs = append(dirs, p)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var loaded []*loadedPkg
-	for _, dir := range dirs {
-		p, err := l.load(importPathOf(dir))
-		var noGo *build.NoGoError
-		if errors.As(err, &noGo) {
-			continue
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", dir, err)
-		}
-		loaded = append(loaded, p)
-	}
+	loaded := loadSource(t).pkgs
 
 	// Every settable field, keyed by its object.
 	fields := map[*types.Var]string{}
@@ -224,76 +186,4 @@ func markWrites(f *ast.File, info *types.Info, written map[*types.Var]bool) {
 		return true
 	}
 	ast.Inspect(f, visit)
-}
-
-type loadedPkg struct {
-	pkg   *types.Package
-	files []*ast.File
-	info  *types.Info
-}
-
-// modulePath is the module's import path; the test runs in its root.
-const modulePath = "dicer"
-
-func importPathOf(dir string) string {
-	if dir == "." {
-		return modulePath
-	}
-	return modulePath + "/" + filepath.ToSlash(dir)
-}
-
-// fieldLoader type-checks the module's packages from their non-test files,
-// once each, so a field is one object wherever it is used; everything
-// else comes from the standard library through the source importer.
-// perfbench is a module of its own, dicer/perfbench, whose go.mod
-// replaces dicer with this checkout, so its imports resolve to the same
-// packages.
-type fieldLoader struct {
-	fset *token.FileSet
-	std  types.Importer
-	pkgs map[string]*loadedPkg
-}
-
-func (l *fieldLoader) Import(p string) (*types.Package, error) {
-	if p != modulePath && !strings.HasPrefix(p, modulePath+"/") {
-		return l.std.Import(p)
-	}
-	lp, err := l.load(p)
-	if err != nil {
-		return nil, err
-	}
-	return lp.pkg, nil
-}
-
-func (l *fieldLoader) load(p string) (*loadedPkg, error) {
-	if lp, ok := l.pkgs[p]; ok {
-		return lp, nil
-	}
-	dir := "."
-	if p != modulePath {
-		dir = filepath.FromSlash(strings.TrimPrefix(p, modulePath+"/"))
-	}
-	bp, err := build.Default.ImportDir(dir, 0)
-	if err != nil {
-		return nil, err
-	}
-	lp := &loadedPkg{info: &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}}
-	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, 0)
-		if err != nil {
-			return nil, err
-		}
-		lp.files = append(lp.files, f)
-	}
-	conf := types.Config{Importer: l}
-	lp.pkg, err = conf.Check(p, l.fset, lp.files, lp.info)
-	if err != nil {
-		return nil, err
-	}
-	l.pkgs[p] = lp
-	return lp, nil
 }

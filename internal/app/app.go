@@ -93,15 +93,6 @@ func (p Profile) Validate() error {
 	return nil
 }
 
-// TotalInstructions returns the instruction budget of one complete run.
-func (p Profile) TotalInstructions() float64 {
-	var t float64
-	for _, ph := range p.Phases {
-		t += ph.Instructions
-	}
-	return t
-}
-
 // MaxFootprint returns the largest cacheable footprint over all phases.
 func (p Profile) MaxFootprint() float64 {
 	var m float64
@@ -285,17 +276,6 @@ func (pr *Proc) InLockstep(o *Proc) bool {
 func (pr *Proc) CopyProgress(o *Proc) {
 	pr.phase, pr.phaseInstr = o.phase, o.phaseInstr
 	pr.Instructions, pr.Cycles, pr.MemBytes, pr.Completions = o.Instructions, o.Cycles, o.MemBytes, o.Completions
-}
-
-// Reset rewinds the process to the start of its profile and zeroes all
-// counters.
-func (pr *Proc) Reset() {
-	pr.phase = 0
-	pr.phaseInstr = 0
-	pr.Instructions = 0
-	pr.Cycles = 0
-	pr.MemBytes = 0
-	pr.Completions = 0
 }
 
 // IPC returns the cumulative IPC since the last Reset.

@@ -64,9 +64,6 @@ func TestTotalInstructionsAndFootprint(t *testing.T) {
 		Name: "q", Instructions: 2e9, BaseCPI: 1, APKI: 5,
 		Curve: mrc.MustCurve(0, mrc.Component{Bytes: 8 * MB, Frac: 0.3}),
 	})
-	if got := p.TotalInstructions(); got != 3e9 {
-		t.Fatalf("total instructions = %g, want 3e9", got)
-	}
 	if got := p.MaxFootprint(); got != 8*MB {
 		t.Fatalf("max footprint = %g, want 8MB", got)
 	}
@@ -150,15 +147,6 @@ func TestProcPhaseTransitionAndRestart(t *testing.T) {
 	}
 	if math.Abs(pr.Instructions-3.3e8) > 1e6 {
 		t.Fatalf("instructions = %g, want ~3.3e8", pr.Instructions)
-	}
-}
-
-func TestProcReset(t *testing.T) {
-	pr := NewProc(testProfile())
-	pr.Advance(machine.Default(), MB, 1, 1, 0.5)
-	pr.Reset()
-	if pr.Instructions != 0 || pr.Cycles != 0 || pr.Completions != 0 || pr.PhaseIndex() != 0 {
-		t.Fatalf("reset left state: %+v", pr)
 	}
 }
 

@@ -246,10 +246,10 @@ func Catalog() []Profile {
 
 // ByName returns the catalog profile with the given name.
 func ByName(name string) (Profile, error) {
-	for _, p := range Catalog() {
-		if p.Name == name {
-			return p, nil
-		}
+	cat := Catalog()
+	i := sort.Search(len(cat), func(i int) bool { return cat[i].Name >= name })
+	if i < len(cat) && cat[i].Name == name {
+		return cat[i], nil
 	}
 	return Profile{}, fmt.Errorf("app: unknown profile %q", name)
 }

@@ -144,9 +144,6 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
 // SetMask installs a capacity bit-mask for clos. The mask must be non-zero,
 // contiguous (a CAT hardware requirement) and confined to the implemented
 // ways. It returns the previous mask.
@@ -161,9 +158,6 @@ func (c *Cache) SetMask(clos int, mask uint64) (uint64, error) {
 	c.masks[clos] = mask
 	return prev, nil
 }
-
-// Mask returns the current CBM of clos.
-func (c *Cache) Mask(clos int) uint64 { return c.masks[clos] }
 
 // CheckMask validates a CBM: non-zero, contiguous set bits, within ways.
 func CheckMask(mask uint64, ways int) error {
@@ -239,17 +233,6 @@ func (c *Cache) Access(clos int, addr uint64) bool {
 	return false
 }
 
-// Run plays an address slice through the cache for clos and returns the
-// number of misses.
-func (c *Cache) Run(clos int, addrs []uint64) (misses uint64) {
-	for _, a := range addrs {
-		if !c.Access(clos, a) {
-			misses++
-		}
-	}
-	return misses
-}
-
 // Stats returns a copy of the statistics for clos.
 func (c *Cache) Stats(clos int) Stats { return c.stats[clos] }
 
@@ -257,35 +240,6 @@ func (c *Cache) Stats(clos int) Stats { return c.stats[clos] }
 func (c *Cache) ResetStats() {
 	for i := range c.stats {
 		c.stats[i] = Stats{}
-	}
-}
-
-// OccupancyLines returns the number of resident lines charged to clos.
-func (c *Cache) OccupancyLines(clos int) int64 { return c.occupancy[clos] }
-
-// OccupancyBytes returns the resident bytes charged to clos, the quantity
-// CMT reports.
-func (c *Cache) OccupancyBytes(clos int) int64 {
-	return c.occupancy[clos] * int64(c.cfg.LineBytes)
-}
-
-// TotalOccupancyLines returns the number of valid lines in the cache.
-func (c *Cache) TotalOccupancyLines() int64 {
-	var t int64
-	for _, o := range c.occupancy {
-		t += o
-	}
-	return t
-}
-
-// Flush invalidates every line and zeroes occupancy; statistics are kept.
-// Real CAT has no flush, but tests and MRC sweeps need a cold cache.
-func (c *Cache) Flush() {
-	for i := range c.valid {
-		c.valid[i] = false
-	}
-	for i := range c.occupancy {
-		c.occupancy[i] = 0
 	}
 }
 

@@ -61,9 +61,6 @@ func (c *Cache) SetReplacement(r Replacement) error {
 	return fmt.Errorf("cache: unknown replacement policy %v", r)
 }
 
-// Replacement returns the active policy.
-func (c *Cache) Replacement() Replacement { return c.repl }
-
 // victimWay picks the way to fill within base..base+ways-1 under mask.
 // Invalid ways always win first (the caller checks them before calling
 // this only for the all-valid case).
@@ -129,6 +126,3 @@ func (c *Cache) rngNext() uint64 {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
-
-// SeedRandom sets the seed used by Random replacement (default 1).
-func (c *Cache) SeedRandom(seed uint64) { c.rngState = seed }

@@ -38,7 +38,7 @@ func TestSetReplacementValidation(t *testing.T) {
 	if err := c.SetReplacement(NRU); err != nil {
 		t.Fatal(err)
 	}
-	if c.Replacement() != NRU {
+	if c.repl != NRU {
 		t.Fatal("readback")
 	}
 	if err := c.SetReplacement(Replacement(42)); err == nil {
@@ -72,7 +72,7 @@ func TestRandomDeterministicWithSeed(t *testing.T) {
 		if err := c.SetReplacement(Random); err != nil {
 			t.Fatal(err)
 		}
-		c.SeedRandom(seed)
+		c.rngState = seed
 		z, err := trace.NewZipf(0, 1<<16, 0.8, 9)
 		if err != nil {
 			t.Fatal(err)

@@ -214,13 +214,6 @@ func New(inner resctrl.System, cfg Config, seed int64) *System {
 // Stats returns the fault counts so far.
 func (s *System) Stats() Stats { return s.stats }
 
-// Config returns the fault schedule.
-func (s *System) Config() Config { return s.cfg }
-
-// PendingWrites returns the number of delayed SetCBM writes not yet
-// landed.
-func (s *System) PendingWrites() int { return len(s.pending) }
-
 // ActuationClean reports whether the installed masks agree with the
 // newest SetCBM attempt for every CLOS written so far — i.e. no write is
 // in flight and no rejection left the hardware behind the caller's

@@ -223,8 +223,8 @@ func TestDelayedActuationLandsLate(t *testing.T) {
 	if got := sys.CBM(policy.HPClos); got != before {
 		t.Fatalf("delayed write landed immediately: %#x", got)
 	}
-	if sys.PendingWrites() != 1 {
-		t.Fatalf("pending %d, want 1", sys.PendingWrites())
+	if len(sys.pending) != 1 {
+		t.Fatalf("pending %d, want 1", len(sys.pending))
 	}
 	r.Step(1)
 	sys.Counters() // read 1: not yet due
@@ -236,8 +236,8 @@ func TestDelayedActuationLandsLate(t *testing.T) {
 	if got := sys.CBM(policy.HPClos); got != 0xf0000 {
 		t.Fatalf("write did not land after %d reads: %#x", 2, got)
 	}
-	if sys.PendingWrites() != 0 {
-		t.Fatalf("pending %d after landing", sys.PendingWrites())
+	if len(sys.pending) != 0 {
+		t.Fatalf("pending %d after landing", len(sys.pending))
 	}
 }
 

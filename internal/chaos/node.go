@@ -69,9 +69,6 @@ func (s NodeSchedule) Validate() error {
 	return nil
 }
 
-// Active reports whether the schedule fires any event at all.
-func (s NodeSchedule) Active() bool { return len(s.Events) > 0 }
-
 // At returns the events firing at the given period, in schedule order.
 func (s NodeSchedule) At(period int) []NodeEvent {
 	var out []NodeEvent

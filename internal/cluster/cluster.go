@@ -28,7 +28,6 @@ import (
 	"sort"
 
 	"dicer/internal/app"
-	"dicer/internal/cache"
 	"dicer/internal/mrc"
 )
 
@@ -129,9 +128,6 @@ type Plan struct {
 	// over; the simulator judges the real slowdown.
 	PredictedMaxPenalty float64
 }
-
-// NumGroups returns the number of HP CLOS groups in the plan.
-func (p Plan) NumGroups() int { return len(p.Groups) }
 
 // GroupOf returns the index of the group containing app i, or -1.
 func (p Plan) GroupOf(app int) int {
@@ -516,31 +512,4 @@ func groupEval(cfg Config, g []scored, ways int) (worst, traffic float64) {
 		}
 	}
 	return worst, traffic
-}
-
-// StackMasks lays out contiguous, disjoint way masks for a multi-group
-// plan: group 0 occupies the topmost ways, each further group stacks
-// below it, and the BE partition takes the low-order remainder — the
-// multi-group generalisation of policy.HPMask/BEMask (at one group it
-// reduces to them exactly). ways holds each group's current allocation;
-// the returned slice has len(ways)+1 masks with the BE mask last.
-func StackMasks(totalWays int, ways []int) ([]uint64, error) {
-	sum := 0
-	for gi, w := range ways {
-		if w < 1 {
-			return nil, fmt.Errorf("cluster: group %d has %d ways < 1", gi, w)
-		}
-		sum += w
-	}
-	if sum >= totalWays {
-		return nil, fmt.Errorf("cluster: %d group ways leave no BE ways of %d total", sum, totalWays)
-	}
-	masks := make([]uint64, len(ways)+1)
-	top := totalWays
-	for gi, w := range ways {
-		masks[gi] = cache.ContiguousMask(top-w, w)
-		top -= w
-	}
-	masks[len(ways)] = cache.ContiguousMask(0, top)
-	return masks, nil
 }

@@ -1,11 +1,13 @@
 package cluster_test
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"dicer/internal/cache"
 	"dicer/internal/cluster"
 	"dicer/internal/mrc"
 )
@@ -79,7 +81,7 @@ func contiguous(mask uint64) bool {
 // with the BE partition keeping its reserve.
 func checkPlan(tb testing.TB, cfg cluster.Config, m int, plan cluster.Plan) {
 	tb.Helper()
-	k := plan.NumGroups()
+	k := len(plan.Groups)
 	if k < 1 {
 		tb.Fatalf("plan has no groups")
 	}
@@ -124,7 +126,7 @@ func checkPlan(tb testing.TB, cfg cluster.Config, m int, plan cluster.Plan) {
 		tb.Fatalf("negative predicted penalty %g", plan.PredictedMaxPenalty)
 	}
 
-	masks, err := cluster.StackMasks(cfg.TotalWays, ways)
+	masks, err := stackMasks(cfg.TotalWays, ways)
 	if err != nil {
 		tb.Fatalf("StackMasks: %v", err)
 	}
@@ -203,12 +205,12 @@ func TestAssignMonotonicBudget(t *testing.T) {
 				t.Fatalf("draw %d: budget %d predicts penalty %g > budget %d's %g",
 					draw, budget, plan.PredictedMaxPenalty, budget-1, prev)
 			}
-			if prev >= 0 && plan.NumGroups() < prevK {
+			if prev >= 0 && len(plan.Groups) < prevK {
 				t.Fatalf("draw %d: budget %d uses %d groups, budget %d used %d",
-					draw, budget, plan.NumGroups(), budget-1, prevK)
+					draw, budget, len(plan.Groups), budget-1, prevK)
 			}
 			prev = plan.PredictedMaxPenalty
-			prevK = plan.NumGroups()
+			prevK = len(plan.Groups)
 		}
 	}
 }
@@ -228,8 +230,8 @@ func TestPerApp(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPlan(t, cfg, 5, plan)
-	if plan.NumGroups() != 5 {
-		t.Fatalf("per-app plan has %d groups, want 5", plan.NumGroups())
+	if len(plan.Groups) != 5 {
+		t.Fatalf("per-app plan has %d groups, want 5", len(plan.Groups))
 	}
 	for gi, g := range plan.Groups {
 		if len(g.Apps) != 1 || g.Apps[0] != gi {
@@ -262,8 +264,8 @@ func TestSingle(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkPlan(t, cfg, m, plan)
-		if plan.NumGroups() != 1 {
-			t.Fatalf("single plan for m=%d has %d groups", m, plan.NumGroups())
+		if len(plan.Groups) != 1 {
+			t.Fatalf("single plan for m=%d has %d groups", m, len(plan.Groups))
 		}
 		if plan.Groups[0].Ways != cfg.TotalWays-cfg.MinBEWays {
 			t.Fatalf("single plan holds %d ways, want the full HP budget %d",
@@ -314,12 +316,40 @@ func TestHintRegrouping(t *testing.T) {
 	}
 }
 
+// stackMasks lays out contiguous, disjoint way masks for a multi-group
+// plan: group 0 occupies the topmost ways, each further group stacks
+// below it, and the BE partition takes the low-order remainder — the
+// multi-group generalisation of policy.HPMask/BEMask (at one group it
+// reduces to them exactly): the tests' oracle for the planner's masks.
+// ways holds each group's current allocation;
+// the returned slice has len(ways)+1 masks with the BE mask last.
+func stackMasks(totalWays int, ways []int) ([]uint64, error) {
+	sum := 0
+	for gi, w := range ways {
+		if w < 1 {
+			return nil, fmt.Errorf("cluster: group %d has %d ways < 1", gi, w)
+		}
+		sum += w
+	}
+	if sum >= totalWays {
+		return nil, fmt.Errorf("cluster: %d group ways leave no BE ways of %d total", sum, totalWays)
+	}
+	masks := make([]uint64, len(ways)+1)
+	top := totalWays
+	for gi, w := range ways {
+		masks[gi] = cache.ContiguousMask(top-w, w)
+		top -= w
+	}
+	masks[len(ways)] = cache.ContiguousMask(0, top)
+	return masks, nil
+}
+
 // TestStackMasksErrors pins the explicit failure modes.
 func TestStackMasksErrors(t *testing.T) {
-	if _, err := cluster.StackMasks(20, []int{10, 0}); err == nil {
+	if _, err := stackMasks(20, []int{10, 0}); err == nil {
 		t.Fatal("StackMasks accepted a zero-way group")
 	}
-	if _, err := cluster.StackMasks(20, []int{12, 8}); err == nil {
+	if _, err := stackMasks(20, []int{12, 8}); err == nil {
 		t.Fatal("StackMasks accepted group ways that leave no BE ways")
 	}
 }

@@ -46,16 +46,16 @@ func FuzzClusterAssign(f *testing.F) {
 			t.Fatalf("single: %v", err)
 		}
 		checkPlan(t, cfg, m, single)
-		if single.NumGroups() != 1 {
-			t.Fatalf("single plan has %d groups", single.NumGroups())
+		if len(single.Groups) != 1 {
+			t.Fatalf("single plan has %d groups", len(single.Groups))
 		}
 
 		// Per-app is allowed to refuse (budget too small), never to
 		// return a malformed plan.
 		if perApp, err := cluster.PerApp(cfg, specs); err == nil {
 			checkPlan(t, cfg, m, perApp)
-			if perApp.NumGroups() != m {
-				t.Fatalf("per-app plan has %d groups for %d apps", perApp.NumGroups(), m)
+			if len(perApp.Groups) != m {
+				t.Fatalf("per-app plan has %d groups for %d apps", len(perApp.Groups), m)
 			}
 		}
 

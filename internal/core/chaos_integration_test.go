@@ -58,7 +58,7 @@ func chaosRun(t *testing.T, sched chaos.Config, seed int64, periods int) (string
 		default:
 			t.Fatal(err)
 		}
-		fp += fmt.Sprintf("%d:%s:%d|", ctl.HPWays(), ctl.State(), ctl.Period())
+		fp += fmt.Sprintf("%d:%s:%d|", ctl.HPWays(), ctl.GroupState(0), ctl.Period())
 	}
 	return fp, sys.Stats()
 }

@@ -206,14 +206,6 @@ func (c *Controller) HPWays() int {
 	return n
 }
 
-// State returns group 0's state name — on the two-CLOS split, the
-// controller's.
-func (c *Controller) State() string { return c.groups[0].st.String() }
-
-// CTFavoured reports whether group 0 still assumes a CT-Favoured
-// workload (no bandwidth saturation observed so far).
-func (c *Controller) CTFavoured() bool { return c.groups[0].ctFavoured }
-
 // Specs returns the per-app planning view (current-phase curves and
 // optional upcoming-phase hints), nil on the two-CLOS split. It is live:
 // refresh it in place before Observe on periods where phases may have

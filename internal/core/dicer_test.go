@@ -12,6 +12,10 @@ import (
 	"dicer/internal/sim"
 )
 
+// CTFavoured reports whether group 0 still assumes a CT-Favoured
+// workload (no bandwidth saturation observed so far).
+func (c *Controller) CTFavoured() bool { return c.groups[0].ctFavoured }
+
 // fakeSystem is a scripted resctrl.System for controller unit tests: it
 // records every mask write and nothing else.
 type fakeSystem struct {
@@ -120,8 +124,8 @@ func TestSetupStartsLikeCT(t *testing.T) {
 	if !ctl.CTFavoured() {
 		t.Fatal("controller must start assuming CT-Favoured")
 	}
-	if ctl.State() != "optimise" {
-		t.Fatalf("initial state %q", ctl.State())
+	if ctl.GroupState(0) != "optimise" {
+		t.Fatalf("initial state %q", ctl.GroupState(0))
 	}
 }
 
@@ -171,8 +175,8 @@ func TestDegradedIPCResetsAndValidates(t *testing.T) {
 	if err := ctl.Observe(sys, obs(0.7, 5, 20)); err != nil { // -30%: reset
 		t.Fatal(err)
 	}
-	if ctl.State() != "validate" {
-		t.Fatalf("state %q, want validate", ctl.State())
+	if ctl.GroupState(0) != "validate" {
+		t.Fatalf("state %q, want validate", ctl.GroupState(0))
 	}
 	// CT-F reset re-applies the CT allocation.
 	if got := ctl.HPWays(); got != 19 {
@@ -182,8 +186,8 @@ func TestDegradedIPCResetsAndValidates(t *testing.T) {
 	if err := ctl.Observe(sys, obs(1.0, 5, 20)); err != nil {
 		t.Fatal(err)
 	}
-	if ctl.State() != "optimise" {
-		t.Fatalf("state %q after successful validation", ctl.State())
+	if ctl.GroupState(0) != "optimise" {
+		t.Fatalf("state %q after successful validation", ctl.GroupState(0))
 	}
 	if got := ctl.HPWays(); got != 19 {
 		t.Fatalf("validated allocation = %d, want 19", got)
@@ -203,8 +207,8 @@ func TestResetRollbackWhenNoImprovement(t *testing.T) {
 	if got := ctl.HPWays(); got != 18 {
 		t.Fatalf("rollback HP ways = %d, want 18", got)
 	}
-	if ctl.State() != "optimise" {
-		t.Fatalf("state %q after rollback", ctl.State())
+	if ctl.GroupState(0) != "optimise" {
+		t.Fatalf("state %q after rollback", ctl.GroupState(0))
 	}
 }
 
@@ -213,8 +217,8 @@ func TestSaturationTriggersSampling(t *testing.T) {
 	if err := ctl.Observe(sys, obs(0.8, 5, 60)); err != nil { // > 50 Gbps
 		t.Fatal(err)
 	}
-	if ctl.State() != "sampling" {
-		t.Fatalf("state %q, want sampling", ctl.State())
+	if ctl.GroupState(0) != "sampling" {
+		t.Fatalf("state %q, want sampling", ctl.GroupState(0))
 	}
 	if ctl.CTFavoured() {
 		t.Fatal("saturation must reclassify the workload as CT-Thwarted")
@@ -233,7 +237,7 @@ func TestSamplingPicksArgmax(t *testing.T) {
 	if err := ctl.Observe(sys, obs(ipcAt[19], 5, 60)); err != nil {
 		t.Fatal(err)
 	}
-	for ctl.State() == "sampling" {
+	for ctl.GroupState(0) == "sampling" {
 		cur := ctl.HPWays()
 		if err := ctl.Observe(sys, obs(ipcAt[cur], 5, 60)); err != nil {
 			t.Fatal(err)
@@ -256,8 +260,8 @@ func TestPhaseChangeDetection(t *testing.T) {
 	if err := ctl.Observe(sys, obs(1.0, 14, 24)); err != nil {
 		t.Fatal(err)
 	}
-	if ctl.State() != "validate" {
-		t.Fatalf("state %q, want validate (phase reset)", ctl.State())
+	if ctl.GroupState(0) != "validate" {
+		t.Fatalf("state %q, want validate (phase reset)", ctl.GroupState(0))
 	}
 	if got := ctl.HPWays(); got != 19 {
 		t.Fatalf("phase reset applied %d ways, want CT's 19 (was %d)", got, waysBefore)
@@ -284,7 +288,7 @@ func TestCTTResetRevertsToOptimal(t *testing.T) {
 	// Sampling: 19 (0.5) -> 13 (0.9) -> 7 (0.6) -> 1 (0.3); optimal 13.
 	ipcAt := map[int]float64{19: 0.5, 13: 0.9, 7: 0.6, 1: 0.3}
 	ctl.Observe(sys, obs(ipcAt[19], 5, 60))
-	for ctl.State() == "sampling" {
+	for ctl.GroupState(0) == "sampling" {
 		ctl.Observe(sys, obs(ipcAt[ctl.HPWays()], 5, 60))
 	}
 	if ctl.HPWays() != 13 {
@@ -294,8 +298,8 @@ func TestCTTResetRevertsToOptimal(t *testing.T) {
 	// stored optimal allocation (not CT's 19).
 	ctl.Observe(sys, obs(0.9, 5, 20)) // stable -> 12
 	ctl.Observe(sys, obs(0.6, 5, 20)) // worse -> reset
-	if ctl.State() != "validate" {
-		t.Fatalf("state %q, want validate", ctl.State())
+	if ctl.GroupState(0) != "validate" {
+		t.Fatalf("state %q, want validate", ctl.GroupState(0))
 	}
 	if got := ctl.HPWays(); got != 13 {
 		t.Fatalf("CT-T reset applied %d ways, want optimal 13", got)
@@ -304,8 +308,8 @@ func TestCTTResetRevertsToOptimal(t *testing.T) {
 	if err := ctl.Observe(sys, obs(0.88, 5, 20)); err != nil {
 		t.Fatal(err)
 	}
-	if ctl.State() != "optimise" {
-		t.Fatalf("state %q after near-opt validation", ctl.State())
+	if ctl.GroupState(0) != "optimise" {
+		t.Fatalf("state %q after near-opt validation", ctl.GroupState(0))
 	}
 }
 
@@ -313,7 +317,7 @@ func TestCTTResetResamplesWhenFarFromOpt(t *testing.T) {
 	ctl, sys := newCtl(t, func(c *Config) { c.SampleStep = 6 })
 	ipcAt := map[int]float64{19: 0.5, 13: 0.9, 7: 0.6, 1: 0.3}
 	ctl.Observe(sys, obs(ipcAt[19], 5, 60))
-	for ctl.State() == "sampling" {
+	for ctl.GroupState(0) == "sampling" {
 		ctl.Observe(sys, obs(ipcAt[ctl.HPWays()], 5, 60))
 	}
 	ctl.Observe(sys, obs(0.9, 5, 20)) // stable -> 12
@@ -323,8 +327,8 @@ func TestCTTResetResamplesWhenFarFromOpt(t *testing.T) {
 	if err := ctl.Observe(sys, obs(0.5, 5, 20)); err != nil {
 		t.Fatal(err)
 	}
-	if ctl.State() != "sampling" {
-		t.Fatalf("state %q, want sampling", ctl.State())
+	if ctl.GroupState(0) != "sampling" {
+		t.Fatalf("state %q, want sampling", ctl.GroupState(0))
 	}
 }
 
@@ -337,8 +341,8 @@ func TestValidateInterruptedBySaturation(t *testing.T) {
 	if err := ctl.Observe(sys, obs(0.7, 5, 60)); err != nil {
 		t.Fatal(err)
 	}
-	if ctl.State() != "sampling" {
-		t.Fatalf("state %q, want sampling", ctl.State())
+	if ctl.GroupState(0) != "sampling" {
+		t.Fatalf("state %q, want sampling", ctl.GroupState(0))
 	}
 }
 
@@ -380,7 +384,7 @@ func TestAblationDisableSaturation(t *testing.T) {
 	if err := ctl.Observe(sys, obs(1.0, 5, 60)); err != nil {
 		t.Fatal(err)
 	}
-	if ctl.State() == "sampling" {
+	if ctl.GroupState(0) == "sampling" {
 		t.Fatal("saturation handling disabled but sampling started")
 	}
 	if !ctl.CTFavoured() {
@@ -427,7 +431,7 @@ func TestSetupResetsState(t *testing.T) {
 	if err := ctl.Setup(sys); err != nil {
 		t.Fatal(err)
 	}
-	if !ctl.CTFavoured() || ctl.State() != "optimise" || ctl.HPWays() != 19 {
+	if !ctl.CTFavoured() || ctl.GroupState(0) != "optimise" || ctl.HPWays() != 19 {
 		t.Fatal("Setup did not reset controller state")
 	}
 }

@@ -135,8 +135,8 @@ func TestMultiM1Equivalence(t *testing.T) {
 		if split.HPWays() != multi.GroupWays(0) {
 			t.Fatalf("period %d: ways diverged: split %d, multi %d", i, split.HPWays(), multi.GroupWays(0))
 		}
-		if split.State() != multi.GroupState(0) {
-			t.Fatalf("period %d: state diverged: split %s, multi %s", i, split.State(), multi.GroupState(0))
+		if split.GroupState(0) != multi.GroupState(0) {
+			t.Fatalf("period %d: state diverged: split %s, multi %s", i, split.GroupState(0), multi.GroupState(0))
 		}
 	}
 

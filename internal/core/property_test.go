@@ -49,10 +49,10 @@ func TestPropertyHPWaysAlwaysBounded(t *testing.T) {
 				t.Fatalf("seed %d period %d: HP ways %d outside [%d,%d]",
 					seed, i, hp, cfg.MinHPWays, ways-cfg.MinBEWays)
 			}
-			switch ctl.State() {
+			switch ctl.GroupState(0) {
 			case "optimise", "sampling", "validate":
 			default:
-				t.Fatalf("seed %d period %d: unknown state %q", seed, i, ctl.State())
+				t.Fatalf("seed %d period %d: unknown state %q", seed, i, ctl.GroupState(0))
 			}
 			wantHP, wantBE := policy.HPMask(ways, hp), policy.BEMask(ways, hp)
 			if sys.CBM(policy.HPClos) != wantHP || sys.CBM(policy.BEClos) != wantBE {
@@ -129,7 +129,7 @@ func TestPropertyStableUnsaturatedNeverGrows(t *testing.T) {
 				t.Fatalf("ipc %v period %d: settled at %d ways, want MinHPWays %d",
 					ipc, i, hp, ctl.Config().MinHPWays)
 			}
-			if ctl.State() == "sampling" {
+			if ctl.GroupState(0) == "sampling" {
 				t.Fatalf("ipc %v period %d: sampling without saturation", ipc, i)
 			}
 			prev = hp
@@ -153,7 +153,7 @@ func TestPropertySamplingNeedsSaturation(t *testing.T) {
 			if err := ctl.Observe(sys, p); err != nil {
 				t.Fatal(err)
 			}
-			if ctl.State() == "sampling" {
+			if ctl.GroupState(0) == "sampling" {
 				t.Fatalf("seed %d period %d: entered sampling below the threshold", seed, i)
 			}
 		}

@@ -99,7 +99,7 @@ func TestSixtyFourWayCache(t *testing.T) {
 	}
 	// Run a full sampling pass; every mask must remain legal at width 64.
 	ctl.Observe(sys, obs(0.5, 5, 60))
-	for ctl.State() == "sampling" {
+	for ctl.GroupState(0) == "sampling" {
 		if err := ctl.Observe(sys, obs(0.5, 5, 60)); err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestNegativeBandwidthReading(t *testing.T) {
 	if err := ctl.Observe(sys, obs(1.0, -5, -5)); err != nil {
 		t.Fatal(err)
 	}
-	if ctl.State() == "sampling" {
+	if ctl.GroupState(0) == "sampling" {
 		t.Fatal("negative bandwidth must not look like saturation")
 	}
 }

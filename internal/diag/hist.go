@@ -99,9 +99,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count }
-
 // Mean returns the arithmetic mean (0 when empty).
 func (h *Histogram) Mean() float64 {
 	if h.count == 0 {
@@ -116,14 +113,6 @@ func (h *Histogram) Max() float64 {
 		return 0
 	}
 	return h.max
-}
-
-// Min returns the smallest observation (0 when empty).
-func (h *Histogram) Min() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1), interpolating

@@ -18,8 +18,8 @@ func TestHistogramQuantiles(t *testing.T) {
 		vals = append(vals, v)
 		h.Observe(v)
 	}
-	if h.Count() != 5000 {
-		t.Fatalf("count = %d, want 5000", h.Count())
+	if h.count != 5000 {
+		t.Fatalf("count = %d, want 5000", h.count)
 	}
 	exact := func(q float64) float64 {
 		s := append([]float64(nil), vals...)
@@ -36,8 +36,8 @@ func TestHistogramQuantiles(t *testing.T) {
 			t.Errorf("q%.2f = %g, exact %g (rel err %.3f)", q, got, want, rel)
 		}
 	}
-	if got := h.Quantile(0); got != h.Min() {
-		t.Errorf("q0 = %g, want min %g", got, h.Min())
+	if got := h.Quantile(0); got != h.min {
+		t.Errorf("q0 = %g, want min %g", got, h.min)
 	}
 	if got := h.Quantile(1); got != h.Max() {
 		t.Errorf("q1 = %g, want max %g", got, h.Max())
@@ -52,14 +52,14 @@ func TestHistogramEdges(t *testing.T) {
 	// Underflow and overflow both count and stay within min/max clamps.
 	h.Observe(0.001)
 	h.Observe(1e6)
-	if h.Count() != 2 {
-		t.Fatalf("count = %d", h.Count())
+	if h.count != 2 {
+		t.Fatalf("count = %d", h.count)
 	}
-	if q := h.Quantile(0.99); q > h.Max() || q < h.Min() {
-		t.Errorf("quantile %g outside [min,max]=[%g,%g]", q, h.Min(), h.Max())
+	if q := h.Quantile(0.99); q > h.Max() || q < h.min {
+		t.Errorf("quantile %g outside [min,max]=[%g,%g]", q, h.min, h.Max())
 	}
-	if h.Max() != 1e6 || h.Min() != 0.001 {
-		t.Errorf("min/max = %g/%g", h.Min(), h.Max())
+	if h.Max() != 1e6 || h.min != 0.001 {
+		t.Errorf("min/max = %g/%g", h.min, h.Max())
 	}
 
 	for _, bad := range []func(){

@@ -289,17 +289,10 @@ func (m *Monitor) Records() int {
 	return m.periods
 }
 
-// Firing reports whether the SLO burn-rate alert is currently firing —
-// the /healthz degradation signal.
-func (m *Monitor) Firing() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.burn.alerter.Firing()
-}
-
-// Degraded is Firing with the reason attached: since when the alert has
-// fired and how hot the burn rates run, so a 503 body says what is
-// wrong instead of just that something is.
+// Degraded reports whether the SLO burn-rate alert is firing — the
+// /healthz degradation signal — with the reason attached: since when the
+// alert has fired and how hot the burn rates run, so a 503 body says
+// what is wrong instead of just that something is.
 func (m *Monitor) Degraded() (bool, string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"dicer/internal/app"
 	"dicer/internal/box"
@@ -21,6 +20,7 @@ import (
 	"dicer/internal/machine"
 	"dicer/internal/metrics"
 	"dicer/internal/obs"
+	"dicer/internal/par"
 	"dicer/internal/policy"
 	"dicer/internal/sim"
 )
@@ -152,53 +152,17 @@ func (r Result) SUCI(slo, lambda float64) float64 {
 	return metrics.SUCI(r.SLOAchieved(slo), r.EFU(), lambda)
 }
 
-// memoShards spreads the Suite's run memo over independently locked
-// shards so RunMany workers don't serialise on one mutex. 16 comfortably
-// exceeds any realistic worker count while keeping the footprint trivial.
-const memoShards = 16
-
-// runEntry is the singleflight cell for co-located runs, built like the
-// cells of sim.AloneTable so that a warm lookup allocates nothing.
-type runEntry struct {
-	done atomic.Bool
-	mu   sync.Mutex
-	res  Result
-	err  error
-}
-
-type memoShard struct {
-	mu sync.Mutex
-	m  map[runKey]*runEntry
-}
-
-// entry returns the cell for key, creating it if absent. Only the map
-// access is under the shard lock; the compute runs under the cell's own
-// lock, so distinct keys never contend. Warm lookups allocate nothing:
-// the key is a value type and the cell is boxed once, on first miss.
-func (s *memoShard) entry(key runKey) *runEntry {
-	s.mu.Lock()
-	v, ok := s.m[key]
-	if !ok {
-		if s.m == nil {
-			s.m = map[runKey]*runEntry{}
-		}
-		v = new(runEntry)
-		s.m[key] = v
-	}
-	s.mu.Unlock()
-	return v
-}
-
 // Suite memoises co-located runs for one configuration, and its one
 // alone-run table serves every run, fleet cell and hypothesis replicate
-// it drives. It is safe for concurrent use: the run memo is sharded by
-// key hash, each entry is computed exactly once (singleflight), and
-// simulation state is pooled and reset between runs.
+// it drives. It is safe for concurrent use: each memo entry is computed
+// exactly once (singleflight), and simulation state is pooled and reset
+// between runs.
 type Suite struct {
 	cfg Config
 
 	alone *sim.AloneTable
-	runSh [memoShards]memoShard
+	runMu sync.Mutex
+	runs  map[runKey]*par.Once[Result]
 
 	ctxs sync.Pool // *runCtx, reset before reuse
 
@@ -210,26 +174,6 @@ type runKey struct {
 	w       Workload
 	policy  PolicyName
 	horizon int
-}
-
-// fnv1a accumulates FNV-1a over a string, for shard selection.
-func fnv1a(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-const fnvOffset = 14695981039346656037
-
-func (k runKey) shard() int {
-	h := fnv1a(fnvOffset, k.w.HP)
-	h = fnv1a(h, k.w.BE)
-	h = fnv1a(h, string(k.policy))
-	h ^= uint64(k.w.BECount)<<32 | uint64(uint32(k.horizon))
-	h *= 1099511628211
-	return int(h % memoShards)
 }
 
 // NewSuite creates a Suite for cfg.
@@ -248,6 +192,7 @@ func NewSuite(cfg Config) (*Suite, error) {
 		cfg: cfg,
 		alone: sim.NewAloneTable(cfg.Machine, cfg.HorizonPeriods*cfg.StepsPerPeriod,
 			cfg.PeriodSec/float64(cfg.StepsPerPeriod), cfg.ReferenceSolver),
+		runs:  map[runKey]*par.Once[Result]{},
 		class: map[int]*Classification{},
 	}, nil
 }
@@ -349,16 +294,14 @@ func (s *Suite) AloneIPCWays(name string, ways int) (float64, error) {
 // given horizon in periods.
 func (s *Suite) Run(w Workload, pol PolicyName, horizon int) (Result, error) {
 	key := runKey{w, pol, horizon}
-	e := s.runSh[key.shard()].entry(key)
-	if !e.done.Load() {
-		e.mu.Lock()
-		if !e.done.Load() {
-			e.res, e.err = s.runUncached(w, pol, horizon)
-			e.done.Store(true)
-		}
-		e.mu.Unlock()
+	s.runMu.Lock()
+	c := s.runs[key]
+	if c == nil {
+		c = new(par.Once[Result])
+		s.runs[key] = c
 	}
-	return e.res, e.err
+	s.runMu.Unlock()
+	return c.Do(func() (Result, error) { return s.runUncached(w, pol, horizon) })
 }
 
 // StaticRun executes one workload under an arbitrary static partition with

@@ -5,7 +5,21 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"dicer/internal/app"
 )
+
+// Counts returns the number of CT-F and CT-T workloads.
+func (c *Classification) Counts() (ctf, ctt int) {
+	for _, cl := range c.Class {
+		if cl == CTFavoured {
+			ctf++
+		} else {
+			ctt++
+		}
+	}
+	return ctf, ctt
+}
 
 func fastConfig() Config {
 	cfg := DefaultConfig()
@@ -348,8 +362,8 @@ func TestShapeClassificationAndSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sample) != SampleTotal {
-		t.Fatalf("sample size %d, want %d", len(sample), SampleTotal)
+	if len(sample) != SampleCTF+SampleCTT {
+		t.Fatalf("sample size %d, want %d", len(sample), SampleCTF+SampleCTT)
 	}
 	var nf, nt int
 	seen := map[Workload]bool{}
@@ -486,7 +500,7 @@ func TestShapeGridFigures678(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f5.Rows) != SampleTotal {
+	if len(f5.Rows) != SampleCTF+SampleCTT {
 		t.Fatalf("figure 5 rows = %d", len(f5.Rows))
 	}
 	// CT-F rows come first.
@@ -547,7 +561,7 @@ func TestPaperFig5WorkloadsResolve(t *testing.T) {
 		t.Fatalf("only %d paper pairs transcribed", len(paper))
 	}
 	names := map[string]bool{}
-	for _, n := range catalogNames() {
+	for _, n := range app.Names() {
 		names[n] = true
 	}
 	seen := map[Workload]bool{}

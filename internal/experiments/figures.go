@@ -7,9 +7,6 @@ import (
 	"dicer/internal/metrics"
 )
 
-// catalogNames returns the 59 catalog application names in sorted order.
-func catalogNames() []string { return app.Names() }
-
 // ---------------------------------------------------------------------------
 // Figure 1 — cumulative distribution of HP slowdown under UM and CT with
 // 9 co-located BEs, over all 3481 catalog pairs.
@@ -70,7 +67,7 @@ type Figure2Result struct {
 // Figure2 reproduces the paper's Figure 2.
 func (s *Suite) Figure2() (Figure2Result, error) {
 	ways := s.cfg.Machine.LLCWays
-	names := catalogNames()
+	names := app.Names()
 	res := Figure2Result{
 		Ways:    ways,
 		Targets: Fig2Targets,

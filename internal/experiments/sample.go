@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"sort"
+
+	"dicer/internal/app"
 )
 
 // WorkloadClass labels a multiprogrammed workload by CT's effect on the HP
@@ -30,7 +32,7 @@ type Classification struct {
 // Pairs returns every (HP, BE) workload over the catalog at the given BE
 // count — the paper's 59×59 = 3481 multiprogrammed workloads.
 func Pairs(beCount int) []Workload {
-	names := catalogNames()
+	names := app.Names()
 	out := make([]Workload, 0, len(names)*len(names))
 	for _, hp := range names {
 		for _, be := range names {
@@ -90,24 +92,11 @@ func (s *Suite) Classify(beCount int) (*Classification, error) {
 	return c, nil
 }
 
-// Counts returns the number of CT-F and CT-T workloads.
-func (c *Classification) Counts() (ctf, ctt int) {
-	for _, cl := range c.Class {
-		if cl == CTFavoured {
-			ctf++
-		} else {
-			ctt++
-		}
-	}
-	return ctf, ctt
-}
-
 // Sample sizes used throughout the paper's evaluation (§4.1): 120
 // representative workloads, 50 CT-Favoured and 70 CT-Thwarted.
 const (
-	SampleCTF   = 50
-	SampleCTT   = 70
-	SampleTotal = SampleCTF + SampleCTT
+	SampleCTF = 50
+	SampleCTT = 70
 )
 
 // SampledWorkload pairs a workload with its class for reporting.

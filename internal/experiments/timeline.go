@@ -79,15 +79,6 @@ func (tl *Timeline) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// HPWaysSeries returns the HP allocation over time, for quick plotting.
-func (tl *Timeline) HPWaysSeries() []float64 {
-	out := make([]float64, len(tl.Entries))
-	for i, e := range tl.Entries {
-		out[i] = float64(e.HPWays)
-	}
-	return out
-}
-
 // MinMaxHPWays returns the smallest and largest HP allocation seen.
 func (tl *Timeline) MinMaxHPWays() (min, max int) {
 	if len(tl.Entries) == 0 {

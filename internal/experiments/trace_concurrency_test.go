@@ -74,10 +74,11 @@ func TestRunManyWithLiveTracing(t *testing.T) {
 		t.Fatalf("%d trace sinks created, want one per uncached run (%d)", len(rings), len(jobs))
 	}
 	for key, ring := range rings {
-		if ring.Len() != horizon {
-			t.Errorf("%s: ring saw %d records, want %d", key, ring.Len(), horizon)
+		recs := ring.Snapshot()
+		if len(recs) != horizon {
+			t.Errorf("%s: ring saw %d records, want %d", key, len(recs), horizon)
 		}
-		for _, r := range ring.Snapshot() {
+		for _, r := range recs {
 			if r.Err != "" || r.Guard != "" {
 				t.Errorf("%s period %d: unexpected annotation %+v", key, r.Period, r)
 			}

@@ -69,12 +69,6 @@ func NewHeracles(refIPCAlone, slo float64) (*Heracles, error) {
 // Name implements policy.Policy.
 func (h *Heracles) Name() string { return "Heracles" }
 
-// HPWays returns the current HP partition size.
-func (h *Heracles) HPWays() int { return h.curHP }
-
-// ParkedBEs returns the number of parked best-effort cores.
-func (h *Heracles) ParkedBEs() int { return len(h.parked) }
-
 // Setup implements policy.Policy: like DICER, start conservatively with
 // the largest HP partition.
 func (h *Heracles) Setup(sys resctrl.System) error {

@@ -37,8 +37,8 @@ func TestHeraclesStartsConservative(t *testing.T) {
 	if err := h.Setup(emu); err != nil {
 		t.Fatal(err)
 	}
-	if h.HPWays() != 19 {
-		t.Fatalf("initial HP ways %d", h.HPWays())
+	if h.curHP != 19 {
+		t.Fatalf("initial HP ways %d", h.curHP)
 	}
 }
 
@@ -57,10 +57,10 @@ func TestHeraclesGrowsOnNegativeSlack(t *testing.T) {
 	if err := h.Observe(emu, p); err != nil {
 		t.Fatal(err)
 	}
-	if h.HPWays() != 12 {
-		t.Fatalf("HP ways %d after violation, want 12", h.HPWays())
+	if h.curHP != 12 {
+		t.Fatalf("HP ways %d after violation, want 12", h.curHP)
 	}
-	if h.ParkedBEs() != 0 {
+	if len(h.parked) != 0 {
 		t.Fatal("mild violation should not park BEs")
 	}
 }
@@ -76,19 +76,19 @@ func TestHeraclesParksOnDeepViolation(t *testing.T) {
 	if err := h.Observe(emu, p); err != nil {
 		t.Fatal(err)
 	}
-	if h.ParkedBEs() != 3 {
-		t.Fatalf("parked %d BEs, want all 3", h.ParkedBEs())
+	if len(h.parked) != 3 {
+		t.Fatalf("parked %d BEs, want all 3", len(h.parked))
 	}
-	if h.HPWays() != 19 {
-		t.Fatalf("HP ways %d after deep violation", h.HPWays())
+	if h.curHP != 19 {
+		t.Fatalf("HP ways %d after deep violation", h.curHP)
 	}
 	// Recovery: healthy slack unparks one BE per period.
 	healthy := resctrl.Period{Cores: []resctrl.PeriodCore{{Core: 0, Clos: policy.HPClos, IPC: 1.05}}}
 	if err := h.Observe(emu, healthy); err != nil {
 		t.Fatal(err)
 	}
-	if h.ParkedBEs() != 2 {
-		t.Fatalf("parked %d after recovery period, want 2", h.ParkedBEs())
+	if len(h.parked) != 2 {
+		t.Fatalf("parked %d after recovery period, want 2", len(h.parked))
 	}
 }
 
@@ -103,8 +103,8 @@ func TestHeraclesShrinksOnSlackSurplus(t *testing.T) {
 	if err := h.Observe(emu, p); err != nil {
 		t.Fatal(err)
 	}
-	if h.HPWays() != 18 {
-		t.Fatalf("HP ways %d, want 18", h.HPWays())
+	if h.curHP != 18 {
+		t.Fatalf("HP ways %d, want 18", h.curHP)
 	}
 }
 

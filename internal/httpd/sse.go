@@ -48,22 +48,6 @@ func (s *EventStream) Publish(event, data string) {
 	s.mu.Unlock()
 }
 
-// Subscribers reports the number of connected clients.
-func (s *EventStream) Subscribers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.subs)
-}
-
-// Dropped reports the lifetime count of events discarded because a
-// subscriber's buffer was full — the operator's signal that a client
-// is reading too slowly to be trusted as a complete event log.
-func (s *EventStream) Dropped() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
-
 // WriteProm renders the broker's counters as Prometheus text; the serve
 // modes append it to their /metrics output.
 func (s *EventStream) WriteProm(w io.Writer) {

@@ -11,6 +11,13 @@ import (
 	"time"
 )
 
+// Subscribers reports the number of connected clients.
+func (s *EventStream) Subscribers() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.subs)
+}
+
 func TestEventStreamDelivers(t *testing.T) {
 	es := NewEventStream()
 	srv := httptest.NewServer(es)

@@ -389,13 +389,3 @@ func ByName(name string) (Hypothesis, error) {
 	}
 	return Hypothesis{}, fmt.Errorf("hypo: unknown hypothesis %q (see Registered)", name)
 }
-
-// Names lists the registry slugs in order.
-func Names() []string {
-	regs := Registered()
-	out := make([]string, len(regs))
-	for i, h := range regs {
-		out[i] = h.Name
-	}
-	return out
-}

@@ -87,9 +87,6 @@ func NewChecker(cfg core.Config) *Checker {
 // Checks returns the number of Check calls made.
 func (k *Checker) Checks() int { return k.checks }
 
-// Violations returns the cumulative number of violations observed.
-func (k *Checker) Violations() int { return k.violations }
-
 // validStates are the controller state names the sampling state machine
 // may report.
 var validStates = map[string]bool{

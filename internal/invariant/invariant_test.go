@@ -84,8 +84,8 @@ func TestCleanRunHasNoViolations(t *testing.T) {
 			t.Fatalf("step %d: %v", i, err)
 		}
 	}
-	if k.Checks() != len(seq) || k.Violations() != 0 {
-		t.Fatalf("checks=%d violations=%d", k.Checks(), k.Violations())
+	if k.Checks() != len(seq) || k.violations != 0 {
+		t.Fatalf("checks=%d violations=%d", k.Checks(), k.violations)
 	}
 }
 
@@ -186,8 +186,8 @@ func TestGuardPassesCleanPolicy(t *testing.T) {
 			t.Fatalf("step %d: %v", i, err)
 		}
 	}
-	if g.Checker().Violations() != 0 {
-		t.Fatalf("violations %d", g.Checker().Violations())
+	if g.Checker().violations != 0 {
+		t.Fatalf("violations %d", g.Checker().violations)
 	}
 }
 
@@ -317,7 +317,7 @@ func TestGuardGroupedControllerClean(t *testing.T) {
 			t.Fatalf("period %d: %v", i, err)
 		}
 	}
-	if got := g.Checker().Violations(); got != 0 {
+	if got := g.Checker().violations; got != 0 {
 		t.Fatalf("%d violations on a clean grouped run", got)
 	}
 	if ctl.Period() != len(seq) {

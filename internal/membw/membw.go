@@ -18,10 +18,7 @@
 // that with a monotone bisection that is guaranteed to converge.
 package membw
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Link describes a memory link.
 type Link struct {
@@ -123,12 +120,4 @@ func BytesToGbps(bytes, seconds float64) float64 {
 		return 0
 	}
 	return bytes * 8 / seconds / 1e9
-}
-
-// Utilisation is a helper guarding against division by zero.
-func Utilisation(totalGbps, capacityGbps float64) float64 {
-	if capacityGbps <= 0 {
-		return math.Inf(1)
-	}
-	return totalGbps / capacityGbps
 }

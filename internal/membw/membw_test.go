@@ -127,15 +127,6 @@ func TestBytesGbpsConversions(t *testing.T) {
 	}
 }
 
-func TestUtilisation(t *testing.T) {
-	if got := Utilisation(34.15, 68.3); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("utilisation = %g, want 0.5", got)
-	}
-	if got := Utilisation(10, 0); !math.IsInf(got, 1) {
-		t.Fatalf("zero-capacity utilisation = %g, want +Inf", got)
-	}
-}
-
 func BenchmarkSolve(b *testing.B) {
 	l := DefaultLink()
 	demand := func(f float64) float64 { return 120 / f }

@@ -151,6 +151,3 @@ func (c CDF) Quantile(q float64) float64 {
 	}
 	return c.sorted[i]
 }
-
-// Len returns the sample size.
-func (c CDF) Len() int { return len(c.sorted) }

@@ -168,7 +168,7 @@ func TestCDF(t *testing.T) {
 			t.Fatalf("CDF(%g) = %g, want %g", tc.x, got, tc.want)
 		}
 	}
-	if c.Len() != 4 {
+	if len(c.sorted) != 4 {
 		t.Fatal("len")
 	}
 	if got := NewCDF(nil).At(1); got != 0 {

@@ -134,13 +134,6 @@ func (c Curve) Footprint() float64 {
 // StreamFraction returns the fraction of accesses that always miss.
 func (c Curve) StreamFraction() float64 { return c.stream }
 
-// Components returns a copy of the working-set mixture, hottest first.
-func (c Curve) Components() []Component {
-	out := make([]Component, len(c.comps))
-	copy(out, c.comps)
-	return out
-}
-
 // OccupancyDemand returns the bytes the application would keep resident if
 // offered capacityBytes: the prefix of its working sets that fits. This is
 // what a CMT counter converges to for an isolated partition.

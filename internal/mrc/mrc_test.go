@@ -95,7 +95,7 @@ func TestComponentsSortedHottestFirst(t *testing.T) {
 	c := MustCurve(0,
 		Component{Bytes: 8 * mb, Frac: 0.1},
 		Component{Bytes: mb, Frac: 0.5})
-	comps := c.Components()
+	comps := c.comps
 	if len(comps) != 2 || comps[0].Bytes != mb {
 		t.Fatalf("components not sorted hottest-first: %+v", comps)
 	}

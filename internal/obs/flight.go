@@ -40,9 +40,6 @@ func (g *FlightRing[T]) Push(v T) {
 	}
 }
 
-// Len returns the number of values currently held.
-func (g *FlightRing[T]) Len() int { return g.n }
-
 // Snapshot appends the held values oldest-first to dst and returns the
 // extended slice. Values are shallow copies: callers that need isolation
 // from future pushes own the returned slice, but any reference fields
@@ -56,13 +53,4 @@ func (g *FlightRing[T]) Snapshot(dst []T) []T {
 		dst = append(dst, g.slots[(start+i)%len(g.slots)])
 	}
 	return dst
-}
-
-// Reset empties the ring without releasing its slots.
-func (g *FlightRing[T]) Reset() {
-	var zero T
-	for i := range g.slots {
-		g.slots[i] = zero
-	}
-	g.pos, g.n = 0, 0
 }

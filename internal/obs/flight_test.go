@@ -7,24 +7,24 @@ import (
 )
 
 // TestFlightRingWraparound exercises the generic ring through several
-// full wraps: ordering stays oldest-first, eviction keeps exactly the
-// last capacity values, and Reset restarts it empty.
+// full wraps: ordering stays oldest-first, and eviction keeps exactly the
+// last capacity values.
 func TestFlightRingWraparound(t *testing.T) {
 	r := NewFlightRing[int](5)
-	if r.Len() != 0 || len(r.Snapshot(nil)) != 0 {
-		t.Fatalf("fresh ring: len=%d", r.Len())
+	if r.n != 0 || len(r.Snapshot(nil)) != 0 {
+		t.Fatalf("fresh ring: len=%d", r.n)
 	}
 	for i := 0; i < 3; i++ {
 		r.Push(i)
 	}
-	if got := r.Snapshot(nil); r.Len() != 3 || len(got) != 3 || got[0] != 0 || got[2] != 2 {
-		t.Fatalf("partial ring: len=%d snapshot %v", r.Len(), got)
+	if got := r.Snapshot(nil); r.n != 3 || len(got) != 3 || got[0] != 0 || got[2] != 2 {
+		t.Fatalf("partial ring: len=%d snapshot %v", r.n, got)
 	}
 	for i := 3; i < 23; i++ {
 		r.Push(i)
 	}
-	if r.Len() != 5 {
-		t.Fatalf("wrapped ring: len=%d, want its capacity 5", r.Len())
+	if r.n != 5 {
+		t.Fatalf("wrapped ring: len=%d, want its capacity 5", r.n)
 	}
 	got := r.Snapshot(nil)
 	for i, v := range got {
@@ -36,14 +36,6 @@ func TestFlightRingWraparound(t *testing.T) {
 	pre := []int{-1}
 	if got := r.Snapshot(pre); len(got) != 6 || got[0] != -1 || got[1] != 18 {
 		t.Fatalf("appending snapshot = %v", got)
-	}
-	r.Reset()
-	if r.Len() != 0 || len(r.Snapshot(nil)) != 0 {
-		t.Fatalf("reset ring not empty: len=%d", r.Len())
-	}
-	r.Push(7)
-	if got := r.Snapshot(nil); len(got) != 1 || got[0] != 7 {
-		t.Fatalf("push after reset: snapshot %v, want [7]", got)
 	}
 }
 

@@ -74,14 +74,14 @@ func last(t *testing.T, g *Ring) Record {
 
 func TestRingEvictionAndSnapshot(t *testing.T) {
 	g := NewRing(3)
-	if g.Len() != 0 || len(g.Snapshot()) != 0 {
-		t.Fatalf("fresh ring holds %d records", g.Len())
+	if len(g.Snapshot()) != 0 {
+		t.Fatalf("fresh ring holds %d records", len(g.Snapshot()))
 	}
 	for i := 0; i < 5; i++ {
 		g.Emit(&Record{Period: i})
 	}
-	if g.Len() != 3 {
-		t.Fatalf("Len=%d, want 3", g.Len())
+	if len(g.Snapshot()) != 3 {
+		t.Fatalf("Len=%d, want 3", len(g.Snapshot()))
 	}
 	snap := g.Snapshot()
 	if len(snap) != 3 {
@@ -183,8 +183,8 @@ func TestMultiSinkFanOutAndStart(t *testing.T) {
 	if err := jl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if ring.Len() != 1 {
-		t.Fatalf("ring got %d records, want 1", ring.Len())
+	if len(ring.Snapshot()) != 1 {
+		t.Fatalf("ring got %d records, want 1", len(ring.Snapshot()))
 	}
 	if got := last(t, ring); got.Period != 7 {
 		t.Fatalf("ring record period = %d, want 7", got.Period)
@@ -300,8 +300,8 @@ func TestRecorderCapturesPeriods(t *testing.T) {
 		}
 		rec.EndPeriod(i, p, sys, nil)
 
-		if ring.Len() != i+1 {
-			t.Fatalf("period %d: ring holds %d records", i, ring.Len())
+		if len(ring.Snapshot()) != i+1 {
+			t.Fatalf("period %d: ring holds %d records", i, len(ring.Snapshot()))
 		}
 		r := last(t, ring)
 		if r.Period != i || r.TimeSec != float64(i+1) {
@@ -321,7 +321,7 @@ func TestRecorderCapturesPeriods(t *testing.T) {
 		if g.Group != 0 || g.IPC != ipcs[i] || g.BWGbps != 5 {
 			t.Fatalf("period %d: group inputs diverged: %+v", i, g)
 		}
-		if g.State != ctl.State() || g.Ways != ctl.HPWays() || r.HPWays != ctl.HPWays() {
+		if g.State != ctl.GroupState(0) || g.Ways != ctl.HPWays() || r.HPWays != ctl.HPWays() {
 			t.Fatalf("period %d: state/ways diverged from controller", i)
 		}
 		if r.HPMask != sys.CBM(policy.HPClos) || g.Mask != r.HPMask || r.BEMask != sys.CBM(policy.BEClos) {
@@ -339,8 +339,8 @@ func TestRecorderCapturesPeriods(t *testing.T) {
 			t.Fatalf("period %d: clean run carried annotations: %+v", i, r)
 		}
 	}
-	if ring.Len() != len(ipcs) {
-		t.Fatalf("emitted %d records, want %d", ring.Len(), len(ipcs))
+	if len(ring.Snapshot()) != len(ipcs) {
+		t.Fatalf("emitted %d records, want %d", len(ring.Snapshot()), len(ipcs))
 	}
 }
 

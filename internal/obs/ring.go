@@ -70,13 +70,6 @@ func (g *Ring) growGroups(k int) {
 	}
 }
 
-// Len returns the number of records currently held.
-func (g *Ring) Len() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.n
-}
-
 // Snapshot returns the held records oldest-first as copies that share
 // nothing the ring writes again, safe to serialise while it keeps
 // filling.

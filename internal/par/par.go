@@ -1,13 +1,13 @@
-// Package par implements the repo's parallel executor: a sharded
-// work-stealing pool over an index space. It is a leaf package — no
-// internal dependencies — so every layer can use it: the experiment
-// engine fans cells out through it, internal/hypo replicates seeds
-// across it, and the fleet
-// layer batches node stepping through it. Parallelism stays bounded in
-// exactly one place per caller and output ordering is deterministic by
-// construction: workers write results into caller-owned,
-// index-addressed slots, so the result of job i lands in slot i no
-// matter which worker ran it or when.
+// Package par implements the repo's parallel executor, a sharded
+// work-stealing pool over an index space, and Once, the compute-once
+// cell of the Suite's run memo and sim.AloneTable. It is a leaf
+// package — no internal dependencies — so every layer can use it: the
+// experiment engine fans cells out through it, internal/hypo replicates
+// seeds across it, and the fleet layer batches node stepping through it.
+// Parallelism stays bounded in exactly one place per caller and output
+// ordering is deterministic by construction: workers write results into
+// caller-owned, index-addressed slots, so the result of job i lands in
+// slot i no matter which worker ran it or when.
 //
 // The index space [0, n) is split into one contiguous shard per worker.
 // Each worker drains its own shard through an atomic cursor, then

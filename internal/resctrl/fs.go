@@ -3,7 +3,6 @@ package resctrl
 import (
 	"fmt"
 	"path"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -29,8 +28,7 @@ import (
 //	/<group>/...                 same files for created groups
 //
 // Group directories map to CLOS ids in creation order: the root is CLOS 0,
-// the first Mkdir gets CLOS 1, and so on. Removing a group resets its mask
-// to the full mask and frees the CLOS for reuse, as the kernel does.
+// the first Mkdir gets CLOS 1, and so on.
 type FS struct {
 	sys    System
 	groups map[string]int // group name -> clos ("" is the root)
@@ -52,7 +50,7 @@ func (f *FS) fullMask() uint64 {
 
 // Mkdir creates a control group backed by the lowest free CLOS.
 func (f *FS) Mkdir(p string) error {
-	name, err := f.groupName(p, false)
+	name, err := f.groupName(p)
 	if err != nil {
 		return err
 	}
@@ -73,59 +71,6 @@ func (f *FS) Mkdir(p string) error {
 		}
 	}
 	return fmt.Errorf("resctrl: out of CLOS ids (%d)", f.sys.NumClos())
-}
-
-// Rmdir removes a control group, resetting its CLOS to the full mask.
-func (f *FS) Rmdir(p string) error {
-	name, err := f.groupName(p, false)
-	if err != nil {
-		return err
-	}
-	if name == "" {
-		return fmt.Errorf("resctrl: cannot remove root")
-	}
-	clos, ok := f.groups[name]
-	if !ok {
-		return fmt.Errorf("resctrl: no group %q", name)
-	}
-	if err := f.sys.SetCBM(clos, f.fullMask()); err != nil {
-		return err
-	}
-	delete(f.groups, name)
-	return nil
-}
-
-// List returns the directory entries at p.
-func (f *FS) List(p string) ([]string, error) {
-	clean := path.Clean("/" + p)
-	switch clean {
-	case "/":
-		out := []string{"cpus_list", "info", "mon_data", "schemata"}
-		var names []string
-		for name := range f.groups {
-			if name != "" {
-				names = append(names, name)
-			}
-		}
-		sort.Strings(names)
-		return append(out, names...), nil
-	case "/info":
-		return []string{"L3"}, nil
-	case "/info/L3":
-		return []string{"cbm_mask", "min_cbm_bits", "num_closids"}, nil
-	}
-	if name, err := f.groupName(clean, true); err == nil {
-		if _, ok := f.groups[name]; ok {
-			return []string{"cpus_list", "mon_data", "schemata"}, nil
-		}
-	}
-	if strings.HasSuffix(clean, "/mon_data") || strings.HasSuffix(clean, "/mon_data/mon_L3_00") {
-		if strings.HasSuffix(clean, "/mon_data") {
-			return []string{"mon_L3_00"}, nil
-		}
-		return []string{"llc_occupancy", "mbm_total_bytes"}, nil
-	}
-	return nil, fmt.Errorf("resctrl: no directory %q", p)
 }
 
 // ReadFile returns the contents of the file at p, newline-terminated like
@@ -226,16 +171,14 @@ func (f *FS) WriteFile(p, data string) error {
 	return nil
 }
 
-// groupName extracts the group component from a path like "/hp" or "/".
-func (f *FS) groupName(p string, allowNested bool) (string, error) {
+// groupName extracts the group name from a path like "/hp", or "" for
+// "/".
+func (f *FS) groupName(p string) (string, error) {
 	clean := strings.Trim(path.Clean("/"+p), "/")
-	if clean == "" {
-		return "", nil
-	}
-	if strings.Contains(clean, "/") && !allowNested {
+	if strings.Contains(clean, "/") {
 		return "", fmt.Errorf("resctrl: nested groups are not supported (%q)", p)
 	}
-	return strings.Split(clean, "/")[0], nil
+	return clean, nil
 }
 
 // splitGroupFile splits "/hp/schemata" into ("hp", "schemata") and

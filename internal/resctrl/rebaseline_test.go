@@ -105,10 +105,10 @@ func TestMeterSampleByID(t *testing.T) {
 				}
 			}
 			baseBytes := map[int]float64{}
-			for _, g := range r.Snapshot().Clos {
+			snap0 := r.Snapshot()
+			for _, g := range snap0.Clos {
 				baseBytes[g.Clos] = g.MemBytes
 			}
-			t0 := r.Time()
 
 			if err := tc.change(r); err != nil {
 				t.Fatal(err)
@@ -117,12 +117,12 @@ func TestMeterSampleByID(t *testing.T) {
 				r.Step(0.25)
 			}
 			got := meter.Sample()
-			dt := r.Time() - t0
+			snap := r.Snapshot()
+			dt := snap.Time - snap0.Time
 			if got.Seconds != dt {
 				t.Fatalf("period of %g s, want %g", got.Seconds, dt)
 			}
 
-			snap := r.Snapshot()
 			if len(got.Cores) != len(snap.Cores) {
 				t.Fatalf("%d cores in the period, want %d", len(got.Cores), len(snap.Cores))
 			}

@@ -268,32 +268,6 @@ func TestFSMkdirAssignsClos(t *testing.T) {
 	}
 }
 
-func TestFSRmdirResetsMask(t *testing.T) {
-	fs, e := testFS(t)
-	if err := fs.Mkdir("/be"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.WriteFile("/be/schemata", "L3:0=00001"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Rmdir("/be"); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.CBM(1); got != 0xfffff {
-		t.Fatalf("mask after rmdir = %#x, want full", got)
-	}
-	if err := fs.Rmdir("/be"); err == nil {
-		t.Fatal("expected error removing twice")
-	}
-	if err := fs.Rmdir("/"); err == nil {
-		t.Fatal("expected error removing root")
-	}
-	// CLOS 1 is free again.
-	if err := fs.Mkdir("/again"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFSSchemataReadWrite(t *testing.T) {
 	fs, e := testFS(t)
 	if err := fs.WriteFile("/schemata", "L3:0=ffffe"); err != nil {
@@ -360,42 +334,6 @@ func TestFSCpusList(t *testing.T) {
 	}
 	if strings.TrimSpace(cpus) != "0" {
 		t.Fatalf("root cpus_list = %q, want 0", cpus)
-	}
-}
-
-func TestFSList(t *testing.T) {
-	fs, _ := testFS(t)
-	if err := fs.Mkdir("/be"); err != nil {
-		t.Fatal(err)
-	}
-	root, err := fs.List("/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	joined := strings.Join(root, ",")
-	for _, want := range []string{"schemata", "info", "mon_data", "be"} {
-		if !strings.Contains(joined, want) {
-			t.Fatalf("root listing %v missing %q", root, want)
-		}
-	}
-	info, err := fs.List("/info/L3")
-	if err != nil || len(info) != 3 {
-		t.Fatalf("info listing %v, err %v", info, err)
-	}
-	if _, err := fs.List("/nope"); err == nil {
-		t.Fatal("expected error listing unknown directory")
-	}
-}
-
-func TestFSMonDataListing(t *testing.T) {
-	fs, _ := testFS(t)
-	mon, err := fs.List("/mon_data")
-	if err != nil || len(mon) != 1 || mon[0] != "mon_L3_00" {
-		t.Fatalf("mon_data listing %v, err %v", mon, err)
-	}
-	files, err := fs.List("/mon_data/mon_L3_00")
-	if err != nil || len(files) != 2 {
-		t.Fatalf("mon_L3_00 listing %v, err %v", files, err)
 	}
 }
 

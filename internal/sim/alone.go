@@ -2,10 +2,10 @@ package sim
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"dicer/internal/app"
 	"dicer/internal/machine"
+	"dicer/internal/par"
 )
 
 // AloneTable memoises Runner.AloneIPC, the reference EFU (Eq. 1) and the
@@ -20,7 +20,7 @@ type AloneTable struct {
 	reference bool
 
 	mu    sync.Mutex
-	cells map[aloneKey]*aloneCell
+	cells map[aloneKey]*par.Once[float64]
 	idle  []*Runner
 }
 
@@ -29,20 +29,10 @@ type aloneKey struct {
 	ways int
 }
 
-// aloneCell is computed by its first reader under mu and published
-// through done, which later readers check without locking. Unlike
-// sync.Once.Do it takes no closure, so a warm lookup allocates nothing.
-type aloneCell struct {
-	done atomic.Bool
-	mu   sync.Mutex
-	ipc  float64
-	err  error
-}
-
 // NewAloneTable returns an empty table whose cells run steps steps of dt
 // seconds on m, through the reference solver when reference is set.
 func NewAloneTable(m machine.Machine, steps int, dt float64, reference bool) *AloneTable {
-	return &AloneTable{m: m, steps: steps, dt: dt, reference: reference, cells: map[aloneKey]*aloneCell{}}
+	return &AloneTable{m: m, steps: steps, dt: dt, reference: reference, cells: map[aloneKey]*par.Once[float64]{}}
 }
 
 // IPC returns prof's cumulative IPC running alone in the low ways ways
@@ -52,19 +42,11 @@ func (t *AloneTable) IPC(prof app.Profile, ways int) (float64, error) {
 	t.mu.Lock()
 	c := t.cells[key]
 	if c == nil {
-		c = new(aloneCell)
+		c = new(par.Once[float64])
 		t.cells[key] = c
 	}
 	t.mu.Unlock()
-	if !c.done.Load() {
-		c.mu.Lock()
-		if !c.done.Load() {
-			c.ipc, c.err = t.run(prof, ways)
-			c.done.Store(true)
-		}
-		c.mu.Unlock()
-	}
-	return c.ipc, c.err
+	return c.Do(func() (float64, error) { return t.run(prof, ways) })
 }
 
 // run simulates one cell on an idle runner, or on a new one if none is.

@@ -307,8 +307,8 @@ func TestRunnerReset(t *testing.T) {
 	if err := reused.Reset(2); err != nil {
 		t.Fatal(err)
 	}
-	if reused.Time() != 0 {
-		t.Fatalf("Reset left time at %v", reused.Time())
+	if reused.time != 0 {
+		t.Fatalf("Reset left time at %v", reused.time)
 	}
 	if reused.Proc(0) != nil {
 		t.Fatal("Reset left a process attached")

@@ -433,9 +433,6 @@ func (r *Runner) CoreParked(core int) bool {
 	return false
 }
 
-// Time returns the simulated time in seconds.
-func (r *Runner) Time() float64 { return r.time }
-
 // Proc returns the process attached to core, or nil. Callers read it and
 // never write it: a process in lockstep is advanced by copying another.
 func (r *Runner) Proc(core int) *app.Proc {
@@ -998,12 +995,6 @@ func (r *Runner) coLocFactor() float64 {
 	return r.m.CoLocFactor(active - 1)
 }
 
-// Inflation returns the memory-latency inflation factor of the last Step.
-func (r *Runner) Inflation() float64 { return r.lastInflation }
-
-// Utilisation returns the memory-link utilisation of the last Step.
-func (r *Runner) Utilisation() float64 { return r.lastUtil }
-
 // CoreCounters are the cumulative per-core performance counters.
 type CoreCounters struct {
 	Core         int
@@ -1012,14 +1003,6 @@ type CoreCounters struct {
 	Instructions float64 // retired instructions
 	Cycles       float64 // elapsed core cycles
 	Completions  int     // whole-profile completions (restarts)
-}
-
-// IPC returns cumulative instructions per cycle.
-func (c CoreCounters) IPC() float64 {
-	if c.Cycles == 0 {
-		return 0
-	}
-	return c.Instructions / c.Cycles
 }
 
 // ClosCounters are the per-CLOS RDT-style monitoring counters.

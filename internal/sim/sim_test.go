@@ -13,6 +13,20 @@ import (
 
 func testMachine() machine.Machine { return machine.Default() }
 
+// Inflation returns the memory-latency inflation factor of the last Step.
+func (r *Runner) Inflation() float64 { return r.lastInflation }
+
+// Utilisation returns the memory-link utilisation of the last Step.
+func (r *Runner) Utilisation() float64 { return r.lastUtil }
+
+// IPC returns cumulative instructions per cycle.
+func (c CoreCounters) IPC() float64 {
+	if c.Cycles == 0 {
+		return 0
+	}
+	return c.Instructions / c.Cycles
+}
+
 // mkApp builds a single-phase profile for simulator tests.
 func mkApp(name string, cpi, apki, stream float64, wsMB, frac float64) app.Profile {
 	var comps []mrc.Component
@@ -93,7 +107,7 @@ func TestStepAdvancesTime(t *testing.T) {
 	r := mustRunner(t, 1)
 	r.Step(0.25)
 	r.Step(0.25)
-	if got := r.Time(); math.Abs(got-0.5) > 1e-12 {
+	if got := r.time; math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("time = %g, want 0.5", got)
 	}
 }
@@ -321,7 +335,7 @@ func TestSnapshotConsistency(t *testing.T) {
 		r.Step(0.25)
 	}
 	snap := r.Snapshot()
-	if snap.Time != r.Time() {
+	if snap.Time != r.time {
 		t.Fatal("snapshot time mismatch")
 	}
 	if len(snap.Cores) != 2 || len(snap.Clos) != 2 {

@@ -49,7 +49,7 @@ func (p *specParser) parse(spec string) (Generator, error) {
 		if len(parts) != 2 {
 			return nil, fmt.Errorf("trace: loop spec %q wants loop:<size>", spec)
 		}
-		size, err := parseSize(parts[1])
+		size, err := ParseSpecSize(parts[1])
 		if err != nil {
 			return nil, err
 		}
@@ -63,11 +63,11 @@ func (p *specParser) parse(spec string) (Generator, error) {
 		if len(parts) != 3 {
 			return nil, fmt.Errorf("trace: strided spec %q wants strided:<size>:<stride>", spec)
 		}
-		size, err := parseSize(parts[1])
+		size, err := ParseSpecSize(parts[1])
 		if err != nil {
 			return nil, err
 		}
-		stride, err := parseSize(parts[2])
+		stride, err := ParseSpecSize(parts[2])
 		if err != nil {
 			return nil, err
 		}
@@ -76,7 +76,7 @@ func (p *specParser) parse(spec string) (Generator, error) {
 		if len(parts) != 2 && len(parts) != 3 {
 			return nil, fmt.Errorf("trace: zipf spec %q wants zipf:<size>[:<skew>]", spec)
 		}
-		size, err := parseSize(parts[1])
+		size, err := ParseSpecSize(parts[1])
 		if err != nil {
 			return nil, err
 		}
@@ -147,12 +147,10 @@ func cutWrapper(s, prefix, suffix string) (string, bool) {
 	return "", false
 }
 
-// ParseSpecSize parses a size with k/m/g suffixes ("512k", "8m", "1g")
-// into bytes; exported for the CLI tools that accept the same syntax.
-func ParseSpecSize(s string) (uint64, error) { return parseSize(s) }
-
-// parseSize parses "4096", "512k", "8m", "1g" into bytes.
-func parseSize(s string) (uint64, error) {
+// ParseSpecSize parses a size with k/m/g suffixes ("4096", "512k", "8m",
+// "1g") into bytes, the syntax of the spec's sizes; the CLI tools accept
+// it too.
+func ParseSpecSize(s string) (uint64, error) {
 	s = strings.ToLower(strings.TrimSpace(s))
 	if s == "" {
 		return 0, fmt.Errorf("trace: empty size")

@@ -7,14 +7,14 @@ func TestParseSizeSuffixes(t *testing.T) {
 		"4096": 4096, "512k": 512 << 10, "8m": 8 << 20, "1g": 1 << 30, "2M": 2 << 20,
 	}
 	for s, want := range cases {
-		got, err := parseSize(s)
+		got, err := ParseSpecSize(s)
 		if err != nil || got != want {
-			t.Errorf("parseSize(%q) = %d, %v; want %d", s, got, err, want)
+			t.Errorf("ParseSpecSize(%q) = %d, %v; want %d", s, got, err, want)
 		}
 	}
 	for _, bad := range []string{"", "x", "12q3", "k"} {
-		if _, err := parseSize(bad); err == nil {
-			t.Errorf("parseSize(%q): expected error", bad)
+		if _, err := ParseSpecSize(bad); err == nil {
+			t.Errorf("ParseSpecSize(%q): expected error", bad)
 		}
 	}
 }

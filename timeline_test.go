@@ -35,7 +35,7 @@ func TestTimelineRecordsEveryPeriod(t *testing.T) {
 	if lo == hi {
 		t.Fatalf("allocation never moved (stuck at %d ways)", lo)
 	}
-	if got := len(tl.HPWaysSeries()); got != 15 {
+	if got := len(tl.Entries); got != 15 {
 		t.Fatalf("series length %d", got)
 	}
 }
