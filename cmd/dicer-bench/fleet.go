@@ -196,54 +196,3 @@ func writeFleetGrid(cfg experiments.Config, w io.Writer) error {
 	}
 	return experiments.FleetControlTable(cells).Render(w)
 }
-
-// checkFleetRegression compares the freshly written record at freshPath
-// against the committed record at againstPath and fails when
-// ns_per_node_period regresses by more than pct percent, or when the
-// simulator falls behind real time. Records measured at different
-// worker counts are refused rather than compared. Quality figures are
-// not gated here (they are pinned by the golden and hypothesis suites);
-// this gate enforces the stepping-throughput trajectory only.
-func checkFleetRegression(freshPath, againstPath string, pct float64) error {
-	read := func(path string) (fleetRecord, error) {
-		var r fleetRecord
-		body, err := os.ReadFile(path)
-		if err != nil {
-			return r, err
-		}
-		return r, json.Unmarshal(body, &r)
-	}
-	fresh, err := read(freshPath)
-	if err != nil {
-		return err
-	}
-	committed, err := read(againstPath)
-	if err != nil {
-		return err
-	}
-	if fresh.Workers != committed.Workers {
-		return fmt.Errorf("fleet bench: %s ran %d workers but %s was recorded at %d; rerun with -workers %d",
-			freshPath, fresh.Workers, againstPath, committed.Workers, committed.Workers)
-	}
-	limit := 1 + pct/100
-	fail := false
-	report := func(name string, fresh, committed float64) {
-		status := "ok"
-		if committed > 0 && fresh > committed*limit {
-			status = "REGRESSION"
-			fail = true
-		}
-		fmt.Printf("regress-check %-18s fresh %12.4f  committed %12.4f  (%+6.1f%%)  %s\n",
-			name, fresh, committed, 100*(fresh/committed-1), status)
-	}
-	report("ns_per_node_period", fresh.NsPerNodePeriod, committed.NsPerNodePeriod)
-	if fresh.RealTimeFactor < 1 {
-		fmt.Printf("regress-check %-18s fresh %12.4f  (must stay above 1)  REGRESSION\n",
-			"real_time_factor", fresh.RealTimeFactor)
-		fail = true
-	}
-	if fail {
-		return fmt.Errorf("fleet bench regressed more than %.0f%% vs %s", pct, againstPath)
-	}
-	return nil
-}

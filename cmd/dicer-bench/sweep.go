@@ -169,52 +169,3 @@ func writeSweepJSON(cfg experiments.Config, path string) error {
 		rec.DicerSteps, rec.DicerWallSeconds, rec.DicerNsPerStep, rec.DicerAllocsPerStep, path)
 	return nil
 }
-
-// checkSweepRegression compares the freshly written record at freshPath
-// against the committed record at againstPath and fails when ns_per_step,
-// allocs_per_step or their DICER-sweep counterparts regress by more than
-// pct percent. Records measured at different worker counts are refused
-// rather than compared. Improvements and the CDF shape are not gated here
-// (the CDF is pinned exactly by the golden tests); this gate enforces the
-// perf trajectory only.
-func checkSweepRegression(freshPath, againstPath string, pct float64) error {
-	read := func(path string) (sweepRecord, error) {
-		var r sweepRecord
-		body, err := os.ReadFile(path)
-		if err != nil {
-			return r, err
-		}
-		return r, json.Unmarshal(body, &r)
-	}
-	fresh, err := read(freshPath)
-	if err != nil {
-		return err
-	}
-	committed, err := read(againstPath)
-	if err != nil {
-		return err
-	}
-	if fresh.Workers != committed.Workers {
-		return fmt.Errorf("sweep bench: %s ran %d workers but %s was recorded at %d; rerun with -workers %d",
-			freshPath, fresh.Workers, againstPath, committed.Workers, committed.Workers)
-	}
-	limit := 1 + pct/100
-	fail := false
-	report := func(name string, fresh, committed float64) {
-		status := "ok"
-		if committed > 0 && fresh > committed*limit {
-			status = "REGRESSION"
-			fail = true
-		}
-		fmt.Printf("regress-check %-22s fresh %10.4f  committed %10.4f  (%+6.1f%%)  %s\n",
-			name, fresh, committed, 100*(fresh/committed-1), status)
-	}
-	report("ns_per_step", fresh.NsPerStep, committed.NsPerStep)
-	report("allocs_per_step", fresh.AllocsPerStep, committed.AllocsPerStep)
-	report("dicer_ns_per_step", fresh.DicerNsPerStep, committed.DicerNsPerStep)
-	report("dicer_allocs_per_step", fresh.DicerAllocsPerStep, committed.DicerAllocsPerStep)
-	if fail {
-		return fmt.Errorf("sweep regressed more than %.0f%% vs %s", pct, againstPath)
-	}
-	return nil
-}

@@ -7,11 +7,16 @@
 //	dicer-sim -hp omnetpp1 -be lbm1 -n 5 -policy static:8
 //	dicer-sim -hp milc1 -be gcc_base1 -policy dicer+mba
 //	dicer-sim -hp omnetpp1 -be gcc_base1 -chaos storm -chaos-seed 7 -guard
+//	dicer-sim -hp milc1 -be gcc_base1 -periods 60 -trace-out trace.jsonl
+//
+// -trace-out records a replayable JSONL trace of the run; dicer-trace
+// replays and analyzes it.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
 	"strconv"
@@ -24,64 +29,70 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fatal(err)
+	}
+}
+
+// run parses the command line in args and runs the scenario once,
+// printing to stdout, or loops it behind the -serve endpoints.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("dicer-sim", flag.ExitOnError)
 	var (
-		hp         = flag.String("hp", "milc1", "high-priority application (catalog name)")
-		be         = flag.String("be", "gcc_base1", "best-effort application (catalog name)")
-		n          = flag.Int("n", 9, "number of BE instances")
-		polName    = flag.String("policy", "dicer", "um | ct | static:<ways> | dicer | dicer+mba | dicer+bemgr | heracles:<slo>")
-		periods    = flag.Int("periods", 120, "monitoring periods to simulate")
-		trace      = flag.Bool("trace", false, "print DICER controller decisions")
-		every      = flag.Int("every", 10, "print a timeline row every N periods (0 = none)")
-		timeline   = flag.String("timeline", "", "write a per-period CSV timeline to this file")
-		chaosN     = flag.String("chaos", "none", "fault schedule: none | "+strings.Join(chaosNames(), " | "))
-		chaosS     = flag.Int64("chaos-seed", 1, "seed for the chaos fault stream (replays bit-identically)")
-		guard      = flag.Bool("guard", false, "machine-check controller invariants after every period")
-		traceOut   = flag.String("trace-out", "", "write a replayable JSONL trace of the run to this file")
-		serveAddr  = flag.String("serve", "", "loop the scenario and serve /metrics, /trace, /alerts, /events and /healthz on this address (e.g. :9090)")
-		slo        = flag.Float64("slo", 0.9, "HP SLO as a fraction of alone performance (drives the burn-rate alerter and the trace header)")
-		pprofOn    = flag.Bool("pprof", false, "with -serve: also expose /debug/pprof/ profiling endpoints")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		hp         = fs.String("hp", "milc1", "high-priority application (catalog name)")
+		be         = fs.String("be", "gcc_base1", "best-effort application (catalog name)")
+		n          = fs.Int("n", 9, "number of BE instances")
+		polName    = fs.String("policy", "dicer", "um | ct | static:<ways> | dicer | dicer+mba | dicer+bemgr | heracles:<slo>")
+		periods    = fs.Int("periods", 120, "monitoring periods to simulate")
+		trace      = fs.Bool("trace", false, "print DICER controller decisions")
+		every      = fs.Int("every", 10, "print a timeline row every N periods (0 = none)")
+		timeline   = fs.String("timeline", "", "write a per-period CSV timeline to this file")
+		chaosN     = fs.String("chaos", "none", "fault schedule: none | "+strings.Join(chaosNames(), " | "))
+		chaosS     = fs.Int64("chaos-seed", 1, "seed for the chaos fault stream (replays bit-identically)")
+		guard      = fs.Bool("guard", false, "machine-check controller invariants after every period")
+		traceOut   = fs.String("trace-out", "", "write a replayable JSONL trace of the run to this file")
+		serveAddr  = fs.String("serve", "", "loop the scenario and serve /metrics, /trace, /alerts, /events and /healthz on this address (e.g. :9090)")
+		slo        = fs.Float64("slo", 0.9, "HP SLO as a fraction of alone performance (drives the burn-rate alerter and the trace header)")
+		pprofOn    = fs.Bool("pprof", false, "with -serve: also expose /debug/pprof/ profiling endpoints")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: exits 2 on a bad flag, 0 on -h
 
 	if *serveAddr != "" {
-		err := runServe(*serveAddr, serveParams{
+		// Returns on graceful shutdown (SIGINT/SIGTERM).
+		return runServe(*serveAddr, serveParams{
 			hp: *hp, be: *be, n: *n, periods: *periods, policy: *polName,
 			chaosName: *chaosN, chaosSeed: *chaosS, guard: *guard,
 			slo: *slo, pprof: *pprofOn,
 		})
-		if err != nil {
-			fatal(err)
-		}
-		return // graceful shutdown (SIGINT/SIGTERM)
 	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
 
 	pol, ctl, withMBA, err := buildPolicy(*polName, *hp)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *trace && ctl != nil {
 		ctl.Trace = func(e dicer.ControllerEvent) {
-			fmt.Printf("  [p%03d %-8s] %-12s hpWays=%2d hpIPC=%.3f totalBW=%.1f Gbps\n",
+			fmt.Fprintf(stdout, "  [p%03d %-8s] %-12s hpWays=%2d hpIPC=%.3f totalBW=%.1f Gbps\n",
 				e.Period, e.State, e.Kind, e.HPWays, e.HPIPC, e.TotalBW)
 		}
 	}
 
 	sc, err := buildScenario(*hp, *be, *n, *periods, *guard, *chaosN, *chaosS)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	sc.WithMBA = withMBA
 	if *slo > 0 {
@@ -91,8 +102,9 @@ func main() {
 	var traceSink *dicer.TraceJSONL
 	if *traceOut != "" {
 		if traceFile, err = os.Create(*traceOut); err != nil {
-			fatal(err)
+			return err
 		}
+		defer traceFile.Close()
 		traceSink = dicer.NewTraceJSONL(traceFile)
 		sc.Trace = traceSink
 	}
@@ -105,62 +117,63 @@ func main() {
 			if period%*every != 0 {
 				return
 			}
-			fmt.Printf("t=%3ds hpIPC=%.3f beIPC=%.3f hpBW=%5.1f totBW=%5.1f Gbps\n",
+			fmt.Fprintf(stdout, "t=%3ds hpIPC=%.3f beIPC=%.3f hpBW=%5.1f totBW=%5.1f Gbps\n",
 				period, p.ClosMeanIPC(policy.HPClos), p.ClosMeanIPC(policy.BEClos),
 				p.GroupBW(policy.HPClos), p.TotalGbps)
 		}
 	}
 
-	fmt.Printf("scenario: %s (HP) + %dx %s (BEs), policy %s, %d periods\n\n",
+	fmt.Fprintf(stdout, "scenario: %s (HP) + %dx %s (BEs), policy %s, %d periods\n\n",
 		*hp, *n, *be, pol.Name(), *periods)
 	res, err := sc.Run(pol)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	fmt.Printf("\nresults (%s):\n", res.PolicyName)
-	fmt.Printf("  HP IPC            %.3f (alone %.3f, normalised %.3f, slowdown %.3fx)\n",
+	fmt.Fprintf(stdout, "\nresults (%s):\n", res.PolicyName)
+	fmt.Fprintf(stdout, "  HP IPC            %.3f (alone %.3f, normalised %.3f, slowdown %.3fx)\n",
 		res.Apps[0].IPC, res.Apps[0].AloneIPC, res.HPNorm(), res.HPSlowdown())
 	be0 := res.BEIPCs[0]
-	fmt.Printf("  BE IPC            %.3f (alone %.3f, normalised %.3f)\n",
+	fmt.Fprintf(stdout, "  BE IPC            %.3f (alone %.3f, normalised %.3f)\n",
 		be0, res.BEAloneIPCs[0], res.BENorms()[0])
-	fmt.Printf("  effective util    %.3f\n", res.EFU())
+	fmt.Fprintf(stdout, "  effective util    %.3f\n", res.EFU())
 	for _, slo := range []float64{0.80, 0.85, 0.90, 0.95} {
 		status := "MISSED"
 		if res.SLOAchieved(slo) {
 			status = "met"
 		}
-		fmt.Printf("  SLO %.0f%%           %s (SUCI@1: %.3f)\n", slo*100, status, res.SUCI(slo, 1))
+		fmt.Fprintf(stdout, "  SLO %.0f%%           %s (SUCI@1: %.3f)\n", slo*100, status, res.SUCI(slo, 1))
 	}
-	fmt.Printf("  final HP ways     %d\n", res.FinalHPWays)
+	fmt.Fprintf(stdout, "  final HP ways     %d\n", res.FinalHPWays)
 	if sc.Chaos != nil {
-		fmt.Printf("  chaos             %s seed=%d: %s\n", sc.Chaos.Name, sc.ChaosSeed, res.ChaosStats)
-		fmt.Printf("  tolerated faults  %d\n", res.ToleratedFaults)
+		fmt.Fprintf(stdout, "  chaos             %s seed=%d: %s\n", sc.Chaos.Name, sc.ChaosSeed, res.ChaosStats)
+		fmt.Fprintf(stdout, "  tolerated faults  %d\n", res.ToleratedFaults)
 	}
 
 	if tl != nil {
 		f, err := os.Create(*timeline)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		if err := tl.WriteCSV(f); err != nil {
-			fatal(err)
+			return err
 		}
 		lo, hi := tl.MinMaxHPWays()
-		fmt.Printf("  timeline          %s (%d periods, HP ways ranged %d..%d)\n",
+		fmt.Fprintf(stdout, "  timeline          %s (%d periods, HP ways ranged %d..%d)\n",
 			*timeline, len(tl.Entries), lo, hi)
 	}
 	if traceSink != nil {
 		if err := traceSink.Flush(); err != nil {
-			fatal(err)
+			return err
 		}
 		if err := traceFile.Close(); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("  trace             %s (verify with: dicer-trace replay %s)\n",
+		fmt.Fprintf(stdout, "  trace             %s (verify with: dicer-trace replay %s)\n",
 			*traceOut, *traceOut)
 	}
+	return nil
 }
 
 // buildScenario constructs the scenario the flags describe; trace and

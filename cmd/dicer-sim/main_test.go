@@ -1,10 +1,45 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"dicer"
 )
+
+// TestTraceOutReplays records a run with -trace-out and replays the file
+// through the facade: every period, decisions and installed masks.
+func TestTraceOutReplays(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	var out bytes.Buffer
+	err := run([]string{"-hp", "milc1", "-be", "gcc_base1", "-n", "9",
+		"-periods", "30", "-every", "0", "-trace-out", path}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "dicer-trace replay "+path) {
+		t.Fatalf("output does not name the trace:\n%s", out.String())
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	h, recs, err := dicer.ReadTrace(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := dicer.ReplayTrace(h, recs)
+	if err != nil {
+		t.Fatalf("replay of a -trace-out recording failed: %v", err)
+	}
+	if res.Periods != 30 || res.Decisions == 0 || !res.MasksVerified {
+		t.Fatalf("replay %+v, want 30 periods of decisions with masks verified", res)
+	}
+}
 
 func TestChaosNamesResolve(t *testing.T) {
 	names := chaosNames()

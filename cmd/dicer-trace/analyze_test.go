@@ -74,47 +74,30 @@ func TestAnalyzeDeterministic(t *testing.T) {
 	}
 }
 
-// TestSummaryAndAlertsJSON smoke-checks the two report slices: valid
-// JSON carrying the expected fields.
-func TestSummaryAndAlertsJSON(t *testing.T) {
+// TestAnalyzeJSON checks analyze -json over a committed two-CLOS
+// trace: valid JSON whose metrics lead with hp_slowdown and whose alert
+// section carries the burn-rate rule it ran.
+func TestAnalyzeJSON(t *testing.T) {
 	trace := filepath.Join("..", "..", "testdata", "ctt_milc.jsonl.golden")
-
 	var out bytes.Buffer
-	if err := runSummary([]string{"-json", trace}, &out); err != nil {
+	if err := runAnalyze([]string{"-json", trace}, &out); err != nil {
 		t.Fatal(err)
 	}
-	var metrics []diag.Summary
-	if err := json.Unmarshal(out.Bytes(), &metrics); err != nil {
-		t.Fatalf("summary -json is not valid JSON: %v\n%s", err, out.Bytes())
+	var rep diag.Report
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("analyze -json is not valid JSON: %v\n%s", err, out.Bytes())
 	}
-	if len(metrics) == 0 || metrics[0].Name != "hp_slowdown" {
-		t.Fatalf("summary metrics = %+v, want hp_slowdown first", metrics)
+	if len(rep.Metrics) == 0 || rep.Metrics[0].Name != "hp_slowdown" {
+		t.Fatalf("report metrics = %+v, want hp_slowdown first", rep.Metrics)
 	}
-
-	out.Reset()
-	if err := runAlerts([]string{"-json", trace}, &out); err != nil {
-		t.Fatal(err)
-	}
-	var alert diag.AlertReport
-	if err := json.Unmarshal(out.Bytes(), &alert); err != nil {
-		t.Fatalf("alerts -json is not valid JSON: %v\n%s", err, out.Bytes())
-	}
-	if alert.Config.Budget <= 0 || len(alert.Config.Windows) == 0 {
-		t.Fatalf("alerts report missing config: %+v", alert.Config)
-	}
-
-	out.Reset()
-	if err := runSummary([]string{trace}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "hp_slowdown") {
-		t.Fatalf("summary text missing percentile table:\n%s", out.String())
+	if rep.Alert.Config.Budget <= 0 || len(rep.Alert.Config.Windows) == 0 {
+		t.Fatalf("alert section missing its rule: %+v", rep.Alert.Config)
 	}
 }
 
 // TestAnalyzeMultiHPTrace records a short multi-HP run and checks that
-// all three subcommands read it, and that analyze reports the per-CLOS-
-// group breakdown in both text and JSON.
+// analyze reads it and reports the per-CLOS-group breakdown in both text
+// and JSON.
 func TestAnalyzeMultiHPTrace(t *testing.T) {
 	var hps []dicer.HPApp
 	for _, name := range []string{"omnetpp1", "sphinx1", "milc1"} {
@@ -129,24 +112,11 @@ func TestAnalyzeMultiHPTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var rec bytes.Buffer
-	jl := dicer.NewTraceJSONL(&rec)
-	ms := &dicer.Scenario{
+	trace := recordTrace(t, &dicer.Scenario{
 		HPs:            hps,
 		BEs:            []dicer.Profile{be, be, be},
 		HorizonPeriods: 30,
-		Trace:          jl,
-	}
-	if _, err := ms.Run(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := jl.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	trace := filepath.Join(t.TempDir(), "multi.jsonl")
-	if err := os.WriteFile(trace, rec.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	}, nil)
 
 	var out bytes.Buffer
 	if err := runAnalyze([]string{trace}, &out); err != nil {
@@ -171,19 +141,6 @@ func TestAnalyzeMultiHPTrace(t *testing.T) {
 		if g.Periods == 0 || g.WaysMean <= 0 {
 			t.Errorf("group %d summary looks empty: %+v", g.Group, g)
 		}
-	}
-
-	// summary and alerts run the same engine; they must accept it too.
-	out.Reset()
-	if err := runSummary([]string{trace}, &out); err != nil {
-		t.Fatalf("summary rejected a grouped trace: %v", err)
-	}
-	if !strings.Contains(out.String(), "hp_slowdown") {
-		t.Errorf("grouped summary missing percentile table:\n%s", out.String())
-	}
-	out.Reset()
-	if err := runAlerts([]string{"-json", trace}, &out); err != nil {
-		t.Fatalf("alerts rejected a grouped trace: %v", err)
 	}
 }
 

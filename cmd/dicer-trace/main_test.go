@@ -10,15 +10,37 @@ import (
 	"dicer"
 )
 
-func TestRecordThenReplay(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	var out bytes.Buffer
-	err := runRecord([]string{"-hp", "milc1", "-be", "gcc_base1", "-n", "9",
-		"-periods", "30", "-o", path}, &out)
-	if err != nil {
+// recordTrace runs sc under pol with a JSONL trace sink and writes the
+// trace to a file in a fresh temporary directory, returning its path.
+func recordTrace(t *testing.T, sc *dicer.Scenario, pol dicer.Policy) string {
+	t.Helper()
+	var rec bytes.Buffer
+	jl := dicer.NewTraceJSONL(&rec)
+	sc.Trace = jl
+	if _, err := sc.Run(pol); err != nil {
 		t.Fatal(err)
 	}
-	out.Reset()
+	if err := jl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	if err := os.WriteFile(path, rec.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// newScenario is the single-HP scenario a test records: hp beside nine
+// gcc_base1 copies for the given periods.
+func newScenario(hp string, periods int) *dicer.Scenario {
+	sc := dicer.NewScenario(hp, "gcc_base1", 9)
+	sc.HorizonPeriods = periods
+	return sc
+}
+
+func TestRecordThenReplay(t *testing.T) {
+	path := recordTrace(t, newScenario("milc1", 30), dicer.NewDICER())
+	var out bytes.Buffer
 	if err := runReplay([]string{path}, &out); err != nil {
 		t.Fatalf("replay of a fresh recording failed: %v", err)
 	}
@@ -28,14 +50,14 @@ func TestRecordThenReplay(t *testing.T) {
 }
 
 func TestReplayChaosTraceDecisionsOnly(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "chaos.jsonl")
-	var out bytes.Buffer
-	err := runRecord([]string{"-hp", "omnetpp1", "-be", "gcc_base1", "-n", "9",
-		"-periods", "30", "-chaos", "delayed-actuation", "-chaos-seed", "7", "-o", path}, &out)
+	sc := newScenario("omnetpp1", 30)
+	cfg, err := dicer.ChaosScheduleByName("delayed-actuation")
 	if err != nil {
 		t.Fatal(err)
 	}
-	out.Reset()
+	sc.Chaos, sc.ChaosSeed = &cfg, 7
+	path := recordTrace(t, sc, dicer.NewDICER())
+	var out bytes.Buffer
 	if err := runReplay([]string{path}, &out); err != nil {
 		t.Fatalf("replay of a chaos recording failed: %v", err)
 	}
@@ -45,12 +67,7 @@ func TestReplayChaosTraceDecisionsOnly(t *testing.T) {
 }
 
 func TestReplayDetectsTamperedFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	var out bytes.Buffer
-	if err := runRecord([]string{"-hp", "milc1", "-be", "gcc_base1",
-		"-periods", "20", "-o", path}, &out); err != nil {
-		t.Fatal(err)
-	}
+	path := recordTrace(t, newScenario("milc1", 20), dicer.NewDICER())
 	// Falsify one recorded allocation decision and rewrite the file.
 	f, err := os.Open(path)
 	if err != nil {
@@ -76,6 +93,7 @@ func TestReplayDetectsTamperedFile(t *testing.T) {
 	if err := os.WriteFile(path, tampered.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	var out bytes.Buffer
 	err = runReplay([]string{path}, &out)
 	if err == nil {
 		t.Fatal("replay accepted a tampered trace")
@@ -86,12 +104,8 @@ func TestReplayDetectsTamperedFile(t *testing.T) {
 }
 
 func TestReplayRejectsNonDICERTrace(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "um.jsonl")
+	path := recordTrace(t, newScenario("milc1", 5), dicer.Unmanaged())
 	var out bytes.Buffer
-	if err := runRecord([]string{"-hp", "milc1", "-be", "gcc_base1",
-		"-periods", "5", "-policy", "um", "-o", path}, &out); err != nil {
-		t.Fatal(err)
-	}
 	if err := runReplay([]string{path}, &out); err == nil {
 		t.Fatal("replay of a UM trace (no controller config) accepted")
 	}
@@ -114,25 +128,12 @@ func TestRecordThenReplayGrouped(t *testing.T) {
 			}
 			hps = append(hps, dicer.HPApp{Profile: p})
 		}
-		var rec bytes.Buffer
-		jl := dicer.NewTraceJSONL(&rec)
-		ms := &dicer.Scenario{
+		path := recordTrace(t, &dicer.Scenario{
 			HPs:            hps,
 			BEs:            []dicer.Profile{be, be, be},
 			HorizonPeriods: 10,
 			Grouping:       dicer.GroupingClustered,
-			Trace:          jl,
-		}
-		if _, err := ms.Run(nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := jl.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "grouped.jsonl")
-		if err := os.WriteFile(path, rec.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		}, nil)
 		var out bytes.Buffer
 		if err := runReplay([]string{path}, &out); err != nil {
 			t.Errorf("M=%d: replay of a grouped recording failed: %v", len(names), err)
@@ -140,26 +141,6 @@ func TestRecordThenReplayGrouped(t *testing.T) {
 		}
 		if !strings.Contains(out.String(), "OK") || !strings.Contains(out.String(), "installed masks") {
 			t.Errorf("M=%d: replay output %q lacks full verification", len(names), out.String())
-		}
-	}
-}
-
-func TestRecordRequiresOutput(t *testing.T) {
-	var out bytes.Buffer
-	if err := runRecord([]string{"-hp", "milc1"}, &out); err == nil {
-		t.Fatal("record without -o accepted")
-	}
-}
-
-func TestTracePolicy(t *testing.T) {
-	for _, name := range []string{"um", "ct", "static:8", "dicer"} {
-		if _, err := tracePolicy(name); err != nil {
-			t.Errorf("tracePolicy(%q): %v", name, err)
-		}
-	}
-	for _, name := range []string{"", "bogus", "static:x"} {
-		if _, err := tracePolicy(name); err == nil {
-			t.Errorf("tracePolicy(%q) accepted", name)
 		}
 	}
 }

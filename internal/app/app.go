@@ -117,27 +117,21 @@ type Perf struct {
 // cacheBytes of LLC available, memory-latency inflation factor, and a
 // base-CPI co-location factor (machine.CoLocFactor; 1 when running alone).
 func PhasePerf(m machine.Machine, ph Phase, cacheBytes, inflation, baseFactor float64) Perf {
-	p := PhasePerfMiss(m, ph, ph.Curve.MissRatio(cacheBytes), inflation, baseFactor)
+	p := PhasePerfMissRef(&m, &ph, ph.Curve.MissRatio(cacheBytes), inflation, baseFactor)
 	p.OccupancyB = ph.Curve.OccupancyDemand(cacheBytes)
 	return p
 }
 
-// PhasePerfMiss evaluates the performance model with a precomputed miss
-// ratio, skipping both curve walks (OccupancyB is left zero). The miss
-// ratio of a phase depends only on the offered capacity, so hot paths that
-// re-evaluate the model at many inflation factors (the bandwidth fixed
-// point in internal/sim) compute it once and call this for every factor.
-// The arithmetic is identical to PhasePerf's, term for term.
-func PhasePerfMiss(m machine.Machine, ph Phase, miss, inflation, baseFactor float64) Perf {
-	return PhasePerfMissRef(&m, &ph, miss, inflation, baseFactor)
-}
-
-// PhasePerfMissRef is PhasePerfMiss with the machine and phase taken by
-// pointer. Machine and Phase together are ~160 bytes; per-step hot loops
-// (the simulator advances every process every Step, and the bandwidth
-// fixed point re-evaluates demand dozens of times per solve) call this to
-// avoid copying them on every evaluation. The arguments are read, never
-// written; the arithmetic is PhasePerfMiss's, term for term.
+// PhasePerfMissRef evaluates the performance model with a precomputed
+// miss ratio, skipping both curve walks (OccupancyB is left zero). The
+// miss ratio of a phase depends only on the offered capacity, so hot
+// paths that re-evaluate the model at many inflation factors (the
+// bandwidth fixed point in internal/sim) compute it once and call this
+// for every factor; the arithmetic is PhasePerf's, term for term. The
+// machine and phase are taken by pointer: together they are ~160 bytes,
+// and per-step hot loops (the simulator advances every process every
+// Step) call this to avoid copying them on every evaluation. The
+// arguments are read, never written.
 func PhasePerfMissRef(m *machine.Machine, ph *Phase, miss, inflation, baseFactor float64) Perf {
 	mpki := ph.APKI * miss
 	cpi := ph.BaseCPI*baseFactor + mpki/1000*m.MemLatCycles*inflation

@@ -256,8 +256,12 @@ func workloadName(hp string, bes int) string {
 }
 
 // JSON renders the report as indented JSON (deterministic bytes).
-func (r *Report) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
+func (r *Report) JSON() ([]byte, error) { return indentJSON(r) }
+
+// indentJSON renders v as indented JSON ending in a newline: the
+// reports' one JSON form.
+func indentJSON(v any) ([]byte, error) {
+	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return nil, err
 	}

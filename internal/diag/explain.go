@@ -1,7 +1,6 @@
 package diag
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -198,7 +197,7 @@ func eventCandidates(inc *fleet.Incident, onset int) []Finding {
 			}
 		case fleet.CauseScaleUp:
 			w = 0.2
-			evidence = fmt.Sprintf("autoscaler added capacity (node %d)", ev.Node)
+			evidence = fmt.Sprintf("autoscaler added capacity (%s)", ev.Detail)
 		default:
 			w = 0.3
 			evidence = fmt.Sprintf("control event %q on node %d", ev.Cause, ev.Node)
@@ -332,13 +331,7 @@ func Explain(r io.Reader) (*ExplainReport, error) {
 }
 
 // JSON renders the report as indented JSON (deterministic bytes).
-func (r *ExplainReport) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
+func (r *ExplainReport) JSON() ([]byte, error) { return indentJSON(r) }
 
 // Render writes the human-readable forensics report: the trigger line,
 // the violation-run geometry, a per-period flight strip, and the ranked

@@ -34,7 +34,9 @@ type NodeView struct {
 	// multi-HP node (member footprints over group capacity, beyond 1×).
 	// Single-HP nodes report zero, keeping the legacy score unchanged.
 	HPGroupPressure float64
-	Machine         machine.Machine
+	// Machine is the node's machine. Every node of a fleet runs the
+	// fleet's one machine, so a headroom pass reads its first view's.
+	Machine machine.Machine
 }
 
 // Scheduler places queued jobs onto candidate nodes. The cluster runs
@@ -43,7 +45,7 @@ type NodeView struct {
 // placement it folds into a view, and EndPass. Between BeginPass and
 // EndPass, Pick always receives the pass's views, and only the reported
 // folds change them. Pick called outside a pass places one job over the
-// views it is given.
+// views it is given. Every view of a pass carries the same machine.
 //
 // Pick returns the chosen node's position in views and whether any node
 // is acceptable; returning ok=false queues the job for a later period.
@@ -53,7 +55,6 @@ type NodeView struct {
 // schedulers keep state between picks (the random stream, the headroom
 // prediction memo and pass rows) and are not safe for concurrent use.
 type Scheduler interface {
-	Name() string
 	// BeginPass opens a placement pass over views.
 	BeginPass(views []NodeView)
 	Pick(job *Job, views []NodeView) (idx int, ok bool)
@@ -98,9 +99,6 @@ type RandomScheduler struct {
 	rng *rand.Rand
 }
 
-// Name implements Scheduler.
-func (*RandomScheduler) Name() string { return "random" }
-
 // Pick implements Scheduler.
 func (s *RandomScheduler) Pick(_ *Job, views []NodeView) (int, bool) {
 	if len(views) == 0 {
@@ -113,9 +111,6 @@ func (s *RandomScheduler) Pick(_ *Job, views []NodeView) (int, bool) {
 // jobs (ties to the lowest node ID) — load balancing blind to what the
 // jobs actually are.
 type LeastLoadedScheduler struct{ passless }
-
-// Name implements Scheduler.
-func (LeastLoadedScheduler) Name() string { return "least-loaded" }
 
 // Pick implements Scheduler.
 func (LeastLoadedScheduler) Pick(_ *Job, views []NodeView) (int, bool) {
@@ -147,35 +142,30 @@ func (LeastLoadedScheduler) Pick(_ *Job, views []NodeView) (int, bool) {
 // The prediction behind a score depends only on the machine, the
 // profile's phases and the BE geometry (ways, count), which repeat
 // across candidates, jobs and periods, so it is memoised per profile and
-// geometry for one machine at a time. Rows and memo only ever hold what
-// scoring the same view from scratch gives, and the winner comes from
-// the same comparison in view order, so picks are exactly those of
-// scoring every candidate on every pick. The zero value is ready to use.
+// geometry. A pass scores every view on its first view's machine, the
+// fleet's one machine, and a pass on another machine starts the memo
+// over. Rows and memo only ever hold what scoring the same view from
+// scratch gives, and the winner comes from the same comparison in view
+// order, so picks are exactly those of scoring every candidate on every
+// pick. The zero value is ready to use.
 type HeadroomScheduler struct {
-	// m is the machine the constants and the memo rows describe, and gen
-	// numbers it (reset bumps it); valid reports that m passed Validate
-	// and its geometry fits the memo.
-	m     machine.Machine
-	gen   int
-	valid bool
+	// m is the machine the constants and the memo describe.
+	m machine.Machine
 	// knee and capacity are m's link knee and peak in Gbps, wayBytes
 	// the capacity of one LLC way: the score's per-machine constants.
 	knee, capacity, wayBytes float64
-	// memo maps a profile name to its predictions and pass row.
+	// memo maps a profile name to its predictions and pass row; nil
+	// until a pass has a view.
 	memo map[string]*demandMemo
 
-	// The placement pass. open reports one is open and pass numbers it;
-	// same reports that every view of the pass carries the valid
-	// machine m, so a row stays exact between picks (otherwise every
-	// pick re-scores every view on that view's own machine). A slot
-	// numbers a view as the pass opened; ids holds each slot's node ID.
-	// live has a bit per slot still in the list (nlive of them), so a
-	// view's position is the number of live slots before its own. folds
-	// lists the slot of every fold reported so far, and stamp holds one
-	// past each slot's last index in it.
+	// The placement pass. open reports one is open and pass numbers it.
+	// A slot numbers a view as the pass opened; ids holds each slot's
+	// node ID. live has a bit per slot still in the list (nlive of
+	// them), so a view's position is the number of live slots before
+	// its own. folds lists the slot of every fold reported so far, and
+	// stamp holds one past each slot's last index in it.
 	open  bool
 	pass  int
-	same  bool
 	ids   []int
 	live  []uint64
 	nlive int
@@ -185,7 +175,7 @@ type HeadroomScheduler struct {
 
 // demandMemo is one profile's state in the scheduler: fp is its
 // cacheable footprint (MaxFootprint), and gbps holds its
-// predicted demand on the machine of generation gen,
+// predicted demand on the scheduler's machine m,
 // PredictJobGbps(m, profile, beWays, beCount) at index
 // beWays*(m.Cores+1)+beCount, NaN until computed. score and feasible
 // (one bit per slot) are its pass row: the profile's score on the view
@@ -197,7 +187,6 @@ type demandMemo struct {
 	phases   *app.Phase
 	n        int
 	fp       float64
-	gen      int
 	gbps     []float64
 	pass     int
 	seen     int
@@ -205,19 +194,12 @@ type demandMemo struct {
 	feasible []uint64
 }
 
-// maxMemoEntries bounds one profile's memo (ways+1 × cores+1 entries;
-// 231 on the default machine). Larger geometries predict uncached.
-const maxMemoEntries = 1 << 13
-
 // pressureWeight converts LLC overcommit (fraction of the BE partition
 // demanded beyond 1×) into bandwidth-headroom-fraction units.
 const pressureWeight = 0.15
 
-// Name implements Scheduler.
-func (*HeadroomScheduler) Name() string { return "headroom" }
-
 // BeginPass implements Scheduler: every view gets the slot of its
-// position, and the machine is compared once for the whole pass.
+// position, and the first view's machine is the pass's.
 func (s *HeadroomScheduler) BeginPass(views []NodeView) {
 	s.open = true
 	s.pass++
@@ -237,18 +219,9 @@ func (s *HeadroomScheduler) BeginPass(views []NodeView) {
 	s.nlive = n
 	s.folds = s.folds[:0]
 	s.stamp = slices.Grow(s.stamp[:0], n)[:n]
-	s.same = false
-	if n == 0 {
-		return
-	}
-	if !s.valid || views[0].Machine != s.m {
+	if n > 0 && (s.memo == nil || views[0].Machine != s.m) {
 		s.reset(&views[0].Machine)
 	}
-	same := s.valid
-	for i := 1; same && i < n; i++ {
-		same = views[i].Machine == s.m
-	}
-	s.same = same
 }
 
 // Folded implements Scheduler.
@@ -303,26 +276,22 @@ func (s *HeadroomScheduler) Pick(job *Job, views []NodeView) (int, bool) {
 	if len(views) != s.nlive {
 		panic(fmt.Sprintf("fleet: Pick over %d views in a pass of %d", len(views), s.nlive))
 	}
+	if s.nlive == 0 {
+		return 0, false
+	}
 	prof := &job.Profile
 	e := s.entry(prof)
-	fp, row := e.fp, s.gbps(e)
-	if e.pass != s.pass || !s.same {
-		// Fill the row: every live slot, in view order, each on its own
-		// machine unless the pass has one.
-		if e.pass != s.pass {
-			e.pass = s.pass
-			n := len(s.ids)
-			e.score = slices.Grow(e.score[:0], n)[:n]
-			e.feasible = slices.Grow(e.feasible[:0], len(s.live))[:len(s.live)]
-		}
+	fp, row := e.fp, e.gbps
+	if e.pass != s.pass {
+		// Fill the row: every live slot, in view order.
+		e.pass = s.pass
+		n := len(s.ids)
+		e.score = slices.Grow(e.score[:0], n)[:n]
+		e.feasible = slices.Grow(e.feasible[:0], len(s.live))[:len(s.live)]
 		i := 0
 		for w, word := range s.live {
 			for ; word != 0; word &= word - 1 {
 				v := &views[i]
-				if !s.same && (!s.valid || v.Machine != s.m) {
-					s.reset(&v.Machine)
-					row = s.gbps(e)
-				}
 				score, fits := s.score(v, s.predict(row, prof, v), fp)
 				e.put(w<<6|bits.TrailingZeros64(word), score, fits)
 				i++
@@ -370,67 +339,48 @@ func (e *demandMemo) put(slot int, score float64, fits bool) {
 	}
 }
 
-// entry returns p's memo entry, creating it when p is new and marking
-// its predictions and row stale when p's phases changed.
+// entry returns p's memo entry: created, or emptied when p's phases
+// changed, with a NaN prediction for every geometry of machine m.
 func (s *HeadroomScheduler) entry(p *app.Profile) *demandMemo {
-	e := s.memo[p.Name]
-	if e == nil {
-		if s.memo == nil {
-			s.memo = make(map[string]*demandMemo)
-		}
-		e = &demandMemo{}
-		s.memo[p.Name] = e
-	}
 	var phases *app.Phase
 	if len(p.Phases) > 0 {
 		phases = &p.Phases[0]
 	}
-	if e.phases != phases || e.n != len(p.Phases) {
-		e.phases, e.n, e.fp = phases, len(p.Phases), p.MaxFootprint()
-		e.gen, e.pass = 0, 0
+	e := s.memo[p.Name]
+	if e != nil && e.phases == phases && e.n == len(p.Phases) {
+		return e
+	}
+	if e == nil {
+		e = &demandMemo{}
+		s.memo[p.Name] = e
+	}
+	e.phases, e.n, e.fp, e.pass = phases, len(p.Phases), p.MaxFootprint(), 0
+	n := (s.m.LLCWays + 1) * (s.m.Cores + 1)
+	e.gbps = slices.Grow(e.gbps[:0], n)[:n]
+	for i := range e.gbps {
+		e.gbps[i] = math.NaN()
 	}
 	return e
 }
 
-// reset points the scheduler at machine m: its score constants, and a
-// new generation for the memo if m is valid and small enough to
-// memoise. On a valid machine every field the score and the prediction
-// read is an integer or a strictly positive float, so a machine that
-// compares equal (==) to m gives bit-identical results. A machine
-// failing Validate is never memoised, and each of its views resets the
-// constants from that view's own fields.
+// reset points the scheduler at machine m: its score constants and an
+// empty memo. sim.New refuses a machine failing Validate before any node
+// exists, and on a valid machine every field the score and the
+// prediction read is an integer or a strictly positive float, so a
+// machine that compares equal (==) to m gives bit-identical results.
 func (s *HeadroomScheduler) reset(m *machine.Machine) {
 	s.m = *m
-	s.gen++
 	s.knee = m.Link.Knee * m.Link.CapacityGBps
 	s.capacity = m.Link.CapacityGBps
 	s.wayBytes = m.WayBytes()
-	s.valid = m.Validate() == nil && m.Cores < maxMemoEntries/(m.LLCWays+1)
+	s.memo = make(map[string]*demandMemo)
 }
 
-// gbps returns e's prediction memo on the scheduler's machine, emptied
-// when it described another; nil when the machine is not memoised.
-func (s *HeadroomScheduler) gbps(e *demandMemo) []float64 {
-	if !s.valid {
-		return nil
-	}
-	if e.gen != s.gen {
-		e.gen = s.gen
-		n := (s.m.LLCWays + 1) * (s.m.Cores + 1)
-		e.gbps = slices.Grow(e.gbps[:0], n)[:n]
-		for i := range e.gbps {
-			e.gbps[i] = math.NaN()
-		}
-	}
-	return e.gbps
-}
-
-// predict returns PredictJobGbps for the job on v, from row when the
-// geometry is inside it.
+// predict returns PredictJobGbps for the job on v from row, the job's
+// memo. A fleet view's geometry is inside it: 0 ≤ BEWays ≤ LLCWays, and
+// 0 ≤ BECount ≤ Cores since FreeCores = Cores − HPs − BECount bounds the
+// folds.
 func (s *HeadroomScheduler) predict(row []float64, p *app.Profile, v *NodeView) float64 {
-	if row == nil || v.BEWays < 0 || v.BEWays > s.m.LLCWays || v.BECount < 0 || v.BECount > s.m.Cores {
-		return PredictJobGbps(s.m, *p, v.BEWays, v.BECount)
-	}
 	k := v.BEWays*(s.m.Cores+1) + v.BECount
 	if math.IsNaN(row[k]) {
 		row[k] = PredictJobGbps(s.m, *p, v.BEWays, v.BECount)

@@ -3,6 +3,8 @@ package hypo
 import (
 	"fmt"
 	"math"
+
+	"dicer/internal/metrics"
 )
 
 // Status is a hypothesis or comparison verdict.
@@ -194,7 +196,7 @@ func oriented(d float64, dir Direction) float64 {
 func judgeOne(diffs []float64, dir Direction, minEffect, confidence float64) (Verdict, Status) {
 	v := Verdict{
 		N:        len(diffs),
-		MeanDiff: Mean(diffs),
+		MeanDiff: metrics.Mean(diffs),
 		StdDiff:  StdDev(diffs),
 	}
 	v.CILo, v.CIHi = TInterval(diffs, confidence)

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dicer/internal/metrics"
 )
 
 // Golden-file tests for the FINDINGS renderers: a small fixed Result
@@ -76,7 +78,7 @@ func fixtureResult() *Result {
 		ctrl, _ := res.series(cmp.Control, cmp.Metric)
 		diffs := PairedDiffs(treat, ctrl)
 		v := Judge(diffs, cmp.Direction, cmp.MinEffect, h.Confidence)
-		v.MeanTreat, v.MeanCtrl = Mean(treat), Mean(ctrl)
+		v.MeanTreat, v.MeanCtrl = metrics.Mean(treat), metrics.Mean(ctrl)
 		res.Comparisons = append(res.Comparisons, ComparisonResult{
 			Comparison: cmp, TreatmentValues: treat, ControlValues: ctrl,
 			Diffs: diffs, Verdict: v,

@@ -8,6 +8,7 @@ import (
 	"dicer/internal/core"
 	"dicer/internal/experiments"
 	"dicer/internal/fleet"
+	"dicer/internal/metrics"
 	"dicer/internal/par"
 )
 
@@ -221,7 +222,7 @@ func (r *Runner) Run(h Hypothesis) (*Result, error) {
 		}
 		diffs := PairedDiffs(treat, ctrl)
 		v := Judge(diffs, cmp.Direction, cmp.MinEffect, h.Confidence)
-		v.MeanTreat, v.MeanCtrl = Mean(treat), Mean(ctrl)
+		v.MeanTreat, v.MeanCtrl = metrics.Mean(treat), metrics.Mean(ctrl)
 		res.Comparisons = append(res.Comparisons, ComparisonResult{
 			Comparison:      cmp,
 			TreatmentValues: treat,

@@ -9,19 +9,11 @@
 // fixed seed set).
 package hypo
 
-import "math"
+import (
+	"math"
 
-// Mean returns the arithmetic mean (0 for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
+	"dicer/internal/metrics"
+)
 
 // StdDev returns the sample standard deviation (n-1 denominator); 0 for
 // fewer than two values.
@@ -29,7 +21,7 @@ func StdDev(xs []float64) float64 {
 	if len(xs) < 2 {
 		return 0
 	}
-	m := Mean(xs)
+	m := metrics.Mean(xs)
 	var ss float64
 	for _, x := range xs {
 		d := x - m
@@ -57,7 +49,7 @@ func PairedDiffs(treatment, control []float64) []float64 {
 // It is +Inf/-Inf when the diffs have zero variance but a non-zero mean,
 // and 0 when both are zero.
 func CohenD(diffs []float64) float64 {
-	m, sd := Mean(diffs), StdDev(diffs)
+	m, sd := metrics.Mean(diffs), StdDev(diffs)
 	if sd == 0 {
 		if m > 0 {
 			return math.Inf(1)
@@ -75,7 +67,7 @@ func CohenD(diffs []float64) float64 {
 // distribution with len(xs)-1 degrees of freedom. With fewer than two
 // values, or zero variance, the interval collapses to the point mean.
 func TInterval(xs []float64, confidence float64) (lo, hi float64) {
-	m := Mean(xs)
+	m := metrics.Mean(xs)
 	if len(xs) < 2 {
 		return m, m
 	}

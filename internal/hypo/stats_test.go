@@ -4,17 +4,19 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"dicer/internal/metrics"
 )
 
 func TestMeanStdDev(t *testing.T) {
-	if m := Mean(nil); m != 0 {
-		t.Fatalf("Mean(nil) = %g, want 0", m)
+	if m := metrics.Mean(nil); m != 0 {
+		t.Fatalf("metrics.Mean(nil) = %g, want 0", m)
 	}
 	if sd := StdDev([]float64{3}); sd != 0 {
 		t.Fatalf("StdDev of one value = %g, want 0", sd)
 	}
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := Mean(xs); m != 5 {
+	if m := metrics.Mean(xs); m != 5 {
 		t.Fatalf("Mean = %g, want 5", m)
 	}
 	// Sample stddev with n-1: sum of squares 32, /7, sqrt.
