@@ -112,10 +112,12 @@ type FlightEntry struct {
 	Period int `json:"period"`
 	Heartbeat
 	// State is the node controller's state machine position after the
-	// period; Cause the period's final decision cause tag
-	// (core.EventKind.Cause — empty on periods without decisions and on
-	// policies without a controller); Decisions the number of decision
-	// events the controller emitted this period.
+	// period, for the group that decided last (a period without
+	// decisions repeats the last state read); Cause the period's final
+	// decision cause tag (core.EventKind.Cause — empty on periods
+	// without decisions and on policies without a controller);
+	// Decisions the number of decision events the controller emitted
+	// this period.
 	State     string `json:"state,omitempty"`
 	Cause     string `json:"cause,omitempty"`
 	Decisions int    `json:"decisions,omitempty"`
