@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"io"
 	"testing"
 
 	"dicer/internal/app"
+	"dicer/internal/obs"
 )
 
 // BenchmarkFleetStep measures one cluster monitoring period end to end —
@@ -189,4 +191,47 @@ func BenchmarkFleetPlacementPass(b *testing.B) {
 	}
 	b.ReportMetric(float64(placed), "placed/pass")
 	b.ReportMetric(float64(len(views)), "views")
+}
+
+// BenchmarkClusterTraceEncode times writing one period's record of a
+// 512-node fleet (fleet-ops' size) through a warm obs.LineWriter, as the
+// cluster writes its trace.
+func BenchmarkClusterTraceEncode(b *testing.B) {
+	rec := syntheticRecord(512)
+	line, err := rec.AppendJSON(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lw := obs.NewLineWriter(io.Discard)
+	lw.WriteLine(rec)
+	b.SetBytes(int64(len(line) + 1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lw.WriteLine(rec)
+	}
+	if err := lw.Flush(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkClusterTraceDecode times decoding that record's line into a
+// warm record, as analyze reads a trace.
+func BenchmarkClusterTraceDecode(b *testing.B) {
+	line, err := syntheticRecord(512).AppendJSON(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var rec ClusterRecord
+	if err := rec.decodeLine(line); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(line)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := rec.decodeLine(line); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -2,8 +2,11 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"dicer/internal/obs"
@@ -25,15 +28,28 @@ func encodeClusterTrace(t *testing.T, hdr TraceHeader, recs []ClusterRecord) []b
 	return buf.Bytes()
 }
 
+// warmRecord is a record that has carried heartbeats and an event,
+// zeroed as Decode zeroes one before decoding into it.
+func warmRecord() *ClusterRecord {
+	rec := syntheticRecord(3)
+	rec.Events = []FleetEvent{{Cause: CauseMigration, Node: 1, Jobs: []int{7}, Detail: "burn"}}
+	rec.reset()
+	return rec
+}
+
 // FuzzReadClusterTrace feeds the cluster trace decoder arbitrary input:
 // it must never panic, and whatever it accepts must re-encode to a
 // fixpoint — encoding, decoding and encoding again gives the same
-// bytes. The seeds are the committed cluster golden cut to its header
-// and first record, and to its first two (the fuzzer minimises every
-// input it finds interesting, and whole traces stall it), and a header
-// of another schema, which the decoder refuses.
+// bytes. Every line after the first also goes to the one-pass decoder
+// directly: a line it accepts encoding/json must accept too, into the
+// same record, both decoding into a warm record zeroed as Decode zeroes
+// one. The seeds are the committed cluster golden cut to its
+// header and first record, and to its first two (the fuzzer minimises
+// every input it finds interesting, and whole traces stall it), a
+// header of another schema, which the decoder refuses, and the golden's
+// header over each of fallbackLines' variants of its first record.
 func FuzzReadClusterTrace(f *testing.F) {
-	raw, err := os.ReadFile(filepath.Join("..", "..", "cmd", "dicer-fleet", "testdata", "cluster.jsonl.golden"))
+	raw, err := os.ReadFile(goldenClusterTraces[0])
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -41,7 +57,23 @@ func FuzzReadClusterTrace(f *testing.F) {
 	f.Add(bytes.Join(lines[:2], nil))
 	f.Add(bytes.Join(lines[:3], nil))
 	f.Add([]byte(`{"schema":"dicer-trace/v3","policy":"DICER","hps":["milc1"],"num_ways":20}` + "\n"))
+	for _, v := range fallbackLines(strings.TrimSuffix(string(lines[1]), "\n")) {
+		f.Add([]byte(string(lines[0]) + v + "\n"))
+	}
 	f.Fuzz(func(t *testing.T, in []byte) {
+		for _, line := range bytes.Split(in, []byte("\n"))[1:] {
+			fast, slow := warmRecord(), warmRecord()
+			if !fast.decodeFast(bytes.TrimSuffix(line, []byte("\r"))) {
+				continue
+			}
+			if err := json.Unmarshal(line, slow); err != nil {
+				t.Fatalf("the fast decoder accepts a line encoding/json refuses (%v):\n%s", err, line)
+			}
+			if !reflect.DeepEqual(fast, slow) {
+				t.Fatalf("the fast decoder and encoding/json disagree on\n%s\n%+v\n%+v", line, fast, slow)
+			}
+		}
+
 		hdr, recs, err := ReadClusterTrace(bytes.NewReader(in))
 		if err != nil {
 			return

@@ -8,16 +8,26 @@ import (
 )
 
 // LineWriter writes JSON Lines: one value per line, buffered, first
-// error sticky. Output is deterministic for deterministic values (struct
-// fields marshal in declaration order, floats in Go's shortest exact
-// form), which is what makes golden-trace tests byte-for-byte stable.
-// Both the per-run trace sink (JSONL) and the fleet's cluster trace are
-// built on it.
+// error sticky. A value with an AppendJSON method (the fleet's cluster
+// records) appends its own encoding into one buffer the writer reuses
+// for every line; any other value goes through json.Marshal. Both write
+// the same bytes: struct fields in declaration order, floats in Go's
+// shortest exact form, which is what makes golden-trace tests
+// byte-for-byte stable. Both the per-run trace sink (JSONL) and the
+// fleet's cluster trace are built on it.
 //
 // A LineWriter is not safe for concurrent use; give each run its own.
 type LineWriter struct {
 	w   *bufio.Writer
-	err error // first write error; subsequent calls are no-ops
+	buf []byte // the last appended line, reused by the next
+	err error  // first write error; subsequent calls are no-ops
+}
+
+// jsonAppender is a value that appends its own JSON encoding to b, byte
+// for byte what json.Marshal writes for it. obs cannot import the
+// packages whose records implement it.
+type jsonAppender interface {
+	AppendJSON(b []byte) ([]byte, error)
 }
 
 // NewLineWriter wraps w. Call Flush after the run; lines are buffered.
@@ -25,12 +35,19 @@ func NewLineWriter(w io.Writer) *LineWriter {
 	return &LineWriter{w: bufio.NewWriter(w)}
 }
 
-// WriteLine marshals v and appends it as one line.
+// WriteLine encodes v and appends it as one line.
 func (l *LineWriter) WriteLine(v any) {
 	if l.err != nil {
 		return
 	}
-	b, err := json.Marshal(v)
+	var b []byte
+	var err error
+	if a, ok := v.(jsonAppender); ok {
+		b, err = a.AppendJSON(l.buf[:0])
+		l.buf = b
+	} else {
+		b, err = json.Marshal(v)
+	}
 	if err != nil {
 		l.err = err
 		return
