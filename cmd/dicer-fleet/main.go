@@ -128,7 +128,7 @@ func main() {
 	flag.BoolVar(&p.autoscale, "autoscale", false, "enable the repartition-first autoscaler (repack, then add nodes; drain when idle)")
 	flag.IntVar(&p.maxNodes, "max-nodes", 0, "with -autoscale: working-fleet upper bound (0 = 2x -nodes)")
 	flag.IntVar(&p.minNodes, "min-nodes", 0, "with -autoscale: working-fleet lower bound (0 = -nodes)")
-	flag.BoolVar(&p.forensics, "forensics", false, "arm the flight recorder (per-node black-box rings sealed into incident bundles on SLO-burn, chaos or guard-veto triggers)")
+	flag.BoolVar(&p.forensics, "forensics", false, "arm the flight recorder (per-node black-box rings sealed into incident bundles on SLO-burn or node freeze/loss triggers)")
 	flag.StringVar(&p.incidentDir, "incident-dir", "", "write sealed incident bundles to this directory (implies -forensics); feed them to dicer-trace explain")
 	flag.BoolVar(&p.pprof, "pprof", false, "with -serve: also expose /debug/pprof/ profiling endpoints")
 	var (

@@ -80,8 +80,7 @@ type Config struct {
 	Autoscale AutoscaleConfig
 	// Forensics arms the flight recorder: per-node black-box rings of
 	// full-resolution entries, snapshotted into deterministic incident
-	// bundles when an SLO-burn alert fires, a guard vetoes, or a node
-	// is frozen/lost.
+	// bundles when an SLO-burn alert fires or a node is frozen/lost.
 	Forensics ForensicsConfig
 
 	// NodeChaos schedules node freeze/loss events.
@@ -294,13 +293,11 @@ type Cluster struct {
 
 	// Pooled per-period scratch: the record (heartbeats + events), the
 	// stepping slots, the per-worker accumulators, the placement views
-	// with their node-index owners, and the survivor queue. Steady-state
-	// stepping allocates nothing.
+	// and the survivor queue. Steady-state stepping allocates nothing.
 	rec    ClusterRecord
 	outs   []stepOut
 	accs   []stepAcc
 	views  []NodeView
-	owner  []int
 	kept   []*Job
 	stepP  int
 	stepFn func(w, i int) error
@@ -357,8 +354,25 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c.stepFn = c.stepNode
 	c.alertRule = slo.DefaultAlertConfig()
+	// Headers and bundles record the HPs per node only on a multi-HP
+	// fleet, so single-HP ones keep their bytes.
+	hpsPerNode := 0
+	if cfg.HPsPerNode > 1 {
+		hpsPerNode = cfg.HPsPerNode
+	}
 	if cfg.Forensics.Enabled {
-		c.fr = newForensics(cfg.Forensics)
+		c.fr = newForensics(cfg.Forensics, IncidentManifest{
+			Schema:     IncidentSchema,
+			Policy:     cfg.Policy,
+			Scheduler:  cfg.Scheduler,
+			Nodes:      cfg.Nodes,
+			HPsPerNode: hpsPerNode,
+			SLO:        cfg.SLO,
+			LinkGbps:   cfg.Machine.Link.CapacityGBps,
+			PeriodSec:  cfg.PeriodSec,
+			NodeChaos:  cfg.NodeChaos.Name,
+			Alert:      c.alertRule,
+		})
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		n, err := c.buildNode(i)
@@ -377,7 +391,7 @@ func New(cfg Config) (*Cluster, error) {
 
 	if cfg.Trace != nil {
 		c.lw = obs.NewLineWriter(cfg.Trace)
-		c.lw.WriteLine(c.header())
+		c.lw.WriteLine(c.header(hpsPerNode))
 		if err := c.lw.Err(); err != nil {
 			return nil, err
 		}
@@ -435,13 +449,9 @@ func (c *Cluster) appendNode(n *Node) {
 }
 
 // header builds the trace header.
-func (c *Cluster) header() TraceHeader {
+func (c *Cluster) header(hpsPerNode int) TraceHeader {
 	arr := c.cfg.Arrivals
 	arr.defaults()
-	hpsPerNode := 0
-	if c.cfg.HPsPerNode > 1 {
-		hpsPerNode = c.cfg.HPsPerNode
-	}
 	h := TraceHeader{
 		Schema:         TraceSchema,
 		Nodes:          c.cfg.Nodes,
@@ -473,26 +483,6 @@ func (c *Cluster) header() TraceHeader {
 		h.Forensics = &f
 	}
 	return h
-}
-
-// incidentManifest fills a bundle's configuration context; the seal pass
-// stamps trigger, sequence and window on top.
-func (c *Cluster) incidentManifest(pd *pendingIncident) IncidentManifest {
-	hpsPerNode := 0
-	if c.cfg.HPsPerNode > 1 {
-		hpsPerNode = c.cfg.HPsPerNode
-	}
-	return IncidentManifest{
-		Policy:     c.cfg.Policy,
-		Scheduler:  c.cfg.Scheduler,
-		Nodes:      c.cfg.Nodes,
-		HPsPerNode: hpsPerNode,
-		SLO:        c.cfg.SLO,
-		LinkGbps:   c.cfg.Machine.Link.CapacityGBps,
-		PeriodSec:  c.cfg.PeriodSec,
-		NodeChaos:  c.cfg.NodeChaos.Name,
-		Alert:      c.alertRule,
-	}
 }
 
 // Incidents returns the sealed incident bundles so far (nil when the
@@ -806,10 +796,10 @@ func (c *Cluster) stepLocked() (*ClusterRecord, error) {
 				e.BurnShort, e.BurnLong = burns[0], burns[len(burns)-1]
 				e.AlertFiring = a.Firing()
 			}
-			c.fr.noteEntry(e)
+			c.fr.rings[i].Push(e)
 		}
 		c.fr.noteEvents(p, rec.Events)
-		rec.Incidents = c.fr.seal(p, false, c.incidentManifest)
+		rec.Incidents = c.fr.seal(p, false)
 	}
 	running := 0
 	for w := range c.accs {
@@ -839,20 +829,18 @@ func (c *Cluster) stepLocked() (*ClusterRecord, error) {
 }
 
 // placeLocked runs period p's placement pass. Candidate views are built
-// once into pooled slices, then updated in place as placements land —
-// each placement folds the job into its view and a filled node leaves
-// the candidate list in order — and the scheduler hears of each fold.
-// The pass is sequential (FIFO over the queue) to keep the random
-// scheduler's stream deterministic.
+// once into a pooled slice, then updated in place as placements land:
+// each placement folds the job into its view, which keeps its position
+// when it fills, and the scheduler hears of each fold. The pass is
+// sequential (FIFO over the queue) to keep the random scheduler's
+// stream deterministic.
 func (c *Cluster) placeLocked(p int, rec *ClusterRecord) error {
 	c.views = c.views[:0]
-	c.owner = c.owner[:0]
 	for i, n := range c.nodes {
 		if n.lost || n.retired || n.draining || n.Frozen(p) || n.FreeCores() <= 0 || p < c.quarUntil[i] {
 			continue
 		}
 		c.views = append(c.views, n.view(c.lastGbps[i]))
-		c.owner = append(c.owner, i)
 	}
 	c.sched.BeginPass(c.views)
 	defer c.sched.EndPass()
@@ -867,26 +855,19 @@ func (c *Cluster) placeLocked(p int, rec *ClusterRecord) error {
 			kept = append(kept, j)
 			continue
 		}
-		ni := c.owner[idx]
-		if err := c.nodes[ni].Place(j, p); err != nil {
+		// Node index equals node ID (appendNode).
+		v := &c.views[idx]
+		if err := c.nodes[v.ID].Place(j, p); err != nil {
 			return err
 		}
 		j.Attempts++
-		v := &c.views[idx]
 		v.fold(c.cfg.Machine, &j.Profile)
 		rec.Placed++
 		c.res.Placements++
 		if j.Attempts == 1 {
 			c.waits = append(c.waits, float64(p-j.ArrivalPeriod))
 		}
-		left := v.FreeCores <= 0
-		c.sched.Folded(idx, left)
-		if left {
-			copy(c.views[idx:], c.views[idx+1:])
-			c.views = c.views[:len(c.views)-1]
-			copy(c.owner[idx:], c.owner[idx+1:])
-			c.owner = c.owner[:len(c.owner)-1]
-		}
+		c.sched.Folded(idx)
 	}
 	c.kept = c.queue[:0] // swap backing arrays; both pools persist
 	c.queue = kept
@@ -924,7 +905,7 @@ func (c *Cluster) Finish() (Result, error) {
 	var sealed []*Incident
 	if c.fr != nil {
 		c.fr.justSealed = c.fr.justSealed[:0]
-		c.fr.seal(c.period, true, c.incidentManifest)
+		c.fr.seal(c.period, true)
 		c.res.Incidents = len(c.fr.incidents)
 		c.res.IncidentsDropped = c.fr.dropped
 		if c.cfg.OnIncident != nil {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -166,6 +167,71 @@ func TestClusterNodeLoss(t *testing.T) {
 		}
 		if hb.Lost && hb.BECount != 0 {
 			t.Fatalf("period %d: lost node still reports %d BEs", rec.Period, hb.BECount)
+		}
+	}
+}
+
+// TestClusterNodeLossCascade pins the re-placement rule: one long job
+// under least-loaded placement loses its node each time it lands. A
+// loss at period p re-queues it for period p + 2 × its placements so
+// far, and the loss of its fifth placement drops it.
+func TestClusterNodeLossCascade(t *testing.T) {
+	// The job lands on node 0 at period 0, then on the lowest-ID node
+	// left after each loss.
+	losses := []int{3, 7, 13, 21, 31}
+	wantPlaced := []int{0, 3 + 1*2, 7 + 2*2, 13 + 3*2, 21 + 4*2}
+	var events []chaos.NodeEvent
+	for k, p := range losses {
+		events = append(events, chaos.NodeEvent{Period: p, Node: k, Fault: chaos.NodeLoss})
+	}
+	var buf bytes.Buffer
+	c, err := New(Config{
+		Nodes:          6,
+		HorizonPeriods: 36,
+		Scheduler:      "least-loaded",
+		Arrivals:       ArrivalConfig{Seed: 1, RatePerPeriod: 1e-9},
+		NodeChaos:      chaos.NodeSchedule{Name: "cascade", Events: events},
+		Trace:          &buf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.arrivals = []Arrival{{Job: 0, Period: 0, App: "mcf1", DurationPeriods: 100}}
+	c.res.Arrivals = 1
+	res, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Losses != 5 || res.Placements != 5 || res.Requeued != 4 || res.Dropped != 1 || res.QueuedEnd != 0 {
+		t.Fatalf("losses %d, placements %d, requeued %d, dropped %d, queued %d; want 5, 5, 4, 1, 0",
+			res.Losses, res.Placements, res.Requeued, res.Dropped, res.QueuedEnd)
+	}
+	_, recs, err := ReadClusterTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var placed []int
+	for _, rec := range recs {
+		if rec.Placed == 0 {
+			continue
+		}
+		k := len(placed)
+		placed = append(placed, rec.Period)
+		if k < len(wantPlaced) && rec.Nodes[k].BECount != 1 {
+			t.Fatalf("period %d: placement %d not on node %d: %+v", rec.Period, k, k, rec.Nodes)
+		}
+	}
+	if !slices.Equal(placed, wantPlaced) {
+		t.Fatalf("placed at periods %v, want %v", placed, wantPlaced)
+	}
+	for k, p := range losses {
+		requeued, dropped := 1, 0
+		if k == len(losses)-1 {
+			requeued, dropped = 0, 1
+		}
+		if rec := recs[p]; rec.Losses != 1 || rec.Requeued != requeued || rec.Dropped != dropped {
+			t.Fatalf("loss %d at period %d: losses %d, requeued %d, dropped %d; want 1, %d, %d",
+				k, p, rec.Losses, rec.Requeued, rec.Dropped, requeued, dropped)
 		}
 	}
 }

@@ -17,13 +17,13 @@ import (
 // provenance for the period, pushed serially after the stepping barrier
 // at a cost of one struct copy per node per period, allocation-free
 // warm. When something goes wrong (a node's SLO-burn alert transitions
-// to firing, a guard vetoes an actuation, chaos freezes or loses a
-// node), the trigger marks the node and the recorder keeps running for
-// TailPeriods more before sealing the ring, together with the fleet
-// control events in the same window, into a deterministic byte-stable
-// incident bundle. The bundles feed `dicer-trace explain` and the
-// `/incidents` endpoint; identical runs produce identical bundles, so a
-// live dump and its committed golden are interchangeable evidence.
+// to firing, chaos freezes or loses a node), the trigger marks the node
+// and the recorder keeps running for TailPeriods more before sealing the
+// ring, together with the fleet control events in the same window, into
+// a deterministic byte-stable incident bundle. The bundles feed
+// `dicer-trace explain` and the `/incidents` endpoint; identical runs
+// produce identical bundles, so a live dump and its committed golden are
+// interchangeable evidence.
 
 // IncidentSchema identifies the incident bundle format: the first line
 // of a bundle is an IncidentManifest carrying this tag, every following
@@ -39,9 +39,6 @@ const (
 	// TriggerNodeLoss / TriggerNodeFreeze mark node chaos events.
 	TriggerNodeLoss   = "node-loss"
 	TriggerNodeFreeze = "node-freeze"
-	// TriggerGuardVeto marks a period whose decision provenance records
-	// an invariant-guard intervention on the node controller.
-	TriggerGuardVeto = "guard-veto"
 )
 
 // ForensicsConfig arms the fleet flight recorder.
@@ -257,9 +254,12 @@ type pendingIncident struct {
 // forensics is the cluster's recorder state. All access is under the
 // cluster's step lock.
 type forensics struct {
-	cfg    ForensicsConfig
-	rings  []*obs.FlightRing[FlightEntry] // per node, index == node ID
-	events *obs.FlightRing[TimedEvent]    // fleet control events, fleet-wide
+	cfg ForensicsConfig
+	// manifest is the run's configuration context, which every bundle's
+	// manifest copies before seal stamps its own fields.
+	manifest IncidentManifest
+	rings    []*obs.FlightRing[FlightEntry] // per node, index == node ID
+	events   *obs.FlightRing[TimedEvent]    // fleet control events, fleet-wide
 
 	pending    []pendingIncident
 	incidents  []*Incident
@@ -271,10 +271,12 @@ type forensics struct {
 	evScratch []TimedEvent // seal-time snapshot scratch
 }
 
-// newForensics builds the recorder for an armed cluster.
-func newForensics(cfg ForensicsConfig) *forensics {
+// newForensics builds the recorder for an armed cluster whose bundles
+// carry manifest's configuration context.
+func newForensics(cfg ForensicsConfig, manifest IncidentManifest) *forensics {
 	return &forensics{
-		cfg: cfg,
+		cfg:      cfg,
+		manifest: manifest,
 		// Control events are rare next to node-periods; a window of
 		// recent events several times the flight window deep is enough
 		// to cover any bundle's scope.
@@ -309,15 +311,6 @@ func (f *forensics) trigger(p, node int, kind, detail string) {
 	})
 }
 
-// noteEntry records one node-period into the node's ring and checks the
-// provenance-driven trigger (guard-veto).
-func (f *forensics) noteEntry(e FlightEntry) {
-	f.rings[e.Node].Push(e)
-	if e.Cause == "guard-veto" {
-		f.trigger(e.Period, e.Node, TriggerGuardVeto, "")
-	}
-}
-
 // noteEvents records the period's fleet control events.
 func (f *forensics) noteEvents(p int, events []FleetEvent) {
 	for i := range events {
@@ -328,7 +321,7 @@ func (f *forensics) noteEvents(p int, events []FleetEvent) {
 // seal closes every pending incident due at period p (or all of them
 // when force is set — the end-of-run flush) and returns how many were
 // sealed. Sealed bundles are appended to incidents and justSealed.
-func (f *forensics) seal(p int, force bool, manifest func(pd *pendingIncident) IncidentManifest) int {
+func (f *forensics) seal(p int, force bool) int {
 	sealed := 0
 	kept := f.pending[:0]
 	for i := range f.pending {
@@ -337,8 +330,7 @@ func (f *forensics) seal(p int, force bool, manifest func(pd *pendingIncident) I
 			kept = append(kept, *pd)
 			continue
 		}
-		inc := &Incident{Manifest: manifest(pd)}
-		inc.Manifest.Schema = IncidentSchema
+		inc := &Incident{Manifest: f.manifest}
 		inc.Manifest.Seq = f.seq
 		inc.Manifest.Trigger = pd.trigger
 		inc.Manifest.Node = pd.node

@@ -61,7 +61,7 @@ func TestForensicsCapturesIncidents(t *testing.T) {
 		switch m.Trigger {
 		case TriggerSLOBurn:
 			sawBurn = true
-		case TriggerNodeLoss, TriggerNodeFreeze, TriggerGuardVeto:
+		case TriggerNodeLoss, TriggerNodeFreeze:
 		default:
 			t.Fatalf("unknown trigger %q", m.Trigger)
 		}
@@ -256,12 +256,12 @@ func TestIncidentRoundTrip(t *testing.T) {
 
 // TestForensicsTriggerHygiene unit-tests the trigger bookkeeping: the
 // per-node cooldown suppresses repeat triggers, the retention bound
-// counts drops, and a guard-veto provenance tag in a flight entry is
-// itself a trigger.
+// counts drops, and a trigger seals at its tail bound with the node's
+// ring as evidence under the run's manifest.
 func TestForensicsTriggerHygiene(t *testing.T) {
 	cfg := ForensicsConfig{Enabled: true, WindowPeriods: 8, TailPeriods: 2, CooldownPeriods: 10, MaxIncidents: 2}
 	cfg.withDefaults()
-	f := newForensics(cfg)
+	f := newForensics(cfg, IncidentManifest{})
 	f.addNode()
 	f.addNode()
 
@@ -281,23 +281,25 @@ func TestForensicsTriggerHygiene(t *testing.T) {
 		t.Fatalf("pending %d dropped %d, want bound to drop the third", len(f.pending), f.dropped)
 	}
 
-	// guard-veto provenance triggers through noteEntry.
-	g := newForensics(cfg)
+	// A freeze at period 3 seals once period 5's entry is recorded.
+	g := newForensics(cfg, IncidentManifest{Schema: IncidentSchema, Policy: "DICER", Nodes: 1})
 	g.addNode()
-	g.noteEntry(FlightEntry{Period: 3, Heartbeat: Heartbeat{Node: 0}, Cause: "guard-veto"})
-	if len(g.pending) != 1 || g.pending[0].trigger != TriggerGuardVeto {
-		t.Fatalf("guard-veto entry did not trigger: %+v", g.pending)
+	g.rings[0].Push(FlightEntry{Period: 3, Heartbeat: Heartbeat{Node: 0, Frozen: true}})
+	g.trigger(3, 0, TriggerNodeFreeze, "periods=2")
+	g.rings[0].Push(FlightEntry{Period: 4, Heartbeat: Heartbeat{Node: 0, Frozen: true}})
+	if n := g.seal(4, false); n != 0 {
+		t.Fatalf("sealed %d incidents inside the tail, want 0", n)
 	}
-	// Seal at the tail bound and check the ring snapshot landed.
-	g.noteEntry(FlightEntry{Period: 4, Heartbeat: Heartbeat{Node: 0}})
-	g.noteEntry(FlightEntry{Period: 5, Heartbeat: Heartbeat{Node: 0}})
-	n := g.seal(5, false, func(pd *pendingIncident) IncidentManifest { return IncidentManifest{} })
-	if n != 1 || len(g.incidents) != 1 {
-		t.Fatalf("sealed %d incidents, want 1", n)
+	g.rings[0].Push(FlightEntry{Period: 5, Heartbeat: Heartbeat{Node: 0}})
+	if n := g.seal(5, false); n != 1 || len(g.incidents) != 1 {
+		t.Fatalf("sealed %d incidents at the tail bound, want 1", n)
 	}
-	inc := g.incidents[0]
-	if inc.Manifest.Trigger != TriggerGuardVeto || len(inc.Flight) != 3 || inc.Manifest.WindowFrom != 3 || inc.Manifest.WindowTo != 5 {
-		t.Fatalf("sealed bundle malformed: %+v", inc.Manifest)
+	want := IncidentManifest{
+		Schema: IncidentSchema, Trigger: TriggerNodeFreeze, Period: 3, Detail: "periods=2",
+		WindowFrom: 3, WindowTo: 5, Policy: "DICER", Nodes: 1,
+	}
+	if inc := g.incidents[0]; !reflect.DeepEqual(inc.Manifest, want) || len(inc.Flight) != 3 {
+		t.Fatalf("sealed bundle %+v with %d flight entries, want %+v with 3", inc.Manifest, len(inc.Flight), want)
 	}
 }
 

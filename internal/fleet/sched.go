@@ -14,9 +14,9 @@ import (
 // NodeView is the snapshot of one candidate node the scheduler sees:
 // capacity, population, the last heartbeat's bandwidth (plus the
 // predicted demand of placements already made this period), and the BE
-// partition geometry the pressure model needs. The cluster only builds
-// views for healthy nodes with a free core, so feasibility beyond that
-// is the scheduler's own policy.
+// partition geometry the pressure model needs. A view without a free
+// core is full and never picked (see Scheduler); feasibility beyond
+// that is the scheduler's own policy.
 type NodeView struct {
 	ID        int
 	FreeCores int
@@ -43,9 +43,13 @@ type NodeView struct {
 // one placement pass per period: BeginPass with the period's candidate
 // views, Pick for each queued job in queue order, Folded after each
 // placement it folds into a view, and EndPass. Between BeginPass and
-// EndPass, Pick always receives the pass's views, and only the reported
-// folds change them. Pick called outside a pass places one job over the
-// views it is given. Every view of a pass carries the same machine.
+// EndPass, Pick always receives the pass's views, each at the position
+// BeginPass found it, and only the reported folds change them. Pick
+// called outside a pass places one job over the views it is given.
+// Every view of a pass carries the same machine.
+//
+// A view whose FreeCores is 0 or less is full. It keeps its position,
+// but Pick never returns it, inside a pass or outside one.
 //
 // Pick returns the chosen node's position in views and whether any node
 // is acceptable; returning ok=false queues the job for a later period.
@@ -58,10 +62,8 @@ type Scheduler interface {
 	// BeginPass opens a placement pass over views.
 	BeginPass(views []NodeView)
 	Pick(job *Job, views []NodeView) (idx int, ok bool)
-	// Folded reports that a placement was folded into views[idx]; left
-	// reports that the view then left the list, the views after it each
-	// moving up one position.
-	Folded(idx int, left bool)
+	// Folded reports that a placement was folded into views[idx].
+	Folded(idx int)
 	// EndPass closes the pass.
 	EndPass()
 }
@@ -71,7 +73,7 @@ type Scheduler interface {
 type passless struct{}
 
 func (passless) BeginPass([]NodeView) {}
-func (passless) Folded(int, bool)     {}
+func (passless) Folded(int)           {}
 func (passless) EndPass()             {}
 
 // NewScheduler builds a scheduler by name: "random", "least-loaded" or
@@ -99,12 +101,28 @@ type RandomScheduler struct {
 	rng *rand.Rand
 }
 
-// Pick implements Scheduler.
+// Pick implements Scheduler: one draw over the views with a free core,
+// counted in view order.
 func (s *RandomScheduler) Pick(_ *Job, views []NodeView) (int, bool) {
-	if len(views) == 0 {
+	open := 0
+	for i := range views {
+		if views[i].FreeCores > 0 {
+			open++
+		}
+	}
+	if open == 0 {
 		return 0, false
 	}
-	return s.rng.Intn(len(views)), true
+	n := s.rng.Intn(open)
+	for i := range views {
+		if views[i].FreeCores > 0 {
+			if n == 0 {
+				return i, true
+			}
+			n--
+		}
+	}
+	panic("fleet: random draw past the open views")
 }
 
 // LeastLoadedScheduler places on the node with the fewest running BE
@@ -116,6 +134,9 @@ type LeastLoadedScheduler struct{ passless }
 func (LeastLoadedScheduler) Pick(_ *Job, views []NodeView) (int, bool) {
 	best, ok := 0, false
 	for i, v := range views {
+		if v.FreeCores <= 0 {
+			continue
+		}
 		if !ok || v.BECount < views[best].BECount ||
 			(v.BECount == views[best].BECount && v.ID < views[best].ID) {
 			best, ok = i, true
@@ -159,16 +180,12 @@ type HeadroomScheduler struct {
 	memo map[string]*demandMemo
 
 	// The placement pass. open reports one is open and pass numbers it.
-	// A slot numbers a view as the pass opened; ids holds each slot's
-	// node ID. live has a bit per slot still in the list (nlive of
-	// them), so a view's position is the number of live slots before
-	// its own. folds lists the slot of every fold reported so far, and
-	// stamp holds one past each slot's last index in it.
+	// A view keeps its position for the whole pass, so a position is a
+	// row slot. folds lists the position of every fold reported so far,
+	// and stamp, one entry per view of the pass, holds one past each
+	// position's last index in it.
 	open  bool
 	pass  int
-	ids   []int
-	live  []uint64
-	nlive int
 	folds []int32
 	stamp []int32
 }
@@ -178,9 +195,9 @@ type HeadroomScheduler struct {
 // predicted demand on the scheduler's machine m,
 // PredictJobGbps(m, profile, beWays, beCount) at index
 // beWays*(m.Cores+1)+beCount, NaN until computed. score and feasible
-// (one bit per slot) are its pass row: the profile's score on the view
-// in each slot as of its last pick, in pass pass after seen folds.
-// phases identifies the profile's phase set: catalog profiles
+// (one bit per view) are its pass row: the profile's score on each view
+// of pass pass as of its last pick, after seen folds; a full view's bit
+// is clear. phases identifies the profile's phase set: catalog profiles
 // (app.ByName, app.ByClass) share their Phases backing array, and a
 // profile of the same name with other phases makes both stale.
 type demandMemo struct {
@@ -198,74 +215,29 @@ type demandMemo struct {
 // demanded beyond 1×) into bandwidth-headroom-fraction units.
 const pressureWeight = 0.15
 
-// BeginPass implements Scheduler: every view gets the slot of its
-// position, and the first view's machine is the pass's.
+// BeginPass implements Scheduler; the first view's machine is the
+// pass's.
 func (s *HeadroomScheduler) BeginPass(views []NodeView) {
 	s.open = true
 	s.pass++
-	n := len(views)
-	s.ids = slices.Grow(s.ids[:0], n)[:n]
-	for i := range views {
-		s.ids[i] = views[i].ID
-	}
-	words := (n + 63) / 64
-	s.live = slices.Grow(s.live[:0], words)[:words]
-	for w := range s.live {
-		s.live[w] = ^uint64(0)
-	}
-	if n%64 != 0 {
-		s.live[words-1] = 1<<(n%64) - 1
-	}
-	s.nlive = n
 	s.folds = s.folds[:0]
-	s.stamp = slices.Grow(s.stamp[:0], n)[:n]
-	if n > 0 && (s.memo == nil || views[0].Machine != s.m) {
+	s.stamp = slices.Grow(s.stamp[:0], len(views))[:len(views)]
+	if len(views) > 0 && (s.memo == nil || views[0].Machine != s.m) {
 		s.reset(&views[0].Machine)
 	}
 }
 
 // Folded implements Scheduler.
-func (s *HeadroomScheduler) Folded(idx int, left bool) {
+func (s *HeadroomScheduler) Folded(idx int) {
 	if !s.open {
 		return
 	}
-	slot := s.slotAt(idx)
-	s.folds = append(s.folds, int32(slot))
-	s.stamp[slot] = int32(len(s.folds))
-	if left {
-		s.live[slot>>6] &^= 1 << (slot & 63)
-		s.nlive--
-	}
+	s.folds = append(s.folds, int32(idx))
+	s.stamp[idx] = int32(len(s.folds))
 }
 
 // EndPass implements Scheduler.
 func (s *HeadroomScheduler) EndPass() { s.open = false }
-
-// slotAt returns the slot of the view at position idx: the idx-th live
-// slot.
-func (s *HeadroomScheduler) slotAt(idx int) int {
-	for w, word := range s.live {
-		if c := bits.OnesCount64(word); idx >= c {
-			idx -= c
-			continue
-		}
-		for ; idx > 0; idx-- {
-			word &= word - 1
-		}
-		return w<<6 | bits.TrailingZeros64(word)
-	}
-	panic(fmt.Sprintf("fleet: no view at position %d of the pass", idx))
-}
-
-// position returns the position of the view in a live slot.
-func (s *HeadroomScheduler) position(slot int) int {
-	w := slot >> 6
-	n := bits.OnesCount64(s.live[w] & (1<<(slot&63) - 1))
-	for _, word := range s.live[:w] {
-		n += bits.OnesCount64(word)
-	}
-	return n
-}
 
 // Pick implements Scheduler. Outside a pass it runs as a one-shot pass.
 func (s *HeadroomScheduler) Pick(job *Job, views []NodeView) (int, bool) {
@@ -273,65 +245,60 @@ func (s *HeadroomScheduler) Pick(job *Job, views []NodeView) (int, bool) {
 		s.BeginPass(views)
 		defer s.EndPass()
 	}
-	if len(views) != s.nlive {
-		panic(fmt.Sprintf("fleet: Pick over %d views in a pass of %d", len(views), s.nlive))
+	n := len(s.stamp)
+	if len(views) != n {
+		panic(fmt.Sprintf("fleet: Pick over %d views in a pass of %d", len(views), n))
 	}
-	if s.nlive == 0 {
+	if n == 0 {
 		return 0, false
 	}
 	prof := &job.Profile
 	e := s.entry(prof)
-	fp, row := e.fp, e.gbps
 	if e.pass != s.pass {
-		// Fill the row: every live slot, in view order.
+		// Fill the row: every view, in order. Clearing first drops the
+		// bits an earlier, longer pass left past this pass's views.
 		e.pass = s.pass
-		n := len(s.ids)
 		e.score = slices.Grow(e.score[:0], n)[:n]
-		e.feasible = slices.Grow(e.feasible[:0], len(s.live))[:len(s.live)]
-		i := 0
-		for w, word := range s.live {
-			for ; word != 0; word &= word - 1 {
-				v := &views[i]
-				score, fits := s.score(v, s.predict(row, prof, v), fp)
-				e.put(w<<6|bits.TrailingZeros64(word), score, fits)
-				i++
-			}
+		words := (n + 63) / 64
+		e.feasible = slices.Grow(e.feasible[:0], words)[:words]
+		clear(e.feasible)
+		for slot := range views {
+			s.put(e, prof, &views[slot], slot)
 		}
 	} else {
-		// Re-score the live slots folded since the row's last pick, each
-		// once, at its last fold.
+		// Re-score the views folded since the row's last pick, each once,
+		// at its last fold.
 		for k, slot := range s.folds[e.seen:] {
-			if int(s.stamp[slot]) == e.seen+k+1 && s.live[slot>>6]&(1<<(slot&63)) != 0 {
-				v := &views[s.position(int(slot))]
-				score, fits := s.score(v, s.predict(row, prof, v), fp)
-				e.put(int(slot), score, fits)
+			if int(s.stamp[slot]) == e.seen+k+1 {
+				s.put(e, prof, &views[slot], int(slot))
 			}
 		}
 	}
 	e.seen = len(s.folds)
 
-	// The argmax over live feasible slots in slot (= view) order.
+	// The argmax over the feasible slots, in view order.
 	best, ok := 0, false
-	bestScore, bestID := 0.0, 0
-	scores, ids := e.score, s.ids
-	for w, word := range s.live {
-		for m := word & e.feasible[w]; m != 0; m &= m - 1 {
-			slot := w<<6 | bits.TrailingZeros64(m)
+	bestScore := 0.0
+	scores := e.score
+	for w, word := range e.feasible {
+		for ; word != 0; word &= word - 1 {
+			slot := w<<6 | bits.TrailingZeros64(word)
 			if score := scores[slot]; !ok || score > bestScore ||
-				(score == bestScore && ids[slot] < bestID) {
-				best, bestScore, bestID, ok = slot, score, ids[slot], true
+				(score == bestScore && views[slot].ID < views[best].ID) {
+				best, bestScore, ok = slot, score, true
 			}
 		}
 	}
-	if !ok {
-		return 0, false
-	}
-	return s.position(best), true
+	return best, ok
 }
 
-// put records a score and its feasibility in the row's slot.
-func (e *demandMemo) put(slot int, score float64, fits bool) {
-	e.score[slot] = score
+// put scores p on v, the view in slot, into e's row. A full view is
+// infeasible without a score.
+func (s *HeadroomScheduler) put(e *demandMemo, p *app.Profile, v *NodeView, slot int) {
+	fits := false
+	if v.FreeCores > 0 {
+		e.score[slot], fits = s.score(v, s.predict(e.gbps, p, v), e.fp)
+	}
 	if bit := uint64(1) << (slot & 63); fits {
 		e.feasible[slot>>6] |= bit
 	} else {

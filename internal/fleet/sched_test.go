@@ -139,9 +139,9 @@ func TestHeadroomPrefersHeadroom(t *testing.T) {
 // TestLeastLoadedPicksMinimum pins the least-loaded tie-break.
 func TestLeastLoadedPicksMinimum(t *testing.T) {
 	views := []NodeView{
-		{ID: 0, BECount: 3},
-		{ID: 1, BECount: 1},
-		{ID: 2, BECount: 1},
+		{ID: 0, FreeCores: 1, BECount: 3},
+		{ID: 1, FreeCores: 1, BECount: 1},
+		{ID: 2, FreeCores: 1, BECount: 1},
 	}
 	idx, ok := LeastLoadedScheduler{}.Pick(nil, views)
 	if !ok || idx != 1 {
@@ -155,6 +155,9 @@ func TestLeastLoadedPicksMinimum(t *testing.T) {
 // TestRandomSchedulerSeeded pins the random scheduler's determinism.
 func TestRandomSchedulerSeeded(t *testing.T) {
 	views := make([]NodeView, 5)
+	for i := range views {
+		views[i].FreeCores = 1
+	}
 	a, _ := NewScheduler("random", 99)
 	b, _ := NewScheduler("random", 99)
 	for i := 0; i < 50; i++ {
@@ -169,14 +172,127 @@ func TestRandomSchedulerSeeded(t *testing.T) {
 	}
 }
 
+// TestRandomPicksMatchCompactedViews holds the random scheduler to the
+// stream it drew when the cluster dropped each view as it filled: over
+// passes that fill views, a scheduler picking from views kept in place
+// chooses the node IDs that a same-seed one chooses from a copy without
+// the full views.
+func TestRandomPicksMatchCompactedViews(t *testing.T) {
+	inPlace, _ := NewScheduler("random", 5)
+	compacted, _ := NewScheduler("random", 5)
+	rng := rand.New(rand.NewSource(8))
+	picks, filled := 0, 0
+	for pass := 0; pass < 40; pass++ {
+		vs := make([]NodeView, 1+rng.Intn(12))
+		for i := range vs {
+			vs[i] = NodeView{ID: 3*i + rng.Intn(3), FreeCores: 1 + rng.Intn(3)}
+		}
+		cs := slices.Clone(vs)
+		inPlace.BeginPass(vs)
+		compacted.BeginPass(cs)
+		// More jobs than free cores, so every pass ends with no view open.
+		for k := 0; k < 4*len(vs); k++ {
+			gi, gok := inPlace.Pick(nil, vs)
+			wi, wok := compacted.Pick(nil, cs)
+			if gok != wok || gok && vs[gi].ID != cs[wi].ID {
+				t.Fatalf("pass %d pick %d: in place (%d, %v), compacted (%d, %v)", pass, k, gi, gok, wi, wok)
+			}
+			if !gok {
+				continue
+			}
+			picks++
+			vs[gi].FreeCores--
+			inPlace.Folded(gi)
+			cs[wi].FreeCores--
+			compacted.Folded(wi)
+			if cs[wi].FreeCores == 0 {
+				filled++
+				cs = slices.Delete(cs, wi, wi+1)
+			}
+		}
+		inPlace.EndPass()
+		compacted.EndPass()
+	}
+	if picks == 0 || filled == 0 {
+		t.Fatalf("inputs too one-sided: %d picks, %d views filled", picks, filled)
+	}
+}
+
+// TestSchedulersNeverPickFullViews holds every scheduler to the rule
+// that a full view keeps its position but is never picked: in one-shot
+// picks over lists with full views among them, and through passes that
+// fill views, over lists whose length changes from pass to pass.
+func TestSchedulersNeverPickFullViews(t *testing.T) {
+	m := machine.Default()
+	knee := m.Link.Knee * m.Link.CapacityGBps
+	cat := app.Catalog()
+	rng := rand.New(rand.NewSource(9))
+	views := func() []NodeView {
+		vs := make([]NodeView, 1+rng.Intn(150))
+		for i := range vs {
+			free := rng.Intn(3)
+			vs[i] = NodeView{
+				ID:        i,
+				FreeCores: free,
+				BECount:   rng.Intn(m.Cores - free),
+				BEWays:    rng.Intn(m.LLCWays + 1),
+				TotalGbps: 0.5 * rng.Float64() * knee,
+				Machine:   m,
+			}
+		}
+		return vs
+	}
+	job := func() *Job { return &Job{Profile: cat[rng.Intn(len(cat))]} }
+	for _, name := range SchedulerNames() {
+		sched, err := NewScheduler(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oneShot, inPass := 0, 0
+		for round := 0; round < 40; round++ {
+			vs := views()
+			for k := 0; k < 4; k++ {
+				if idx, ok := sched.Pick(job(), vs); ok {
+					if vs[idx].FreeCores <= 0 {
+						t.Fatalf("%s: one-shot pick of full view %d (ID %d)", name, idx, vs[idx].ID)
+					}
+					oneShot++
+				}
+			}
+			sched.BeginPass(vs)
+			for k := 0; k < 3*len(vs); k++ {
+				j := job()
+				idx, ok := sched.Pick(j, vs)
+				if !ok {
+					continue
+				}
+				if vs[idx].FreeCores <= 0 {
+					t.Fatalf("%s: round %d pick %d chose full view %d (ID %d)", name, round, k, idx, vs[idx].ID)
+				}
+				inPass++
+				vs[idx].fold(m, &j.Profile)
+				sched.Folded(idx)
+			}
+			sched.EndPass()
+		}
+		if oneShot == 0 || inPass == 0 {
+			t.Fatalf("%s: inputs too one-sided: %d one-shot picks, %d in passes", name, oneShot, inPass)
+		}
+	}
+}
+
 // refHeadroomPick and refHeadroomScore are the reference headroom
-// placement: every candidate scored from scratch, its demand predicted
-// by PredictJobGbps, highest score winning with ties to the lowest node
-// ID. They are the oracle HeadroomScheduler.Pick must match exactly.
+// placement: every candidate with a free core scored from scratch, its
+// demand predicted by PredictJobGbps, highest score winning with ties to
+// the lowest node ID. They are the oracle HeadroomScheduler.Pick must
+// match exactly.
 func refHeadroomPick(job *Job, views []NodeView) (int, bool) {
 	best, ok := 0, false
 	bestScore := 0.0
 	for i, v := range views {
+		if v.FreeCores <= 0 {
+			continue
+		}
 		score, feasible := refHeadroomScore(job, v)
 		if !feasible {
 			continue
@@ -340,14 +456,14 @@ func TestHeadroomPickAllocFree(t *testing.T) {
 
 // TestHeadroomPassMatchesReference drives whole placement passes the
 // way the cluster does — each placement folded into its view and
-// reported, a filled view leaving the list in order — and holds every
-// pick to the reference scoring of the views as they stand. The views
-// come from a stepped two-HP fleet and from seeded random sets (IDs
-// shuffled with gaps, duplicates under other IDs, on the default
-// machine and a second one); each pass's jobs repeat profiles, so most
-// picks re-score only what the folds since changed, and a profile
-// sharing a catalog name but not its phases takes turns with the
-// catalog one.
+// reported, a filled view keeping its position — and holds every pick
+// to the reference scoring of the views as they stand. The views come
+// from a stepped two-HP fleet (full nodes among them) and from seeded
+// random sets (IDs shuffled with gaps, duplicates under other IDs, on
+// the default machine and a second one); each pass's jobs repeat
+// profiles, so most picks re-score only what the folds since changed,
+// and a profile sharing a catalog name but not its phases takes turns
+// with the catalog one.
 func TestHeadroomPassMatchesReference(t *testing.T) {
 	sched, err := NewScheduler("headroom", 0)
 	if err != nil {
@@ -411,7 +527,7 @@ func TestHeadroomPassMatchesReference(t *testing.T) {
 		return jobs
 	}
 
-	placed, left, queued := 0, 0, 0
+	placed, filled, queued := 0, 0, 0
 	pass := func(views []NodeView, jobs []*Job) {
 		t.Helper()
 		vs := slices.Clone(views)
@@ -431,17 +547,14 @@ func TestHeadroomPassMatchesReference(t *testing.T) {
 			placed++
 			v := &vs[gotIdx]
 			v.fold(v.Machine, &j.Profile)
-			full := v.FreeCores <= 0
-			sched.Folded(gotIdx, full)
-			if full {
-				left++
-				vs = slices.Delete(vs, gotIdx, gotIdx+1)
+			sched.Folded(gotIdx)
+			if v.FreeCores <= 0 {
+				filled++
 			}
 		}
 	}
 
 	fleetViews, _ := placementInputs(t)
-	fleetViews = slices.DeleteFunc(fleetViews, func(v NodeView) bool { return v.FreeCores <= 0 })
 	pass(fleetViews, burst(3*len(fleetViews)))
 	for _, m := range []machine.Machine{mA, mB, mA} {
 		for round := 0; round < 3; round++ {
@@ -450,8 +563,8 @@ func TestHeadroomPassMatchesReference(t *testing.T) {
 		}
 	}
 
-	t.Logf("%d placed (%d filled a view), %d queued", placed, left, queued)
-	if placed == 0 || left == 0 || queued == 0 {
-		t.Fatalf("inputs too one-sided: %d placed, %d filled, %d queued", placed, left, queued)
+	t.Logf("%d placed (%d filled a view), %d queued", placed, filled, queued)
+	if placed == 0 || filled == 0 || queued == 0 {
+		t.Fatalf("inputs too one-sided: %d placed, %d filled, %d queued", placed, filled, queued)
 	}
 }

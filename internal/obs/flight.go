@@ -5,15 +5,15 @@ package obs
 // node instead keeps a small fixed-capacity ring of full-resolution
 // entries — always armed, allocation-free once warm — and the fleet
 // snapshots it into an incident bundle only when something goes wrong
-// (an SLO-burn alert fires, a guard vetoes, a node freezes or is lost).
+// (an SLO-burn alert fires, a node freezes or is lost).
 //
 // FlightRing[T] is that ring: unsynchronized, single-writer, value-copy
 // on push. The fleet keeps one FlightRing[FlightEntry] per node; entries
 // are plain structs (string fields copy their headers, not their bytes),
 // so Push is a slot assignment — a few nanoseconds over doing nothing,
 // and 0 allocs/op warm. It is not safe for concurrent use; the fleet
-// writes each node's ring from exactly one executor worker per period
-// and snapshots only after the stepping barrier, under the cluster lock.
+// pushes every node's entry and snapshots rings only after the stepping
+// barrier, serially, under the cluster lock.
 
 // FlightRing is a fixed-capacity, single-writer ring buffer. Push never
 // allocates; Snapshot appends oldest-first into a caller-supplied slice.
